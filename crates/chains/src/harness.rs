@@ -126,7 +126,6 @@ impl ChainHarness {
         let world = ChainSim::from_plan(
             self.chain,
             self.params,
-            &self.config,
             qmodel,
             self.engine,
             plan,

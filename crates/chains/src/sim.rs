@@ -297,8 +297,6 @@ pub struct ChainSim {
     rounds: u64,
     /// Rotating proposer index.
     proposer: usize,
-    /// Median one-way gossip delay from each node site (seconds).
-    site_gossip_secs: Vec<f64>,
     /// Per-transaction gas estimate (homogeneous workloads).
     gas_estimate: u64,
     /// Per-transaction executed-ops estimate (CPU-time proxy).
@@ -343,11 +341,9 @@ pub struct ChainSim {
 
 impl ChainSim {
     /// Builds the world from an explicit per-tick submission plan.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_plan(
         chain: Chain,
         params: ChainParams,
-        config: &DeploymentConfig,
         qmodel: QuorumModel,
         mut engine: ExecutionEngine,
         plan: TickPlan,
@@ -360,9 +356,6 @@ impl ChainSim {
             Some(h) => FeeMarket::london(h),
             None => FeeMarket::disabled(),
         };
-        let site_gossip_secs: Vec<f64> = (0..config.node_count())
-            .map(|i| qmodel.median_delay_from(i))
-            .collect();
         // Estimate the homogeneous per-transaction cost once.
         let dapp = engine.contract().map(|c| c.dapp);
         let probe_payload = match dapp {
@@ -406,7 +399,6 @@ impl ChainSim {
             height: 0,
             rounds: 0,
             proposer: 0,
-            site_gossip_secs,
             gas_estimate: probe_cost.gas.max(1),
             ops_estimate: probe_cost.ops.max(1),
             wire_estimate,
@@ -470,7 +462,7 @@ impl ChainSim {
     /// Submits the transactions of one tick.
     fn submit_tick(&mut self, _now: SimTime, k: u32) {
         let range = self.plan.range(k as usize);
-        let nodes = self.site_gossip_secs.len().max(1);
+        let nodes = self.qmodel.node_count().max(1);
         for i in range {
             // `PlannedTx` is `Copy`: reading out of the flat plan keeps
             // the borrow checker away from the mutations below.
@@ -536,7 +528,7 @@ impl ChainSim {
                     }
                 }
             }
-            let mut gossip = SimDuration::from_secs_f64(self.site_gossip_secs[site]);
+            let mut gossip = SimDuration::from_secs_f64(self.qmodel.median_delay_from(site));
             if !self.timeline.is_empty() {
                 // Lost gossip messages are retransmitted: the expected
                 // propagation time stretches by 1/(1-loss).
@@ -920,8 +912,8 @@ impl ChainSim {
     /// proceeding case.
     fn fault_round(&mut self, now: SimTime, leader: usize, n: usize) -> Option<SimDuration> {
         self.round_stretch = 1.0;
-        let f = (n.saturating_sub(1)) / 3;
-        let quorum = 2 * f + 1;
+        let f = self.qmodel.byzantine_f();
+        let quorum = self.qmodel.quorum();
         let needs_quorum = matches!(
             self.params.consensus,
             ConsensusKind::Ibft { .. }

@@ -3,7 +3,7 @@
 //! Simulating every vote of a 200-node BFT protocol means O(n²) events
 //! per block; the commit latency of a phase, however, is exactly an order
 //! statistic over point-to-point delays. This module computes those order
-//! statistics from the Table 3 delay matrix:
+//! statistics from the Table 3 region-pair delays:
 //!
 //! - *leader-based linear* protocols (HotStuff): a phase is leader → all,
 //!   then all → leader votes; the phase completes when the leader holds a
@@ -16,6 +16,21 @@
 //!   fanout-`k` overlay reaches all nodes in ~`log_k n` hops of the
 //!   median one-way delay.
 //!
+//! # Region classes
+//!
+//! A one-way delay depends only on the (region, region) pair, and there
+//! are [`Region::COUNT`] regions, so the `n` arrival times a node sees
+//! take at most `R + 2` distinct values: its own message, its
+//! same-region peers, each other region, and the leader (whose start
+//! time differs from its region's). Every query therefore selects the
+//! `q`-th smallest of a handful of `(value, multiplicity)` terms held on
+//! the stack, and all non-leader nodes of a region share one result.
+//! Each term is the same `f64` sum the per-node form would compute, so
+//! results are bit-identical to sorting all `n` arrivals at every node
+//! (the oracle in `tests/net_properties.rs`), at O(R² log R) per IBFT
+//! commit instead of O(n² log n), with no allocation and no state that
+//! grows faster than the per-node region index.
+//!
 //! All figures use jitter-mean delays; the chain simulations add the
 //! stochastic component per block.
 
@@ -23,55 +38,139 @@ use diablo_sim::SimDuration;
 
 use crate::config::DeploymentConfig;
 use crate::model::NetworkModel;
+use crate::region::Region;
 
-/// Precomputed pairwise mean one-way delays (seconds) for a deployment.
-#[derive(Debug, Clone)]
-pub struct QuorumModel {
-    n: usize,
-    quorum: usize,
-    /// `delay[i][j]` = mean one-way delay i → j for a vote-sized message.
-    delay: Vec<Vec<f64>>,
-}
+const R: usize = Region::COUNT;
 
 /// Size of a consensus vote/ack message in bytes.
 const VOTE_BYTES: u64 = 256;
 
+/// Mean one-way delays (seconds) between the region classes of a
+/// deployment.
+#[derive(Debug, Clone)]
+pub struct QuorumModel {
+    n: usize,
+    byzantine_f: usize,
+    quorum: usize,
+    /// Region of each node, in node-id order.
+    region: Vec<Region>,
+    /// Nodes per region.
+    count: [usize; R],
+    /// `delay[a][b]` = mean one-way delay of a vote-sized message from a
+    /// node in region `a` to another node in region `b`.
+    delay: [[f64; R]; R],
+    /// Median of `delay[a][·]` over the `n - 1` peers of a node in `a`.
+    median: [f64; R],
+}
+
+/// A multiset of up to `R + 2` distinct times, as `(value,
+/// multiplicity)` terms.
+struct Terms {
+    terms: [(f64, usize); R + 2],
+    len: usize,
+}
+
+impl Terms {
+    fn new() -> Self {
+        Terms {
+            terms: [(0.0, 0); R + 2],
+            len: 0,
+        }
+    }
+
+    /// Adds `count` copies of `value`.
+    fn push(&mut self, value: f64, count: usize) {
+        if count > 0 {
+            self.terms[self.len] = (value, count);
+            self.len += 1;
+        }
+    }
+
+    /// The `k`-th smallest value of the multiset (1-indexed); `k` is
+    /// clamped to its size.
+    fn kth_smallest(mut self, k: usize) -> f64 {
+        let terms = &mut self.terms[..self.len];
+        assert!(!terms.is_empty(), "kth_smallest needs values");
+        terms.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("delays are not NaN"));
+        let size: usize = terms.iter().map(|t| t.1).sum();
+        let k = k.clamp(1, size);
+        let mut seen = 0;
+        terms
+            .iter()
+            .find(|&&(_, count)| {
+                seen += count;
+                seen >= k
+            })
+            .expect("k is clamped to the multiset size")
+            .0
+    }
+}
+
+/// Extra one-way delay for a payload of `bytes` relative to a vote-sized
+/// message (serialization only).
+fn payload_extra(bytes: u64) -> f64 {
+    // Serialization time beyond the vote baseline, at a conservative
+    // 100 Mbps WAN floor; propagation is already in `delay`.
+    (bytes.saturating_sub(VOTE_BYTES)) as f64 * 8.0 / 100e6
+}
+
 impl QuorumModel {
     /// Builds the model for a deployment under a network model.
     pub fn new(config: &DeploymentConfig, net: &NetworkModel) -> Self {
-        let sites = config.sites();
-        let n = sites.len();
-        let mut delay = vec![vec![0.0; n]; n];
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    delay[i][j] = net
-                        .mean_delay(sites[i].region, sites[j].region, VOTE_BYTES)
-                        .as_secs_f64();
-                }
-            }
+        let region: Vec<Region> = config.sites().iter().map(|s| s.region).collect();
+        let mut count = [0usize; R];
+        for r in &region {
+            count[r.index()] += 1;
         }
-        // The pairwise link profile of the deployment, captured once at
-        // model build: the distribution every phase latency below is an
-        // order statistic of.
-        for row in &delay {
-            for &d in row {
+        // Alongside the delay table, the pairwise link profile of the
+        // deployment, captured once at model build: the distribution
+        // every phase latency below is an order statistic of. One
+        // weighted record stands for a region pair's ordered node pairs.
+        let mut delay = [[0.0; R]; R];
+        for from in Region::ALL {
+            for to in Region::ALL {
+                let (a, b) = (from.index(), to.index());
+                let d = net.mean_delay(from, to, VOTE_BYTES).as_secs_f64();
+                delay[a][b] = d;
+                let receivers = if a == b {
+                    count[b].saturating_sub(1)
+                } else {
+                    count[b]
+                };
                 if d > 0.0 {
-                    diablo_telemetry::record!("net.link.delay_us", (d * 1e6) as u64);
+                    diablo_telemetry::record_n(
+                        "net.link.delay_us",
+                        (d * 1e6) as u64,
+                        (count[a] * receivers) as u64,
+                    );
                 }
             }
         }
-        QuorumModel {
-            n,
+        let mut model = QuorumModel {
+            n: region.len(),
+            byzantine_f: config.byzantine_f(),
             quorum: config.quorum(),
+            region,
+            count,
             delay,
+            median: [0.0; R],
+        };
+        if model.n > 1 {
+            for a in (0..R).filter(|&a| count[a] > 0) {
+                model.median[a] = model.delays_from(a).kth_smallest((model.n - 1) / 2 + 1);
+            }
         }
+        model
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.n
+    }
+
+    /// Byzantine fault threshold `f` of the deployment.
+    pub fn byzantine_f(&self) -> usize {
+        self.byzantine_f
     }
 
     /// BFT quorum size (2f + 1).
@@ -81,36 +180,46 @@ impl QuorumModel {
 
     /// Mean one-way vote delay from node `i` to node `j`, in seconds.
     pub fn delay_secs(&self, i: usize, j: usize) -> f64 {
-        self.delay[i][j]
+        if i == j {
+            0.0
+        } else {
+            self.delay[self.region[i].index()][self.region[j].index()]
+        }
     }
 
-    /// Extra one-way delay for a payload of `bytes` from `i` to `j`
-    /// relative to a vote-sized message (serialization only).
-    fn payload_extra(&self, _i: usize, _j: usize, bytes: u64) -> f64 {
-        // Serialization time beyond the vote baseline, at a conservative
-        // 100 Mbps WAN floor; propagation is already in `delay`.
-        (bytes.saturating_sub(VOTE_BYTES)) as f64 * 8.0 / 100e6
+    /// The region class of `node` and the number of *other* nodes in
+    /// each region.
+    fn peers_of(&self, node: usize) -> (usize, [usize; R]) {
+        let at = self.region[node].index();
+        let mut peers = self.count;
+        peers[at] -= 1;
+        (at, peers)
     }
 
-    /// The `k`-th smallest value of a slice (1-indexed); `k` is clamped
-    /// to the slice length.
-    fn kth_smallest(mut values: Vec<f64>, k: usize) -> f64 {
-        assert!(!values.is_empty(), "kth_smallest needs values");
-        let k = k.clamp(1, values.len());
-        values.sort_by(|a, b| a.partial_cmp(b).expect("delays are not NaN"));
-        values[k - 1]
+    /// One-way vote delays from a node in region `from` to the `n - 1`
+    /// other nodes.
+    fn delays_from(&self, from: usize) -> Terms {
+        let mut delays = Terms::new();
+        for r in 0..R {
+            delays.push(self.delay[from][r], self.count[r] - usize::from(r == from));
+        }
+        delays
+    }
+
+    /// When a `bytes`-sized proposal from a leader in region `leader_at`
+    /// reaches a follower, by the follower's region.
+    fn proposal_arrival(&self, leader_at: usize, bytes: u64) -> [f64; R] {
+        let extra = payload_extra(bytes);
+        self.delay[leader_at].map(|d| d + extra)
     }
 
     /// Time for a leader broadcast of `bytes` to reach all nodes.
     pub fn broadcast_all(&self, leader: usize, bytes: u64) -> SimDuration {
-        let worst = (0..self.n)
-            .map(|i| {
-                if i == leader {
-                    0.0
-                } else {
-                    self.delay[leader][i] + self.payload_extra(leader, i, bytes)
-                }
-            })
+        let (leader_at, followers) = self.peers_of(leader);
+        let arrive = self.proposal_arrival(leader_at, bytes);
+        let worst = (0..R)
+            .filter(|&r| followers[r] > 0)
+            .map(|r| arrive[r])
             .fold(0.0, f64::max);
         diablo_telemetry::counter!(
             "net.bytes.proposals",
@@ -121,40 +230,34 @@ impl QuorumModel {
 
     /// Time for a leader broadcast of `bytes` to reach a quorum of nodes.
     pub fn broadcast_quorum(&self, leader: usize, bytes: u64) -> SimDuration {
-        let arrivals: Vec<f64> = (0..self.n)
-            .map(|i| {
-                if i == leader {
-                    0.0
-                } else {
-                    self.delay[leader][i] + self.payload_extra(leader, i, bytes)
-                }
-            })
-            .collect();
+        let (leader_at, followers) = self.peers_of(leader);
+        let arrive = self.proposal_arrival(leader_at, bytes);
+        let mut arrivals = Terms::new();
+        arrivals.push(0.0, 1);
+        for r in 0..R {
+            arrivals.push(arrive[r], followers[r]);
+        }
         diablo_telemetry::counter!(
             "net.bytes.proposals",
             bytes * self.n.saturating_sub(1) as u64
         );
-        SimDuration::from_secs_f64(Self::kth_smallest(arrivals, self.quorum))
+        SimDuration::from_secs_f64(arrivals.kth_smallest(self.quorum))
     }
 
     /// One linear (HotStuff-style) phase: leader sends `bytes`, nodes
     /// reply with votes, phase ends when the leader holds a quorum.
     pub fn linear_phase(&self, leader: usize, bytes: u64) -> SimDuration {
-        let round_trips: Vec<f64> = (0..self.n)
-            .map(|i| {
-                if i == leader {
-                    0.0
-                } else {
-                    self.delay[leader][i]
-                        + self.payload_extra(leader, i, bytes)
-                        + self.delay[i][leader]
-                }
-            })
-            .collect();
+        let (leader_at, followers) = self.peers_of(leader);
+        let arrive = self.proposal_arrival(leader_at, bytes);
+        let mut round_trips = Terms::new();
+        round_trips.push(0.0, 1);
+        for r in 0..R {
+            round_trips.push(arrive[r] + self.delay[r][leader_at], followers[r]);
+        }
         let peers = self.n.saturating_sub(1) as u64;
         diablo_telemetry::counter!("net.bytes.proposals", bytes * peers);
         diablo_telemetry::counter!("net.bytes.votes", VOTE_BYTES * peers);
-        let phase = SimDuration::from_secs_f64(Self::kth_smallest(round_trips, self.quorum));
+        let phase = SimDuration::from_secs_f64(round_trips.kth_smallest(self.quorum));
         diablo_telemetry::record_duration!("net.phase.linear_us", phase);
         phase
     }
@@ -173,44 +276,49 @@ impl QuorumModel {
     /// commit). Completion is measured at the leader (the node the
     /// collocated Diablo Secondary polls).
     pub fn ibft_commit(&self, leader: usize, bytes: u64) -> SimDuration {
-        // Pre-prepare arrival times.
-        let arrive: Vec<f64> = (0..self.n)
-            .map(|i| {
-                if i == leader {
-                    0.0
-                } else {
-                    self.delay[leader][i] + self.payload_extra(leader, i, bytes)
-                }
-            })
-            .collect();
-        // Prepare: node j broadcasts at arrive[j]; node i is "prepared"
-        // once it holds a quorum of prepares.
-        let prepared = self.all_to_all_round(&arrive);
-        // Commit: node j broadcasts commit at prepared[j]; the block is
-        // committed at node i once it holds a quorum of commits.
-        let committed = self.all_to_all_round(&prepared);
+        let (leader_at, followers) = self.peers_of(leader);
+        // Pre-prepare arrival times; the leader holds its own at 0.
+        let arrive = self.proposal_arrival(leader_at, bytes);
+        // Prepare: every node broadcasts when the pre-prepare arrives and
+        // is "prepared" once it holds a quorum of prepares. A follower
+        // in region `r` hears itself, the leader, and every other
+        // follower by region.
+        let mut prepared = [0.0; R];
+        for r in (0..R).filter(|&r| followers[r] > 0) {
+            let mut others = followers;
+            others[r] -= 1;
+            let mut prepares = self.round_arrivals(r, arrive[r], &others, &arrive);
+            prepares.push(self.delay[leader_at][r], 1);
+            prepared[r] = prepares.kth_smallest(self.quorum);
+        }
+        let leader_prepared = self
+            .round_arrivals(leader_at, 0.0, &followers, &arrive)
+            .kth_smallest(self.quorum);
+        // Commit: every node broadcasts when prepared; the block is
+        // committed at the leader once it holds a quorum of commits.
+        let committed = self
+            .round_arrivals(leader_at, leader_prepared, &followers, &prepared)
+            .kth_smallest(self.quorum);
         let n = self.n as u64;
         diablo_telemetry::counter!("net.bytes.proposals", bytes * n.saturating_sub(1));
         // Two all-to-all vote rounds: every node broadcasts to every
         // other node in each.
-        diablo_telemetry::counter!(
-            "net.bytes.votes",
-            2 * VOTE_BYTES * n * n.saturating_sub(1)
-        );
-        let d = SimDuration::from_secs_f64(committed[leader]);
+        diablo_telemetry::counter!("net.bytes.votes", 2 * VOTE_BYTES * n * n.saturating_sub(1));
+        let d = SimDuration::from_secs_f64(committed);
         diablo_telemetry::record_duration!("net.phase.ibft_commit_us", d);
         d
     }
 
-    /// One all-to-all round: every node `j` broadcasts at `start[j]`;
-    /// returns for each node `i` the time it holds a quorum of messages.
-    fn all_to_all_round(&self, start: &[f64]) -> Vec<f64> {
-        (0..self.n)
-            .map(|i| {
-                let arrivals: Vec<f64> = (0..self.n).map(|j| start[j] + self.delay[j][i]).collect();
-                Self::kth_smallest(arrivals, self.quorum)
-            })
-            .collect()
+    /// Arrival times at a node in region `at` of one all-to-all round:
+    /// its own message at `own`, and from each region `s` the
+    /// `senders[s]` nodes that broadcast at `start[s]`.
+    fn round_arrivals(&self, at: usize, own: f64, senders: &[usize; R], start: &[f64; R]) -> Terms {
+        let mut arrivals = Terms::new();
+        arrivals.push(own, 1);
+        for s in 0..R {
+            arrivals.push(start[s] + self.delay[s][at], senders[s]);
+        }
+        arrivals
     }
 
     /// Gossip diffusion time from `origin` to (almost) all nodes over a
@@ -224,18 +332,12 @@ impl QuorumModel {
         let fanout = fanout.max(2) as f64;
         let hops = (self.n as f64).ln() / fanout.ln();
         let hops = hops.ceil().max(1.0);
-        let mut delays: Vec<f64> = (0..self.n)
-            .filter(|&i| i != origin)
-            .map(|i| self.delay[origin][i])
-            .collect();
-        delays.sort_by(|a, b| a.partial_cmp(b).expect("delays are not NaN"));
-        let p75 = delays[(delays.len() * 3) / 4];
-        let per_hop = p75 + self.payload_extra(origin, origin, bytes);
+        let p75 = self
+            .delays_from(self.region[origin].index())
+            .kth_smallest((self.n - 1) * 3 / 4 + 1);
+        let per_hop = p75 + payload_extra(bytes);
         // Diffusion delivers the payload to every other node once.
-        diablo_telemetry::counter!(
-            "net.bytes.gossip",
-            bytes * self.n.saturating_sub(1) as u64
-        );
+        diablo_telemetry::counter!("net.bytes.gossip", bytes * self.n.saturating_sub(1) as u64);
         let d = SimDuration::from_secs_f64(hops * per_hop);
         diablo_telemetry::record_duration!("net.phase.gossip_us", d);
         d
@@ -243,15 +345,7 @@ impl QuorumModel {
 
     /// Median one-way vote delay from a node's point of view, in seconds.
     pub fn median_delay_from(&self, origin: usize) -> f64 {
-        let mut delays: Vec<f64> = (0..self.n)
-            .filter(|&i| i != origin)
-            .map(|i| self.delay[origin][i])
-            .collect();
-        if delays.is_empty() {
-            return 0.0;
-        }
-        delays.sort_by(|a, b| a.partial_cmp(b).expect("delays are not NaN"));
-        delays[delays.len() / 2]
+        self.median[self.region[origin].index()]
     }
 }
 
@@ -341,13 +435,31 @@ mod tests {
         assert_eq!(m.gossip_all(0, 8, 1024), SimDuration::ZERO);
     }
 
+    fn terms(values: &[(f64, usize)]) -> Terms {
+        let mut t = Terms::new();
+        for &(v, count) in values {
+            t.push(v, count);
+        }
+        t
+    }
+
     #[test]
     fn kth_smallest_selects_correctly() {
-        let v = vec![5.0, 1.0, 3.0];
-        assert_eq!(QuorumModel::kth_smallest(v.clone(), 1), 1.0);
-        assert_eq!(QuorumModel::kth_smallest(v.clone(), 2), 3.0);
-        assert_eq!(QuorumModel::kth_smallest(v.clone(), 3), 5.0);
-        // Clamped above.
-        assert_eq!(QuorumModel::kth_smallest(v, 10), 5.0);
+        let v = [(5.0, 1), (1.0, 1), (3.0, 1)];
+        assert_eq!(terms(&v).kth_smallest(1), 1.0);
+        assert_eq!(terms(&v).kth_smallest(2), 3.0);
+        assert_eq!(terms(&v).kth_smallest(3), 5.0);
+        // Clamped above and below.
+        assert_eq!(terms(&v).kth_smallest(10), 5.0);
+        assert_eq!(terms(&v).kth_smallest(0), 1.0);
+    }
+
+    #[test]
+    fn kth_smallest_counts_multiplicities() {
+        // The multiset {1, 3, 3, 3, 5, 5}; empty terms are dropped.
+        let v = [(5.0, 2), (1.0, 1), (7.0, 0), (3.0, 3)];
+        let picks: Vec<f64> = (1..=6).map(|k| terms(&v).kth_smallest(k)).collect();
+        assert_eq!(picks, [1.0, 3.0, 3.0, 3.0, 5.0, 5.0]);
+        assert_eq!(terms(&v).kth_smallest(7), 5.0);
     }
 }

@@ -85,10 +85,17 @@ pub fn gauge(name: &'static str, v: i64) {
 /// Records one value into the named log-linear histogram.
 #[inline]
 pub fn record(name: &'static str, v: u64) {
+    record_n(name, v, 1);
+}
+
+/// Records `n` identical values into the named histogram; the snapshot
+/// is the one `n` calls of [`record()`] would leave (none for `n == 0`).
+#[inline]
+pub fn record_n(name: &'static str, v: u64, n: u64) {
     #[cfg(not(diablo_telemetry_off))]
-    recorder::with_local(|data| data.histogram(name, v));
+    recorder::with_local(|data| data.histogram(name, v, n));
     #[cfg(diablo_telemetry_off)]
-    let _ = (name, v);
+    let _ = (name, v, n);
 }
 
 /// Records a [`diablo_sim::SimDuration`] into the named histogram, in
@@ -206,6 +213,24 @@ mod tests {
             let h = snap.histogram("test.lib.hist_a").unwrap();
             assert_eq!(h.count, 5);
             assert_eq!(h.max, 1000);
+        }
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        super::record_n("test.lib.hist_n", 7, 3);
+        super::record_n("test.lib.hist_n", 900, 2);
+        super::record_n("test.lib.hist_none", 7, 0);
+        for v in [7u64, 7, 7, 900, 900] {
+            super::record!("test.lib.hist_singles", v);
+        }
+        let snap = super::snapshot();
+        if super::enabled() {
+            assert_eq!(
+                snap.histogram("test.lib.hist_n"),
+                snap.histogram("test.lib.hist_singles")
+            );
+            assert!(snap.histogram("test.lib.hist_none").is_none());
         }
     }
 

@@ -68,8 +68,12 @@ impl LocalData {
         *e = (*e).max(v);
     }
 
-    pub(crate) fn histogram(&mut self, name: &'static str, v: u64) {
-        self.histograms.entry(name).or_default().record(v);
+    pub(crate) fn histogram(&mut self, name: &'static str, v: u64, n: u64) {
+        // No entry for zero observations: an empty histogram would
+        // still show up in the snapshot.
+        if n > 0 {
+            self.histograms.entry(name).or_default().record_n(v, n);
+        }
     }
 
     pub(crate) fn span(&mut self, path: Vec<&'static str>, inclusive_us: u64, exclusive_us: u64) {

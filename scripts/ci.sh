@@ -239,6 +239,18 @@ bench_json="${DIABLO_BENCH_JSON:-$(pwd)/target/bench-smoke}"
 DIABLO_BENCH_SAMPLES=2 DIABLO_BENCH_JSON="$bench_json" \
     cargo bench -q --offline --workspace
 
+# Host-bench smoke: BENCHMARK.json's program on its node-count
+# workload. Every iteration is verified (conservation, the commit rule,
+# a fingerprint that repeats), and the last stdout line says whether all
+# of them held; two seconds is enough to run the check, not to measure.
+echo "==> host-bench smoke (benchmark/ on model_200n, result line must be correct)"
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload model_200n --seed 42 --seconds 2 --trace 0 \
+    | tail -n 1 | grep -qE '"correct": ?true' || {
+    echo "host-bench smoke: last stdout line does not carry \"correct\": true" >&2
+    exit 1
+}
+
 # Bench gate: the scale bench must stay within DIABLO_BENCH_GATE_PCT
 # (default 10) percent of the checked-in baseline. The gated run uses
 # the same sample count as the baseline (5, not the 2-sample smoke
@@ -254,9 +266,15 @@ DIABLO_BENCH_SAMPLES=2 DIABLO_BENCH_JSON="$bench_json" \
 #
 #   DIABLO_BENCH_SAMPLES=5 DIABLO_BENCH_JSON="$(pwd)/results" \
 #       cargo bench -p diablo-bench --bench scale
-#   mv results/BENCH_scale.json results/BENCH_baseline.json
+#   { cat results/BENCH_scale.json
+#     grep -v '"suite":"scale"' results/BENCH_baseline.json
+#   } > results/baseline.new
+#   mv results/baseline.new results/BENCH_baseline.json
+#   rm results/BENCH_scale.json
 #
-# (run on an otherwise idle machine; commit the new file). The full-
+# (run on an otherwise idle machine; commit the new file; the baseline
+# also carries the state_store and trace suites gated below, which the
+# grep keeps). The full-
 # scale artifact results/BENCH_scale.json is regenerated the same way
 # with DIABLO_BENCH_FULL=1.
 # Each gate also appends its per-bench verdicts to
