@@ -5,9 +5,11 @@
 //! bench three ways — store off, store on in archive mode, store on
 //! under distance pruning — so the pipeline's cost shows up as the
 //! delta against the `off` arm rather than as an absolute number. The
-//! micro arms isolate the two kernels the pipeline spends its time in:
-//! the binary Merkle fold over sorted state entries and the flat-table
-//! increment path under hot-page-cap eviction pressure.
+//! micro arms isolate the pipeline's kernels: the binary Merkle fold
+//! over sorted state entries (`trie_root`, the from-scratch oracle),
+//! the same tree updated from one block's write set (`trie_apply`,
+//! what the pipeline runs per block) and the flat-table increment path
+//! under hot-page-cap eviction pressure.
 //!
 //! Two shapes:
 //!
@@ -23,7 +25,7 @@ use diablo_testkit::bench::{black_box, Bench};
 use diablo_chains::{Chain, ChainParams, Experiment, PruneMode, StorageConfig};
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, InstanceType};
-use diablo_store::{trie, FlatTable};
+use diablo_store::{trie, FlatTable, MerkleTable};
 use diablo_workloads::traces;
 
 #[derive(Clone, Copy)]
@@ -93,13 +95,36 @@ fn main() {
         b.bench_items(&name, items, move || black_box(e2e(&shape, storage)));
     }
 
-    // Merkle fold: the per-block root over every live state entry. The
-    // entry count tracks the shape's account pool (Exchange keeps one
-    // balance per account), so smoke and full runs gate separately.
+    // Merkle fold: the root over every live state entry, from scratch.
+    // The entry count tracks the shape's account pool, so smoke and
+    // full runs gate separately.
     let entries: Vec<(i64, i64)> = (0..shape.accounts as i64).map(|k| (k, k * 7 + 1)).collect();
+    let mut seeded = MerkleTable::new();
+    seeded.apply(&entries);
     let name = format!("state_store/{}/trie_root", shape.label);
     b.bench_items(&name, shape.accounts as u64, move || {
         black_box(trie::root(&entries))
+    });
+
+    // The same tree kept up to date instead: one VideoSharing-shaped
+    // block — one counter overwritten, 250 keys appended at the tail —
+    // written onto the shape's entries. The cost follows the block,
+    // not the state. The table starts over once it has doubled, which
+    // keeps its depth within one level of the shape's.
+    const BLOCK_APPENDS: i64 = 250;
+    let mut table = seeded.clone();
+    let mut tick = 0i64;
+    let name = format!("state_store/{}/trie_apply", shape.label);
+    b.bench_items(&name, BLOCK_APPENDS as u64 + 1, move || {
+        if table.len() >= 2 * seeded.len() {
+            table = seeded.clone();
+        }
+        tick += 1;
+        let tail = table.entries().last().map_or(0, |&(k, _)| k + 1);
+        let mut block = vec![(0, tick)];
+        block.extend((0..BLOCK_APPENDS).map(|i| (tail + i, tick)));
+        table.apply(&block);
+        black_box(table.root())
     });
 
     // Flat-table increments under eviction pressure: one touch per

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use diablo_contracts::{build, calls, Contract, DApp, Unsupported};
-use diablo_vm::{ExecError, Interpreter, Receipt, TxContext, VmFlavor};
+use diablo_vm::{ContractState, ExecError, Interpreter, Receipt, TxContext, VmFlavor};
 
 use crate::optimistic::OptimisticExecutor;
 use crate::parallel::ParallelExecutor;
@@ -184,16 +184,15 @@ impl ExecutionEngine {
     /// explanation when the DApp cannot be built for the flavor (YouTube
     /// on the AVM).
     pub fn with_dapp(flavor: VmFlavor, mode: ExecMode, dapp: DApp) -> Result<Self, Unsupported> {
-        let contract = build(dapp, flavor)?;
-        Ok(ExecutionEngine {
-            flavor,
-            interpreter: Interpreter::new(flavor),
-            mode,
-            concurrency: Concurrency::Serial,
-            contract: Some(contract),
-            last_exec_counts: Vec::new(),
-            cache: HashMap::new(),
-        })
+        Ok(Self::with_contract(mode, build(dapp, flavor)?))
+    }
+
+    /// An engine with `contract` deployed as it stands (tests deploy
+    /// programs none of the DApps has).
+    pub(crate) fn with_contract(mode: ExecMode, contract: Contract) -> Self {
+        let mut engine = Self::native(contract.flavor, mode);
+        engine.contract = Some(contract);
+        engine
     }
 
     /// Sets the block-commit concurrency (builder style).
@@ -223,6 +222,14 @@ impl ExecutionEngine {
     /// The deployed contract, if any.
     pub fn contract(&self) -> Option<&Contract> {
         self.contract.as_ref()
+    }
+
+    /// The deployed contract's live state, if any. The state store's
+    /// feed: `ChainSim` switches its write log on and drains it per
+    /// block. All three executors write through `ContractState::store`
+    /// and `ContractState::apply`, so the log sees every one of them.
+    pub(crate) fn contract_state_mut(&mut self) -> Option<&mut ContractState> {
+        self.contract.as_mut().map(|c| &mut c.initial_state)
     }
 
     /// Dry-runs one representative call of the deployed DApp; used before

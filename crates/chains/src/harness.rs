@@ -111,6 +111,29 @@ impl ChainHarness {
     ///
     /// Panics if `txs` is not sorted by `at`.
     pub fn run(self, txs: Vec<PlannedTx>, workload_name: &str, workload_secs: f64) -> RunResult {
+        let chain = self.chain;
+        let (records, blocks, storage) = self.simulate(txs, workload_secs).into_records();
+        RunResult {
+            chain,
+            workload: workload_name.to_string(),
+            workload_secs,
+            records,
+            unable_reason: None,
+            blocks,
+            storage,
+            trace: diablo_telemetry::trace::take(),
+        }
+    }
+
+    /// Runs the submission plan to completion and hands back the
+    /// finished world — what [`ChainHarness::run`] condenses into a
+    /// [`RunResult`] — so a test can hold the final contract state
+    /// against the state store's roots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `txs` is not sorted by `at`.
+    pub fn simulate(self, txs: Vec<PlannedTx>, workload_secs: f64) -> ChainSim {
         assert!(
             txs.windows(2).all(|w| w[0].at <= w[1].at),
             "plan must be sorted by time"
@@ -181,18 +204,7 @@ impl ChainHarness {
             // simulation (the live-diff's prediction) stays virtual.
             diablo_telemetry::clock::use_sim_clock();
         }
-        let world = sim.into_world();
-        let (records, blocks, storage) = world.into_records();
-        RunResult {
-            chain: self.chain,
-            workload: workload_name.to_string(),
-            workload_secs,
-            records,
-            unable_reason: None,
-            blocks,
-            storage,
-            trace: diablo_telemetry::trace::take(),
-        }
+        sim.into_world()
     }
 }
 
@@ -338,5 +350,99 @@ mod tests {
             },
         ];
         let _ = h.run(plan, "bad", 2.0);
+    }
+    #[test]
+    fn a_reverted_first_touch_reaches_the_store() {
+        use crate::exec::{Concurrency, ExecMode};
+        use crate::tx::CallSel;
+        use diablo_contracts::build;
+        use diablo_store::{state_root, trie, StorageConfig};
+        use diablo_vm::{prepare, Asm, Op};
+
+        // No shipped DApp writes a fresh key and then fails, so deploy
+        // a program that does under VideoSharing's `upload` name:
+        // storage[5000 + n] = 7, then revert when n is odd. The
+        // interpreter's rollback writes the old value back — 0, for a
+        // key the state never held — which leaves an explicit entry
+        // behind. The write log must carry it to the store although
+        // the transaction failed.
+        let mut asm = Asm::new();
+        asm.entry("upload");
+        asm.op(Op::Push(5_000))
+            .op(Op::Arg(0))
+            .op(Op::Add)
+            .op(Op::Push(7))
+            .op(Op::SStore);
+        let even = asm.new_label();
+        asm.op(Op::Arg(0)).op(Op::Push(2)).op(Op::Mod);
+        asm.jump_if_zero(even);
+        asm.op(Op::Revert(9));
+        asm.bind(even);
+        asm.op(Op::Halt);
+        let program = asm.finish();
+
+        for concurrency in [
+            Concurrency::Serial,
+            Concurrency::Parallel(2),
+            Concurrency::Optimistic(2),
+        ] {
+            let chain = Chain::Quorum;
+            let mut contract = build(DApp::VideoSharing, chain.vm_flavor()).unwrap();
+            contract.prepared = prepare(&program, contract.flavor).unwrap();
+            contract.program = program.clone();
+            let options = HarnessOptions {
+                exec_mode: ExecMode::Exact,
+                concurrency,
+                grace_secs: 20,
+                storage: Some(StorageConfig::default()),
+                ..HarnessOptions::default()
+            };
+            let config = DeploymentConfig::standard(DeploymentKind::Testnet);
+            let harness = ChainHarness {
+                chain,
+                params: options.resolved_params(chain, &config),
+                config,
+                engine: ExecutionEngine::with_contract(ExecMode::Exact, contract)
+                    .with_concurrency(concurrency),
+                options,
+            };
+            let upload =
+                diablo_contracts::calls::entry_index(DApp::VideoSharing, "upload").unwrap();
+            let txs: Vec<PlannedTx> = (0..60u64)
+                .map(|seq| PlannedTx {
+                    at: SimTime::from_micros(seq * 50_000),
+                    sender: (seq % 100) as u32,
+                    payload: Payload::Invoke {
+                        dapp: DApp::VideoSharing,
+                        seq,
+                        call: Some(CallSel {
+                            entry: upload,
+                            args: [seq as i32, 0],
+                            argc: 1,
+                        }),
+                    },
+                })
+                .collect();
+            let world = harness.simulate(txs, 3.0);
+
+            let state = world.contract_state().unwrap();
+            let store = world.store().unwrap();
+            assert_eq!(store.report().txs, 60, "{concurrency:?}");
+            // 60 touched keys plus the one `ChainSim`'s cost probe wrote.
+            assert_eq!(state.entry_count(), 61, "{concurrency:?}");
+            assert_eq!(state.load(5_000 + 4), 7);
+            assert!(state.contains_key(5_000 + 5) && state.load(5_000 + 5) == 0);
+            let entries = state.sorted_entries();
+            assert_eq!(store.storage().entries(), &entries[..], "{concurrency:?}");
+            assert_eq!(
+                store.last_state_root(),
+                state_root(
+                    &trie::root(&entries),
+                    state.blob_bytes(),
+                    state.blob_count()
+                ),
+                "{concurrency:?}"
+            );
+        }
     }
 }

@@ -22,8 +22,9 @@ use std::collections::VecDeque;
 use diablo_contracts::{calls, DApp};
 use diablo_net::{DeploymentConfig, DeploymentKind, QuorumModel};
 use diablo_sim::{DetRng, QueueBackend, Scheduler, SimDuration, SimTime, World};
-use diablo_store::{BlockRoots, ReceiptRec, StateStore, StorageConfig, StorageReport};
+use diablo_store::{BlockRoots, ReceiptRec, StateDelta, StateStore, StorageConfig, StorageReport};
 use diablo_telemetry::trace::{self, TraceStage};
+use diablo_vm::ContractState;
 use diablo_workloads::Workload;
 
 use crate::chain::Chain;
@@ -427,9 +428,15 @@ impl ChainSim {
     }
 
     /// Enables the staged commit pipeline: every committed block is
-    /// merkleized, persisted and pruned through `config`'s store.
+    /// merkleized, persisted and pruned through `config`'s store, which
+    /// is fed from the contract state's write log.
     pub(crate) fn with_store(mut self, config: Option<StorageConfig>) -> Self {
         self.store = config.map(StateStore::new);
+        if self.store.is_some() {
+            if let Some(state) = self.engine.contract_state_mut() {
+                state.track_writes();
+            }
+        }
         self
     }
 
@@ -1072,9 +1079,12 @@ impl ChainSim {
 
     /// Runs the store's merkleize → persist → prune stages for the
     /// block just appended at `self.height`, returning the block's
-    /// roots. A no-op (`None`) when the run did not enable storage —
-    /// disabled runs stay byte-identical to the pre-store execution
-    /// path.
+    /// roots. A no-op (`None`) when the run did not enable storage.
+    ///
+    /// A block that executed something (`changed`) hands the store the
+    /// entries it wrote, drained from the contract state's write log;
+    /// the store re-hashes those paths only. Empty blocks, and chains
+    /// without a contract, carry the previous state root forward.
     fn persist_block(
         &mut self,
         committed: SimTime,
@@ -1084,22 +1094,36 @@ impl ChainSim {
         touched: &[(u32, u32)],
     ) -> Option<BlockRoots> {
         let store = self.store.as_mut()?;
-        // Empty blocks carry the previous state root forward, so the
-        // (possibly large) contract state is only re-merkleized when
-        // this block actually executed something.
         let state = if changed {
-            self.engine.contract().map(|c| &c.initial_state)
+            self.engine.contract_state_mut()
         } else {
             None
         };
-        Some(store.commit_block(
+        let drained = state.map(|state| (state.drain_writes(), &*state));
+        let delta = drained.as_ref().map(|(written, state)| StateDelta {
+            written,
+            blob_bytes: state.blob_bytes(),
+            blob_count: state.blob_count(),
+        });
+        let roots = store.commit_block(
             self.height,
             committed.as_micros(),
             bytes,
             recs,
-            state,
+            delta,
             touched,
-        ))
+        );
+        if let Some((_, state)) = drained {
+            // The from-scratch fold is the oracle: a write the log
+            // missed, or a path the table did not re-hash, shows here.
+            debug_assert_eq!(
+                store.storage().root(),
+                diablo_store::trie::root(&state.sorted_entries()),
+                "incremental state root diverged at height {}",
+                self.height
+            );
+        }
+        Some(roots)
     }
 
     /// Advances the chain by one empty block (skipped or empty slots
@@ -1254,6 +1278,16 @@ impl ChainSim {
     /// The chain this world simulates.
     pub fn chain(&self) -> Chain {
         self.chain
+    }
+
+    /// The state store, when the run enabled one.
+    pub fn store(&self) -> Option<&StateStore> {
+        self.store.as_ref()
+    }
+
+    /// The deployed contract's live state, if any.
+    pub fn contract_state(&self) -> Option<&ContractState> {
+        self.engine.contract().map(|c| &c.initial_state)
     }
 
     /// End of the submission phase.

@@ -2,14 +2,18 @@
 //! must report byte-identical roots and persisted state no matter how
 //! the blocks were executed (serial, parallel, optimistic; any worker
 //! count), which event-queue backend drove the simulation, and which
-//! prune mode bounded the resident set.
+//! prune mode bounded the resident set. And at the end of a run the
+//! store's state root must be the from-scratch root of the contract
+//! state the executors left behind.
 
 use diablo_chains::{
-    Chain, ChainParams, Concurrency, ExecMode, Experiment, PruneMode, QueueBackend, StorageConfig,
-    StorageReport,
+    Chain, ChainHarness, ChainParams, ChainSim, Concurrency, ExecMode, Experiment, Payload,
+    PlannedTx, PruneMode, QueueBackend, RunConfig, StorageConfig, StorageReport,
 };
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, InstanceType};
+use diablo_sim::SimTime;
+use diablo_store::{state_root, trie};
 use diablo_workloads::traces;
 
 fn exchange_run(
@@ -114,6 +118,117 @@ fn all_prune_modes_report_the_same_roots() {
         assert!(report.resident_blocks < full.resident_blocks, "{prune}");
     }
     assert_eq!(full.pruned_blocks, 0);
+}
+
+/// Runs `txs` on `chain` with the store on and hands back the finished
+/// world: the final contract state and the store side by side.
+fn simulate(
+    chain: Chain,
+    dapp: DApp,
+    txs: Vec<PlannedTx>,
+    concurrency: Concurrency,
+    queue: QueueBackend,
+    storage: StorageConfig,
+) -> ChainSim {
+    let options = RunConfig {
+        exec_mode: ExecMode::Exact,
+        concurrency,
+        queue,
+        grace_secs: 20,
+        storage: Some(storage),
+        ..RunConfig::default()
+    };
+    let secs = txs
+        .last()
+        .map_or(0.0, |tx| tx.at.as_micros() as f64 / 1e6)
+        .ceil();
+    ChainHarness::new(chain, DeploymentKind::Testnet, Some(dapp), options)
+        .expect("the DApp runs on this chain")
+        .simulate(txs, secs)
+}
+
+/// `count` default invocations of `dapp` at `tps`.
+fn plan(dapp: DApp, count: u64, tps: u64) -> Vec<PlannedTx> {
+    (0..count)
+        .map(|seq| PlannedTx {
+            at: SimTime::from_micros(seq * 1_000_000 / tps),
+            sender: (seq % 100) as u32,
+            payload: Payload::Invoke {
+                dapp,
+                seq,
+                call: None,
+            },
+        })
+        .collect()
+}
+
+/// Asserts that the store's table and last state root are exactly what
+/// a from-scratch pass over the final contract state yields.
+fn assert_conserved(world: &ChainSim, context: &str) {
+    let state = world.contract_state().expect("a contract is deployed");
+    let store = world.store().expect("storage enabled");
+    let entries = state.sorted_entries();
+    assert_eq!(store.storage().entries(), &entries[..], "{context}");
+    assert_eq!(
+        store.report().storage_entries,
+        entries.len() as u64,
+        "{context}"
+    );
+    assert_eq!(
+        store.last_state_root(),
+        state_root(
+            &trie::root(&entries),
+            state.blob_bytes(),
+            state.blob_count()
+        ),
+        "{context}"
+    );
+}
+
+#[test]
+fn final_state_root_is_conserved_for_every_executor_backend_and_prune_mode() {
+    let mut roots = Vec::new();
+    for prune in [
+        PruneMode::Full,
+        PruneMode::Distance(3),
+        PruneMode::Before(10),
+    ] {
+        for queue in [QueueBackend::Wheel, QueueBackend::Heap] {
+            for concurrency in [
+                Concurrency::Serial,
+                Concurrency::Parallel(2),
+                Concurrency::Parallel(8),
+                Concurrency::Optimistic(2),
+                Concurrency::Optimistic(8),
+            ] {
+                let storage = StorageConfig {
+                    prune,
+                    segment_blocks: 4,
+                    hot_pages: 2,
+                };
+                let txs = plan(DApp::Exchange, 300, 50);
+                let world = simulate(
+                    Chain::Quorum,
+                    DApp::Exchange,
+                    txs,
+                    concurrency,
+                    queue,
+                    storage,
+                );
+                assert_conserved(
+                    &world,
+                    &format!("{concurrency:?} on {queue:?} under {prune}"),
+                );
+                let store = world.store().expect("storage enabled");
+                assert!(store.report().txs > 0, "nothing committed");
+                roots.push((store.last_state_root(), store.chain_root()));
+            }
+        }
+    }
+    assert!(
+        roots.windows(2).all(|w| w[0] == w[1]),
+        "roots differ across runs"
+    );
 }
 
 #[test]

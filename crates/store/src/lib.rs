@@ -14,7 +14,8 @@
 //!   (the in-memory stand-in for being on disk) and thaw on demand;
 //! - [`trie`]: per-block Merkle state roots over sorted key/value pairs,
 //!   so experiments can verify state integrity across executors, queue
-//!   backends and prune modes;
+//!   backends and prune modes — folded from scratch by [`trie::root`],
+//!   kept up to date from write sets by [`MerkleTable`];
 //! - [`PruneMode`]: full / distance(n) / before-block retention, the
 //!   knob that bounds resident state so a million-account run no longer
 //!   needs a million resident objects;
@@ -38,5 +39,8 @@ pub mod trie;
 pub use digest::Digest;
 pub use prune::PruneMode;
 pub use segment::SegmentedLog;
-pub use store::{BlockRoots, ReceiptRec, StateStore, StorageConfig, StorageReport};
+pub use store::{
+    state_root, BlockRoots, ReceiptRec, StateDelta, StateStore, StorageConfig, StorageReport,
+};
 pub use table::FlatTable;
+pub use trie::MerkleTable;

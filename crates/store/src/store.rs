@@ -1,33 +1,38 @@
 //! The staged commit driver: execute → merkleize → persist → prune.
 //!
 //! `diablo-chains` calls [`StateStore::commit_block`] once per
-//! committed block, *after* executing it. The store then runs three
-//! telemetry-spanned stages:
+//! committed block, *after* executing it, with what the block wrote.
+//! The store then runs three telemetry-spanned stages:
 //!
-//! 1. **merkleize** — fold the post-execution contract state into a
-//!    Merkle [`trie`] root, hash the receipts, digest the
-//!    touched-accounts delta, and chain everything into a running
-//!    `block_root`. Roots are computed before anything is pruned, so
-//!    they are identical under every [`PruneMode`].
+//! 1. **merkleize** — write the block's [`StateDelta`] into the
+//!    [`MerkleTable`] (which re-hashes only the paths the written keys
+//!    sit on), hash the receipts, digest the touched-accounts delta,
+//!    and chain everything into a running `block_root`. Roots are
+//!    computed before anything is pruned, so they are identical under
+//!    every [`PruneMode`].
 //! 2. **persist** — append the block header and packed receipts to
-//!    their [`SegmentedLog`]s, mirror the state into the flat
-//!    [`PagedState`] storage table, and bump the touched accounts in
-//!    the [`FlatTable`].
+//!    their [`SegmentedLog`]s and bump the touched accounts in the
+//!    [`FlatTable`]. Contract storage needs no copy here: the table's
+//!    sorted rows, updated in stage 1, are the persisted copy.
 //! 3. **prune** — drop whole segments below the prune horizon and
 //!    freeze the accounts table down to its hot-page cap.
+//!
+//! The store never sees the contract state itself, only write sets, so
+//! it cannot be asked for the root of a state it has not been told
+//! about; `diablo-chains` debug-asserts every block's root against
+//! [`trie::root`] over the full state.
 //!
 //! Every stage is deterministic and integer-only; a run with the store
 //! enabled reports byte-identical roots at any worker count, on either
 //! event-queue backend, under any prune mode.
 
 use diablo_telemetry::{counter, gauge, span};
-use diablo_vm::{ContractState, PagedState, StateLimits};
 
 use crate::digest::Digest;
 use crate::prune::PruneMode;
 use crate::segment::SegmentedLog;
 use crate::table::FlatTable;
-use crate::trie;
+use crate::trie::{self, MerkleTable};
 
 /// Bytes of one block header record: height, committed-at micros,
 /// tx count, payload bytes, state root, receipts root.
@@ -87,6 +92,26 @@ impl ReceiptRec {
     }
 }
 
+/// What one executed block did to the contract state.
+#[derive(Debug, Clone, Copy)]
+pub struct StateDelta<'a> {
+    /// Every entry the block wrote, with its post-block value, strictly
+    /// sorted by key (`ContractState::drain_writes`). The first delta
+    /// a store sees must carry the whole pre-existing state as well.
+    pub written: &'a [(i64, i64)],
+    /// Total opaque payload bytes the state has absorbed.
+    pub blob_bytes: u64,
+    /// Number of opaque payloads the state has absorbed.
+    pub blob_count: u64,
+}
+
+/// A block's state root: the Merkle root of the contract's entries
+/// combined with a digest of its blob accounting.
+pub fn state_root(entries_root: &Digest, blob_bytes: u64, blob_count: u64) -> Digest {
+    let blobs = Digest::of_words(BLOB_TAG, &[blob_bytes, blob_count]);
+    Digest::combine(entries_root, &blobs)
+}
+
 /// The roots [`StateStore::commit_block`] computes for one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockRoots {
@@ -120,7 +145,7 @@ pub struct StorageReport {
     pub hot_pages: u64,
     /// Frozen pages in the accounts table.
     pub frozen_pages: u64,
-    /// Entries in the flat storage table.
+    /// Entries in the contract storage table.
     pub storage_entries: u64,
 }
 
@@ -132,10 +157,9 @@ pub struct StateStore {
     blocks: SegmentedLog,
     receipts: SegmentedLog,
     accounts: FlatTable,
-    /// Flat mirror of the contract storage table, paged like the real
-    /// thing (the executors keep running on `ContractState`
-    /// bit-identically; this is the persisted copy).
-    storage: PagedState,
+    /// The persisted copy of contract storage, kept sorted under its
+    /// Merkle tree (the executors keep running on `ContractState`).
+    storage: MerkleTable,
     chain_root: Digest,
     last_state_root: Digest,
     txs: u64,
@@ -149,7 +173,7 @@ impl StateStore {
             blocks: SegmentedLog::new(config.segment_blocks),
             receipts: SegmentedLog::new(config.segment_blocks),
             accounts: FlatTable::new(),
-            storage: PagedState::new(),
+            storage: MerkleTable::new(),
             chain_root: Digest::ZERO,
             last_state_root: trie::empty_root(),
             txs: 0,
@@ -159,17 +183,18 @@ impl StateStore {
     /// Commits one executed block through the merkleize → persist →
     /// prune stages.
     ///
-    /// `state` is the post-block contract state (`None` for chains
-    /// without a deployed contract — the previous state root carries
-    /// over). `touched` lists `(sender_id, tx_count)` pairs of the
-    /// block, sorted by id. Heights are sequential from 1.
+    /// `state` is what the block wrote to the contract state (`None`
+    /// for empty blocks and chains without a deployed contract — the
+    /// previous state root carries over). `touched` lists
+    /// `(sender_id, tx_count)` pairs of the block, sorted by id.
+    /// Heights are sequential from 1.
     pub fn commit_block(
         &mut self,
         height: u64,
         committed_us: u64,
         block_bytes: u32,
         recs: &[ReceiptRec],
-        state: Option<&ContractState>,
+        state: Option<StateDelta<'_>>,
         touched: &[(u32, u32)],
     ) -> BlockRoots {
         debug_assert_eq!(height, self.blocks.next_height(), "blocks commit in order");
@@ -183,10 +208,9 @@ impl StateStore {
         let (state_root, receipts_root) = {
             span!("store.merkleize");
             let state_root = match state {
-                Some(s) => {
-                    let entries_root = trie::root(&s.sorted_entries());
-                    let blobs = Digest::of_words(BLOB_TAG, &[s.blob_bytes(), s.blob_count()]);
-                    Digest::combine(&entries_root, &blobs)
+                Some(delta) => {
+                    self.storage.apply(delta.written);
+                    state_root(&self.storage.root(), delta.blob_bytes, delta.blob_count)
                 }
                 None => self.last_state_root,
             };
@@ -231,12 +255,6 @@ impl StateStore {
             self.receipts.append(&packed);
             self.txs += recs.len() as u64;
 
-            if let Some(s) = state {
-                let limits = StateLimits::unbounded();
-                for (k, v) in s.sorted_entries() {
-                    self.storage.store(k, v, &limits);
-                }
-            }
             for &(id, n) in touched {
                 self.accounts.increment(id, u64::from(n), height);
             }
@@ -299,8 +317,8 @@ impl StateStore {
         &self.accounts
     }
 
-    /// The persisted storage-table mirror.
-    pub fn storage(&self) -> &PagedState {
+    /// The persisted contract-storage table.
+    pub fn storage(&self) -> &MerkleTable {
         &self.storage
     }
 
@@ -316,7 +334,7 @@ impl StateStore {
             pruned_blocks: self.blocks.pruned_records(),
             hot_pages: self.accounts.hot_pages() as u64,
             frozen_pages: self.accounts.frozen_pages() as u64,
-            storage_entries: self.storage.entry_count() as u64,
+            storage_entries: self.storage.len() as u64,
         }
     }
 }
@@ -324,25 +342,43 @@ impl StateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diablo_vm::ContractState;
+    use diablo_vm::{ContractState, StateLimits};
 
-    fn demo_state(n: i64) -> ContractState {
+    /// What block `h` writes to the evolving state: bumps a counter,
+    /// overwrites one earlier key and adds two new ones — one below
+    /// every existing key, one above — like a real block does through
+    /// `ContractState::store`.
+    fn execute_block(state: &mut ContractState, h: u64) {
         let lim = StateLimits::unbounded();
-        let mut s = ContractState::new();
-        for k in 0..n {
-            s.store(k * 3 - 7, k + 1, &lim);
-        }
-        s
+        let h = h as i64;
+        state.store(0, h, &lim);
+        state.store(100 + h / 2, -h, &lim);
+        state.store(-h, h * 3, &lim);
+        state.store(100 + h, h * 7, &lim);
+        state.store_blob(h as u64 * 10, &lim);
     }
 
-    fn run_blocks(mode: PruneMode, blocks: u64) -> StateStore {
+    fn delta_of<'a>(state: &ContractState, written: &'a [(i64, i64)]) -> StateDelta<'a> {
+        StateDelta {
+            written,
+            blob_bytes: state.blob_bytes(),
+            blob_count: state.blob_count(),
+        }
+    }
+
+    /// Commits `blocks` blocks of one evolving state; returns the store
+    /// and the final state.
+    fn run_blocks(mode: PruneMode, blocks: u64) -> (StateStore, ContractState) {
         let mut store = StateStore::new(StorageConfig {
             prune: mode,
             segment_blocks: 4,
             hot_pages: 2,
         });
+        let mut state = ContractState::new();
+        state.store(-1_000, 1, &StateLimits::unbounded());
+        state.track_writes();
         for h in 1..=blocks {
-            let state = demo_state(h as i64 % 7 + 1);
+            execute_block(&mut state, h);
             let recs: Vec<ReceiptRec> = (0..3)
                 .map(|i| ReceiptRec {
                     id: (h as u32 * 3 + i) % 11,
@@ -356,16 +392,35 @@ mod tests {
                 t.dedup();
                 t.into_iter().map(|id| (id, 1)).collect()
             };
-            store.commit_block(h, h * 1_000, 96, &recs, Some(&state), &touched);
+            let written = state.drain_writes();
+            let roots = store.commit_block(
+                h,
+                h * 1_000,
+                96,
+                &recs,
+                Some(delta_of(&state, &written)),
+                &touched,
+            );
+            assert_eq!(roots.state_root, scratch_state_root(&state), "height {h}");
         }
-        store
+        (store, state)
+    }
+
+    /// The state root folded from scratch, as the store computed it
+    /// before it kept a table.
+    fn scratch_state_root(state: &ContractState) -> Digest {
+        state_root(
+            &trie::root(&state.sorted_entries()),
+            state.blob_bytes(),
+            state.blob_count(),
+        )
     }
 
     #[test]
     fn roots_are_identical_across_prune_modes() {
-        let full = run_blocks(PruneMode::Full, 40);
-        let distance = run_blocks(PruneMode::Distance(5), 40);
-        let before = run_blocks(PruneMode::Before(30), 40);
+        let (full, _) = run_blocks(PruneMode::Full, 40);
+        let (distance, _) = run_blocks(PruneMode::Distance(5), 40);
+        let (before, _) = run_blocks(PruneMode::Before(30), 40);
         assert_eq!(full.chain_root(), distance.chain_root());
         assert_eq!(full.chain_root(), before.chain_root());
         assert_eq!(full.last_state_root(), distance.last_state_root());
@@ -378,17 +433,23 @@ mod tests {
     #[test]
     fn empty_blocks_carry_the_state_root_forward() {
         let mut store = StateStore::new(StorageConfig::default());
-        let state = demo_state(5);
-        let r1 = store.commit_block(1, 10, 32, &[], Some(&state), &[]);
-        // An empty block with no contract snapshot reuses the root.
+        let mut state = ContractState::new();
+        state.track_writes();
+        execute_block(&mut state, 1);
+        let written = state.drain_writes();
+        let r1 = store.commit_block(1, 10, 32, &[], Some(delta_of(&state, &written)), &[]);
+        // An empty block with no state delta reuses the root.
         let r2 = store.commit_block(2, 20, 0, &[], None, &[]);
         assert_eq!(r1.state_root, r2.state_root);
         assert_ne!(r1.block_root, r2.block_root, "chain root still advances");
+        // A block that executed but wrote nothing keeps it too.
+        let r3 = store.commit_block(3, 30, 0, &[], Some(delta_of(&state, &[])), &[]);
+        assert_eq!(r1.state_root, r3.state_root);
     }
 
     #[test]
     fn headers_and_receipts_round_trip() {
-        let store = run_blocks(PruneMode::Full, 6);
+        let (store, _) = run_blocks(PruneMode::Full, 6);
         let header = store.blocks().get(3).expect("height 3 resident");
         assert_eq!(header.len(), BLOCK_HEADER_BYTES);
         assert_eq!(u64::from_le_bytes(header[0..8].try_into().unwrap()), 3);
@@ -404,7 +465,7 @@ mod tests {
 
     #[test]
     fn report_counts_line_up() {
-        let store = run_blocks(PruneMode::Distance(8), 20);
+        let (store, state) = run_blocks(PruneMode::Distance(8), 20);
         let rep = store.report();
         assert_eq!(rep.mode, "distance=8");
         assert_eq!(rep.blocks, 20);
@@ -412,18 +473,18 @@ mod tests {
         assert_eq!(rep.root_hex.len(), 64);
         assert_eq!(rep.resident_blocks + rep.pruned_blocks, 20);
         assert!(rep.hot_pages <= 2);
-        assert!(rep.storage_entries > 0);
+        assert_eq!(rep.storage_entries, state.entry_count() as u64);
     }
 
     #[test]
-    fn storage_mirror_matches_contract_state() {
-        let store = run_blocks(PruneMode::Full, 9);
-        // Last block wrote demo_state(9 % 7 + 1 = 3); the mirror holds
-        // the union of all blocks' entries, so spot-check the final
-        // values.
-        let final_state = demo_state(3);
-        for (k, v) in final_state.sorted_entries() {
+    fn storage_table_matches_contract_state() {
+        let (store, state) = run_blocks(PruneMode::Full, 9);
+        assert_eq!(store.storage().entries(), state.sorted_entries());
+        assert_eq!(store.storage().len(), state.entry_count());
+        for (k, v) in state.sorted_entries() {
             assert_eq!(store.storage().load(k), v);
         }
+        assert_eq!(store.storage().load(i64::MAX), 0, "absent keys read 0");
+        assert_eq!(store.last_state_root(), scratch_state_root(&state));
     }
 }

@@ -27,7 +27,6 @@ pub mod interp;
 pub mod lang;
 pub mod mv;
 pub mod op;
-pub mod paged;
 pub mod prepared;
 pub mod program;
 pub mod state;
@@ -39,7 +38,6 @@ pub use gas::GasSchedule;
 pub use interp::{Interpreter, Receipt, TxContext, MAX_LOCALS, MAX_OPS, MAX_STACK};
 pub use mv::{MvMemory, ReadSet, SpeculativeOverlay};
 pub use op::Op;
-pub use paged::PagedState;
 pub use prepared::{prepare, EntryId, PreparedProgram};
 pub use program::{Asm, Label, Program};
 pub use state::{ContractState, Overlay, OverlayDelta, StateAccess, StateLimits};

@@ -63,17 +63,60 @@ pub trait StateAccess {
 }
 
 /// The persistent state of one deployed contract.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct ContractState {
     entries: HashMap<Word, Word>,
     blob_bytes: u64,
     blob_count: u64,
+    /// Keys written since the last [`ContractState::drain_writes`]
+    /// (duplicates included, in write order); `None` until
+    /// [`ContractState::track_writes`] switches the log on.
+    write_log: Option<Vec<Word>>,
 }
+
+/// Two states are equal when their contents are; the write log is
+/// bookkeeping whose order depends on which executor produced the
+/// state.
+impl PartialEq for ContractState {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+            && self.blob_bytes == other.blob_bytes
+            && self.blob_count == other.blob_count
+    }
+}
+
+impl Eq for ContractState {}
 
 impl ContractState {
     /// Fresh, empty state.
     pub fn new() -> Self {
         ContractState::default()
+    }
+
+    /// Starts logging written keys for [`ContractState::drain_writes`].
+    /// Every entry already present counts as written, so the first
+    /// drain hands a consumer the whole state and later drains only
+    /// what changed since.
+    pub fn track_writes(&mut self) {
+        self.write_log
+            .get_or_insert_with(|| self.entries.keys().copied().collect());
+    }
+
+    /// The entries written since the last drain (or since
+    /// [`ContractState::track_writes`]) with their current values,
+    /// strictly sorted by key. A key counts as written whenever a
+    /// `store` or `apply` succeeded on it — including the write-backs
+    /// of a reverted call, which can leave an explicit 0 behind for a
+    /// key the call first touched. Empty when tracking is off.
+    pub fn drain_writes(&mut self) -> Vec<(Word, Word)> {
+        let Some(log) = self.write_log.as_mut() else {
+            return Vec::new();
+        };
+        log.sort_unstable();
+        log.dedup();
+        let written = log.iter().map(|&k| (k, self.entries[&k])).collect();
+        log.clear();
+        written
     }
 
     /// Reads `key`, returning 0 when absent (EVM semantics).
@@ -96,16 +139,18 @@ impl ContractState {
         match self.entries.entry(key) {
             Entry::Occupied(mut slot) => {
                 slot.insert(value);
-                true
             }
             Entry::Vacant(slot) => {
                 if len >= limits.max_entries {
                     return false;
                 }
                 slot.insert(value);
-                true
             }
         }
+        if let Some(log) = &mut self.write_log {
+            log.push(key);
+        }
+        true
     }
 
     /// Merges the effects of one committed [`Overlay`] into this state.
@@ -114,6 +159,9 @@ impl ContractState {
     /// disjoint keys, so the merge order between deltas is irrelevant;
     /// blob accounting is additive and commutes.
     pub fn apply(&mut self, delta: OverlayDelta) {
+        if let Some(log) = &mut self.write_log {
+            log.extend(delta.entries.keys());
+        }
         for (key, value) in delta.entries {
             self.entries.insert(key, value);
         }
@@ -401,6 +449,53 @@ mod tests {
         // Updating keys that already exist (in base or overlay) is fine.
         assert!(ov.store(1, 100, &lim));
         assert!(ov.store(2, 200, &lim));
+    }
+
+    #[test]
+    fn write_log_drains_sorted_deduped_and_only_when_tracking() {
+        let lim = StateLimits::unbounded();
+        let mut s = ContractState::new();
+        s.store(9, 90, &lim);
+        assert!(s.drain_writes().is_empty(), "tracking is off by default");
+
+        // Switching the log on counts what is already there as written.
+        s.track_writes();
+        s.store(-4, 1, &lim);
+        s.store(7, 70, &lim);
+        s.store(-4, 2, &lim);
+        assert_eq!(s.drain_writes(), vec![(-4, 2), (7, 70), (9, 90)]);
+        assert!(s.drain_writes().is_empty(), "a drain empties the log");
+
+        // Overlay merges are logged like direct stores.
+        let mut ov = Overlay::new(&s);
+        ov.store(7, 71, &lim);
+        ov.store(100, 5, &lim);
+        let delta = ov.into_delta();
+        s.apply(delta);
+        assert_eq!(s.drain_writes(), vec![(7, 71), (100, 5)]);
+
+        // A refused store writes nothing and logs nothing.
+        let full = StateLimits {
+            max_blob_bytes: 0,
+            max_entries: s.entry_count(),
+        };
+        assert!(!s.store(555, 1, &full));
+        assert!(s.drain_writes().is_empty());
+    }
+
+    #[test]
+    fn equality_ignores_the_write_log() {
+        let lim = StateLimits::unbounded();
+        let mut a = ContractState::new();
+        let mut b = ContractState::new();
+        a.track_writes();
+        a.store(1, 1, &lim);
+        a.store(2, 2, &lim);
+        b.store(2, 2, &lim);
+        b.store(1, 1, &lim);
+        assert_eq!(a, b);
+        b.store(3, 0, &lim);
+        assert_ne!(a, b, "an explicit 0 entry is still a difference");
     }
 
     #[test]

@@ -240,16 +240,20 @@ DIABLO_BENCH_SAMPLES=2 DIABLO_BENCH_JSON="$bench_json" \
     cargo bench -q --offline --workspace
 
 # Host-bench smoke: BENCHMARK.json's program on its node-count
-# workload. Every iteration is verified (conservation, the commit rule,
-# a fingerprint that repeats), and the last stdout line says whether all
+# workload and on its state-store workload (the one that runs the
+# incremental state roots over a state that grows to 30,002 entries).
+# Every iteration is verified (conservation, the commit rule, a
+# fingerprint that repeats), and the last stdout line says whether all
 # of them held; two seconds is enough to run the check, not to measure.
-echo "==> host-bench smoke (benchmark/ on model_200n, result line must be correct)"
-cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
-    --workload model_200n --seed 42 --seconds 2 --trace 0 \
-    | tail -n 1 | grep -qE '"correct": ?true' || {
-    echo "host-bench smoke: last stdout line does not carry \"correct\": true" >&2
-    exit 1
-}
+for workload in model_200n store_video; do
+    echo "==> host-bench smoke (benchmark/ on $workload, result line must be correct)"
+    cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 2 --trace 0 \
+        | tail -n 1 | grep -qE '"correct": ?true' || {
+        echo "host-bench smoke ($workload): last stdout line does not carry \"correct\": true" >&2
+        exit 1
+    }
+done
 
 # Bench gate: the scale bench must stay within DIABLO_BENCH_GATE_PCT
 # (default 10) percent of the checked-in baseline. The gated run uses
