@@ -6,15 +6,18 @@
 //! (`Interpreter::execute_prepared`) that pre-charges basic blocks and
 //! skips the checks deploy-time preparation already proved safe. The
 //! `.../baseline` vs `.../prepared` pairs in `BENCH_vm_interpreter.json`
-//! quantify the speedup; the differential property test in `diablo-vm`
-//! guarantees the two paths agree observationally.
+//! quantify the speedup; `.../prepared_scratch` is the same call in a
+//! reused `Scratch` (`execute_prepared_in`, what the block executors
+//! run), so its distance to `.../prepared` is the price of an owned
+//! `Receipt`. The differential property tests in `diablo-vm` guarantee
+//! the paths agree observationally.
 
 use diablo_testkit::bench::{black_box, Bench};
 
 use diablo_contracts::{build, calls, Contract, DApp};
-use diablo_vm::{EntryId, Interpreter, TxContext, VmFlavor};
+use diablo_vm::{EntryId, Interpreter, Scratch, TxContext, VmFlavor};
 
-/// Benchmarks one workload call through both execution paths.
+/// Benchmarks one workload call through each execution path.
 fn bench_pair(b: &mut Bench, group: &str, contract: &Contract, expect_ok: bool) {
     let call = calls::call_for(contract.dapp, 0);
     let vm = Interpreter::new(contract.flavor);
@@ -42,6 +45,16 @@ fn bench_pair(b: &mut Bench, group: &str, contract: &Contract, expect_ok: bool) 
             let r = vm.execute_prepared(&contract.prepared, entry, &ctx, &mut state);
             assert_eq!(r.is_ok(), expect_ok);
             black_box(r)
+        },
+    );
+    let mut scratch = Scratch::default();
+    b.bench_batched(
+        &format!("{group}/prepared_scratch"),
+        || contract.initial_state.clone(),
+        |mut state| {
+            let r = vm.execute_prepared_in(&mut scratch, &contract.prepared, entry, &ctx, &mut state);
+            assert_eq!(r.is_ok(), expect_ok);
+            black_box(r.map(|call| (call.gas_used, call.events.iter().count())))
         },
     );
 }

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use diablo_contracts::{build, calls, Contract, DApp, Unsupported};
-use diablo_vm::{ContractState, ExecError, Interpreter, Receipt, TxContext, VmFlavor};
+use diablo_vm::{CallOutcome, ContractState, ExecError, Interpreter, Scratch, TxContext, VmFlavor};
 
 use crate::optimistic::OptimisticExecutor;
 use crate::parallel::ParallelExecutor;
@@ -146,6 +146,8 @@ pub struct ExecutionEngine {
     concurrency: Concurrency,
     /// The deployed contract for the experiment's DApp (if any).
     contract: Option<Contract>,
+    /// The buffers every serially executed call runs in.
+    scratch: Scratch,
     /// Per-transaction execution counts of the last committed block
     /// (speculations + re-executions under the optimistic executor, 1
     /// everywhere else) — the tracer's `executed` annotation.
@@ -175,6 +177,7 @@ impl ExecutionEngine {
             mode,
             concurrency: Concurrency::Serial,
             contract: None,
+            scratch: Scratch::default(),
             last_exec_counts: Vec::new(),
             cache: HashMap::new(),
         }
@@ -226,9 +229,10 @@ impl ExecutionEngine {
 
     /// The deployed contract's live state, if any. The state store's
     /// feed: `ChainSim` switches its write log on and drains it per
-    /// block. All three executors write through `ContractState::store`
-    /// and `ContractState::apply`, so the log sees every one of them.
-    pub(crate) fn contract_state_mut(&mut self) -> Option<&mut ContractState> {
+    /// block. All three executors write through `ContractState::replace`
+    /// (which `store` is) and `ContractState::apply`, so the log sees
+    /// every one of them.
+    pub fn contract_state_mut(&mut self) -> Option<&mut ContractState> {
         self.contract.as_mut().map(|c| &mut c.initial_state)
     }
 
@@ -267,8 +271,6 @@ impl ExecutionEngine {
     }
 
     fn execute_invoke(&mut self, dapp: DApp, seq: u64, sel: Option<CallSel>) -> ExecCost {
-        // Resolve once; the resolved call is passed down so `interpret`
-        // never re-materializes the argument vector.
         let call = Self::resolve(dapp, seq, sel);
         if self.mode == ExecMode::Profiled {
             let key = (call.entry, ArgClass::of(&call));
@@ -299,25 +301,20 @@ impl ExecutionEngine {
                 ok: true,
             };
         };
-        let ctx = tx_context(seq, call.args, call.payload_bytes);
-        // Every committed transaction goes through the prepared fast
-        // path; the name-keyed execute() remains only as the fallback
-        // for entries the prepared program does not know (none today —
-        // preparation interns every entry at build time).
-        let result = match contract.prepared.entry_id(call.entry) {
-            Some(entry) => self.interpreter.execute_prepared(
-                &contract.prepared,
-                entry,
-                &ctx,
-                &mut contract.initial_state,
-            ),
-            None => self.interpreter.execute(
-                &contract.program,
-                call.entry,
-                &ctx,
-                &mut contract.initial_state,
-            ),
+        // Preparation interns every entry of the program, so an entry
+        // it does not know is one neither interpreter could run.
+        let Some(entry) = contract.prepared.entry_id(call.entry) else {
+            let name = call.entry.to_string();
+            return cost_of(Err(ExecError::UnknownEntry { name }), intrinsic);
         };
+        let ctx = tx_context(seq, call.args, call.payload_bytes);
+        let result = self.interpreter.execute_prepared_in(
+            &mut self.scratch,
+            &contract.prepared,
+            entry,
+            &ctx,
+            &mut contract.initial_state,
+        );
         cost_of(result, intrinsic)
     }
 
@@ -340,30 +337,33 @@ impl ExecutionEngine {
         diablo_telemetry::record!("exec.block.txs", payloads.len() as u64);
         // Every path below runs each transaction exactly once, except
         // the optimistic executor, which overwrites its slots with the
-        // real speculation counts.
-        self.last_exec_counts = vec![1; payloads.len()];
+        // real speculation counts. The buffer is reused, and reserved
+        // exactly: amortized doubling would hold up to twice the largest
+        // block for the rest of the run.
+        self.last_exec_counts.clear();
+        self.last_exec_counts.reserve_exact(payloads.len());
+        self.last_exec_counts.resize(payloads.len(), 1);
         let plannable =
             self.mode == ExecMode::Exact && payloads.len() >= 2 && self.contract.is_some();
+        if !plannable {
+            return payloads.iter().map(|&p| self.execute(p)).collect();
+        }
         // The optimistic protocol itself is worker-count independent, so
         // it runs even at 1 thread: Optimistic(1) must produce the same
         // telemetry (rounds, aborts) as Optimistic(8).
         let optimistic = matches!(self.concurrency, Concurrency::Optimistic(_));
-        let use_executor = plannable && (optimistic || threads >= 2);
-        // Conflict-plan telemetry is a pure function of the block, never
-        // of the worker count: serial runs must resolve and plan the
-        // same blocks a parallel run would, or their snapshots diverge.
-        let want_plan_stats = diablo_telemetry::enabled() && plannable;
-        if !use_executor && !want_plan_stats {
-            return payloads.iter().map(|&p| self.execute(p)).collect();
-        }
+        let use_executor = optimistic || threads >= 2;
 
-        // Resolve every invoke up front. Transfers don't touch contract
-        // state, so their (constant) cost is filled in positionally.
+        // Resolve every invoke once, up front: the plan statistics, the
+        // serial loop and both executors all run from `txs`. Transfers
+        // don't touch contract state, so their (constant) cost is
+        // filled in positionally.
         let flavor = self.flavor;
-        let mut costs: Vec<ExecCost> = Vec::with_capacity(payloads.len());
-        let mut slots: Vec<usize> = Vec::new(); // invoke → payload position
-        let mut intrinsics: Vec<u64> = Vec::new(); // aligned with `txs`
-        let mut txs: Vec<crate::parallel::BlockTx> = Vec::new();
+        let n = payloads.len();
+        let mut costs: Vec<ExecCost> = Vec::with_capacity(n);
+        let mut slots: Vec<usize> = Vec::with_capacity(n); // invoke → payload position
+        let mut intrinsics: Vec<u64> = Vec::with_capacity(n); // aligned with `txs`
+        let mut txs: Vec<crate::parallel::BlockTx> = Vec::with_capacity(n);
         {
             let contract = self.contract.as_ref().expect("checked above");
             for (slot, &payload) in payloads.iter().enumerate() {
@@ -376,9 +376,9 @@ impl ExecutionEngine {
                     Payload::Invoke { dapp, seq, call } => {
                         let call = Self::resolve(dapp, seq, call);
                         let Some(entry) = contract.prepared.entry_id(call.entry) else {
-                            // An entry preparation does not know would
-                            // need the name-keyed interpreter; keep the
-                            // whole block on the serial loop.
+                            // No executor can schedule an entry without
+                            // an id; the per-payload loop prices it as
+                            // the failure it is.
                             return payloads.iter().map(|&p| self.execute(p)).collect();
                         };
                         slots.push(slot);
@@ -394,21 +394,35 @@ impl ExecutionEngine {
             }
         }
 
-        if want_plan_stats {
-            let contract = self.contract.as_ref().expect("checked above");
+        let vm = self.interpreter;
+        let contract = self.contract.as_mut().expect("checked above");
+        // Conflict-plan telemetry is a pure function of the block, never
+        // of the worker count: serial runs record the same plan a
+        // parallel run would, or their snapshots diverge.
+        if diablo_telemetry::enabled() {
             crate::parallel::plan_stats(&contract.prepared, &contract.initial_state, &txs)
                 .record();
         }
         if !use_executor {
-            return payloads.iter().map(|&p| self.execute(p)).collect();
+            for ((&slot, &intrinsic), (entry, ctx)) in slots.iter().zip(&intrinsics).zip(&txs) {
+                let result = vm.execute_prepared_in(
+                    &mut self.scratch,
+                    &contract.prepared,
+                    *entry,
+                    ctx,
+                    &mut contract.initial_state,
+                );
+                costs[slot] = cost_of(result, intrinsic);
+            }
+            return costs;
         }
 
-        let vm = self.interpreter;
-        let contract = self.contract.as_mut().expect("checked above");
-        // The mapper condenses each receipt to its cost on the worker
-        // that produced it, so event payloads never outlive their
-        // transaction.
-        let map = |k: usize, result| cost_of(result, intrinsics[k]);
+        // The mapper condenses each outcome to its cost on the worker
+        // that produced it, while the events still sit in that worker's
+        // scratch.
+        let map = |k: usize, result: Result<CallOutcome<'_>, ExecError>| {
+            cost_of(result, intrinsics[k])
+        };
         let results = if optimistic {
             let (results, execs) = OptimisticExecutor::new(threads).execute_counting(
                 &vm,
@@ -455,11 +469,11 @@ fn tx_context(seq: u64, args: Vec<i64>, payload_bytes: u64) -> TxContext {
 }
 
 /// Maps an interpreter outcome to the cost the chain charges for it.
-fn cost_of(result: Result<Receipt, ExecError>, intrinsic: u64) -> ExecCost {
+fn cost_of(result: Result<CallOutcome<'_>, ExecError>, intrinsic: u64) -> ExecCost {
     match result {
-        Ok(receipt) => ExecCost {
-            gas: receipt.gas_used + intrinsic,
-            ops: receipt.ops_executed,
+        Ok(call) => ExecCost {
+            gas: call.gas_used + intrinsic,
+            ops: call.ops_executed,
             ok: true,
         },
         Err(ExecError::BudgetExceeded { used, .. }) => {

@@ -43,8 +43,8 @@
 //! here, not the fallback.
 
 use diablo_vm::{
-    ContractState, ExecError, Interpreter, MvMemory, OverlayDelta, PreparedProgram, ReadSet,
-    Receipt, SpeculativeOverlay, StateLimits,
+    CallOutcome, ContractState, ExecError, Interpreter, MvMemory, OverlayDelta, PreparedProgram,
+    ReadSet, Scratch, SpeculativeOverlay, StateLimits,
 };
 
 use crate::parallel::BlockTx;
@@ -134,9 +134,9 @@ impl OptimisticExecutor {
     /// `map` runs on the worker that produced the outcome.
     ///
     /// `map` may be invoked more than once for one index (each
-    /// speculative re-execution maps its fresh receipt; only the
+    /// speculative re-execution maps its fresh outcome; only the
     /// committed invocation's value is returned), so it should be a
-    /// pure condensation of the receipt.
+    /// pure condensation of the outcome.
     pub fn execute<R, F>(
         &self,
         vm: &Interpreter,
@@ -147,7 +147,7 @@ impl OptimisticExecutor {
     ) -> Vec<R>
     where
         R: Send,
-        F: Fn(usize, Result<Receipt, ExecError>) -> R + Sync,
+        F: Fn(usize, Result<CallOutcome<'_>, ExecError>) -> R + Sync,
     {
         self.execute_counting(vm, prepared, state, txs, map).0
     }
@@ -167,7 +167,7 @@ impl OptimisticExecutor {
     ) -> (Vec<R>, Vec<u32>)
     where
         R: Send,
-        F: Fn(usize, Result<Receipt, ExecError>) -> R + Sync,
+        F: Fn(usize, Result<CallOutcome<'_>, ExecError>) -> R + Sync,
     {
         let n = txs.len();
         if n == 0 {
@@ -181,6 +181,8 @@ impl OptimisticExecutor {
             txs: n,
             ..OptimisticStats::default()
         };
+        // For the serial valve, which runs on this thread.
+        let mut scratch = Scratch::default();
 
         // `next` is the commit frontier: txs below it are final.
         let mut next = 0usize;
@@ -231,20 +233,27 @@ impl OptimisticExecutor {
                             .chunks(chunk)
                             .map(|ixs| {
                                 scope.spawn(move || {
+                                    let mut scratch = Scratch::default();
                                     ixs.iter()
                                         .map(|&i| {
                                             let (entry, ctx) = &txs[i];
                                             let mut view =
                                                 SpeculativeOverlay::new(committed, mv, i as u32);
-                                            let r = vm
-                                                .execute_prepared(prepared, *entry, ctx, &mut view);
+                                            let r = vm.execute_prepared_in(
+                                                &mut scratch,
+                                                prepared,
+                                                *entry,
+                                                ctx,
+                                                &mut view,
+                                            );
                                             let limit_fault =
                                                 matches!(r, Err(ExecError::StateLimitExceeded));
+                                            let mapped = map(i, r);
                                             let (reads, delta) = view.into_parts();
                                             let spec = Speculation {
                                                 reads,
                                                 delta,
-                                                mapped: map(i, r),
+                                                mapped,
                                                 limit_fault,
                                             };
                                             (i, spec)
@@ -297,7 +306,7 @@ impl OptimisticExecutor {
                 execs[next] += 1;
                 slots[next] = None;
                 let (entry, ctx) = &txs[next];
-                let r = vm.execute_prepared(prepared, *entry, ctx, state);
+                let r = vm.execute_prepared_in(&mut scratch, prepared, *entry, ctx, state);
                 out[next] = Some(map(next, r));
                 next += 1;
             }
@@ -345,7 +354,7 @@ fn entry_budget_holds(state: &ContractState, delta: &OverlayDelta, limits: &Stat
 mod tests {
     use super::*;
     use diablo_contracts::{build, DApp};
-    use diablo_vm::{TxContext, VmFlavor, Word};
+    use diablo_vm::{Receipt, TxContext, VmFlavor, Word};
 
     fn block(prepared: &PreparedProgram, specs: &[(&str, Vec<Word>)]) -> Vec<BlockTx> {
         specs
@@ -394,7 +403,7 @@ mod tests {
             &contract.prepared,
             &mut o_state,
             &txs,
-            |_, r| r,
+            |_, r| r.map(|call| call.to_receipt()),
         );
 
         assert_eq!(want, got, "{dapp:?} receipts diverged at {threads} threads");
@@ -478,7 +487,7 @@ mod tests {
                 &contract.prepared,
                 &mut state,
                 &txs,
-                |_, r| r,
+                |_, r| r.map(|call| call.to_receipt()),
             );
             (receipts, state)
         };
@@ -494,13 +503,23 @@ mod tests {
         let vm = Interpreter::new(VmFlavor::Geth);
         let mut state = contract.initial_state.clone();
         let none: Vec<BlockTx> = Vec::new();
-        let got =
-            OptimisticExecutor::new(4).execute(&vm, &contract.prepared, &mut state, &none, |_, r| r);
+        let got = OptimisticExecutor::new(4).execute(
+            &vm,
+            &contract.prepared,
+            &mut state,
+            &none,
+            |_, r| r.map(|call| call.to_receipt()),
+        );
         assert!(got.is_empty());
 
         let txs = block(&contract.prepared, &[("add", vec![])]);
-        let got =
-            OptimisticExecutor::new(4).execute(&vm, &contract.prepared, &mut state, &txs, |_, r| r);
+        let got = OptimisticExecutor::new(4).execute(
+            &vm,
+            &contract.prepared,
+            &mut state,
+            &txs,
+            |_, r| r.map(|call| call.to_receipt()),
+        );
         assert_eq!(got.len(), 1);
         assert!(got[0].is_ok());
         assert_eq!(state.load(diablo_contracts::webservice::COUNTER_KEY), 1);

@@ -41,14 +41,15 @@
 //! also falls back to serial, because limit faults depend on the exact
 //! global entry count, which concurrent overlays cannot observe.
 //!
-//! Each result is passed through a caller-supplied mapping closure *on
-//! the worker that produced it*, so callers that only need a summary
-//! (gas, ops, success — see `ExecutionEngine::execute_block`) never
-//! retain the receipts' event allocations.
+//! Every worker runs its calls in one reused [`Scratch`], and each
+//! outcome is passed through a caller-supplied mapping closure *on the
+//! worker that produced it*, while its events still sit in that scratch:
+//! callers that only need a summary (gas, ops, success — see
+//! `ExecutionEngine::execute_block`) never copy them out.
 
 use diablo_vm::{
-    ContractState, EntryId, ExecError, Interpreter, Overlay, PreparedProgram, Receipt,
-    StateLimits, TxContext,
+    CallOutcome, ContractState, EntryId, ExecError, Interpreter, Overlay, PreparedProgram,
+    Scratch, StateLimits, TxContext,
 };
 
 /// One transaction of a committed batch: which entry point to run and
@@ -289,8 +290,10 @@ impl ParallelExecutor {
     /// per transaction, in canonical order. Outcomes — receipts, errors,
     /// rollbacks and the final state — are identical to running
     /// [`Interpreter::execute_prepared`] over the batch serially; `map`
-    /// runs on the worker that executed the transaction, so summaries
-    /// never ship the receipt's allocations across the merge.
+    /// runs on the worker that executed the transaction and sees the
+    /// events borrowed from that worker's scratch, so it must copy out
+    /// whatever it wants to keep ([`CallOutcome::to_receipt`] keeps
+    /// everything).
     pub fn execute<R, F>(
         &self,
         vm: &Interpreter,
@@ -301,10 +304,12 @@ impl ParallelExecutor {
     ) -> Vec<R>
     where
         R: Send,
-        F: Fn(usize, Result<Receipt, ExecError>) -> R + Sync,
+        F: Fn(usize, Result<CallOutcome<'_>, ExecError>) -> R + Sync,
     {
         let limits = prepared.flavor().state_limits();
         let mut results: Vec<Option<R>> = (0..txs.len()).map(|_| None).collect();
+        // For the transactions this thread runs itself.
+        let mut scratch = Scratch::default();
 
         // Split the batch at transactions without a static footprint:
         // those run serially against the merged base, in order.
@@ -322,11 +327,13 @@ impl ParallelExecutor {
                         &limits,
                         &map,
                         &mut results,
+                        &mut scratch,
                     );
                 }
                 if at_dynamic {
                     let (entry, ctx) = &txs[i];
-                    results[i] = Some(map(i, vm.execute_prepared(prepared, *entry, ctx, state)));
+                    let r = vm.execute_prepared_in(&mut scratch, prepared, *entry, ctx, state);
+                    results[i] = Some(map(i, r));
                 }
                 seg_start = i + 1;
             }
@@ -350,9 +357,10 @@ impl ParallelExecutor {
         limits: &StateLimits,
         map: &F,
         results: &mut [Option<R>],
+        scratch: &mut Scratch,
     ) where
         R: Send,
-        F: Fn(usize, Result<Receipt, ExecError>) -> R + Sync,
+        F: Fn(usize, Result<CallOutcome<'_>, ExecError>) -> R + Sync,
     {
         let seg = &txs[range.clone()];
         let offset = range.start;
@@ -360,8 +368,8 @@ impl ParallelExecutor {
         let comps = self.plan(prepared, state, seg, limits);
         let Some(comps) = comps else {
             for (j, (entry, ctx)) in seg.iter().enumerate() {
-                results[offset + j] =
-                    Some(map(offset + j, vm.execute_prepared(prepared, *entry, ctx, state)));
+                let r = vm.execute_prepared_in(scratch, prepared, *entry, ctx, state);
+                results[offset + j] = Some(map(offset + j, r));
             }
             return;
         };
@@ -386,11 +394,18 @@ impl ParallelExecutor {
                 .map(|ixs| {
                     scope.spawn(move || {
                         let mut overlay = Overlay::new(base);
+                        let mut scratch = Scratch::default();
                         let out: Vec<(usize, R)> = ixs
                             .iter()
                             .map(|&j| {
                                 let (entry, ctx) = &seg[j];
-                                let r = vm.execute_prepared(prepared, *entry, ctx, &mut overlay);
+                                let r = vm.execute_prepared_in(
+                                    &mut scratch,
+                                    prepared,
+                                    *entry,
+                                    ctx,
+                                    &mut overlay,
+                                );
                                 (j, map(offset + j, r))
                             })
                             .collect();
@@ -528,7 +543,7 @@ impl ParallelExecutor {
 mod tests {
     use super::*;
     use diablo_contracts::{build, DApp};
-    use diablo_vm::{VmFlavor, Word};
+    use diablo_vm::{Receipt, VmFlavor, Word};
 
     fn block(prepared: &PreparedProgram, specs: &[(&str, Vec<Word>)]) -> Vec<BlockTx> {
         specs
@@ -572,7 +587,7 @@ mod tests {
             &contract.prepared,
             &mut p_state,
             &txs,
-            |_, r| r,
+            |_, r| r.map(|call| call.to_receipt()),
         );
 
         assert_eq!(want, got, "{dapp:?} receipts diverged at {threads} threads");
@@ -705,7 +720,9 @@ mod tests {
         let txs = block(&contract.prepared, &[("buyGoogle", vec![]), ("buyApple", vec![])]);
         let mut state = contract.initial_state.clone();
         let got =
-            ParallelExecutor::new(1).execute(&vm, &contract.prepared, &mut state, &txs, |_, r| r);
+            ParallelExecutor::new(1).execute(&vm, &contract.prepared, &mut state, &txs, |_, r| {
+                r.map(|call| call.to_receipt())
+            });
         let mut s_state = contract.initial_state.clone();
         let want = serial(&vm, &contract.prepared, &mut s_state, &txs);
         assert_eq!(want, got);

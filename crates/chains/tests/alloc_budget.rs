@@ -1,0 +1,130 @@
+//! Allocation budget of serial `Exact` block execution.
+//!
+//! A DApp call is a few hundred instructions, so a handful of allocator
+//! calls around each one costs as much as the call itself (20 per
+//! Gaming `update` before the interpreter ran in a reused scratch).
+//! This test pins what is left: the argument vector of each resolved
+//! invoke — two allocations when the spec names the arguments, one
+//! otherwise — plus a per-block constant for the result and plan
+//! vectors. It has a process of its own because it installs a counting
+//! global allocator.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use diablo_chains::tx::{CallSel, Payload};
+use diablo_chains::{ExecMode, ExecutionEngine};
+use diablo_contracts::DApp;
+use diablo_vm::VmFlavor;
+
+/// Calls per block.
+const CALLS: u64 = 1_000;
+/// Allowed per call: the resolved argument vector and its copy.
+const PER_CALL: u64 = 2;
+/// Allowed per block, whatever its size: the cost, slot, intrinsic and
+/// transaction vectors, the plan statistics, and the occasional
+/// doubling of a growing state map or write log.
+const PER_BLOCK: u64 = 32;
+
+/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) so far. A
+/// statistic that publishes no other data, hence `Relaxed`.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter never touches
+// the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's contract is passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's contract is passed through unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is passed through unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's contract is passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls `execute_block` makes on `block`, after one warm-up
+/// block has grown the scratch, the telemetry shard and the state map.
+fn allocations_of_second_block(engine: &mut ExecutionEngine, block: &[Payload]) -> u64 {
+    let warm = engine.execute_block(block);
+    assert!(warm.iter().all(|cost| cost.ok), "warm-up block must commit");
+    if let Some(state) = engine.contract_state_mut() {
+        // What the state store does between blocks (empty when the
+        // write log is off).
+        state.drain_writes();
+    }
+    let before = ALLOCATIONS.load(Relaxed);
+    let costs = engine.execute_block(block);
+    let made = ALLOCATIONS.load(Relaxed) - before;
+    assert!(
+        costs.iter().all(|cost| cost.ok),
+        "measured block must commit"
+    );
+    made
+}
+
+// One test function: the counter is process-wide, and the harness would
+// run two tests on two threads at once.
+#[test]
+fn serial_exact_blocks_allocate_per_block_not_per_instruction() {
+    let gaming: Vec<Payload> = (0..CALLS)
+        .map(|seq| Payload::Invoke {
+            dapp: DApp::Gaming,
+            seq,
+            call: Some(CallSel {
+                entry: 0, // "update"
+                args: [1, 1],
+                argc: 2,
+            }),
+        })
+        .collect();
+    let mut engine = ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Exact, DApp::Gaming)
+        .expect("Gaming builds on geth");
+    let made = allocations_of_second_block(&mut engine, &gaming);
+    assert!(
+        made <= PER_CALL * CALLS + PER_BLOCK,
+        "Gaming: {made} allocations for {CALLS} calls"
+    );
+
+    // VideoSharing with the write log on: every upload creates a key,
+    // so the state map and the log grow through the measured block.
+    let uploads: Vec<Payload> = (0..CALLS)
+        .map(|seq| Payload::Invoke {
+            dapp: DApp::VideoSharing,
+            seq,
+            call: None, // upload(VIDEO_BYTES)
+        })
+        .collect();
+    let mut engine =
+        ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Exact, DApp::VideoSharing)
+            .expect("VideoSharing builds on geth");
+    engine
+        .contract_state_mut()
+        .expect("a contract is deployed")
+        .track_writes();
+    let made = allocations_of_second_block(&mut engine, &uploads);
+    assert!(
+        made <= PER_CALL * CALLS + PER_BLOCK,
+        "VideoSharing: {made} allocations for {CALLS} calls"
+    );
+}

@@ -68,6 +68,7 @@ pub struct Receipt {
 }
 
 /// A journaled undo record for one storage write.
+#[derive(Debug)]
 pub(crate) enum Undo {
     /// Key previously held this value.
     Entry(Word, Word),
@@ -75,10 +76,11 @@ pub(crate) enum Undo {
     Blob(u64),
 }
 
-/// Rolls a journal back against `state`, newest write first. Shared by
-/// [`Interpreter::execute`] and the prepared fast path.
-pub(crate) fn rollback<S: crate::state::StateAccess>(journal: Vec<Undo>, state: &mut S) {
-    for undo in journal.into_iter().rev() {
+/// Rolls a journal back against `state`, newest write first, leaving it
+/// empty with its buffer intact (the prepared path reuses it). Shared
+/// by [`Interpreter::execute`] and the prepared fast path.
+pub(crate) fn rollback<S: crate::state::StateAccess>(journal: &mut Vec<Undo>, state: &mut S) {
+    for undo in journal.drain(..).rev() {
         match undo {
             Undo::Entry(key, old) => {
                 let ok = state.store(key, old, &crate::state::StateLimits::unbounded());
@@ -354,7 +356,7 @@ impl Interpreter {
         };
 
         if result.is_err() {
-            rollback(journal, state);
+            rollback(&mut journal, state);
         }
         diablo_telemetry::counter!("vm.metered.calls");
         if let Ok(receipt) = &result {

@@ -23,6 +23,7 @@ pub mod analyze;
 pub mod error;
 pub mod flavor;
 pub mod gas;
+mod hash;
 pub mod interp;
 pub mod lang;
 pub mod mv;
@@ -38,7 +39,7 @@ pub use gas::GasSchedule;
 pub use interp::{Interpreter, Receipt, TxContext, MAX_LOCALS, MAX_OPS, MAX_STACK};
 pub use mv::{MvMemory, ReadSet, SpeculativeOverlay};
 pub use op::Op;
-pub use prepared::{prepare, EntryId, PreparedProgram};
+pub use prepared::{prepare, CallOutcome, EntryId, Events, PreparedProgram, Scratch};
 pub use program::{Asm, Label, Program};
 pub use state::{ContractState, Overlay, OverlayDelta, StateAccess, StateLimits};
 

@@ -23,8 +23,8 @@
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
+use crate::hash::WordMap;
 use crate::state::{ContractState, OverlayDelta, StateAccess, StateLimits};
 use crate::Word;
 
@@ -43,7 +43,7 @@ use crate::Word;
 #[derive(Debug, Default)]
 pub struct MvMemory {
     /// key → writes as `(tx_index, value)`, ascending by `tx_index`.
-    versions: HashMap<Word, Vec<(u32, Word)>>,
+    versions: WordMap<Vec<(u32, Word)>>,
 }
 
 impl MvMemory {
@@ -117,11 +117,11 @@ pub struct SpeculativeOverlay<'a> {
     committed: &'a ContractState,
     mv: &'a MvMemory,
     tx_index: u32,
-    writes: HashMap<Word, Word>,
+    writes: WordMap<Word>,
     /// First observed external value per key. Interior-mutable because
     /// [`StateAccess::load`] takes `&self`; the overlay itself is used
     /// by exactly one worker thread.
-    reads: RefCell<HashMap<Word, Word>>,
+    reads: RefCell<WordMap<Word>>,
     /// Keys in `writes` absent from the committed base.
     new_keys: usize,
     blob_bytes: u64,
@@ -136,8 +136,8 @@ impl<'a> SpeculativeOverlay<'a> {
             committed,
             mv,
             tx_index,
-            writes: HashMap::new(),
-            reads: RefCell::new(HashMap::new()),
+            writes: WordMap::default(),
+            reads: RefCell::default(),
             new_keys: 0,
             blob_bytes: 0,
             blob_count: 0,
@@ -155,6 +155,22 @@ impl<'a> SpeculativeOverlay<'a> {
     }
 }
 
+/// Resolves `key` outside a view's own writes and records the
+/// observation: the first one per key stays in the read-set.
+fn observe(
+    mv: &MvMemory,
+    committed: &ContractState,
+    reads: &mut WordMap<Word>,
+    key: Word,
+    reader: u32,
+) -> Word {
+    let external = mv
+        .read(key, reader)
+        .unwrap_or_else(|| committed.load(key));
+    reads.entry(key).or_insert(external);
+    external
+}
+
 impl StateAccess for SpeculativeOverlay<'_> {
     fn load(&self, key: Word) -> Word {
         if let Some(&own) = self.writes.get(&key) {
@@ -163,30 +179,27 @@ impl StateAccess for SpeculativeOverlay<'_> {
             // validation.
             return own;
         }
-        let external = self
-            .mv
-            .read(key, self.tx_index)
-            .unwrap_or_else(|| self.committed.load(key));
-        self.reads.borrow_mut().entry(key).or_insert(external);
-        external
+        observe(self.mv, self.committed, &mut self.reads.borrow_mut(), key, self.tx_index)
     }
 
-    fn store(&mut self, key: Word, value: Word, limits: &StateLimits) -> bool {
+    fn replace(&mut self, key: Word, value: Word, limits: &StateLimits) -> Option<Word> {
         match self.writes.entry(key) {
-            Entry::Occupied(mut slot) => {
-                slot.insert(value);
-                true
-            }
+            Entry::Occupied(mut slot) => Some(slot.insert(value)),
             Entry::Vacant(slot) => {
+                // The old value is an external observation like any
+                // load — a rollback writes it into the delta — so it is
+                // recorded, and before the limit check, as the `load`
+                // that used to precede every store recorded it.
+                let old = observe(self.mv, self.committed, self.reads.get_mut(), key, self.tx_index);
                 let is_new = !self.committed.contains_key(key);
                 if is_new && self.committed.entry_count() + self.new_keys >= limits.max_entries {
-                    return false;
+                    return None;
                 }
                 slot.insert(value);
                 if is_new {
                     self.new_keys += 1;
                 }
-                true
+                Some(old)
             }
         }
     }
@@ -251,7 +264,9 @@ mod tests {
         assert_eq!(view.load(1), 10);
         assert_eq!(view.load(2), 22);
         assert_eq!(view.load(3), 0);
-        // Own write shadows and is not recorded as a read.
+        // A first write records the value it displaces (the interpreter
+        // journals it, and a rollback would put it into the delta);
+        // reading the own write back records nothing more.
         assert!(view.store(4, 44, &lim));
         assert_eq!(view.load(4), 44);
         // A key read before being written records its external value.
@@ -259,7 +274,7 @@ mod tests {
         assert_eq!(view.load(1), 11);
 
         let (reads, delta) = view.into_parts();
-        assert_eq!(reads, vec![(1, 10), (2, 22), (3, 0)]);
+        assert_eq!(reads, vec![(1, 10), (2, 22), (3, 0), (4, 0)]);
         let written: Vec<(Word, Word)> = {
             let mut v: Vec<_> = delta.entries().collect();
             v.sort_unstable();

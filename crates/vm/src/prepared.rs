@@ -21,6 +21,20 @@
 //!   binary search over sorted names — no string hashing on the call
 //!   path.
 //!
+//! The per-call overhead goes the same way. A DApp call is a few
+//! hundred instructions, so what [`Interpreter::execute`] sets up
+//! around them — a fresh stack, a journal grown from empty, one vector
+//! per emitted event, a `load` before every `store` to journal the old
+//! value — costs as much as the instructions do.
+//! [`Interpreter::execute_prepared_in`] runs in a caller-owned
+//! [`Scratch`] instead: the stack, the journal and the events (stored
+//! flat, handed out as a borrowed [`Events`] view) are cleared and
+//! reused, so a call allocates nothing once the buffers have grown, and
+//! `SStore` takes the old value from the probe that writes the new one
+//! ([`StateAccess::replace`]). [`Interpreter::execute_prepared`] is the
+//! same loop on a throw-away scratch, for callers that want an owned
+//! [`Receipt`].
+//!
 //! # Pre-charging semantics
 //!
 //! Conceptually, pre-charging moves the gas charge of every instruction
@@ -210,14 +224,76 @@ enum Next {
     Done(Option<Word>),
 }
 
+/// The buffers a prepared call works in: operand stack, undo journal
+/// and emitted events. [`Interpreter::execute_prepared_in`] clears them
+/// on entry and keeps their capacity, so one `Scratch` (start from
+/// `Scratch::default()`) serves any number of calls — of any program, on
+/// any state — without allocating again.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    stack: Vec<Word>,
+    journal: Vec<Undo>,
+    /// Per event, its tag and where its arguments start in `event_args`
+    /// (they end where the next event's start).
+    event_heads: Vec<(u16, usize)>,
+    event_args: Vec<Word>,
+}
+
+/// The events one call emitted, in order, borrowed from the [`Scratch`]
+/// it ran in.
+#[derive(Debug, Clone, Copy)]
+pub struct Events<'a> {
+    heads: &'a [(u16, usize)],
+    args: &'a [Word],
+}
+
+impl<'a> Events<'a> {
+    /// Iterates `(tag, arguments)` in emission order.
+    pub fn iter(&self) -> impl Iterator<Item = (u16, &'a [Word])> + 'a {
+        let (heads, args) = (self.heads, self.args);
+        heads.iter().enumerate().map(move |(i, &(tag, start))| {
+            let end = heads.get(i + 1).map_or(args.len(), |&(_, next)| next);
+            (tag, &args[start..end])
+        })
+    }
+}
+
+/// What a successful [`Interpreter::execute_prepared_in`] reports: a
+/// [`Receipt`] whose events still live in the [`Scratch`].
+#[derive(Debug, Clone, Copy)]
+pub struct CallOutcome<'a> {
+    /// Gas units consumed, as [`Receipt::gas_used`].
+    pub gas_used: u64,
+    /// Instructions executed, as [`Receipt::ops_executed`].
+    pub ops_executed: u64,
+    /// Return value (top of stack at `Halt`), if any.
+    pub ret: Option<Word>,
+    /// Events emitted, in order.
+    pub events: Events<'a>,
+}
+
+impl CallOutcome<'_> {
+    /// The owned form: copies the events out of the scratch.
+    pub fn to_receipt(&self) -> Receipt {
+        Receipt {
+            gas_used: self.gas_used,
+            ops_executed: self.ops_executed,
+            events: self
+                .events
+                .iter()
+                .map(|(tag, args)| (tag, args.to_vec()))
+                .collect(),
+            ret: self.ret,
+        }
+    }
+}
+
 /// Per-execution mutable state shared by the fast and metered paths.
 struct Frame<'a> {
-    stack: Vec<Word>,
+    scratch: &'a mut Scratch,
     locals: [Word; MAX_LOCALS],
     gas: u64,
     ops: u64,
-    events: Vec<(u16, Vec<Word>)>,
-    journal: Vec<Undo>,
     ctx: &'a TxContext,
     schedule: GasSchedule,
     limits: StateLimits,
@@ -276,7 +352,7 @@ fn run_block<const METERED: bool, S: StateAccess>(
 
         macro_rules! pop {
             () => {
-                match f.stack.pop() {
+                match f.scratch.stack.pop() {
                     Some(v) => v,
                     None => return Err(ExecError::StackUnderflow { pc }),
                 }
@@ -284,10 +360,10 @@ fn run_block<const METERED: bool, S: StateAccess>(
         }
         macro_rules! push {
             ($v:expr) => {{
-                if f.stack.len() >= MAX_STACK {
+                if f.scratch.stack.len() >= MAX_STACK {
                     return Err(ExecError::StackOverflow { pc });
                 }
-                f.stack.push($v);
+                f.scratch.stack.push($v);
             }};
         }
         macro_rules! binop {
@@ -306,18 +382,18 @@ fn run_block<const METERED: bool, S: StateAccess>(
             Op::Pop => {
                 let _ = pop!();
             }
-            Op::Dup(n) => match f.stack.len().checked_sub(1 + n as usize) {
+            Op::Dup(n) => match f.scratch.stack.len().checked_sub(1 + n as usize) {
                 Some(i) => {
-                    let v = f.stack[i];
+                    let v = f.scratch.stack[i];
                     push!(v);
                 }
                 None => return Err(ExecError::StackUnderflow { pc }),
             },
             Op::Swap(n) => {
-                let top = f.stack.len().checked_sub(1);
-                let other = f.stack.len().checked_sub(2 + n as usize);
+                let top = f.scratch.stack.len().checked_sub(1);
+                let other = f.scratch.stack.len().checked_sub(2 + n as usize);
                 match (top, other) {
-                    (Some(t), Some(o)) => f.stack.swap(t, o),
+                    (Some(t), Some(o)) => f.scratch.stack.swap(t, o),
                     _ => return Err(ExecError::StackUnderflow { pc }),
                 }
             }
@@ -405,20 +481,21 @@ fn run_block<const METERED: bool, S: StateAccess>(
             Op::SStore => {
                 let value = pop!();
                 let key = pop!();
-                f.journal.push(Undo::Entry(key, state.load(key)));
-                if !state.store(key, value, &f.limits) {
-                    f.journal.pop();
-                    return Err(ExecError::StateLimitExceeded);
+                match state.replace(key, value, &f.limits) {
+                    Some(old) => f.scratch.journal.push(Undo::Entry(key, old)),
+                    None => return Err(ExecError::StateLimitExceeded),
                 }
             }
             Op::Arg(i) => push!(f.ctx.args.get(i as usize).copied().unwrap_or(0)),
             Op::Caller => push!(f.ctx.caller),
             Op::Emit { tag, arity } => {
-                if f.stack.len() < arity as usize {
+                let Some(first) = f.scratch.stack.len().checked_sub(arity as usize) else {
                     return Err(ExecError::StackUnderflow { pc });
-                }
-                let args = f.stack.split_off(f.stack.len() - arity as usize);
-                f.events.push((tag, args));
+                };
+                let start = f.scratch.event_args.len();
+                f.scratch.event_heads.push((tag, start));
+                f.scratch.event_args.extend_from_slice(&f.scratch.stack[first..]);
+                f.scratch.stack.truncate(first);
             }
             Op::StoreBlob => {
                 // The per-byte part is dynamic and metered on both
@@ -432,9 +509,9 @@ fn run_block<const METERED: bool, S: StateAccess>(
                 if !state.store_blob(len, &f.limits) {
                     return Err(ExecError::StateLimitExceeded);
                 }
-                f.journal.push(Undo::Blob(len));
+                f.scratch.journal.push(Undo::Blob(len));
             }
-            Op::Halt => return Ok(Next::Done(f.stack.pop())),
+            Op::Halt => return Ok(Next::Done(f.scratch.stack.pop())),
             Op::Revert(code) => return Err(ExecError::Reverted(code)),
             Op::Nop => {}
         }
@@ -468,6 +545,10 @@ impl Interpreter {
     /// [`StateAccess`] so the parallel executor can run it against a
     /// copy-on-write [`crate::state::Overlay`].
     ///
+    /// Allocates a [`Scratch`] and an owned [`Receipt`] per call; block
+    /// executors keep a scratch and call
+    /// [`Interpreter::execute_prepared_in`], which this wraps.
+    ///
     /// # Panics
     ///
     /// Panics if `prepared` was lowered for a different flavor than this
@@ -480,6 +561,25 @@ impl Interpreter {
         ctx: &TxContext,
         state: &mut S,
     ) -> Result<Receipt, ExecError> {
+        self.execute_prepared_in(&mut Scratch::default(), prepared, entry, ctx, state)
+            .map(|call| call.to_receipt())
+    }
+
+    /// [`Interpreter::execute_prepared`] in caller-owned buffers:
+    /// whatever an earlier call left in `scratch` is cleared, the
+    /// capacity is kept, and the outcome's events borrow from it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Interpreter::execute_prepared`].
+    pub fn execute_prepared_in<'s, S: StateAccess>(
+        &self,
+        scratch: &'s mut Scratch,
+        prepared: &PreparedProgram,
+        entry: EntryId,
+        ctx: &TxContext,
+        state: &mut S,
+    ) -> Result<CallOutcome<'s>, ExecError> {
         assert_eq!(
             self.flavor(),
             prepared.flavor,
@@ -487,23 +587,25 @@ impl Interpreter {
             prepared.flavor,
             self.flavor()
         );
-        let mut frame = Frame {
-            stack: Vec::with_capacity(32),
-            locals: [0 as Word; MAX_LOCALS],
-            gas: 0,
-            ops: 0,
-            events: Vec::new(),
-            journal: Vec::new(),
-            ctx,
-            schedule: prepared.flavor.schedule(),
-            limits: prepared.flavor.state_limits(),
-            budget: prepared.flavor.per_tx_budget(),
-        };
         let Some(&(_, start_block)) = prepared.entries.get(entry.index()) else {
             // A foreign or stale EntryId; entry_id() never produces one.
             return Err(ExecError::UnknownEntry {
                 name: format!("#{}", entry.index()),
             });
+        };
+        scratch.stack.clear();
+        scratch.journal.clear();
+        scratch.event_heads.clear();
+        scratch.event_args.clear();
+        let mut frame = Frame {
+            scratch: &mut *scratch,
+            locals: [0 as Word; MAX_LOCALS],
+            gas: 0,
+            ops: 0,
+            ctx,
+            schedule: prepared.flavor.schedule(),
+            limits: prepared.flavor.state_limits(),
+            budget: prepared.flavor.per_tx_budget(),
         };
 
         // The effective gas ceiling: the tighter of the hard budget and
@@ -539,29 +641,30 @@ impl Interpreter {
                         break Err(ExecError::MissingTerminator);
                     }
                 }
-                Ok(Next::Done(ret)) => {
-                    break Ok(Receipt {
-                        gas_used: frame.gas,
-                        ops_executed: frame.ops,
-                        events: std::mem::take(&mut frame.events),
-                        ret,
-                    });
-                }
+                Ok(Next::Done(ret)) => break Ok(ret),
                 Err(e) => break Err(e),
             }
         };
+        let (gas_used, ops_executed) = (frame.gas, frame.ops);
 
         if result.is_err() {
-            rollback(frame.journal, state);
+            rollback(&mut scratch.journal, state);
         }
         diablo_telemetry::counter!("vm.prepared.calls");
         if fell_back {
             diablo_telemetry::counter!("vm.prepared.precharge_fallbacks");
         }
-        if let Ok(receipt) = &result {
-            diablo_telemetry::record!(entry_gas_metric(entry), receipt.gas_used);
-        }
-        result
+        let ret = result?;
+        diablo_telemetry::record!(entry_gas_metric(entry), gas_used);
+        Ok(CallOutcome {
+            gas_used,
+            ops_executed,
+            ret,
+            events: Events {
+                heads: &scratch.event_heads,
+                args: &scratch.event_args,
+            },
+        })
     }
 
     /// Prepared-path counterpart of [`Interpreter::dry_run`]: executes

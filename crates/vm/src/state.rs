@@ -14,8 +14,8 @@
 //! [`OverlayDelta`]s are merged back into the base state afterwards.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
+use crate::hash::WordMap;
 use crate::Word;
 
 /// Per-flavor limits on contract state.
@@ -49,9 +49,18 @@ pub trait StateAccess {
     /// Reads `key`, returning 0 when absent (EVM semantics).
     fn load(&self, key: Word) -> Word;
 
-    /// Writes `key := value`. Returns `false` (and leaves the state
-    /// untouched) when the entry count limit would be exceeded.
-    fn store(&mut self, key: Word, value: Word, limits: &StateLimits) -> bool;
+    /// Writes `key := value` and returns the value `key` read as before
+    /// (0 when absent) — what the interpreter journals for rollback,
+    /// found by the same probe that writes. Returns `None` (and leaves
+    /// the state untouched) when the entry count limit would be
+    /// exceeded.
+    fn replace(&mut self, key: Word, value: Word, limits: &StateLimits) -> Option<Word>;
+
+    /// [`StateAccess::replace`] for callers that do not need the old
+    /// value: `false` when the store was refused.
+    fn store(&mut self, key: Word, value: Word, limits: &StateLimits) -> bool {
+        self.replace(key, value, limits).is_some()
+    }
 
     /// Accounts for an opaque payload of `len` bytes. Returns `false`
     /// when the flavor's blob limit rejects it.
@@ -65,7 +74,7 @@ pub trait StateAccess {
 /// The persistent state of one deployed contract.
 #[derive(Debug, Clone, Default)]
 pub struct ContractState {
-    entries: HashMap<Word, Word>,
+    entries: WordMap<Word>,
     blob_bytes: u64,
     blob_count: u64,
     /// Keys written since the last [`ContractState::drain_writes`]
@@ -133,24 +142,30 @@ impl ContractState {
     /// Writes `key := value`. Returns `false` (and leaves the state
     /// untouched) when the entry count limit would be exceeded.
     pub fn store(&mut self, key: Word, value: Word, limits: &StateLimits) -> bool {
-        // One hash lookup for both the limit check and the write: this
-        // is the hottest state operation of an experiment.
+        self.replace(key, value, limits).is_some()
+    }
+
+    /// Writes `key := value` and returns the value `key` read as before
+    /// (0 when absent), or `None` (leaving the state untouched and the
+    /// write log unchanged) when the entry count limit would be
+    /// exceeded. One probe serves the limit check, the old value and
+    /// the write.
+    pub fn replace(&mut self, key: Word, value: Word, limits: &StateLimits) -> Option<Word> {
         let len = self.entries.len();
-        match self.entries.entry(key) {
-            Entry::Occupied(mut slot) => {
-                slot.insert(value);
-            }
+        let old = match self.entries.entry(key) {
+            Entry::Occupied(mut slot) => slot.insert(value),
             Entry::Vacant(slot) => {
                 if len >= limits.max_entries {
-                    return false;
+                    return None;
                 }
                 slot.insert(value);
+                0
             }
-        }
+        };
         if let Some(log) = &mut self.write_log {
             log.push(key);
         }
-        true
+        Some(old)
     }
 
     /// Merges the effects of one committed [`Overlay`] into this state.
@@ -220,8 +235,8 @@ impl StateAccess for ContractState {
         ContractState::load(self, key)
     }
 
-    fn store(&mut self, key: Word, value: Word, limits: &StateLimits) -> bool {
-        ContractState::store(self, key, value, limits)
+    fn replace(&mut self, key: Word, value: Word, limits: &StateLimits) -> Option<Word> {
+        ContractState::replace(self, key, value, limits)
     }
 
     fn store_blob(&mut self, len: u64, limits: &StateLimits) -> bool {
@@ -244,7 +259,7 @@ impl StateAccess for ContractState {
 #[derive(Debug)]
 pub struct Overlay<'a> {
     base: &'a ContractState,
-    entries: HashMap<Word, Word>,
+    entries: WordMap<Word>,
     /// Keys in `entries` that have no entry in `base`.
     new_keys: usize,
     blob_bytes: u64,
@@ -256,7 +271,7 @@ pub struct Overlay<'a> {
 /// [`ContractState::apply`].
 #[derive(Debug, Default)]
 pub struct OverlayDelta {
-    entries: HashMap<Word, Word>,
+    entries: WordMap<Word>,
     blob_bytes: u64,
     blob_count: u64,
 }
@@ -265,7 +280,7 @@ impl OverlayDelta {
     /// Assembles a delta from raw parts (crate-internal: the
     /// speculative overlay in [`crate::mv`] builds its delta directly).
     pub(crate) fn from_parts(
-        entries: HashMap<Word, Word>,
+        entries: WordMap<Word>,
         blob_bytes: u64,
         blob_count: u64,
     ) -> OverlayDelta {
@@ -299,7 +314,7 @@ impl<'a> Overlay<'a> {
     pub fn new(base: &'a ContractState) -> Self {
         Overlay {
             base,
-            entries: HashMap::new(),
+            entries: WordMap::default(),
             new_keys: 0,
             blob_bytes: 0,
             blob_count: 0,
@@ -324,22 +339,21 @@ impl StateAccess for Overlay<'_> {
         }
     }
 
-    fn store(&mut self, key: Word, value: Word, limits: &StateLimits) -> bool {
+    fn replace(&mut self, key: Word, value: Word, limits: &StateLimits) -> Option<Word> {
         match self.entries.entry(key) {
-            Entry::Occupied(mut slot) => {
-                slot.insert(value);
-                true
-            }
+            Entry::Occupied(mut slot) => Some(slot.insert(value)),
             Entry::Vacant(slot) => {
-                let is_new = !self.base.contains_key(key);
-                if is_new && self.base.entry_count() + self.new_keys >= limits.max_entries {
-                    return false;
+                let in_base = self.base.entries.get(&key).copied();
+                if in_base.is_none()
+                    && self.base.entry_count() + self.new_keys >= limits.max_entries
+                {
+                    return None;
                 }
                 slot.insert(value);
-                if is_new {
+                if in_base.is_none() {
                     self.new_keys += 1;
                 }
-                true
+                Some(in_base.unwrap_or(0))
             }
         }
     }
@@ -449,6 +463,50 @@ mod tests {
         // Updating keys that already exist (in base or overlay) is fine.
         assert!(ov.store(1, 100, &lim));
         assert!(ov.store(2, 200, &lim));
+    }
+
+    /// Drives `state` through a fixed script of writes and checks each
+    /// `replace` against a plain map seeded with `base`: the old value
+    /// is what `load` saw just before, a new key past the limit is
+    /// refused, and a refusal changes nothing.
+    fn assert_replace_is_load_then_store<S: StateAccess>(
+        mut state: S,
+        base: &ContractState,
+        limits: &StateLimits,
+    ) {
+        let mut model: std::collections::BTreeMap<Word, Word> =
+            base.sorted_entries().into_iter().collect();
+        let script = [(1, 11), (5, 50), (1, 12), (2, 7), (6, 0), (7, 70), (6, 61), (8, 80), (5, 0)];
+        let mut refused = 0;
+        for (key, value) in script {
+            let before = state.load(key);
+            assert_eq!(before, model.get(&key).copied().unwrap_or(0), "key {key}");
+            let fits = model.contains_key(&key) || model.len() < limits.max_entries;
+            assert_eq!(state.replace(key, value, limits), fits.then_some(before), "key {key}");
+            if fits {
+                model.insert(key, value);
+            } else {
+                refused += 1;
+            }
+            assert_eq!(state.load(key), model.get(&key).copied().unwrap_or(0), "key {key}");
+        }
+        assert_eq!(refused, 2, "the script must reach the entry limit");
+    }
+
+    #[test]
+    fn replace_is_load_then_store_on_every_state() {
+        let limits = StateLimits {
+            max_blob_bytes: 0,
+            max_entries: 4,
+        };
+        let mut base = ContractState::new();
+        base.store(1, 10, &limits);
+        base.store(2, 0, &limits); // an explicit 0 is an entry, not an absence
+        assert_replace_is_load_then_store(base.clone(), &base, &limits);
+        assert_replace_is_load_then_store(Overlay::new(&base), &base, &limits);
+        let mv = crate::mv::MvMemory::new();
+        let view = crate::mv::SpeculativeOverlay::new(&base, &mv, 0);
+        assert_replace_is_load_then_store(view, &base, &limits);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! exact `ExecError` (with fields) on failure, and the post-state —
 //! including rollback of journaled writes.
 //!
+//! A second property reuses one [`Scratch`] across a whole sequence of
+//! such calls (`Interpreter::execute_prepared_in`, the path the block
+//! executors take) and holds every call to the same standard, so
+//! nothing a call leaves in the buffers — stack, journal, events — can
+//! leak into the next.
+//!
 //! Runs on the in-tree `diablo-testkit` harness: failures shrink and
 //! print a `DIABLO_PROP_SEED=<seed>` line that replays the exact case;
 //! `DIABLO_PROP_CASES` scales the case count.
@@ -18,8 +24,8 @@ use diablo_testkit::gen::{choice, i64s, just, u16s, u64s, u8s, usizes, vecs, Box
 use diablo_testkit::{prop_assert_eq, Property};
 
 use diablo_vm::{
-    prepare, Asm, ContractState, Interpreter, Op, Program, StateLimits, TxContext, VmFlavor, Word,
-    MAX_LOCALS,
+    prepare, Asm, ContractState, Interpreter, Op, Program, Scratch, StateLimits, TxContext,
+    VmFlavor, Word, MAX_LOCALS,
 };
 
 /// Generator: one instruction with jump targets confined to `len`,
@@ -162,6 +168,126 @@ fn prepared_execution_is_observationally_identical() {
                         gas_limit
                     );
                     assert_states_agree(&s1, &s2)?;
+                }
+                Ok(())
+            },
+        );
+}
+
+/// A hand-built program for one fault or event shape the random
+/// generator reaches too rarely. Every one writes state and emits
+/// before it ends, so a fault has a journal to roll back and events to
+/// leave behind in the scratch. `n` parameterizes the shape.
+fn directed_program(kind: usize, n: Word) -> Program {
+    let mut asm = Asm::new();
+    asm.entry("main");
+    // Common prefix: one journaled overwrite of a seeded key, one event.
+    asm.ops(&[Op::Push(0), Op::Push(n), Op::SStore]);
+    asm.ops(&[Op::Push(n), Op::Emit { tag: 1, arity: 1 }]);
+    match kind {
+        // 0..=47 events of arity 0..=3, then success.
+        0 => {
+            for i in 0..n.rem_euclid(48) {
+                let arity = (i % 4) as u8;
+                for j in 0..arity {
+                    asm.op(Op::Push(i * 10 + Word::from(j)));
+                }
+                asm.op(Op::Emit { tag: i as u16, arity });
+            }
+            asm.op(Op::Push(n)).op(Op::Halt);
+        }
+        // A blob and a fresh key, then an explicit revert.
+        1 => {
+            asm.ops(&[Op::Push(16), Op::StoreBlob]);
+            asm.ops(&[Op::Push(500 + n), Op::Push(1), Op::SStore, Op::Revert(3)]);
+        }
+        // Stack underflow.
+        2 => {
+            asm.op(Op::Add).op(Op::Halt);
+        }
+        // A push loop: stack overflow on geth, the hard budget elsewhere.
+        3 => {
+            let top = asm.here();
+            asm.op(Op::Push(1));
+            asm.jump(top);
+        }
+        // Six fresh keys with an event between them: with the state
+        // seeded close to the AVM's 64 entries, the limit trips midway.
+        _ => {
+            for j in 0..6 {
+                asm.ops(&[Op::Push(10_000 + n * 8 + j), Op::Push(j), Op::SStore]);
+                asm.ops(&[Op::Push(j), Op::Emit { tag: 2, arity: 1 }]);
+            }
+            asm.op(Op::Halt);
+        }
+    }
+    asm.finish()
+}
+
+/// One `Scratch` reused across a sequence of calls — random programs
+/// and the directed shapes above, under tiny, mid and unlimited gas —
+/// against two states that start equal and evolve side by side: one
+/// through the metered interpreter, one through
+/// `execute_prepared_in`. Call by call the receipts (gas, ops, return
+/// value, events), the errors with their fields, the states and the
+/// write logs must agree.
+#[test]
+fn one_scratch_reused_across_calls_leaks_nothing() {
+    let gas_limit = choice(vec![
+        u64s(0..=300).boxed(),
+        u64s(1_000..=60_000).boxed(),
+        just(u64::MAX).boxed(),
+    ]);
+    let call = (
+        (usizes(0..=7), i64s(0..=999)),
+        (vecs(arb_op(64), 0..=63), vecs(i64s(-1000..=999), 0..=3)),
+        gas_limit,
+    );
+    Property::new("one_scratch_reused_across_calls_leaks_nothing")
+        .cases(256)
+        .check(
+            &(usizes(0..=3), vecs(call, 2..=10)),
+            |(flavor_idx, calls)| {
+                let flavor = VmFlavor::ALL[*flavor_idx];
+                let vm = Interpreter::new(flavor);
+                // 56 entries: eight short of the AVM's limit.
+                let mut s1 = ContractState::new();
+                for k in 0..56 {
+                    s1.store(k, 1000 + k, &StateLimits::unbounded());
+                }
+                s1.track_writes();
+                s1.drain_writes();
+                let mut s2 = s1.clone();
+                let mut scratch = Scratch::default();
+                for (i, ((kind, n), (ops, args), gas_limit)) in calls.iter().enumerate() {
+                    // Kinds 5..=7 are random programs, 0..=4 directed.
+                    let program = match kind {
+                        0..=4 => directed_program(*kind, *n),
+                        _ => program_from(ops, 65),
+                    };
+                    let Ok(prepared) = prepare(&program, flavor) else {
+                        continue;
+                    };
+                    let id = prepared.entry_id("main").expect("main interned");
+                    let ctx = TxContext {
+                        caller: 7,
+                        args: args.clone(),
+                        payload_bytes: 0,
+                        gas_limit: *gas_limit,
+                    };
+                    let r1 = vm.execute(&program, "main", &ctx, &mut s1);
+                    let r2 = vm
+                        .execute_prepared_in(&mut scratch, &prepared, id, &ctx, &mut s2)
+                        .map(|call| call.to_receipt());
+                    prop_assert_eq!(r1, r2, "call {} (kind {}) on {}", i, kind, flavor);
+                    prop_assert_eq!(&s1, &s2, "state after call {} on {}", i, flavor);
+                    prop_assert_eq!(
+                        s1.drain_writes(),
+                        s2.drain_writes(),
+                        "write log of call {} on {}",
+                        i,
+                        flavor
+                    );
                 }
                 Ok(())
             },

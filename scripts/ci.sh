@@ -13,6 +13,15 @@ cargo test -q --offline
 echo "==> cargo test -q --release --offline --workspace"
 cargo test -q --release --offline --workspace
 
+# Prepared execution in a reused scratch: replay one pinned case of the
+# metered-vs-prepared differential suite. Seed 0x13 is a call sequence
+# that fails when the stack, journal or events clear of
+# `execute_prepared_in` is removed; the unseeded workspace run above
+# sweeps the full randomized case set.
+echo "==> prepared differential replay (pinned seed: one scratch, many calls)"
+DIABLO_PROP_SEED=0x13 \
+    cargo test -q --release --offline -p diablo-vm --test vm_prepared_differential
+
 # Deterministic parallel execution: replay the serial-vs-parallel
 # differential properties under pinned seeds. Each seed pins one
 # flavor / DApp / thread-count case — together they cover 2, 4 and 8
@@ -224,6 +233,10 @@ rm -f "$sim_json"
 echo "==> telemetry-off build + tier-1 (--cfg diablo_telemetry_off)"
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline
+# The allocation budget of serial Exact execution must hold without the
+# recorder too (the workspace run above checks it with telemetry on).
+RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
+    cargo test -q --offline -p diablo-chains --test alloc_budget
 
 echo "==> cargo doc --no-deps --offline --workspace (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
@@ -240,12 +253,14 @@ DIABLO_BENCH_SAMPLES=2 DIABLO_BENCH_JSON="$bench_json" \
     cargo bench -q --offline --workspace
 
 # Host-bench smoke: BENCHMARK.json's program on its node-count
-# workload and on its state-store workload (the one that runs the
-# incremental state roots over a state that grows to 30,002 entries).
-# Every iteration is verified (conservation, the commit rule, a
-# fingerprint that repeats), and the last stdout line says whether all
-# of them held; two seconds is enough to run the check, not to measure.
-for workload in model_200n store_video; do
+# workload, on its state-store workload (the one that runs the
+# incremental state roots over a state that grows to 30,002 entries)
+# and on its execution workload (60,000 Exact Gaming calls through the
+# reused scratch). Every iteration is verified (conservation, the
+# commit rule, a fingerprint that repeats), and the last stdout line
+# says whether all of them held; two seconds is enough to run the
+# check, not to measure.
+for workload in model_200n store_video exec_gaming; do
     echo "==> host-bench smoke (benchmark/ on $workload, result line must be correct)"
     cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 \
