@@ -3,19 +3,16 @@
 //! Runs the Exchange DApp on RedBelly (unbounded mempool, no
 //! superlinear pool scan — the chain that keeps a million-transaction
 //! backlog alive instead of dropping it) across three geo-spread node
-//! counts, once per event-queue backend. The wheel-vs-heap pairs
-//! measure the simulation kernel itself: identical chains, identical
-//! plans, only the `EventQueue` implementation differs.
+//! counts.
 //!
 //! Two shapes:
 //!
-//! - **smoke** (default): 10,000 accounts, 100,000 transactions — CI's
-//!   regression gate runs this against the checked-in
-//!   `BENCH_baseline.json` (see `scripts/ci.sh`).
+//! - **smoke** (default): 10,000 accounts, 100,000 transactions — what
+//!   CI's bench smoke runs (see `scripts/ci.sh`).
 //! - **full** (`DIABLO_BENCH_FULL=1`): 1,000,000 accounts, 1,000,000
 //!   transactions — the paper-scale push; every account signs about one
-//!   transaction, so per-sender tracking, arena slots and queue events
-//!   all reach seven figures.
+//!   transaction, so per-sender tracking and arena slots reach seven
+//!   figures.
 //!
 //! Names encode the shape (`scale/exchange_10k/...` vs
 //! `scale/exchange_1m/...`) and every result carries `items` = planned
@@ -27,7 +24,6 @@ use diablo_testkit::bench::{black_box, Bench};
 use diablo_chains::{Chain, ChainParams, Experiment};
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, InstanceType};
-use diablo_sim::{EventQueue, QueueBackend, SimTime};
 use diablo_workloads::traces;
 
 #[derive(Clone, Copy)]
@@ -54,33 +50,6 @@ const FULL: Shape = Shape {
 
 const NODE_COUNTS: [usize; 3] = [10, 50, 200];
 
-/// One event per planned transaction (the shape's constant-rate arrival
-/// times) plus a self-rescheduling block event per superblock period,
-/// drained through one `EventQueue` backend. The e2e arms measure the
-/// whole chain — mempool, arena, execution — where the queue holds only
-/// tick and block events; this arm is the kernel measurement the
-/// wheel-vs-heap comparison is about, with the full transaction count
-/// pending at once.
-fn kernel_drain(backend: QueueBackend, shape: &Shape, block_period_us: u64) -> u64 {
-    let n = (shape.tps as u64) * shape.secs;
-    let gap_us = 1_000_000.0 / shape.tps;
-    let end_us = shape.secs * 1_000_000;
-    // false = transaction arrival, true = block production.
-    let mut q: EventQueue<bool> = EventQueue::with_backend_and_capacity(backend, n as usize + 1);
-    for i in 0..n {
-        q.schedule(SimTime::from_micros((i as f64 * gap_us) as u64), false);
-    }
-    q.schedule(SimTime::ZERO, true);
-    let mut popped = 0u64;
-    while let Some((t, is_block)) = q.pop() {
-        popped += 1;
-        if is_block && t.as_micros() < end_us {
-            q.schedule(t + diablo_sim::SimDuration::from_micros(block_period_us), true);
-        }
-    }
-    popped
-}
-
 fn main() {
     let full = std::env::var("DIABLO_BENCH_FULL").map(|v| v == "1").unwrap_or(false);
     let shape = if full { FULL } else { SMOKE };
@@ -94,39 +63,21 @@ fn main() {
             DeploymentConfig::spread(DeploymentKind::Consortium, nodes, InstanceType::C52xlarge);
         let mut params = ChainParams::standard(Chain::RedBelly, &config);
         params.accounts = shape.accounts;
-        let block_period_us = match params.consensus {
-            diablo_chains::ConsensusKind::LeaderlessDbft { min_period, .. } => {
-                min_period.as_micros()
-            }
-            _ => 1_000_000,
-        };
-        for (backend, backend_name) in
-            [(QueueBackend::Wheel, "wheel"), (QueueBackend::Heap, "heap")]
-        {
-            let name = format!("scale/{}/{}n/e2e_{}", shape.label, nodes, backend_name);
-            let config = config.clone();
-            let params = params.clone();
-            b.bench_items(&name, items, move || {
-                black_box(
-                    Experiment::new(
-                        Chain::RedBelly,
-                        DeploymentKind::Consortium,
-                        traces::constant(shape.tps, shape.secs),
-                    )
-                    .with_config(config.clone())
-                    .with_params(params.clone())
-                    .with_dapp(DApp::Exchange)
-                    .with_queue_backend(backend)
-                    .run()
-                    .committed(),
+        let name = format!("scale/{}/{}n/e2e", shape.label, nodes);
+        b.bench_items(&name, items, move || {
+            black_box(
+                Experiment::new(
+                    Chain::RedBelly,
+                    DeploymentKind::Consortium,
+                    traces::constant(shape.tps, shape.secs),
                 )
-            });
-
-            let name = format!("scale/{}/{}n/kernel_{}", shape.label, nodes, backend_name);
-            b.bench_items(&name, items, move || {
-                black_box(kernel_drain(backend, &shape, block_period_us))
-            });
-        }
+                .with_config(config.clone())
+                .with_params(params.clone())
+                .with_dapp(DApp::Exchange)
+                .run()
+                .committed(),
+            )
+        });
     }
 
     b.finish();

@@ -13,9 +13,8 @@
 //!
 //! Two shapes:
 //!
-//! - **smoke** (default): 10,000 accounts, 100,000 transactions — CI's
-//!   regression gate runs this against the checked-in
-//!   `BENCH_baseline.json` (see `scripts/ci.sh`).
+//! - **smoke** (default): 10,000 accounts, 100,000 transactions — what
+//!   CI's bench smoke runs (see `scripts/ci.sh`).
 //! - **full** (`DIABLO_BENCH_FULL=1`): 1,000,000 accounts, 1,000,000
 //!   transactions — the acceptance shape of docs/STORAGE.md, where
 //!   distance pruning is what keeps the resident set bounded.

@@ -3,7 +3,7 @@
 //! Measures a 10k-transaction Exchange experiment (1,000 TPS for 10
 //! simulated seconds on Quorum) four ways: tracing disabled, sampled at
 //! the default reservoir limit, sampled at 64, and full (`all`). The
-//! untraced scenario is the hot path `bench_gate` pins: when the tracer
+//! untraced scenario is the hot path: when the tracer
 //! is off, its cost is one relaxed atomic load per emission site, so
 //! `trace/exchange_10ktx/off` must sit within noise of the tracing-free
 //! baseline. The sampled scenarios bound the cost of bounded tracing;

@@ -2,10 +2,10 @@
 //!
 //! Every entry point into the harness — [`crate::ChainHarness`], the
 //! [`crate::Experiment`] driver and `diablo-core`'s benchmark runner —
-//! used to carry its own copy of the same ten knobs (seed, execution
+//! used to carry its own copy of the same knobs (seed, execution
 //! fidelity, concurrency, grace window, parameter overrides, faults,
-//! signature-verification curve, queue backend, storage, tracing), each
-//! with its own hand-rolled "CLI wins over spec" merge. [`RunConfig`] is
+//! signature-verification curve, storage, tracing), each with its own
+//! hand-rolled "CLI wins over spec" merge. [`RunConfig`] is
 //! the single resolved form of those knobs, and [`RunOverlay`] is a
 //! partial layer over them; the one resolution rule lives in
 //! [`RunConfig::layered`]:
@@ -19,7 +19,6 @@
 //! onto the spec's `fault:` section) instead of replacing it.
 
 use diablo_net::DeploymentConfig;
-use diablo_sim::QueueBackend;
 use diablo_store::StorageConfig;
 use diablo_telemetry::trace::TraceSample;
 
@@ -76,9 +75,6 @@ pub struct RunConfig {
     /// resolved parameters (the spec's `sigverify:` section); `None` =
     /// the chain's standard curve.
     pub sig_verify: Option<SigVerify>,
-    /// Event-queue backend of the simulation kernel (the timer wheel by
-    /// default; the reference heap for differential runs and benches).
-    pub queue: QueueBackend,
     /// Append-only state store configuration (the spec's `storage:`
     /// section); `None` = the staged commit pipeline is off.
     pub storage: Option<StorageConfig>,
@@ -101,7 +97,6 @@ impl Default for RunConfig {
             params: None,
             faults: FaultPlan::none(),
             sig_verify: None,
-            queue: QueueBackend::Wheel,
             storage: None,
             trace: None,
             live: None,
@@ -142,9 +137,6 @@ impl RunConfig {
         self.faults = std::mem::take(&mut self.faults).merged(layer.faults.clone());
         if let Some(v) = layer.sig_verify {
             self.sig_verify = Some(v);
-        }
-        if let Some(v) = layer.queue {
-            self.queue = v;
         }
         if let Some(v) = layer.storage {
             self.storage = Some(v);
@@ -204,8 +196,6 @@ pub struct RunOverlay {
     pub faults: FaultPlan,
     /// Signature-verification cost curve.
     pub sig_verify: Option<SigVerify>,
-    /// Event-queue backend.
-    pub queue: Option<QueueBackend>,
     /// Append-only state store.
     pub storage: Option<StorageConfig>,
     /// Lifecycle-tracing budget.

@@ -81,8 +81,8 @@ impl Concurrency {
 
     /// Parses a mode name (`serial`, `parallel`, `optimistic`) plus a
     /// worker count into a concurrency setting — the shared grammar of
-    /// the CLI's `--execution=`/`--threads=`/`--optimistic` flags and
-    /// the spec's `execution:` section.
+    /// the CLI's `--execution=`/`--threads=` flags and the spec's
+    /// `execution:` section.
     pub fn from_mode(mode: &str, threads: usize) -> Option<Concurrency> {
         match mode {
             "serial" => Some(Concurrency::Serial),

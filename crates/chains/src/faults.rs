@@ -112,7 +112,7 @@ struct CorruptionFault {
 /// A schedule of faults injected into one experiment.
 ///
 /// Construct with [`FaultPlan::builder`]; attach to an experiment with
-/// `Experiment::with_faults` or `HarnessOptions::faults`. The plan is
+/// `Experiment::with_faults` or `RunConfig::faults`. The plan is
 /// declarative — the chain simulation compiles it once per run into a
 /// [`FaultTimeline`] for cheap per-tick queries.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -137,18 +137,6 @@ impl FaultPlan {
         FaultPlanBuilder {
             plan: FaultPlan::default(),
         }
-    }
-
-    /// Crashes `count` nodes (indices `0..count`) at `at`, permanently.
-    #[deprecated(note = "use FaultPlan::builder().crash_many(count, at).build()")]
-    pub fn crash_nodes(count: usize, at: SimTime) -> Self {
-        FaultPlan::builder().crash_many(count, at).build()
-    }
-
-    /// Multiplies consensus delays by `factor` from `at` on.
-    #[deprecated(note = "use FaultPlan::builder().slowdown(at, factor).build()")]
-    pub fn slow_network(at: SimTime, factor: f64) -> Self {
-        FaultPlan::builder().slowdown(at, factor).build()
     }
 
     /// Whether any fault is scheduled at all. (A non-default retry
@@ -726,16 +714,6 @@ mod tests {
         assert!(!FaultPlan::builder().slowdown(SimTime::ZERO, 2.0).build().is_empty());
         assert!(!FaultPlan::builder().kill_secondary(0, t(3)).build().is_empty());
         assert!(FaultTimeline::empty().is_empty());
-    }
-
-    #[test]
-    fn deprecated_constructors_match_the_builder() {
-        #[allow(deprecated)]
-        let old = FaultPlan::crash_nodes(3, t(10));
-        assert_eq!(old, FaultPlan::builder().crash_many(3, t(10)).build());
-        #[allow(deprecated)]
-        let old = FaultPlan::slow_network(t(30), 4.0);
-        assert_eq!(old, FaultPlan::builder().slowdown(t(30), 4.0).build());
     }
 
     #[test]

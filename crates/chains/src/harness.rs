@@ -9,12 +9,13 @@
 
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, NetworkModel, QuorumModel};
-use diablo_sim::{SimDuration, SimTime, Simulation};
+use diablo_sim::{SimDuration, SimTime};
 
+use crate::config::RunConfig;
 use crate::exec::ExecutionEngine;
 use crate::params::ChainParams;
 use crate::records::RunResult;
-use crate::sim::{ChainSim, Ev, TickPlan, TICK_MS};
+use crate::sim::ChainSim;
 use crate::tx::Payload;
 use crate::Chain;
 
@@ -29,13 +30,6 @@ pub struct PlannedTx {
     pub payload: Payload,
 }
 
-/// Harness construction options.
-///
-/// Since the `RunConfig` unification this is the resolved
-/// [`crate::RunConfig`] itself; the alias keeps older call sites
-/// compiling.
-pub type HarnessOptions = crate::config::RunConfig;
-
 /// A chain ready to receive planned transactions.
 #[derive(Debug)]
 pub struct ChainHarness {
@@ -43,7 +37,7 @@ pub struct ChainHarness {
     params: ChainParams,
     config: DeploymentConfig,
     engine: ExecutionEngine,
-    options: HarnessOptions,
+    options: RunConfig,
 }
 
 impl ChainHarness {
@@ -55,7 +49,7 @@ impl ChainHarness {
         chain: Chain,
         deployment: DeploymentKind,
         dapp: Option<DApp>,
-        options: HarnessOptions,
+        options: RunConfig,
     ) -> Result<Self, String> {
         Self::with_config(chain, DeploymentConfig::standard(deployment), dapp, options)
     }
@@ -65,7 +59,7 @@ impl ChainHarness {
         chain: Chain,
         config: DeploymentConfig,
         dapp: Option<DApp>,
-        options: HarnessOptions,
+        options: RunConfig,
     ) -> Result<Self, String> {
         let params = options.resolved_params(chain, &config);
         let flavor = chain.vm_flavor();
@@ -141,32 +135,22 @@ impl ChainHarness {
         let net = NetworkModel::default();
         let qmodel = QuorumModel::new(&self.config, &net);
 
-        // Bucket the plan into submission ticks: the input is sorted, so
-        // ticks are contiguous ranges over the flat vector.
-        let plan = TickPlan::from_sorted(txs, TICK_MS * 1000);
-
         let live = self.options.live;
-        let world = ChainSim::from_plan(
+        let deadline = SimTime::from_secs_f64_ceil(workload_secs)
+            + SimDuration::from_secs(self.options.grace_secs);
+        let mut sim = ChainSim::from_plan(
             self.chain,
             self.params,
             qmodel,
             self.engine,
-            plan,
+            txs,
             self.options.seed,
-            SimTime::from_secs_f64_ceil(workload_secs)
-                + SimDuration::from_secs(self.options.grace_secs),
+            deadline,
         )
         .with_faults(self.options.faults.clone())
         .with_store(self.options.storage)
         .with_live_pool(live.map(|cfg| crate::live::LivePool::new(cfg.workers, cfg.time_scale)));
-        let mut sim = Simulation::with_backend(world, self.options.queue);
-        let ticks = sim.world().tick_count();
-        for k in 0..ticks {
-            sim.schedule(SimTime::from_millis(k as u64 * TICK_MS), Ev::Tick(k as u32));
-        }
-        sim.schedule(SimTime::ZERO, Ev::Propose);
-        let deadline = sim.world().deadline();
-        let workload_end = sim.world().workload_end().min(deadline);
+        let workload_end = sim.workload_end().min(deadline);
         match live {
             // The telemetry clock: live runs measure real elapsed time;
             // simulated runs rewind the virtual clock so span timings
@@ -182,21 +166,23 @@ impl ChainHarness {
             Some(sample) => diablo_telemetry::trace::configure(sample, self.options.seed),
             None => diablo_telemetry::trace::disable(),
         }
+        // Live mode delivers the same events in the same order, but
+        // when wall-clock time catches up with each event's instant.
+        let start = std::time::Instant::now();
+        let mut pace = |at: SimTime| {
+            if let Some(cfg) = live {
+                wait_for_wall_clock(start, at, cfg.time_scale);
+            }
+        };
         {
             let _run = diablo_telemetry::span("harness.run");
             {
                 let _sub = diablo_telemetry::span("harness.submission");
-                match live {
-                    Some(cfg) => pace_until(&mut sim, workload_end, cfg.time_scale),
-                    None => sim.run_until(workload_end),
-                };
+                sim.run_until(workload_end, &mut pace);
             }
             {
                 let _drain = diablo_telemetry::span("harness.drain");
-                match live {
-                    Some(cfg) => pace_until(&mut sim, deadline, cfg.time_scale),
-                    None => sim.run_until(deadline),
-                };
+                sim.run_until(deadline, &mut pace);
             }
         }
         if live.is_some() {
@@ -204,49 +190,32 @@ impl ChainHarness {
             // simulation (the live-diff's prediction) stays virtual.
             diablo_telemetry::clock::use_sim_clock();
         }
-        sim.into_world()
+        sim
     }
 }
 
-/// Live mode's event driver: delivers the same events in the same order
-/// as [`Simulation::run_until`], but *when wall-clock time catches up*
-/// with each event's instant (divided by `scale`). Sleeping keeps the
-/// schedule honest; an event the machine cannot keep up with records
-/// its lag instead of silently rewriting history.
-fn pace_until(
-    sim: &mut Simulation<ChainSim>,
-    until: SimTime,
-    scale: f64,
-) -> u64 {
+/// Live mode's pacing: sleeps until the wall clock reaches the event
+/// instant `at` (divided by `scale`) of a run that began at `start`.
+/// Sleeping keeps the schedule honest; an event the machine cannot keep
+/// up with records its lag instead of silently rewriting history.
+fn wait_for_wall_clock(start: std::time::Instant, at: SimTime, scale: f64) {
     use std::time::{Duration, Instant};
     let scale = if scale.is_finite() && scale > 0.0 {
         scale
     } else {
         1.0
     };
-    let anchor_sim = sim.now().as_micros();
-    let anchor_wall = Instant::now();
-    let mut delivered = 0u64;
-    while let Some(at) = sim.peek_time() {
-        if at > until {
-            break;
-        }
-        let offset_us = (at.as_micros().saturating_sub(anchor_sim)) as f64 / scale;
-        let target = anchor_wall + Duration::from_micros(offset_us as u64);
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        } else {
-            diablo_telemetry::record_duration!(
-                "live.pacing.lag_us",
-                SimDuration::from_micros((now - target).as_micros() as u64)
-            );
-        }
-        sim.step();
-        delivered += 1;
+    let target = start + Duration::from_micros((at.as_micros() as f64 / scale) as u64);
+    let now = Instant::now();
+    if target > now {
+        std::thread::sleep(target - now);
+    } else {
+        diablo_telemetry::record_duration!(
+            "live.pacing.lag_us",
+            SimDuration::from_micros((now - target).as_micros() as u64)
+        );
     }
-    diablo_telemetry::counter!("live.events", delivered);
-    delivered
+    diablo_telemetry::counter!("live.events");
 }
 
 #[cfg(test)]
@@ -274,7 +243,7 @@ mod tests {
             Chain::Quorum,
             DeploymentKind::Testnet,
             None,
-            HarnessOptions::default(),
+            RunConfig::default(),
         )
         .unwrap();
         let plan = plan_constant(100, 20);
@@ -290,7 +259,7 @@ mod tests {
             Chain::Diem,
             DeploymentKind::Testnet,
             None,
-            HarnessOptions::default(),
+            RunConfig::default(),
         )
         .unwrap();
         let plan = plan_constant(50, 10);
@@ -307,7 +276,7 @@ mod tests {
             Chain::Solana,
             DeploymentKind::Testnet,
             Some(DApp::Mobility),
-            HarnessOptions::default(),
+            RunConfig::default(),
         )
         .unwrap_err();
         assert!(err.contains("budget exceeded"));
@@ -319,7 +288,7 @@ mod tests {
             Chain::Ethereum,
             DeploymentKind::Testnet,
             None,
-            HarnessOptions::default(),
+            RunConfig::default(),
         )
         .unwrap();
         let r = h.run(Vec::new(), "empty", 1.0);
@@ -334,7 +303,7 @@ mod tests {
             Chain::Quorum,
             DeploymentKind::Testnet,
             None,
-            HarnessOptions::default(),
+            RunConfig::default(),
         )
         .unwrap();
         let plan = vec![
@@ -390,12 +359,12 @@ mod tests {
             let mut contract = build(DApp::VideoSharing, chain.vm_flavor()).unwrap();
             contract.prepared = prepare(&program, contract.flavor).unwrap();
             contract.program = program.clone();
-            let options = HarnessOptions {
+            let options = RunConfig {
                 exec_mode: ExecMode::Exact,
                 concurrency,
                 grace_secs: 20,
                 storage: Some(StorageConfig::default()),
-                ..HarnessOptions::default()
+                ..RunConfig::default()
             };
             let config = DeploymentConfig::standard(DeploymentKind::Testnet);
             let harness = ChainHarness {

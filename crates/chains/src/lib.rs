@@ -24,8 +24,8 @@
 //!
 //! Consensus vote traffic is folded into an analytic quorum-latency model
 //! (`diablo_net::QuorumModel`); everything else — submission, admission,
-//! block formation, execution, commit, confirmation — runs as discrete
-//! events over `diablo-sim`.
+//! block formation, execution, commit, confirmation — runs in
+//! [`ChainSim`]'s loop over `diablo-sim`'s virtual time.
 
 #![warn(missing_docs)]
 
@@ -33,6 +33,7 @@ pub mod chain;
 pub mod chaos;
 pub mod config;
 pub mod exec;
+pub mod experiment;
 pub mod faults;
 pub mod fees;
 pub mod harness;
@@ -52,12 +53,12 @@ pub use optimistic::{OptimisticExecutor, OptimisticStats};
 pub use parallel::{plan_stats, ParallelExecutor, PlanStats};
 pub use faults::{FaultPlan, FaultPlanBuilder, FaultTimeline, RetryPolicy};
 pub use fees::FeeMarket;
-pub use harness::{ChainHarness, HarnessOptions, PlannedTx};
+pub use harness::{ChainHarness, PlannedTx};
 pub use live::LivePool;
 pub use mempool::{AdmitError, Mempool, MempoolPolicy};
-pub use diablo_sim::QueueBackend;
 pub use diablo_store::{PruneMode, StorageConfig, StorageReport};
 pub use params::{ChainParams, ConsensusKind, SigVerify};
 pub use records::{rate_per_sec, RunResult, TxRecord, TxStatus};
-pub use sim::{ChainSim, Experiment};
+pub use experiment::Experiment;
+pub use sim::ChainSim;
 pub use tx::{Payload, TxId, TxMeta};

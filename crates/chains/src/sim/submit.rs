@@ -1,0 +1,187 @@
+//! The client side and the network up to the pool: each submission tick
+//! injects its slice of the plan — corruption retries, crash failover,
+//! gossip to the proposers, partition deferral — and ends at mempool
+//! admission.
+
+use diablo_sim::{SimDuration, SimTime};
+use diablo_telemetry::trace::{self, TraceStage};
+
+use super::{ChainSim, TICK_MS};
+use crate::mempool::AdmitError;
+use crate::records::{TxRecord, TxStatus};
+use crate::tx::TxMeta;
+
+impl ChainSim {
+    /// Submits the transactions of tick `k`: the plan from the cursor
+    /// up to the tick's end.
+    pub(super) fn submit_tick(&mut self, k: u32) {
+        let start = self.records.len();
+        let tick_end = SimTime::from_millis((k as u64 + 1) * TICK_MS);
+        let due = self.plan[start..].partition_point(|tx| tx.at < tick_end);
+        let nodes = self.qmodel.node_count().max(1);
+        for i in start..start + due {
+            // `PlannedTx` is `Copy`: reading out of the plan keeps the
+            // borrow checker away from the mutations below.
+            let planned = self.plan[i];
+            let id = self.records.len() as u32;
+            self.records.push(TxRecord::submitted_at(planned.at));
+            trace::emit(
+                id as u64,
+                TraceStage::Submitted,
+                planned.at.as_micros(),
+                (planned.sender % self.params.accounts.max(1)) as u64,
+                0,
+            );
+            // The collocated Secondary submits to its nearest node; the
+            // transaction must gossip to the proposers before inclusion.
+            let mut site = (id as usize) % nodes;
+            let mut submit_at = planned.at;
+            if !self.timeline.is_empty() {
+                // Corrupted submissions are rejected by the node; the
+                // client retries with exponential backoff until its
+                // policy runs out, then reports the transaction
+                // rejected.
+                match self.resolve_submission(planned.at) {
+                    Some(at) => {
+                        if at > planned.at {
+                            trace::emit(
+                                id as u64,
+                                TraceStage::Retried,
+                                at.as_micros(),
+                                at.since(planned.at).as_micros(),
+                                0,
+                            );
+                        }
+                        submit_at = at;
+                    }
+                    None => {
+                        let decided = planned.at + self.faults.retry_policy().timeout;
+                        let rec = &mut self.records[id as usize];
+                        rec.status = TxStatus::Rejected;
+                        rec.decided = Some(decided);
+                        trace::emit(id as u64, TraceStage::Rejected, decided.as_micros(), 0, 0);
+                        continue;
+                    }
+                }
+                // A crashed submission node refuses connections: the
+                // client deterministically fails over to the next live
+                // node.
+                if self.timeline.is_crashed(site, submit_at) {
+                    for off in 1..nodes {
+                        let alt = (site + off) % nodes;
+                        if !self.timeline.is_crashed(alt, submit_at) {
+                            diablo_telemetry::counter!("client.submit.rerouted");
+                            trace::emit(
+                                id as u64,
+                                TraceStage::Rerouted,
+                                submit_at.as_micros(),
+                                alt as u64,
+                                0,
+                            );
+                            site = alt;
+                            break;
+                        }
+                    }
+                }
+            }
+            let mut gossip = SimDuration::from_secs_f64(self.qmodel.median_delay_from(site));
+            if !self.timeline.is_empty() {
+                // Lost gossip messages are retransmitted: the expected
+                // propagation time stretches by 1/(1-loss).
+                let loss = self.timeline.loss_rate(submit_at, site);
+                if loss > 0.0 {
+                    gossip = SimDuration::from_secs_f64(gossip.as_secs_f64() / (1.0 - loss));
+                }
+            }
+            diablo_telemetry::record_duration!("net.submit.gossip_us", gossip);
+            let mut available = submit_at + gossip;
+            if !self.timeline.is_empty() {
+                // A transaction entering a non-committing partition
+                // component only reaches the proposers after the heal.
+                if let Some(p) = self.timeline.partition_at(available) {
+                    let comp = p.component.get(site).copied().unwrap_or(0);
+                    if comp != p.committing {
+                        let deferred_from = available;
+                        available = available.max(p.until);
+                        diablo_telemetry::counter!("net.partition.deferred");
+                        trace::emit(
+                            id as u64,
+                            TraceStage::Deferred,
+                            available.as_micros(),
+                            available.since(deferred_from).as_micros(),
+                            0,
+                        );
+                    }
+                }
+            }
+            let tx = TxMeta {
+                id,
+                sender: planned.sender % self.params.accounts.max(1),
+                payload: planned.payload,
+                submitted: planned.at,
+                available,
+                wire_bytes: self.wire_estimate,
+                fee_cap_millis: self.fee.sign_fee_cap_millis(),
+            };
+            let sender = tx.sender;
+            match self.pool.admit(tx) {
+                Ok(()) => {
+                    trace::emit(id as u64, TraceStage::Admitted, available.as_micros(), 0, 0);
+                }
+                Err(AdmitError::PoolFull) => {
+                    self.records[id as usize].status = TxStatus::DroppedPoolFull;
+                    trace::emit(
+                        id as u64,
+                        TraceStage::DroppedPoolFull,
+                        available.as_micros(),
+                        0,
+                        0,
+                    );
+                    if self.params.nonce_gaps {
+                        // The dropped nonce stalls every *later*
+                        // transaction of this account (geth nonce
+                        // ordering); earlier ones still commit.
+                        let slot = &mut self.broken_from[sender as usize];
+                        *slot = (*slot).min(id);
+                    }
+                }
+                Err(AdmitError::PerSenderLimit) => {
+                    self.records[id as usize].status = TxStatus::DroppedPerSender;
+                    trace::emit(
+                        id as u64,
+                        TraceStage::DroppedPerSender,
+                        available.as_micros(),
+                        0,
+                        0,
+                    );
+                }
+            }
+        }
+    }
+
+    /// Resolves one submission against the corruption faults and the
+    /// client retry policy: returns the instant of the first accepted
+    /// attempt, or `None` when every attempt within the policy's
+    /// timeout window was corrupted and rejected.
+    fn resolve_submission(&mut self, planned_at: SimTime) -> Option<SimTime> {
+        let policy = self.faults.retry_policy();
+        let deadline = planned_at + policy.timeout;
+        let mut attempt_at = planned_at;
+        let mut backoff = policy.backoff;
+        for attempt in 0..policy.attempts.max(1) {
+            if attempt > 0 && attempt_at > deadline {
+                break;
+            }
+            let rate = self.timeline.corruption_rate(attempt_at);
+            if rate > 0.0 && self.rng.chance(rate) {
+                diablo_telemetry::counter!("client.submit.corrupted");
+                attempt_at = attempt_at + backoff;
+                backoff = backoff * 2;
+                continue;
+            }
+            return Some(attempt_at);
+        }
+        diablo_telemetry::counter!("client.submit.rejected");
+        None
+    }
+}

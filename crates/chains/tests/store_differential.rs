@@ -1,14 +1,13 @@
 //! Differential tests for the staged commit pipeline: the state store
 //! must report byte-identical roots and persisted state no matter how
 //! the blocks were executed (serial, parallel, optimistic; any worker
-//! count), which event-queue backend drove the simulation, and which
-//! prune mode bounded the resident set. And at the end of a run the
-//! store's state root must be the from-scratch root of the contract
-//! state the executors left behind.
+//! count) and which prune mode bounded the resident set. And at the end
+//! of a run the store's state root must be the from-scratch root of the
+//! contract state the executors left behind.
 
 use diablo_chains::{
     Chain, ChainHarness, ChainParams, ChainSim, Concurrency, ExecMode, Experiment, Payload,
-    PlannedTx, PruneMode, QueueBackend, RunConfig, StorageConfig, StorageReport,
+    PlannedTx, PruneMode, RunConfig, StorageConfig, StorageReport,
 };
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, InstanceType};
@@ -18,7 +17,6 @@ use diablo_workloads::traces;
 
 fn exchange_run(
     concurrency: Concurrency,
-    queue: QueueBackend,
     storage: Option<StorageConfig>,
 ) -> diablo_chains::RunResult {
     let mut e = Experiment::new(
@@ -29,7 +27,6 @@ fn exchange_run(
     .with_dapp(DApp::Exchange)
     .with_exec_mode(ExecMode::Exact)
     .with_concurrency(concurrency)
-    .with_queue_backend(queue)
     .with_grace(20);
     if let Some(cfg) = storage {
         e = e.with_storage(cfg);
@@ -46,36 +43,30 @@ fn small_store() -> StorageConfig {
 }
 
 #[test]
-fn storage_report_is_identical_across_executors_and_backends() {
-    let reference: StorageReport = exchange_run(
-        Concurrency::Serial,
-        QueueBackend::Wheel,
-        Some(small_store()),
-    )
-    .storage
-    .expect("storage enabled");
+fn storage_report_is_identical_across_executors() {
+    let reference: StorageReport = exchange_run(Concurrency::Serial, Some(small_store()))
+        .storage
+        .expect("storage enabled");
     assert_eq!(reference.root_hex.len(), 64);
     assert!(reference.blocks > 0 && reference.txs > 0);
 
-    for queue in [QueueBackend::Wheel, QueueBackend::Heap] {
-        for concurrency in [
-            Concurrency::Serial,
-            Concurrency::Parallel(2),
-            Concurrency::Parallel(4),
-            Concurrency::Parallel(8),
-            Concurrency::Optimistic(2),
-            Concurrency::Optimistic(4),
-            Concurrency::Optimistic(8),
-        ] {
-            let report = exchange_run(concurrency, queue, Some(small_store()))
-                .storage
-                .expect("storage enabled");
-            // The whole report — roots, resident byte counts, page
-            // states, entry counts — must be bit-identical: the store
-            // only ever sees the canonical (serial-equivalent)
-            // execution output.
-            assert_eq!(report, reference, "{concurrency:?} on {queue:?}");
-        }
+    for concurrency in [
+        Concurrency::Serial,
+        Concurrency::Parallel(2),
+        Concurrency::Parallel(4),
+        Concurrency::Parallel(8),
+        Concurrency::Optimistic(2),
+        Concurrency::Optimistic(4),
+        Concurrency::Optimistic(8),
+    ] {
+        let report = exchange_run(concurrency, Some(small_store()))
+            .storage
+            .expect("storage enabled");
+        // The whole report — roots, resident byte counts, page
+        // states, entry counts — must be bit-identical: the store
+        // only ever sees the canonical (serial-equivalent)
+        // execution output.
+        assert_eq!(report, reference, "{concurrency:?}");
     }
 }
 
@@ -90,7 +81,6 @@ fn all_prune_modes_report_the_same_roots() {
     .map(|prune| {
         let report = exchange_run(
             Concurrency::Serial,
-            QueueBackend::Wheel,
             Some(StorageConfig {
                 prune,
                 segment_blocks: 4,
@@ -127,13 +117,11 @@ fn simulate(
     dapp: DApp,
     txs: Vec<PlannedTx>,
     concurrency: Concurrency,
-    queue: QueueBackend,
     storage: StorageConfig,
 ) -> ChainSim {
     let options = RunConfig {
         exec_mode: ExecMode::Exact,
         concurrency,
-        queue,
         grace_secs: 20,
         storage: Some(storage),
         ..RunConfig::default()
@@ -186,43 +174,31 @@ fn assert_conserved(world: &ChainSim, context: &str) {
 }
 
 #[test]
-fn final_state_root_is_conserved_for_every_executor_backend_and_prune_mode() {
+fn final_state_root_is_conserved_for_every_executor_and_prune_mode() {
     let mut roots = Vec::new();
     for prune in [
         PruneMode::Full,
         PruneMode::Distance(3),
         PruneMode::Before(10),
     ] {
-        for queue in [QueueBackend::Wheel, QueueBackend::Heap] {
-            for concurrency in [
-                Concurrency::Serial,
-                Concurrency::Parallel(2),
-                Concurrency::Parallel(8),
-                Concurrency::Optimistic(2),
-                Concurrency::Optimistic(8),
-            ] {
-                let storage = StorageConfig {
-                    prune,
-                    segment_blocks: 4,
-                    hot_pages: 2,
-                };
-                let txs = plan(DApp::Exchange, 300, 50);
-                let world = simulate(
-                    Chain::Quorum,
-                    DApp::Exchange,
-                    txs,
-                    concurrency,
-                    queue,
-                    storage,
-                );
-                assert_conserved(
-                    &world,
-                    &format!("{concurrency:?} on {queue:?} under {prune}"),
-                );
-                let store = world.store().expect("storage enabled");
-                assert!(store.report().txs > 0, "nothing committed");
-                roots.push((store.last_state_root(), store.chain_root()));
-            }
+        for concurrency in [
+            Concurrency::Serial,
+            Concurrency::Parallel(2),
+            Concurrency::Parallel(8),
+            Concurrency::Optimistic(2),
+            Concurrency::Optimistic(8),
+        ] {
+            let storage = StorageConfig {
+                prune,
+                segment_blocks: 4,
+                hot_pages: 2,
+            };
+            let txs = plan(DApp::Exchange, 300, 50);
+            let world = simulate(Chain::Quorum, DApp::Exchange, txs, concurrency, storage);
+            assert_conserved(&world, &format!("{concurrency:?} under {prune}"));
+            let store = world.store().expect("storage enabled");
+            assert!(store.report().txs > 0, "nothing committed");
+            roots.push((store.last_state_root(), store.chain_root()));
         }
     }
     assert!(
@@ -233,8 +209,8 @@ fn final_state_root_is_conserved_for_every_executor_backend_and_prune_mode() {
 
 #[test]
 fn enabling_the_store_does_not_perturb_execution() {
-    let without = exchange_run(Concurrency::Serial, QueueBackend::Wheel, None);
-    let with = exchange_run(Concurrency::Serial, QueueBackend::Wheel, Some(small_store()));
+    let without = exchange_run(Concurrency::Serial, None);
+    let with = exchange_run(Concurrency::Serial, Some(small_store()));
     assert!(without.storage.is_none());
     assert!(with.storage.is_some());
     // The pipeline observes committed blocks; it must not change a

@@ -22,7 +22,7 @@ pub struct BenchmarkSpec {
     /// empty when absent).
     pub fault: FaultPlan,
     /// Block-commit concurrency requested by the optional `execution:`
-    /// section (`None` when absent; the CLI's `--threads`/`--optimistic`
+    /// section (`None` when absent; the CLI's `--threads`/`--execution`
     /// flags override it — see `run_with_setup`).
     pub execution: Option<Concurrency>,
     /// Signature-verification cost curve requested by the optional

@@ -11,14 +11,12 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod engine;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use arena::{Arena, ArenaId};
-pub use engine::{Scheduler, Simulation, World};
 pub use queue::{EventQueue, QueueBackend};
 pub use rng::DetRng;
 pub use stats::{Cdf, Histogram, LogHistogram, Percentiles, Summary, TimeSeries};

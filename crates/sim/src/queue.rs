@@ -29,12 +29,11 @@
 //! # Monotone-insertion invariant
 //!
 //! `EventQueue::schedule` requires `at >=` the delivery time of the last
-//! event popped (the *watermark*). The simulation engine upholds this by
-//! construction — [`crate::Scheduler::at`] clamps to the current clock —
-//! and the queue enforces it: a `debug_assert!` trips on violations in
+//! event popped (the *watermark*). A caller that schedules follow-ups
+//! from the instant it just popped upholds this by construction, and
+//! the queue enforces it: a `debug_assert!` trips on violations in
 //! debug builds, and release builds clamp the instant up to the
-//! watermark, mirroring the engine's "the clock never runs backwards"
-//! rule. The wheel's bucket arithmetic relies on this invariant: the
+//! watermark: the clock never runs backwards. The wheel's bucket arithmetic relies on this invariant: the
 //! internal cursor only ever advances, and a scheduled tick below it
 //! would land in an already-drained bucket and never be delivered.
 

@@ -55,10 +55,10 @@ echo "==> optimistic smoke (pinned-seed chaos run, 1 vs 8 workers byte-compared)
 opt_a="$(mktemp /tmp/diablo-opt-a.XXXXXX.json)"
 opt_b="$(mktemp /tmp/diablo-opt-b.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --optimistic --threads=1 \
+    --seed=11 --exec-mode=exact --execution=optimistic --threads=1 \
     --output="$opt_a" workloads/exchange-partition.yaml >/dev/null
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --optimistic --threads=8 \
+    --seed=11 --exec-mode=exact --execution=optimistic --threads=8 \
     --output="$opt_b" workloads/exchange-partition.yaml >/dev/null
 cmp "$opt_a" "$opt_b" || {
     echo "optimistic smoke: worker counts produced different output" >&2
@@ -117,7 +117,7 @@ store_b="$(mktemp /tmp/diablo-store-b.XXXXXX.json)"
 root_ref=""
 for prune in full distance=3 before=20; do
     cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-        --seed=11 --exact --prune="$prune" --segment-blocks=4 \
+        --seed=11 --exec-mode=exact --prune="$prune" --segment-blocks=4 \
         --output="$store_a" workloads/exchange-apple.yaml >/dev/null
     root="$(grep -o '"root":"[0-9a-f]*"' "$store_a")"
     [ -n "$root" ] || { echo "storage smoke: no root under --prune=$prune" >&2; exit 1; }
@@ -128,10 +128,10 @@ for prune in full distance=3 before=20; do
     }
 done
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --optimistic --threads=8 --store \
+    --seed=11 --exec-mode=exact --execution=optimistic --threads=8 --store \
     --output="$store_a" workloads/exchange-apple.yaml >/dev/null
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --threads=1 --store \
+    --seed=11 --exec-mode=exact --threads=1 --store \
     --output="$store_b" workloads/exchange-apple.yaml >/dev/null
 for key in '"storage":{' '"store.blocks"'; do
     grep -qF "$key" "$store_a" || {
@@ -162,10 +162,10 @@ echo "==> trace smoke (pinned-seed run, --trace-sample=64, 1 vs 8 workers byte-c
 trace_a="$(mktemp /tmp/diablo-trace-a.XXXXXX.json)"
 trace_b="$(mktemp /tmp/diablo-trace-b.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --threads=1 --trace-sample=64 \
+    --seed=11 --exec-mode=exact --threads=1 --trace-sample=64 \
     --trace-out="$trace_a" workloads/exchange-apple.yaml >/dev/null
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --threads=8 --trace-sample=64 \
+    --seed=11 --exec-mode=exact --threads=8 --trace-sample=64 \
     --trace-out="$trace_b" workloads/exchange-apple.yaml >/dev/null
 cmp "$trace_a" "$trace_b" || {
     echo "trace smoke: worker counts produced different trace files" >&2
@@ -269,62 +269,5 @@ for workload in model_200n store_video exec_gaming; do
         exit 1
     }
 done
-
-# Bench gate: the scale bench must stay within DIABLO_BENCH_GATE_PCT
-# (default 10) percent of the checked-in baseline. The gated run uses
-# the same sample count as the baseline (5, not the 2-sample smoke
-# above — min-of-2 is too noisy to gate on) and overwrites the smoke
-# run's BENCH_scale.json. The gate compares each benchmark's current
-# fastest sample against the baseline mean (transient CI load inflates
-# means long before it inflates the fastest sample; a real regression
-# moves both) and only compares entries whose `items` counts match, so
-# a reshaped bench skips rather than false-fails.
-#
-# Updating the baseline after an intentional perf change (the absolute
-# path matters — see the DIABLO_BENCH_JSON note above):
-#
-#   DIABLO_BENCH_SAMPLES=5 DIABLO_BENCH_JSON="$(pwd)/results" \
-#       cargo bench -p diablo-bench --bench scale
-#   { cat results/BENCH_scale.json
-#     grep -v '"suite":"scale"' results/BENCH_baseline.json
-#   } > results/baseline.new
-#   mv results/baseline.new results/BENCH_baseline.json
-#   rm results/BENCH_scale.json
-#
-# (run on an otherwise idle machine; commit the new file; the baseline
-# also carries the state_store and trace suites gated below, which the
-# grep keeps). The full-
-# scale artifact results/BENCH_scale.json is regenerated the same way
-# with DIABLO_BENCH_FULL=1.
-# Each gate also appends its per-bench verdicts to
-# results/GATE_report.json (override with DIABLO_GATE_REPORT); the
-# first gate truncates it so every CI run writes one fresh report.
-echo "==> bench gate (scale bench vs results/BENCH_baseline.json)"
-DIABLO_BENCH_SAMPLES=5 DIABLO_BENCH_JSON="$bench_json" \
-    cargo bench -q --offline -p diablo-bench --bench scale
-DIABLO_GATE_TRUNCATE=1 \
-    cargo run -q --release --offline -p diablo-bench --bin bench_gate -- \
-    results/BENCH_baseline.json "$bench_json/BENCH_scale.json" \
-    "${DIABLO_BENCH_GATE_PCT:-10}"
-
-# Same gate over the state-store bench: the staged commit pipeline's
-# e2e overhead and its trie/table kernels must stay within the window.
-# The baseline file carries both suites; the gate matches by name.
-echo "==> bench gate (state_store bench vs results/BENCH_baseline.json)"
-DIABLO_BENCH_SAMPLES=5 DIABLO_BENCH_JSON="$bench_json" \
-    cargo bench -q --offline -p diablo-bench --bench state_store
-cargo run -q --release --offline -p diablo-bench --bin bench_gate -- \
-    results/BENCH_baseline.json "$bench_json/BENCH_state_store.json" \
-    "${DIABLO_BENCH_GATE_PCT:-10}"
-
-# Same gate over the tracing bench: the untraced run pins the hot path
-# (tracing off must cost one atomic load per emission site) and the
-# sampled/full runs bound the cost of tracing itself.
-echo "==> bench gate (trace_overhead bench vs results/BENCH_baseline.json)"
-DIABLO_BENCH_SAMPLES=5 DIABLO_BENCH_JSON="$bench_json" \
-    cargo bench -q --offline -p diablo-bench --bench trace_overhead
-cargo run -q --release --offline -p diablo-bench --bin bench_gate -- \
-    results/BENCH_baseline.json "$bench_json/BENCH_trace.json" \
-    "${DIABLO_BENCH_GATE_PCT:-10}"
 
 echo "CI OK"

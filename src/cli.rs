@@ -1,8 +1,7 @@
 //! The declarative command-line surface of the `diablo` binary.
 //!
 //! Every flag the binary accepts is one row of [`FLAGS`]: its name, its
-//! value shape, the group it is documented under, whether it repeats,
-//! and — for flags kept only for compatibility — what replaces it.
+//! value shape, the group it is documented under and whether it repeats.
 //! Parsing ([`Invocation::parse`]) validates against the table (unknown
 //! flags are errors, not silently ignored), the usage text
 //! ([`usage_text`]) is generated from the same table, and
@@ -11,7 +10,6 @@
 //! `defaults ← spec ← CLI` (see `diablo_chains::RunConfig`).
 
 use diablo_chains::{Concurrency, ExecMode, LiveConfig, RunOverlay};
-use diablo_sim::QueueBackend;
 use diablo_telemetry::trace::TraceSample;
 
 /// What kind of value a flag takes.
@@ -96,9 +94,6 @@ pub struct FlagSpec {
     pub group: FlagGroup,
     /// Whether the flag may appear more than once (chaos directives).
     pub repeatable: bool,
-    /// `Some(replacement)` marks a deprecated alias: still honored, but
-    /// parsing warns once and the usage text points at the replacement.
-    pub deprecated: Option<&'static str>,
     /// One-line help.
     pub help: &'static str,
 }
@@ -114,7 +109,6 @@ const fn flag(
         kind,
         group,
         repeatable: false,
-        deprecated: None,
         help,
     }
 }
@@ -159,12 +153,6 @@ pub const FLAGS: &[FlagSpec] = &[
         "drain window after the last submission (default: 60)",
     ),
     flag(
-        "queue",
-        FlagKind::Value("wheel|heap"),
-        FlagGroup::Common,
-        "event-queue backend of the simulation kernel (default: wheel)",
-    ),
-    flag(
         "help",
         FlagKind::Switch,
         FlagGroup::Common,
@@ -178,14 +166,6 @@ pub const FLAGS: &[FlagSpec] = &[
         "execution fidelity; exact interprets every call (required for the block \
          executors to engage)",
     ),
-    FlagSpec {
-        name: "exact",
-        kind: FlagKind::Switch,
-        group: FlagGroup::Execution,
-        repeatable: false,
-        deprecated: Some("--exec-mode=exact"),
-        help: "exact execution mode",
-    },
     flag(
         "threads",
         FlagKind::Value("N"),
@@ -198,14 +178,6 @@ pub const FLAGS: &[FlagSpec] = &[
         FlagGroup::Execution,
         "serial | parallel | optimistic",
     ),
-    FlagSpec {
-        name: "optimistic",
-        kind: FlagKind::Switch,
-        group: FlagGroup::Execution,
-        repeatable: false,
-        deprecated: Some("--execution=optimistic"),
-        help: "Block-STM-style speculation",
-    },
     // Storage.
     flag(
         "store",
@@ -250,7 +222,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("NODES@AT[..RECOVER]"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "crash nodes, optionally recovering",
     },
     FlagSpec {
@@ -258,7 +229,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("GRP/GRP@FROM..UNTIL"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "split the network into components",
     },
     FlagSpec {
@@ -266,7 +236,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("RATE@FROM..UNTIL"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "drop consensus messages (optionally ,link=A-B)",
     },
     FlagSpec {
@@ -274,7 +243,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("RATE@FROM..UNTIL"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "corrupt client submissions",
     },
     FlagSpec {
@@ -282,7 +250,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("FACTOR@AT"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "stretch network delays",
     },
     FlagSpec {
@@ -290,7 +257,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("IDX@AT"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "kill a load-generating worker",
     },
     FlagSpec {
@@ -298,7 +264,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("AxB_MS/T_MS"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "client retry policy (attempts x backoff / timeout)",
     },
     // Live.
@@ -390,11 +355,9 @@ pub struct Invocation {
 impl Invocation {
     /// Parses and validates `argv` (without the program name) against
     /// the flag table. Unknown flags, switches given values and value
-    /// flags missing them are errors; deprecated aliases warn on
-    /// standard error but parse.
+    /// flags missing them are errors.
     pub fn parse(argv: &[String]) -> Result<Invocation, String> {
         let mut inv = Invocation::default();
-        let mut warned: Vec<&'static str> = Vec::new();
         for arg in argv {
             let Some(rest) = arg.strip_prefix("--") else {
                 inv.positional.push(arg.clone());
@@ -416,12 +379,6 @@ impl Invocation {
                 }
                 (FlagKind::Value(_), Some(v)) => v.to_string(),
             };
-            if let Some(replacement) = spec.deprecated {
-                if !warned.contains(&spec.name) {
-                    eprintln!("warning: --{key} is deprecated; use {replacement}");
-                    warned.push(spec.name);
-                }
-            }
             inv.flags.push((key.to_string(), value));
         }
         Ok(inv)
@@ -466,13 +423,6 @@ impl Invocation {
             o.grace_secs = Some(g.parse().map_err(|_| "bad --grace")?);
         }
         o.faults = self.parse_chaos()?;
-        if let Some(q) = self.get("queue") {
-            o.queue = Some(match q {
-                "wheel" => QueueBackend::Wheel,
-                "heap" => QueueBackend::Heap,
-                other => return Err(format!("bad --queue={other} (wheel | heap)")),
-            });
-        }
         o.storage = self.parse_storage()?;
         o.trace = self.parse_trace()?;
         o.live = self.parse_live()?;
@@ -484,16 +434,13 @@ impl Invocation {
             Some("profiled") => Ok(Some(ExecMode::Profiled)),
             Some("exact") => Ok(Some(ExecMode::Exact)),
             Some(other) => Err(format!("bad --exec-mode={other} (profiled | exact)")),
-            // The deprecated alias.
-            None if self.has("exact") => Ok(Some(ExecMode::Exact)),
             None => Ok(None),
         }
     }
 
-    /// Resolves the execution flags (`--threads=N`, `--optimistic`,
-    /// `--execution=MODE`) into a block-commit concurrency; `None` when
-    /// no execution flag was given (the spec's `execution:` section
-    /// then decides).
+    /// Resolves the execution flags (`--threads=N`, `--execution=MODE`)
+    /// into a block-commit concurrency; `None` when no execution flag was
+    /// given (the spec's `execution:` section then decides).
     fn parse_concurrency(&self) -> Result<Option<Concurrency>, String> {
         let threads = match self.get("threads") {
             Some(n) => Some(
@@ -504,13 +451,10 @@ impl Invocation {
             ),
             None => None,
         };
-        let mode = match (self.get("execution"), self.has("optimistic")) {
-            (Some(_), true) => return Err("--execution and --optimistic are exclusive".into()),
-            (Some(mode), false) => Some(mode),
-            (None, true) => Some("optimistic"),
-            // --threads alone selects the static parallel scheduler.
-            (None, false) => threads.is_some().then_some("parallel"),
-        };
+        // --threads alone selects the static parallel scheduler.
+        let mode = self
+            .get("execution")
+            .or(threads.is_some().then_some("parallel"));
         let Some(mode) = mode else {
             return Ok(None);
         };
@@ -624,11 +568,7 @@ pub fn usage_text() -> String {
                 FlagKind::Switch => format!("--{}", f.name),
                 FlagKind::Value(placeholder) => format!("--{}={placeholder}", f.name),
             };
-            let help = match f.deprecated {
-                Some(replacement) => format!("{} (deprecated; use {replacement})", f.help),
-                None => f.help.to_string(),
-            };
-            let _ = writeln!(out, "  {lhs:<33} {help}");
+            let _ = writeln!(out, "  {lhs:<33} {}", f.help);
         }
     }
     let _ = write!(
@@ -680,7 +620,6 @@ mod tests {
             "--execution=parallel",
             "--threads=8",
             "--grace=5",
-            "--queue=heap",
             "--store",
             "--trace-sample=16",
             "--live",
@@ -694,7 +633,6 @@ mod tests {
         assert_eq!(o.exec_mode, Some(ExecMode::Exact));
         assert_eq!(o.concurrency, Some(Concurrency::Parallel(8)));
         assert_eq!(o.grace_secs, Some(5));
-        assert_eq!(o.queue, Some(QueueBackend::Heap));
         assert!(o.storage.is_some());
         assert_eq!(o.trace, Some(TraceSample::Limit(16)));
         assert_eq!(
@@ -708,11 +646,11 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_aliases_still_set_their_fields() {
-        let inv = Invocation::parse(&args(&["run", "--exact", "--optimistic"])).unwrap();
-        let o = inv.overlay().unwrap();
-        assert_eq!(o.exec_mode, Some(ExecMode::Exact));
-        assert_eq!(o.concurrency, Some(Concurrency::Optimistic(4)));
+    fn removed_flags_are_unknown() {
+        for flag in ["--exact", "--optimistic", "--queue=heap"] {
+            let err = Invocation::parse(&args(&["run", flag])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -734,7 +672,6 @@ mod tests {
                 f.name
             );
         }
-        assert!(text.contains("deprecated; use --exec-mode=exact"), "{text}");
         assert!(text.contains("live-diff"), "{text}");
     }
 
@@ -757,7 +694,6 @@ mod tests {
             let inv = Invocation::parse(&args(flags)).unwrap();
             inv.overlay().unwrap_err()
         };
-        assert!(bad(&["run", "--queue=stack"]).contains("wheel | heap"));
         assert!(bad(&["run", "--exec-mode=fast"]).contains("profiled | exact"));
         assert!(bad(&["run", "--time-scale=-1"]).contains("time-scale"));
         assert!(bad(&["run", "--threads=0"]).contains("threads"));

@@ -16,8 +16,8 @@
 //!    it exactly.
 
 use diablo::chains::{
-    Chain, ChainParams, Concurrency, ExecMode, FaultPlan, LiveConfig, PruneMode, QueueBackend,
-    RunConfig, RunOverlay, SigVerify, StorageConfig,
+    Chain, ChainParams, Concurrency, ExecMode, FaultPlan, LiveConfig, PruneMode, RunConfig,
+    RunOverlay, SigVerify, StorageConfig,
 };
 use diablo::cli::Invocation;
 use diablo::net::{DeploymentConfig, DeploymentKind};
@@ -54,7 +54,6 @@ fn spec_layer() -> RunOverlay {
             .kill_secondary(0, SimTime::from_secs(1))
             .build(),
         sig_verify: Some(sig(3.0)),
-        queue: Some(QueueBackend::Heap),
         storage: Some(StorageConfig {
             prune: PruneMode::Distance(16),
             segment_blocks: 8,
@@ -80,7 +79,6 @@ fn cli_layer() -> RunOverlay {
             .kill_secondary(1, SimTime::from_secs(2))
             .build(),
         sig_verify: Some(sig(7.0)),
-        queue: Some(QueueBackend::Wheel),
         storage: Some(StorageConfig {
             prune: PruneMode::Before(4),
             segment_blocks: 32,
@@ -110,7 +108,6 @@ fn every_field_resolves_cli_over_spec_over_default() {
     assert_eq!(mid.grace_secs, 11);
     assert_eq!(mid.params, Some(params(1_000_000)));
     assert_eq!(mid.sig_verify, Some(sig(3.0)));
-    assert_eq!(mid.queue, QueueBackend::Heap);
     assert_eq!(
         mid.storage,
         Some(StorageConfig {
@@ -141,7 +138,6 @@ fn every_field_resolves_cli_over_spec_over_default() {
         params: resolved_params,
         faults,
         sig_verify,
-        queue,
         storage,
         trace,
         live,
@@ -152,7 +148,6 @@ fn every_field_resolves_cli_over_spec_over_default() {
     assert_eq!(grace_secs, 22);
     assert_eq!(resolved_params, Some(params(2_000_000)));
     assert_eq!(sig_verify, Some(sig(7.0)));
-    assert_eq!(queue, QueueBackend::Wheel);
     assert_eq!(
         storage,
         Some(StorageConfig {
