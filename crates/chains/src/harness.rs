@@ -136,8 +136,8 @@ impl ChainHarness {
         let qmodel = QuorumModel::new(&self.config, &net);
 
         let live = self.options.live;
-        let deadline = SimTime::from_secs_f64_ceil(workload_secs)
-            + SimDuration::from_secs(self.options.grace_secs);
+        let workload_end = SimTime::from_secs_f64_ceil(workload_secs);
+        let deadline = workload_end + SimDuration::from_secs(self.options.grace_secs);
         let mut sim = ChainSim::from_plan(
             self.chain,
             self.params,
@@ -150,7 +150,6 @@ impl ChainHarness {
         .with_faults(self.options.faults.clone())
         .with_store(self.options.storage)
         .with_live_pool(live.map(|cfg| crate::live::LivePool::new(cfg.workers, cfg.time_scale)));
-        let workload_end = sim.workload_end().min(deadline);
         match live {
             // The telemetry clock: live runs measure real elapsed time;
             // simulated runs rewind the virtual clock so span timings

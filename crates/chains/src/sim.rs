@@ -104,8 +104,6 @@ pub struct ChainSim {
     /// Submitted transactions per second (offered load; drives the
     /// admission-overload model).
     arrival_per_sec: Vec<u64>,
-    /// End of the submission phase.
-    workload_end: SimTime,
     /// Hard stop for block production.
     deadline: SimTime,
     /// Injected faults.
@@ -169,7 +167,6 @@ impl ChainSim {
             arrival_per_sec[tx.at.second_bucket() as usize] += 1;
         }
         let accounts = params.accounts as usize;
-        let workload_end = deadline;
         ChainSim {
             chain,
             params,
@@ -195,7 +192,6 @@ impl ChainSim {
             blocks: Vec::new(),
             broken_from: vec![u32::MAX; accounts.max(1)],
             arrival_per_sec,
-            workload_end,
             deadline,
             faults: FaultPlan::none(),
             timeline: FaultTimeline::empty(),
@@ -238,7 +234,9 @@ impl ChainSim {
     /// `until`, in time order; at equal instants the tick runs first, so
     /// a block sees what was submitted at its own instant. `pace` sees
     /// each instant before its event (live mode sleeps there). Calling
-    /// this twice with growing `until` is one run cut in two.
+    /// this twice with growing `until` is one run cut in two; each call
+    /// leaves the telemetry clock at `until`, so a span around it ends
+    /// on the phase boundary.
     ///
     /// A proposal that would fall past the deadline is not scheduled:
     /// anything still awaiting confirmation depth remains `Pending`, as
@@ -271,6 +269,7 @@ impl ChainSim {
                 self.next_proposal = (next <= self.deadline).then_some(next);
             }
         }
+        diablo_telemetry::clock::set_sim_now(until);
     }
 
     /// One proposal: consensus decides the round, the data and execution
@@ -316,11 +315,6 @@ impl ChainSim {
     /// The deployed contract's live state, if any.
     pub fn contract_state(&self) -> Option<&ContractState> {
         self.engine.contract().map(|c| &c.initial_state)
-    }
-
-    /// End of the submission phase.
-    pub fn workload_end(&self) -> SimTime {
-        self.workload_end
     }
 }
 

@@ -115,5 +115,13 @@ fn json_and_stat_outputs_carry_the_telemetry_pipeline() {
             );
         }
     }
-    assert!(telemetry.get("spans").is_some(), "spans section missing");
+    // Spans: the run splits at the end of the 10 s workload into the
+    // submission phase and the default 60 s drain window.
+    let spans = telemetry.get("spans").expect("spans section");
+    let span_secs = |path: &str| {
+        let span = spans.get(path).unwrap_or_else(|| panic!("span `{path}` missing"));
+        span.get("inclusive_us").and_then(Json::as_f64).expect("inclusive_us") / 1e6
+    };
+    assert_eq!(span_secs("harness.run;harness.submission"), 10.0);
+    assert_eq!(span_secs("harness.run;harness.drain"), 60.0);
 }
