@@ -2,7 +2,7 @@
 //!
 //! A run is Secondaries submitting on a fixed schedule while the chain
 //! produces blocks at its own cadence (§4, §5.2), so the loop
-//! ([`ChainSim::run_until`]) merges two cursors:
+//! (`ChainSim::run_until`) merges two cursors:
 //!
 //! - **submission ticks** (every 100 ms): the collocated Diablo
 //!   Secondaries inject the workload's transactions into their nodes'
