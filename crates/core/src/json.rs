@@ -77,11 +77,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How many arrays and objects may be open at once. A results file
+/// nests four deep and a Chrome trace four; the bound keeps a hostile
+/// file (two million `[`) from overflowing the stack of the recursive
+/// descent.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing content"));
@@ -111,11 +117,16 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value; `depth` counts the arrays and objects open around
+/// it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -181,10 +192,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
+                        // Four hex digits and nothing else: `from_str_radix`
+                        // would also take a sign (`\u+041`).
+                        let code = hex.iter().try_fold(0u32, |code, &b| {
+                            Some(code * 16 + (b as char).to_digit(16)?)
+                        });
+                        let code = code.ok_or_else(|| err(*pos, "bad \\u escape"))?;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -219,7 +232,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -228,7 +241,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -241,7 +254,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -254,7 +267,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -334,6 +347,37 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("1 2").unwrap_err().message.contains("trailing"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Two million `[` used to overflow the stack of the recursive
+        // descent and abort the process (`diablo compare` exit 134).
+        let hostile = "[".repeat(2_000_000);
+        let e = parse(&hostile).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.message.contains("nesting deeper"), "{e}");
+        assert!(read_result_stats(&hostile).is_err());
+
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Objects count toward the same bound.
+        let objects =
+            |levels: usize| format!("{}1{}", "{\"k\":".repeat(levels), "}".repeat(levels));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits() {
+        assert_eq!(parse("\"\\u00e9\"").unwrap(), Json::String("é".into()));
+        assert_eq!(parse("\"\\u00E9\"").unwrap(), Json::String("é".into()));
+        // `u32::from_str_radix` takes a sign; JSON does not.
+        for bad in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\"", "\"\\u00g1\"", "\"\\u004\""] {
+            let e = parse(bad).unwrap_err();
+            assert!(e.message.contains("\\u escape"), "{bad}: {e}");
+        }
     }
 
     #[test]
