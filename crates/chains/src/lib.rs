@@ -58,7 +58,7 @@ pub use live::LivePool;
 pub use mempool::{AdmitError, Mempool, MempoolPolicy};
 pub use diablo_store::{PruneMode, StorageConfig, StorageReport};
 pub use params::{ChainParams, ConsensusKind, SigVerify};
-pub use records::{rate_per_sec, RunResult, TxRecord, TxStatus};
+pub use records::{rate_per_sec, RunResult, Tally, TxRecord, TxStatus};
 pub use experiment::Experiment;
 pub use sim::ChainSim;
 pub use tx::{Payload, TxId, TxMeta};

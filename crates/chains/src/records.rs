@@ -5,7 +5,7 @@
 //! throughput, average latency, commit ratio, latency CDFs — is computed
 //! from these records post-mortem.
 
-use diablo_sim::{Cdf, SimTime, TimeSeries};
+use diablo_sim::{Cdf, LogHistogram, SimTime, TimeSeries};
 use diablo_store::StorageReport;
 
 use crate::chain::Chain;
@@ -115,6 +115,176 @@ pub fn rate_per_sec(count: u64, window_secs: f64) -> f64 {
     }
 }
 
+/// Everything the results JSON, the `--stat` block and the summary line
+/// read from the records, gathered in one pass over them.
+///
+/// Two figures depend on the order of that pass and are kept as the
+/// accessors compute them: the average latency divides a sequential
+/// `f64` sum of the per-record latencies, taken in record order (a sum
+/// of the integer microseconds is a different double), and the tail
+/// quantiles come from a histogram fed `(secs * 1e6) as u64`, which is
+/// not always the microsecond count the latency started as. The median
+/// and the maximum are order statistics, which the monotone
+/// microseconds-to-seconds conversion preserves, so they are taken on
+/// the integers.
+#[derive(Debug, Clone)]
+pub struct Tally {
+    sent: u64,
+    by_status: [u64; STATUSES.len()],
+    decided: u64,
+    second_digits: u64,
+    in_window: u64,
+    workload_secs: f64,
+    /// Commit latencies in microseconds; partially reordered by the
+    /// median selection.
+    latencies_us: Vec<u64>,
+    latency_sum_secs: f64,
+    median_latency_us: u64,
+    max_latency_us: u64,
+}
+
+/// Every [`TxStatus`], in declaration order.
+const STATUSES: [TxStatus; 7] = [
+    TxStatus::Pending,
+    TxStatus::Committed,
+    TxStatus::DroppedPoolFull,
+    TxStatus::DroppedPerSender,
+    TxStatus::DroppedExpired,
+    TxStatus::Failed,
+    TxStatus::Rejected,
+];
+
+/// Decimal digits in the whole-second part of a stamp (`0` has one).
+fn second_digits(t: SimTime) -> u64 {
+    // Dropping the six microsecond digits of `t` leaves its seconds.
+    let digits = t.as_micros().checked_ilog10().map_or(1, |log| log + 1);
+    u64::from(digits.saturating_sub(6).max(1))
+}
+
+impl Tally {
+    /// Walks the records of `result` once.
+    pub fn new(result: &RunResult) -> Tally {
+        let window = SimTime::from_secs_f64_ceil(result.workload_secs);
+        let mut tally = Tally {
+            sent: result.submitted(),
+            by_status: [0; STATUSES.len()],
+            decided: 0,
+            second_digits: 0,
+            in_window: 0,
+            workload_secs: result.workload_secs,
+            latencies_us: Vec::with_capacity(result.records.len()),
+            latency_sum_secs: 0.0,
+            median_latency_us: 0,
+            max_latency_us: 0,
+        };
+        for rec in &result.records {
+            tally.by_status[rec.status as usize] += 1;
+            tally.second_digits += second_digits(rec.submitted);
+            let Some(decided) = rec.decided else { continue };
+            tally.decided += 1;
+            tally.second_digits += second_digits(decided);
+            if rec.status == TxStatus::Committed {
+                tally.in_window += u64::from(decided <= window);
+                let latency = decided.since(rec.submitted);
+                tally.latencies_us.push(latency.as_micros());
+                tally.latency_sum_secs += latency.as_secs_f64();
+                tally.max_latency_us = tally.max_latency_us.max(latency.as_micros());
+            }
+        }
+        // `Cdf::quantile(0.5)`'s nearest rank, selected instead of
+        // sorted to.
+        let n = tally.latencies_us.len();
+        if n > 0 {
+            let rank = ((0.5 * n as f64).ceil() as usize).clamp(1, n);
+            tally.median_latency_us = *tally.latencies_us.select_nth_unstable(rank - 1).1;
+        }
+        tally
+    }
+
+    /// Number of submitted transactions.
+    pub fn sent(&self) -> u64 {
+        self.sent
+    }
+
+    /// Number of transactions with the given status.
+    pub fn count(&self, status: TxStatus) -> u64 {
+        self.by_status[status as usize]
+    }
+
+    /// Number of committed transactions.
+    pub fn committed(&self) -> u64 {
+        self.count(TxStatus::Committed)
+    }
+
+    /// Every status with its count.
+    pub fn counts(&self) -> impl Iterator<Item = (TxStatus, u64)> + '_ {
+        STATUSES.iter().map(|&status| (status, self.count(status)))
+    }
+
+    /// Number of records carrying a decision stamp, whatever their
+    /// status.
+    pub fn decided(&self) -> u64 {
+        self.decided
+    }
+
+    /// Decimal digits in the whole-second parts of every submission and
+    /// decision stamp: with the counts, what a writer needs to size its
+    /// buffer before it formats the first record.
+    pub fn second_digits(&self) -> u64 {
+        self.second_digits
+    }
+
+    /// [`RunResult::commit_ratio`].
+    pub fn commit_ratio(&self) -> f64 {
+        if self.sent == 0 {
+            0.0
+        } else {
+            self.committed() as f64 / self.sent as f64
+        }
+    }
+
+    /// [`RunResult::avg_throughput`].
+    pub fn avg_throughput(&self) -> f64 {
+        rate_per_sec(self.in_window, self.workload_secs)
+    }
+
+    /// [`RunResult::avg_latency_secs`].
+    pub fn latency_avg_secs(&self) -> f64 {
+        if self.latencies_us.is_empty() {
+            0.0
+        } else {
+            self.latency_sum_secs / self.latencies_us.len() as f64
+        }
+    }
+
+    /// [`RunResult::median_latency_secs`].
+    pub fn latency_median_secs(&self) -> f64 {
+        self.median_latency_us as f64 / 1e6
+    }
+
+    /// [`RunResult::max_latency_secs`].
+    pub fn latency_max_secs(&self) -> f64 {
+        self.max_latency_us as f64 / 1e6
+    }
+
+    /// The 95th and 99th latency percentiles in seconds, as
+    /// [`diablo_sim::Summary::percentiles`] reports them: nearest rank on
+    /// a [`LogHistogram`] of microseconds, at most ~3% below the true
+    /// value.
+    pub fn latency_tail_secs(&self) -> (f64, f64) {
+        let mut hist = LogHistogram::new();
+        for &us in &self.latencies_us {
+            // Through seconds and back, as `Summary::record` is fed:
+            // the product can land one below `us`.
+            hist.record((us as f64 / 1e6 * 1e6) as u64);
+        }
+        (
+            hist.quantile(0.95) as f64 / 1e6,
+            hist.quantile(0.99) as f64 / 1e6,
+        )
+    }
+}
+
 impl RunResult {
     /// A result marking the chain unable to run the workload's DApp.
     pub fn unable(chain: Chain, workload: impl Into<String>, secs: f64, reason: String) -> Self {
@@ -142,10 +312,7 @@ impl RunResult {
 
     /// Number of committed transactions.
     pub fn committed(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.status == TxStatus::Committed)
-            .count() as u64
+        self.count_status(TxStatus::Committed)
     }
 
     /// Number of transactions with the given status.
@@ -189,21 +356,21 @@ impl RunResult {
 
     /// Average commit latency over committed transactions, in seconds.
     pub fn avg_latency_secs(&self) -> f64 {
-        let lats: Vec<f64> = self
+        let (sum, count) = self
             .records
             .iter()
             .filter_map(|r| r.latency_secs())
-            .collect();
-        if lats.is_empty() {
+            .fold((0.0, 0u64), |(sum, count), l| (sum + l, count + 1));
+        if count == 0 {
             0.0
         } else {
-            lats.iter().sum::<f64>() / lats.len() as f64
+            sum / count as f64
         }
     }
 
     /// Median commit latency, in seconds (0 when nothing committed).
     pub fn median_latency_secs(&self) -> f64 {
-        self.latency_cdf().quantile(0.5).unwrap_or(0.0)
+        Tally::new(self).latency_median_secs()
     }
 
     /// Maximum commit latency, in seconds.
@@ -282,17 +449,18 @@ impl RunResult {
                 self.chain, self.workload
             );
         }
+        let tally = Tally::new(self);
         format!(
             "{} / {}: {} sent, {} committed ({:.1}%), avg throughput {:.1} TPS, \
              avg latency {:.1}s, median latency {:.1}s",
             self.chain,
             self.workload,
-            self.submitted(),
-            self.committed(),
-            self.commit_ratio() * 100.0,
-            self.avg_throughput(),
-            self.avg_latency_secs(),
-            self.median_latency_secs(),
+            tally.sent(),
+            tally.committed(),
+            tally.commit_ratio() * 100.0,
+            tally.avg_throughput(),
+            tally.latency_avg_secs(),
+            tally.latency_median_secs(),
         )
     }
 }
@@ -343,6 +511,85 @@ mod tests {
         assert_eq!(r.avg_latency_secs(), 3.0);
         assert_eq!(r.max_latency_secs(), 4.0);
         assert_eq!(r.count_status(TxStatus::DroppedPoolFull), 1);
+    }
+
+    #[test]
+    fn one_tally_holds_what_the_accessors_compute() {
+        let r = run(vec![
+            committed(0, 2),
+            committed(1, 4),
+            committed(9, 3), // decided after the 10 s window
+            TxRecord::submitted_at(SimTime::from_secs(2)),
+            TxRecord {
+                submitted: SimTime::from_secs(3),
+                decided: None,
+                status: TxStatus::DroppedPoolFull,
+            },
+            // Committed without a stamp: counted, no latency.
+            TxRecord {
+                submitted: SimTime::from_secs(4),
+                decided: None,
+                status: TxStatus::Committed,
+            },
+            // Failed with a stamp: decided, no latency.
+            TxRecord {
+                submitted: SimTime::from_secs(5),
+                decided: Some(SimTime::from_secs(12)),
+                status: TxStatus::Failed,
+            },
+        ]);
+        let t = Tally::new(&r);
+        assert_eq!(t.sent(), 7);
+        assert_eq!(t.committed(), 4);
+        assert_eq!(t.count(TxStatus::DroppedPoolFull), 1);
+        assert_eq!(t.count(TxStatus::Rejected), 0);
+        assert_eq!(t.counts().map(|(_, n)| n).sum::<u64>(), 7);
+        // `by_status` is indexed by discriminant.
+        assert!(STATUSES.iter().enumerate().all(|(i, &s)| s as usize == i));
+        assert!(t.counts().all(|(status, n)| n == r.count_status(status)));
+        assert_eq!(t.decided(), 4);
+        assert_eq!(t.commit_ratio(), r.commit_ratio());
+        assert_eq!(t.avg_throughput(), 0.2);
+        assert_eq!(t.avg_throughput(), r.avg_throughput());
+        assert_eq!(t.latency_avg_secs(), 3.0);
+        assert_eq!(t.latency_avg_secs(), r.avg_latency_secs());
+        assert_eq!(t.latency_median_secs(), 3.0);
+        assert_eq!(
+            t.latency_median_secs(),
+            r.latency_cdf().quantile(0.5).unwrap()
+        );
+        assert_eq!(t.latency_max_secs(), 4.0);
+        assert_eq!(t.latency_max_secs(), r.max_latency_secs());
+        assert_eq!(t.latency_tail_secs(), (4.0, 4.0));
+        // Seven submissions and four decisions, two of them at 12 s.
+        assert_eq!(t.second_digits(), 7 + 4 + 2);
+
+        let empty = Tally::new(&run(Vec::new()));
+        assert_eq!(empty.commit_ratio(), 0.0);
+        assert_eq!(empty.latency_avg_secs(), 0.0);
+        assert_eq!(empty.latency_median_secs(), 0.0);
+        assert_eq!(empty.latency_tail_secs(), (0.0, 0.0));
+    }
+
+    #[test]
+    fn second_digits_are_those_of_the_whole_seconds() {
+        for (us, digits) in [
+            (0, 1),
+            (999_999, 1),
+            (1_000_000, 1),
+            (9_999_999, 1),
+            (10_000_000, 2),
+            (99_999_999, 2),
+            (100_000_000, 3),
+            (u64::MAX, 14),
+        ] {
+            assert_eq!(second_digits(SimTime::from_micros(us)), digits, "{us} µs");
+            assert_eq!(
+                digits as usize,
+                (us / 1_000_000).to_string().len(),
+                "{us} µs"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{parse, Json};
+use crate::json::{parse_members, Json};
 use crate::report::{phase_of, Report};
 use crate::tracediff::StageDiff;
 
@@ -99,7 +99,7 @@ pub fn summarize(report: &Report) -> RunSummary {
 /// `live-diff` subcommand's input): the `stats` section plus the
 /// summarized `telemetry.histograms`.
 pub fn summarize_json(text: &str) -> Result<RunSummary, String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
+    let doc = parse_members(text, &["stats", "telemetry"]).map_err(|e| e.to_string())?;
     let stats = doc
         .get("stats")
         .ok_or("not a results file: no stats section")?;

@@ -11,7 +11,8 @@
 
 use std::fmt::Write as _;
 
-use diablo_chains::{RunResult, TxStatus};
+use diablo_chains::{RunResult, Tally, TxStatus};
+use diablo_sim::SimTime;
 
 /// Escapes a string for inclusion in JSON.
 pub fn json_escape(s: &str) -> String {
@@ -45,42 +46,85 @@ pub fn status_name(status: TxStatus) -> &'static str {
     }
 }
 
+/// Below this many microseconds the fixed-point digits of a stamp are
+/// the bytes `{:.6}` prints for its `f64` seconds. The quotient
+/// `us as f64 / 1e6` is within `t * 2^-53` of the true `t = us / 10^6`,
+/// which for `us < 2^52` (`t < 4.5e9` s) is under half a microsecond:
+/// rounding to six places recovers `us`, and no tie can occur.
+const FIXED_POINT_BELOW: u64 = 1 << 52;
+
+/// Appends `t` in seconds with six decimals: the bytes of
+/// `{:.6}` on `t.as_secs_f64()`, from integer arithmetic.
+fn push_secs(out: &mut String, t: SimTime) {
+    let us = t.as_micros();
+    if us >= FIXED_POINT_BELOW {
+        let _ = write!(out, "{:.6}", t.as_secs_f64());
+        return;
+    }
+    // 2^52 µs is 4,503,599,627 s: ten digits, the point, six digits.
+    let mut buf = [b'0'; 17];
+    buf[10] = b'.';
+    let mut frac = us % 1_000_000;
+    for digit in buf[11..].iter_mut().rev() {
+        *digit = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    let mut secs = us / 1_000_000;
+    let mut start = 10;
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (secs % 10) as u8;
+        secs /= 10;
+        if secs == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits and a point"));
+}
+
 /// Serializes a run to the Diablo results JSON.
 ///
 /// Schema: `{"chain", "workload", "duration", "stats": {...}, "txs":
 /// [[submit_secs, decide_secs | null, "status"], ...]}`.
 pub fn results_json(result: &RunResult) -> String {
-    let mut out = String::with_capacity(64 + result.records.len() * 32);
-    out.push('{');
+    document(result, "")
+}
+
+/// The results document with `tail` — further top-level sections, each
+/// led by its comma — spliced in before the closing brace.
+fn document(result: &RunResult, tail: &str) -> String {
+    let tally = Tally::new(result);
+    let mut head = String::with_capacity(512);
+    head.push('{');
     let _ = write!(
-        out,
+        head,
         "\"chain\":\"{}\",\"workload\":\"{}\",\"duration\":{:.3},",
         json_escape(result.chain.name()),
         json_escape(&result.workload),
         result.workload_secs
     );
     if let Some(reason) = &result.unable_reason {
-        let _ = write!(out, "\"unable\":\"{}\",", json_escape(reason));
+        let _ = write!(head, "\"unable\":\"{}\",", json_escape(reason));
     }
     let _ = write!(
-        out,
+        head,
         "\"stats\":{{\"sent\":{},\"committed\":{},\"commitRatio\":{:.6},\
          \"avgThroughput\":{:.3},\"avgLatency\":{:.3},\"medianLatency\":{:.3},\
          \"maxLatency\":{:.3}}},",
-        result.submitted(),
-        result.committed(),
-        result.commit_ratio(),
-        result.avg_throughput(),
-        result.avg_latency_secs(),
-        result.median_latency_secs(),
-        result.max_latency_secs()
+        tally.sent(),
+        tally.committed(),
+        tally.commit_ratio(),
+        tally.avg_throughput(),
+        tally.latency_avg_secs(),
+        tally.latency_median_secs(),
+        tally.latency_max_secs()
     );
     // The storage section exists only when the staged commit pipeline
     // ran: disabled runs serialize byte-identically to the pre-store
     // format.
     if let Some(storage) = &result.storage {
         let _ = write!(
-            out,
+            head,
             "\"storage\":{{\"mode\":\"{}\",\"root\":\"{}\",\"blocks\":{},\"txs\":{},\
              \"residentBlocks\":{},\"residentBytes\":{},\"prunedBlocks\":{},\
              \"hotPages\":{},\"frozenPages\":{},\"storageEntries\":{}}},",
@@ -96,22 +140,52 @@ pub fn results_json(result: &RunResult) -> String {
             storage.storage_entries
         );
     }
-    out.push_str("\"txs\":[");
+    head.push_str("\"txs\":[");
+
+    // The array's exact length, so the 34 bytes a record takes on
+    // average never make the document's buffer grow: per record the
+    // brackets, two commas and two quotes, per stamp the point and six
+    // decimals, `null` for each missing stamp, the separating commas.
+    let sent = tally.sent();
+    let names: u64 = tally
+        .counts()
+        .map(|(status, n)| n * status_name(status).len() as u64)
+        .sum();
+    let txs = 6 * sent
+        + 7 * (sent + tally.decided())
+        + tally.second_digits()
+        + 4 * (sent - tally.decided())
+        + names
+        + sent.saturating_sub(1);
+    let mut out = String::with_capacity(head.len() + txs as usize + "]}".len() + tail.len());
+    out.push_str(&head);
     for (i, rec) in result.records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{:.6},", rec.submitted.as_secs_f64());
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        push_secs(&mut out, rec.submitted);
         match rec.decided {
             Some(d) => {
-                let _ = write!(out, "{:.6},", d.as_secs_f64());
+                out.push(',');
+                push_secs(&mut out, d);
+                out.push_str(",\"");
             }
-            None => out.push_str("null,"),
+            None => out.push_str(",null,\""),
         }
-        let _ = write!(out, "\"{}\"]", status_name(rec.status));
+        out.push_str(status_name(rec.status));
+        out.push_str("\"]");
     }
-    out.push_str("]}");
+    out.push(']');
+    out.push_str(tail);
+    out.push('}');
     out
+}
+
+/// The `,"telemetry":{...}` section; empty when the snapshot is.
+fn telemetry_section(telemetry: &diablo_telemetry::TelemetrySnapshot) -> String {
+    if telemetry.is_empty() {
+        String::new()
+    } else {
+        format!(",\"telemetry\":{}", telemetry.to_json())
+    }
 }
 
 /// Serializes a run plus its merged telemetry snapshot: the standard
@@ -123,16 +197,7 @@ pub fn results_json_with_telemetry(
     result: &RunResult,
     telemetry: &diablo_telemetry::TelemetrySnapshot,
 ) -> String {
-    let mut out = results_json(result);
-    if telemetry.is_empty() {
-        return out;
-    }
-    let closed = out.pop();
-    debug_assert_eq!(closed, Some('}'));
-    out.push_str(",\"telemetry\":");
-    out.push_str(&telemetry.to_json());
-    out.push('}');
-    out
+    document(result, &telemetry_section(telemetry))
 }
 
 /// Serializes a full [`crate::Report`]: the standard
@@ -143,41 +208,38 @@ pub fn results_json_with_telemetry(
 /// byte-identically to [`results_json_with_telemetry`], so simulated
 /// runs keep their pinned-seed golden outputs.
 pub fn results_json_report(report: &crate::Report) -> String {
-    let mut out = results_json_with_telemetry(&report.result, &report.telemetry);
-    let Some(diff) = &report.live_diff else {
-        return out;
-    };
-    let closed = out.pop();
-    debug_assert_eq!(closed, Some('}'));
-    let _ = write!(
-        out,
-        ",\"liveDiff\":{{\"fidelity\":{:.6},\"lostSecondaries\":{},\
-         \"liveThroughput\":{:.3},\"simThroughput\":{:.3},\
-         \"liveLatency\":{:.3},\"simLatency\":{:.3},\"phases\":[",
-        diff.fidelity,
-        report.lost_secondaries.len(),
-        diff.live_throughput,
-        diff.sim_throughput,
-        diff.live_latency,
-        diff.sim_latency
-    );
-    for (i, p) in diff.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let mut tail = telemetry_section(&report.telemetry);
+    if let Some(diff) = &report.live_diff {
         let _ = write!(
-            out,
-            "{{\"phase\":\"{}\",\"metric\":\"{}\",\"liveP50\":{},\"simP50\":{},\
-             \"ratio\":{:.6}}}",
-            p.phase,
-            json_escape(&p.metric),
-            p.live_p50_us,
-            p.sim_p50_us,
-            p.ratio
+            tail,
+            ",\"liveDiff\":{{\"fidelity\":{:.6},\"lostSecondaries\":{},\
+             \"liveThroughput\":{:.3},\"simThroughput\":{:.3},\
+             \"liveLatency\":{:.3},\"simLatency\":{:.3},\"phases\":[",
+            diff.fidelity,
+            report.lost_secondaries.len(),
+            diff.live_throughput,
+            diff.sim_throughput,
+            diff.live_latency,
+            diff.sim_latency
         );
+        for (i, p) in diff.phases.iter().enumerate() {
+            if i > 0 {
+                tail.push(',');
+            }
+            let _ = write!(
+                tail,
+                "{{\"phase\":\"{}\",\"metric\":\"{}\",\"liveP50\":{},\"simP50\":{},\
+                 \"ratio\":{:.6}}}",
+                p.phase,
+                json_escape(&p.metric),
+                p.live_p50_us,
+                p.sim_p50_us,
+                p.ratio
+            );
+        }
+        tail.push_str("]}");
     }
-    out.push_str("]}}");
-    out
+    document(&report.result, &tail)
 }
 
 /// Converts a run to the artifact's CSV format: one line per

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use diablo_chains::{FaultPlan, RunResult, TxStatus};
+use diablo_chains::{FaultPlan, RunResult, Tally, TxStatus};
 use diablo_sim::{SimTime, Summary};
 use diablo_telemetry::TelemetrySnapshot;
 
@@ -71,21 +71,16 @@ impl Report {
             );
         }
         let r = &self.result;
-        let sent = r.submitted();
-        let committed = r.committed();
-        let dropped = r.count_status(TxStatus::DroppedPoolFull)
-            + r.count_status(TxStatus::DroppedPerSender)
-            + r.count_status(TxStatus::DroppedExpired);
-        let failed = r.count_status(TxStatus::Failed);
-        let rejected = r.count_status(TxStatus::Rejected);
-        let pending = r.count_status(TxStatus::Pending);
-        let mut latencies = Summary::new();
-        for rec in &r.records {
-            if let Some(l) = rec.latency_secs() {
-                latencies.record(l);
-            }
-        }
-        let tail = latencies.percentiles();
+        let tally = Tally::new(r);
+        let sent = tally.sent();
+        let committed = tally.committed();
+        let dropped = tally.count(TxStatus::DroppedPoolFull)
+            + tally.count(TxStatus::DroppedPerSender)
+            + tally.count(TxStatus::DroppedExpired);
+        let failed = tally.count(TxStatus::Failed);
+        let rejected = tally.count(TxStatus::Rejected);
+        let pending = tally.count(TxStatus::Pending);
+        let (p95, p99) = tally.latency_tail_secs();
         let mut out = format!(
             "benchmark {} on {} ({} secondaries, {} clients)\n\
              {sent} transactions sent, {committed} committed, {dropped} dropped, \
@@ -93,17 +88,15 @@ impl Report {
              average load: {:.1} tx/s\n\
              average throughput: {:.1} tx/s\n\
              average latency: {:.1} s, median latency: {:.1} s\n\
-             latency p95: {:.2} s, p99: {:.2} s\n",
+             latency p95: {p95:.2} s, p99: {p99:.2} s\n",
             r.workload,
             r.chain,
             self.secondaries,
             self.clients,
             r.avg_load(),
-            r.avg_throughput(),
-            r.avg_latency_secs(),
-            r.median_latency_secs(),
-            tail.p95(),
-            tail.p99(),
+            tally.avg_throughput(),
+            tally.latency_avg_secs(),
+            tally.latency_median_secs(),
         );
         if let Some(storage) = &r.storage {
             let _ = writeln!(

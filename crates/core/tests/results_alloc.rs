@@ -1,0 +1,175 @@
+//! Allocation budget of the results path.
+//!
+//! Writing the results JSON is one pass to tally the records and one to
+//! format them into a buffer the tally sized; reading its statistics
+//! back skips the transaction array without building it. Both were once
+//! proportional to the run in allocator traffic — the document's
+//! `String` doubled from 3.84 MB to 7.68 MB to hold 4.1 MB, the reader
+//! built a 120,000-node tree to read seven scalars. This test pins what
+//! is left. It has a process of its own because it installs a counting
+//! global allocator.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use diablo_chains::{Chain, FaultPlan, RunResult, TxRecord, TxStatus};
+use diablo_core::json::read_result_stats;
+use diablo_core::output::results_json_report;
+use diablo_core::Report;
+use diablo_sim::{SimDuration, SimTime};
+
+/// Records in the measured result.
+const RECORDS: usize = 100_000;
+
+// Statistics that publish no other data, hence `Relaxed`.
+/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) so far.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes asked for so far (a `realloc` counts its new size).
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Bytes live now, and the most that were since [`measure`] reset it.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    CALLS.fetch_add(1, Relaxed);
+    BYTES.fetch_add(bytes, Relaxed);
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters never touch
+// the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller's contract is passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller's contract is passed through unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: the caller's contract is passed through unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        grew(new_size);
+        // SAFETY: the caller's contract is passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// What a call cost the allocator.
+struct Cost {
+    calls: usize,
+    bytes: usize,
+    /// Most bytes live at once above what was live when it began.
+    peak: usize,
+}
+
+fn measure<T>(call: impl FnOnce() -> T) -> (T, Cost) {
+    let (calls, bytes, live) = (CALLS.load(Relaxed), BYTES.load(Relaxed), LIVE.load(Relaxed));
+    PEAK.store(live, Relaxed);
+    let value = call();
+    let cost = Cost {
+        calls: CALLS.load(Relaxed) - calls,
+        bytes: BYTES.load(Relaxed) - bytes,
+        peak: PEAK.load(Relaxed) - live,
+    };
+    (value, cost)
+}
+
+/// A run in the shape of `spec_native`'s: commits a few hundred
+/// milliseconds after submission, with drops and pending records mixed
+/// in so every branch of the record writer runs.
+fn report() -> Report {
+    let records = (0..RECORDS as u64)
+        .map(|i| {
+            let submitted = SimTime::from_micros(i * 1_800);
+            match i % 10 {
+                0 => TxRecord {
+                    submitted,
+                    decided: None,
+                    status: TxStatus::DroppedPoolFull,
+                },
+                1 => TxRecord::submitted_at(submitted),
+                _ => TxRecord {
+                    submitted,
+                    decided: Some(submitted + SimDuration::from_micros(400_000 + i % 977)),
+                    status: TxStatus::Committed,
+                },
+            }
+        })
+        .collect();
+    Report {
+        result: RunResult {
+            chain: Chain::Quorum,
+            workload: "native".into(),
+            workload_secs: 180.0,
+            records,
+            unable_reason: None,
+            blocks: Vec::new(),
+            storage: None,
+            trace: None,
+        },
+        secondaries: 2,
+        clients: 4,
+        telemetry: diablo_telemetry::TelemetrySnapshot::default(),
+        faults: FaultPlan::none(),
+        lost_secondaries: Vec::new(),
+        live_diff: None,
+    }
+}
+
+// One test function: the counters are process-wide, and the harness
+// would run two tests on two threads at once.
+#[test]
+fn the_results_path_allocates_per_document_not_per_record() {
+    let report = report();
+
+    let (json, cost) = measure(|| results_json_report(&report));
+    assert!(json.len() > 30 * RECORDS, "{} bytes", json.len());
+    assert!(
+        cost.calls <= 12,
+        "results_json_report: {} allocations for {RECORDS} records",
+        cost.calls
+    );
+    assert!(
+        json.capacity() <= json.len() + json.len() / 20,
+        "{} bytes in a buffer of {}",
+        json.len(),
+        json.capacity()
+    );
+    // The document's buffer and the tally's latency vector, and no
+    // second copy of either: the buffer never moved to grow.
+    assert!(
+        cost.peak <= json.capacity() + 8 * RECORDS + (64 << 10),
+        "results_json_report: {} bytes live at its peak, document {}",
+        cost.peak,
+        json.capacity()
+    );
+
+    let (stats, cost) = measure(|| read_result_stats(&json));
+    let stats = stats.expect("the writer's document parses");
+    assert_eq!(stats.sent, RECORDS as u64);
+    assert_eq!(stats.committed, report.result.committed());
+    assert!(
+        cost.bytes < 64 << 10,
+        "read_result_stats: {} bytes in {} allocations to read seven scalars",
+        cost.bytes,
+        cost.calls
+    );
+}

@@ -22,6 +22,20 @@ echo "==> prepared differential replay (pinned seed: one scratch, many calls)"
 DIABLO_PROP_SEED=0x13 \
     cargo test -q --release --offline -p diablo-vm --test vm_prepared_differential
 
+# The results plane (one tally, the fixed-point record writer, the
+# skipping reader) against the multi-pass, `{:.6}` and tree-building
+# code it replaced, kept as the oracle in the test. Each seed is a case
+# that failed while the change was mutation-checked: an integer
+# microsecond sum for the average latency, a histogram fed the integer
+# latency, fixed point past 2^52, a skipped number left unchecked. The
+# unseeded workspace run above sweeps the full randomized case set.
+echo "==> results-plane differential replays (pinned seeds)"
+for seed in 0x45f480ec9f91520a 0xcad1b6baefab2b95 0xc9fe069d1f6ef645 0x7a2fe0758f3f2772; do
+    echo "    DIABLO_PROP_SEED=$seed"
+    DIABLO_PROP_SEED="$seed" \
+        cargo test -q --release --offline -p diablo-core --test results_plane
+done
+
 # Deterministic parallel execution: replay the serial-vs-parallel
 # differential properties under pinned seeds. Each seed pins one
 # flavor / DApp / thread-count case — together they cover 2, 4 and 8
@@ -87,6 +101,28 @@ for key in '"telemetry":{' '"counters":{' '"mempool.admitted"' \
 done
 cargo run -q --release --offline --bin diablo -- compare "$tmp_json" "$tmp_json" >/dev/null
 rm -f "$tmp_json"
+
+# Hostile-input smoke: 200,000 nested `[` must come back from `compare`
+# as a typed JSON error. The reader used to recurse once per bracket
+# and die of a stack overflow (exit 134) on a deeper file.
+echo "==> compare smoke (deeply nested input is a json error, not an abort)"
+deep_json="$(mktemp /tmp/diablo-deep.XXXXXX.json)"
+awk 'BEGIN { for (i = 0; i < 200000; i++) printf "["; }' >"$deep_json"
+status=0
+deep_err="$(cargo run -q --release --offline --bin diablo -- \
+    compare "$deep_json" "$deep_json" 2>&1 >/dev/null)" || status=$?
+rm -f "$deep_json"
+[ "$status" -ne 0 ] && [ "$status" -ne 134 ] || {
+    echo "compare smoke: exit status $status on deeply nested input" >&2
+    exit 1
+}
+case "$deep_err" in
+*"json error at byte"*) ;;
+*)
+    echo "compare smoke: no json error reported: $deep_err" >&2
+    exit 1
+    ;;
+esac
 
 # Chaos smoke: a pinned-seed run with crash-recovery, a partition and
 # message loss (flags on top of the workload's own fault: section) must
@@ -237,6 +273,10 @@ RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
 # recorder too (the workspace run above checks it with telemetry on).
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-chains --test alloc_budget
+# So must the budget of the results path: the document's one buffer and
+# a reader that builds nothing for the transaction array.
+RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
+    cargo test -q --offline -p diablo-core --test results_alloc
 
 echo "==> cargo doc --no-deps --offline --workspace (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
@@ -254,13 +294,15 @@ DIABLO_BENCH_SAMPLES=2 DIABLO_BENCH_JSON="$bench_json" \
 
 # Host-bench smoke: BENCHMARK.json's program on its node-count
 # workload, on its state-store workload (the one that runs the
-# incremental state roots over a state that grows to 30,002 entries)
-# and on its execution workload (60,000 Exact Gaming calls through the
-# reused scratch). Every iteration is verified (conservation, the
+# incremental state roots over a state that grows to 30,002 entries),
+# on its execution workload (60,000 Exact Gaming calls through the
+# reused scratch) and on its results workload (the only one whose
+# iteration re-parses its own JSON and compares the emitted JSON and
+# stats text across iterations). Every iteration is verified (conservation, the
 # commit rule, a fingerprint that repeats), and the last stdout line
 # says whether all of them held; two seconds is enough to run the
 # check, not to measure.
-for workload in model_200n store_video exec_gaming; do
+for workload in model_200n store_video exec_gaming spec_native; do
     echo "==> host-bench smoke (benchmark/ on $workload, result line must be correct)"
     cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 \
