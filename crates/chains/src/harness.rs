@@ -106,7 +106,7 @@ impl ChainHarness {
     /// Panics if `txs` is not sorted by `at`.
     pub fn run(self, txs: Vec<PlannedTx>, workload_name: &str, workload_secs: f64) -> RunResult {
         let chain = self.chain;
-        let (records, blocks, storage) = self.simulate(txs, workload_secs).into_records();
+        let (records, blocks, storage, trace) = self.simulate(txs, workload_secs).into_records();
         RunResult {
             chain,
             workload: workload_name.to_string(),
@@ -115,7 +115,7 @@ impl ChainHarness {
             unable_reason: None,
             blocks,
             storage,
-            trace: diablo_telemetry::trace::take(),
+            trace,
         }
     }
 
@@ -149,6 +149,7 @@ impl ChainHarness {
         )
         .with_faults(self.options.faults.clone())
         .with_store(self.options.storage)
+        .with_tracer(self.options.trace, self.options.seed)
         .with_live_pool(live.map(|cfg| crate::live::LivePool::new(cfg.workers, cfg.time_scale)));
         match live {
             // The telemetry clock: live runs measure real elapsed time;
@@ -157,13 +158,6 @@ impl ChainHarness {
             // left it advanced.
             Some(_) => diablo_telemetry::clock::use_wall_clock(),
             None => diablo_telemetry::clock::set_sim_now(SimTime::ZERO),
-        }
-        // Arm the per-transaction tracer before the first event fires;
-        // membership is keyed on the run seed so re-runs sample the
-        // same transactions.
-        match self.options.trace {
-            Some(sample) => diablo_telemetry::trace::configure(sample, self.options.seed),
-            None => diablo_telemetry::trace::disable(),
         }
         // Live mode delivers the same events in the same order, but
         // when wall-clock time catches up with each event's instant.

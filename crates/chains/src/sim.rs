@@ -28,6 +28,7 @@ use diablo_contracts::calls;
 use diablo_net::QuorumModel;
 use diablo_sim::{DetRng, SimDuration, SimTime};
 use diablo_store::{StateStore, StorageConfig, StorageReport};
+use diablo_telemetry::trace::{TraceSample, TraceSet, TraceStage, Tracer};
 use diablo_vm::ContractState;
 
 use crate::chain::Chain;
@@ -66,8 +67,9 @@ pub struct ChainSim {
     engine: ExecutionEngine,
     /// Per-transaction records (the arena Secondaries report from).
     records: Vec<TxRecord>,
-    /// The submission plan, time-sorted. Record `i` belongs to
-    /// `plan[i]`, so `records.len()` is the submission cursor.
+    /// The submission plan, time-sorted and cut to the entries whose
+    /// tick is due by the deadline. Record `i` belongs to `plan[i]`, so
+    /// `records.len()` is the submission cursor.
     plan: Vec<PlannedTx>,
     /// The next submission tick, due at `next_tick * TICK_MS`.
     next_tick: u32,
@@ -121,6 +123,9 @@ pub struct ChainSim {
     /// signature-verification delay is replaced with real, measured
     /// work (`crate::live`).
     live: Option<crate::live::LivePool>,
+    /// The per-transaction tracer, when the run is traced: one owner on
+    /// the single-threaded loop, armed for the ids `0..plan.len()`.
+    tracer: Option<Tracer>,
 }
 
 impl ChainSim {
@@ -130,7 +135,7 @@ impl ChainSim {
         params: ChainParams,
         qmodel: QuorumModel,
         mut engine: ExecutionEngine,
-        plan: Vec<PlannedTx>,
+        mut plan: Vec<PlannedTx>,
         seed: u64,
         deadline: SimTime,
     ) -> Self {
@@ -161,11 +166,19 @@ impl ChainSim {
         };
         debug_assert!(plan.windows(2).all(|w| w[0].at <= w[1].at));
         let last = plan.last().map_or(SimTime::ZERO, |tx| tx.at);
-        let ticks = (last.as_micros() / (TICK_MS * 1000) + 1) as u32;
         let mut arrival_per_sec = vec![0u64; last.second_bucket() as usize + 1];
         for tx in &plan {
             arrival_per_sec[tx.at.second_bucket() as usize] += 1;
         }
+        // The last tick due by the deadline submits what is planned
+        // before its end; later entries never get a record. Cutting them
+        // here fixes the run's ids, `0..plan.len()`, before the first
+        // event — what the tracer is armed with. The offered load above
+        // is counted first: it covers the whole plan.
+        let last_tick_end = (deadline.as_micros() / (TICK_MS * 1000) + 1) * TICK_MS;
+        plan.truncate(plan.partition_point(|tx| tx.at < SimTime::from_millis(last_tick_end)));
+        let last = plan.last().map_or(SimTime::ZERO, |tx| tx.at);
+        let ticks = (last.as_micros() / (TICK_MS * 1000) + 1) as u32;
         let accounts = params.accounts as usize;
         ChainSim {
             chain,
@@ -198,6 +211,7 @@ impl ChainSim {
             round_stretch: 1.0,
             store: None,
             live: None,
+            tracer: None,
         }
     }
 
@@ -222,6 +236,14 @@ impl ChainSim {
         self
     }
 
+    /// Arms the per-transaction tracer over the ids this run will
+    /// submit; membership is keyed on `seed` so re-runs sample the same
+    /// transactions.
+    pub(crate) fn with_tracer(mut self, sample: Option<TraceSample>, seed: u64) -> Self {
+        self.tracer = sample.and_then(|s| Tracer::arm(s, seed, self.plan.len() as u64));
+        self
+    }
+
     /// Attaches an injected-fault schedule (compiled once against the
     /// deployment's node count).
     pub(crate) fn with_faults(mut self, faults: FaultPlan) -> Self {
@@ -241,8 +263,8 @@ impl ChainSim {
     /// A proposal that would fall past the deadline is not scheduled:
     /// anything still awaiting confirmation depth remains `Pending`, as
     /// it would in a real run cut off at the deadline. Ticks past
-    /// `until` never fire, so a plan longer than the run leaves its
-    /// tail without records.
+    /// `until` never fire; a plan longer than the run lost its tail in
+    /// [`ChainSim::from_plan`] and leaves it without records.
     pub(crate) fn run_until(&mut self, until: SimTime, mut pace: impl FnMut(SimTime)) {
         loop {
             let tick = (self.next_tick < self.ticks)
@@ -294,12 +316,38 @@ impl ChainSim {
         }
     }
 
+    /// Records one lifecycle event of transaction `id` when the run is
+    /// traced; an untraced run pays the test of the `Option`.
+    #[inline]
+    fn trace(&mut self, id: u32, stage: TraceStage, at: SimTime, arg0: u64, arg1: u64) {
+        if let Some(tracer) = &mut self.tracer {
+            tracer.emit(id as u64, stage, at.as_micros(), arg0, arg1);
+        }
+    }
+
     /// Consumes the run, yielding the per-transaction records, the
-    /// block-explorer records, and the storage report (when the store
-    /// was enabled).
-    pub(crate) fn into_records(self) -> (Vec<TxRecord>, Vec<BlockRecord>, Option<StorageReport>) {
+    /// block-explorer records, the storage report (when the store was
+    /// enabled) and the traces (when the run was traced).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a traced run was not driven to its deadline: the
+    /// tracer's membership was decided over the ids of the whole run.
+    pub(crate) fn into_records(
+        self,
+    ) -> (
+        Vec<TxRecord>,
+        Vec<BlockRecord>,
+        Option<StorageReport>,
+        Option<TraceSet>,
+    ) {
         let storage = self.store.as_ref().map(StateStore::report);
-        (self.records, self.blocks, storage)
+        let trace = self.tracer.map(|tracer| {
+            let submitted = self.records.len() as u64;
+            assert_eq!(submitted, tracer.armed_for(), "tracer armed for other ids");
+            tracer.finish()
+        });
+        (self.records, self.blocks, storage, trace)
     }
 
     /// The chain this run simulates.

@@ -4,7 +4,7 @@
 
 use diablo_sim::{SimDuration, SimTime};
 use diablo_store::{BlockRoots, ReceiptRec, StateDelta};
-use diablo_telemetry::trace::{self, TraceStage};
+use diablo_telemetry::trace::TraceStage;
 
 use super::{ChainSim, PendingFinality};
 use crate::records::{BlockRecord, TxStatus};
@@ -46,7 +46,7 @@ impl ChainSim {
             for id in evicted {
                 self.records[id as usize].status = TxStatus::DroppedExpired;
                 self.records[id as usize].decided = Some(now);
-                trace::emit(id as u64, TraceStage::DroppedExpired, now.as_micros(), 0, 0);
+                self.trace(id, TraceStage::DroppedExpired, now, 0, 0);
             }
         }
     }
@@ -73,13 +73,7 @@ impl ChainSim {
                 } else {
                     TxStatus::Failed
                 };
-                trace::emit(
-                    id as u64,
-                    TraceStage::Finalized,
-                    decided.as_micros(),
-                    ok as u64,
-                    0,
-                );
+                self.trace(id, TraceStage::Finalized, decided, ok as u64, 0);
             }
         }
     }
@@ -186,14 +180,14 @@ impl ChainSim {
                 diablo_telemetry::record_duration!("mempool.queue_wait_us", now.since(tx.submitted));
             }
         }
-        if trace::active() {
+        if let Some(tracer) = &mut self.tracer {
             let round = self.rounds;
             let block = self.height + 1;
             let ordered_us = committed.as_micros().saturating_sub(exec_share.as_micros());
             for &id in &batch {
                 let tid = self.pool.meta(id).id as u64;
-                trace::emit(tid, TraceStage::Selected, now.as_micros(), round, 0);
-                trace::emit(tid, TraceStage::Ordered, ordered_us, round, block);
+                tracer.emit(tid, TraceStage::Selected, now.as_micros(), round, 0);
+                tracer.emit(tid, TraceStage::Ordered, ordered_us, round, block);
             }
         }
         self.height += 1;
@@ -212,7 +206,7 @@ impl ChainSim {
             // order either way.
             let payloads: Vec<Payload> = batch.iter().map(|&id| self.pool.meta(id).payload).collect();
             let costs = self.engine.execute_block(&payloads);
-            if trace::active() {
+            if let Some(tracer) = &mut self.tracer {
                 // The mode code and per-transaction execution counts are
                 // the executor-dependent annotations: they live in the
                 // trace set (and on the wire) but never in the Chrome
@@ -221,7 +215,7 @@ impl ChainSim {
                 let counts = self.engine.last_exec_counts();
                 for (&id, &count) in batch.iter().zip(counts) {
                     let tid = self.pool.meta(id).id as u64;
-                    trace::emit(tid, TraceStage::Executed, committed.as_micros(), mode, count as u64);
+                    tracer.emit(tid, TraceStage::Executed, committed.as_micros(), mode, count as u64);
                 }
             }
             if self.store.is_some() {
@@ -246,18 +240,16 @@ impl ChainSim {
                     }
                 }
                 let roots = self.persist_block(committed, block_bytes, &recs, true, &touched);
-                if let Some(roots) = roots {
-                    if trace::active() {
-                        for &id in &batch {
-                            let tid = self.pool.meta(id).id as u64;
-                            trace::emit(
-                                tid,
-                                TraceStage::Persisted,
-                                committed.as_micros(),
-                                roots.state_root.0[0],
-                                self.height,
-                            );
-                        }
+                if let (Some(roots), Some(tracer)) = (roots, &mut self.tracer) {
+                    for &id in &batch {
+                        let tid = self.pool.meta(id).id as u64;
+                        tracer.emit(
+                            tid,
+                            TraceStage::Persisted,
+                            committed.as_micros(),
+                            roots.state_root.0[0],
+                            self.height,
+                        );
                     }
                 }
             }

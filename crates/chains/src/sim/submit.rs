@@ -4,7 +4,7 @@
 //! admission.
 
 use diablo_sim::{SimDuration, SimTime};
-use diablo_telemetry::trace::{self, TraceStage};
+use diablo_telemetry::trace::TraceStage;
 
 use super::{ChainSim, TICK_MS};
 use crate::mempool::AdmitError;
@@ -25,10 +25,10 @@ impl ChainSim {
             let planned = self.plan[i];
             let id = self.records.len() as u32;
             self.records.push(TxRecord::submitted_at(planned.at));
-            trace::emit(
-                id as u64,
+            self.trace(
+                id,
                 TraceStage::Submitted,
-                planned.at.as_micros(),
+                planned.at,
                 (planned.sender % self.params.accounts.max(1)) as u64,
                 0,
             );
@@ -44,13 +44,8 @@ impl ChainSim {
                 match self.resolve_submission(planned.at) {
                     Some(at) => {
                         if at > planned.at {
-                            trace::emit(
-                                id as u64,
-                                TraceStage::Retried,
-                                at.as_micros(),
-                                at.since(planned.at).as_micros(),
-                                0,
-                            );
+                            let delay = at.since(planned.at).as_micros();
+                            self.trace(id, TraceStage::Retried, at, delay, 0);
                         }
                         submit_at = at;
                     }
@@ -59,7 +54,7 @@ impl ChainSim {
                         let rec = &mut self.records[id as usize];
                         rec.status = TxStatus::Rejected;
                         rec.decided = Some(decided);
-                        trace::emit(id as u64, TraceStage::Rejected, decided.as_micros(), 0, 0);
+                        self.trace(id, TraceStage::Rejected, decided, 0, 0);
                         continue;
                     }
                 }
@@ -71,13 +66,7 @@ impl ChainSim {
                         let alt = (site + off) % nodes;
                         if !self.timeline.is_crashed(alt, submit_at) {
                             diablo_telemetry::counter!("client.submit.rerouted");
-                            trace::emit(
-                                id as u64,
-                                TraceStage::Rerouted,
-                                submit_at.as_micros(),
-                                alt as u64,
-                                0,
-                            );
+                            self.trace(id, TraceStage::Rerouted, submit_at, alt as u64, 0);
                             site = alt;
                             break;
                         }
@@ -104,13 +93,8 @@ impl ChainSim {
                         let deferred_from = available;
                         available = available.max(p.until);
                         diablo_telemetry::counter!("net.partition.deferred");
-                        trace::emit(
-                            id as u64,
-                            TraceStage::Deferred,
-                            available.as_micros(),
-                            available.since(deferred_from).as_micros(),
-                            0,
-                        );
+                        let deferral = available.since(deferred_from).as_micros();
+                        self.trace(id, TraceStage::Deferred, available, deferral, 0);
                     }
                 }
             }
@@ -126,17 +110,11 @@ impl ChainSim {
             let sender = tx.sender;
             match self.pool.admit(tx) {
                 Ok(()) => {
-                    trace::emit(id as u64, TraceStage::Admitted, available.as_micros(), 0, 0);
+                    self.trace(id, TraceStage::Admitted, available, 0, 0);
                 }
                 Err(AdmitError::PoolFull) => {
                     self.records[id as usize].status = TxStatus::DroppedPoolFull;
-                    trace::emit(
-                        id as u64,
-                        TraceStage::DroppedPoolFull,
-                        available.as_micros(),
-                        0,
-                        0,
-                    );
+                    self.trace(id, TraceStage::DroppedPoolFull, available, 0, 0);
                     if self.params.nonce_gaps {
                         // The dropped nonce stalls every *later*
                         // transaction of this account (geth nonce
@@ -147,13 +125,7 @@ impl ChainSim {
                 }
                 Err(AdmitError::PerSenderLimit) => {
                     self.records[id as usize].status = TxStatus::DroppedPerSender;
-                    trace::emit(
-                        id as u64,
-                        TraceStage::DroppedPerSender,
-                        available.as_micros(),
-                        0,
-                        0,
-                    );
+                    self.trace(id, TraceStage::DroppedPerSender, available, 0, 0);
                 }
             }
         }

@@ -983,7 +983,7 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
     write_message(
         &mut stream,
         &Message::TraceChunk {
-            set: diablo_telemetry::trace::take().unwrap_or_default(),
+            set: diablo_telemetry::trace::TraceSet::default(),
         },
     )?;
     match read_message(&mut stream)? {

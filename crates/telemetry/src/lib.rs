@@ -128,14 +128,12 @@ pub fn snapshot() -> TelemetrySnapshot {
     TelemetrySnapshot::default()
 }
 
-/// Clears all recorders — including the per-transaction tracer (see
-/// [`trace`]) — and rewinds nothing else: the clock is managed
+/// Clears all recorders and rewinds nothing else: the clock is managed
 /// separately via [`clock`]. Benchmark runs call this at start so each
 /// snapshot covers exactly one run.
 pub fn reset() {
     #[cfg(not(diablo_telemetry_off))]
     recorder::reset();
-    trace::disable();
 }
 
 /// Increments a counter: `counter!("name")` adds 1,

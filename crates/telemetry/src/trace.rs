@@ -23,19 +23,23 @@
 //!   pure function of the modeled timeline and stays byte-identical
 //!   across `Serial`, `Parallel(n)` and `Optimistic(n)` runs of the
 //!   same seed.
-//! - **Sampling is membership-by-identity, not by arrival.** A classic
-//!   reservoir depends on observation order. The bounded sampler here
-//!   instead keeps the `N` transactions whose [`rank`] (a seeded
-//!   splitmix64 hash of the transaction id) is smallest — a pure
-//!   function of the final id set and the seed. Once a transaction is
-//!   displaced its rank can never re-enter the bottom `N` (the maximum
-//!   member rank only decreases), so no partial trails survive and the
-//!   sampled set is independent of emission interleaving and of how
-//!   chunks were merged.
+//! - **Sampling is membership-by-identity, decided before the first
+//!   event.** A classic reservoir depends on observation order. The
+//!   bounded sampler here keeps the `N` transactions whose [`rank`] (a
+//!   seeded splitmix64 hash of the transaction id) is smallest, and a
+//!   run's ids are `0..n` with `n` known before it starts, so
+//!   [`Tracer::arm`] settles membership from `(seed, N, n)` alone: it
+//!   finds the `N`-th smallest rank over `0..n` and lays the member
+//!   trails out in id order. [`Tracer::emit`] then compares one rank
+//!   against that threshold; a non-member costs nothing else, a member
+//!   is never evicted, and the sampled set cannot depend on emission
+//!   interleaving or on how chunks were merged.
 //!
-//! The recorder compiles out with the rest of the crate under
-//! `--cfg diablo_telemetry_off`: [`emit`] becomes an empty inline
-//! function and [`take`] always returns `None`. The data types stay
+//! The [`Tracer`] is a value the run owns, not process state: two runs
+//! in one process, on one thread or two, cannot see each other's
+//! trails. It compiles out with the rest of the crate under
+//! `--cfg diablo_telemetry_off`: [`Tracer::arm`] returns `None` and
+//! [`Tracer::emit`] is an empty inline function. The data types stay
 //! compiled so the wire protocol and report plumbing type-check.
 
 use std::fmt;
@@ -207,7 +211,7 @@ impl TraceSample {
 /// The seeded rank deciding sampler membership: splitmix64 over the
 /// transaction id, perturbed by the run seed. Membership in a bounded
 /// trace is "rank among the `N` smallest" — a pure function of the
-/// final id set and the seed, independent of emission order.
+/// id set and the seed, independent of emission order.
 pub fn rank(seed: u64, id: u64) -> u64 {
     let mut z = seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -250,7 +254,7 @@ impl TraceSet {
     /// result identical to a single-recorder run.
     pub fn merge(&mut self, other: &TraceSet) {
         // A zero cap only arises from `TraceSet::default()` (never from
-        // a recorder, whose bounds are positive); read it as unbounded
+        // a tracer, whose bounds are positive); read it as unbounded
         // so merging a default-constructed set cannot truncate.
         fn norm(cap: u64) -> u64 {
             if cap == 0 {
@@ -430,147 +434,106 @@ fn write_tx_events(out: &mut String, tx: &TxTrace, first: &mut bool) {
     }
 }
 
-#[cfg(not(diablo_telemetry_off))]
-mod recorder {
-    use super::{rank, TraceEvent, TraceSample, TraceSet, TraceStage, TxTrace};
-    use std::collections::{BTreeMap, BTreeSet};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
+/// One run's trace recorder: an owned value, armed once with the
+/// sampler's inputs, fed by the single-threaded simulation loop and
+/// finished into a [`TraceSet`].
+///
+/// Membership is decided by [`Tracer::arm`]; [`Tracer::emit`] only asks
+/// whether an id is a member. Ids outside `0..n` are never members.
+#[derive(Debug)]
+pub struct Tracer {
+    seed: u64,
+    cap: u64,
+    /// Number of ids the run was armed for (`0..n`).
+    n: u64,
+    /// The largest member rank: an id is a member iff its rank is not
+    /// above it (`u64::MAX` when every id is a member).
+    threshold: u64,
+    /// Member trails, ascending by id; when every id is a member, the
+    /// trail of `id` sits at index `id`.
+    members: Vec<TxTrace>,
+}
 
-    /// Fast active check so disabled runs pay one relaxed load per
-    /// call site.
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    static RECORDER: Mutex<Option<Recorder>> = Mutex::new(None);
-
-    struct Recorder {
-        seed: u64,
-        cap: u64,
-        /// Member trails by id.
-        members: BTreeMap<u64, TxTrace>,
-        /// Member `(rank, id)` pairs for bottom-k eviction.
-        by_rank: BTreeSet<(u64, u64)>,
-    }
-
-    pub fn configure(sample: TraceSample, seed: u64) {
-        let mut guard = RECORDER.lock().expect("trace recorder poisoned");
-        *guard = Some(Recorder {
-            seed,
-            cap: sample.cap(),
-            members: BTreeMap::new(),
-            by_rank: BTreeSet::new(),
-        });
-        ACTIVE.store(true, Ordering::Release);
-    }
-
-    pub fn disable() {
-        ACTIVE.store(false, Ordering::Release);
-        *RECORDER.lock().expect("trace recorder poisoned") = None;
-    }
-
-    pub fn active() -> bool {
-        ACTIVE.load(Ordering::Relaxed)
-    }
-
-    pub fn emit(id: u64, stage: TraceStage, at_us: u64, arg0: u64, arg1: u64) {
-        if !active() {
-            return;
+impl Tracer {
+    /// Arms a tracer for the run whose transaction ids are `0..n`: the
+    /// members are the `sample.cap()` ids of smallest [`rank`] under
+    /// `seed` (all of them when there are no more than that): one pass
+    /// over the ids with a heap of `cap` ranks finds the largest member
+    /// rank, a second collects the members. `None` when the recorder is
+    /// compiled out.
+    pub fn arm(sample: TraceSample, seed: u64, n: u64) -> Option<Tracer> {
+        if !crate::enabled() {
+            return None;
         }
-        let mut guard = RECORDER.lock().expect("trace recorder poisoned");
-        let Some(rec) = guard.as_mut() else { return };
-        let event = TraceEvent {
-            stage,
-            at_us,
-            arg0,
-            arg1,
-        };
-        if let Some(tx) = rec.members.get_mut(&id) {
-            tx.events.push(event);
-            return;
-        }
-        let r = rank(rec.seed, id);
-        if (rec.members.len() as u64) < rec.cap {
-            rec.by_rank.insert((r, id));
-        } else {
-            // Bottom-k: displace the largest-ranked member, or drop
-            // this id if it ranks above every member. A displaced id
-            // can never re-enter — the maximum member rank only
-            // decreases — so trails are complete or absent, never
-            // partial.
-            let &max = rec.by_rank.iter().next_back().expect("cap > 0 members");
-            if (r, id) >= max {
-                return;
-            }
-            rec.by_rank.remove(&max);
-            rec.members.remove(&max.1);
-            rec.by_rank.insert((r, id));
-        }
-        rec.members.insert(
+        let cap = sample.cap();
+        let trail = |id| TxTrace {
             id,
-            TxTrace {
-                id,
-                events: vec![event],
-            },
-        );
-    }
-
-    pub fn take() -> Option<TraceSet> {
-        let mut guard = RECORDER.lock().expect("trace recorder poisoned");
-        let rec = guard.take()?;
-        ACTIVE.store(false, Ordering::Release);
-        Some(TraceSet {
-            seed: rec.seed,
-            cap: rec.cap,
-            txs: rec.members.into_values().collect(),
+            events: Vec::new(),
+        };
+        let (threshold, members) = if n <= cap {
+            (u64::MAX, (0..n).map(trail).collect())
+        } else {
+            // `cap < n` bounds the heap by the run, not by the flag.
+            let mut lowest = std::collections::BinaryHeap::with_capacity(cap as usize);
+            for r in (0..n).map(|id| rank(seed, id)) {
+                if (lowest.len() as u64) < cap {
+                    lowest.push(r);
+                } else if let Some(mut max) = lowest.peek_mut().filter(|max| r < **max) {
+                    *max = r;
+                }
+            }
+            // `rank` is a bijection of the id, so exactly `cap` ids rank
+            // at or under the heap's maximum.
+            let threshold = lowest.peek().copied().unwrap_or(0);
+            let mut members = Vec::with_capacity(cap as usize);
+            members.extend((0..n).filter(|&id| rank(seed, id) <= threshold).map(trail));
+            (threshold, members)
+        };
+        Some(Tracer {
+            seed,
+            cap,
+            n,
+            threshold,
+            members,
         })
     }
-}
 
-/// Arms the global trace recorder: subsequent [`emit`] calls are
-/// buffered under `sample`'s bound, ranked by `seed`. Replaces any
-/// previous recorder.
-#[inline]
-pub fn configure(sample: TraceSample, seed: u64) {
-    #[cfg(not(diablo_telemetry_off))]
-    recorder::configure(sample, seed);
-    #[cfg(diablo_telemetry_off)]
-    let _ = (sample, seed);
-}
+    /// The number of ids the tracer was armed for.
+    pub fn armed_for(&self) -> u64 {
+        self.n
+    }
 
-/// Disarms and clears the recorder (also done by [`crate::reset`]).
-#[inline]
-pub fn disable() {
-    #[cfg(not(diablo_telemetry_off))]
-    recorder::disable();
-}
+    /// Records one lifecycle event for transaction `id` at sim-time
+    /// `at_us`: one rank and one compare for a non-member, an empty
+    /// inline function when compiled out.
+    #[inline]
+    pub fn emit(&mut self, id: u64, stage: TraceStage, at_us: u64, arg0: u64, arg1: u64) {
+        if !crate::enabled() || rank(self.seed, id) > self.threshold {
+            return;
+        }
+        let slot = if self.members.len() as u64 == self.n {
+            Some(id as usize)
+        } else {
+            self.members.binary_search_by_key(&id, |t| t.id).ok()
+        };
+        if let Some(tx) = slot.and_then(|slot| self.members.get_mut(slot)) {
+            tx.events.push(TraceEvent {
+                stage,
+                at_us,
+                arg0,
+                arg1,
+            });
+        }
+    }
 
-/// Whether a recorder is armed (always `false` when compiled out).
-#[inline]
-pub fn active() -> bool {
-    #[cfg(not(diablo_telemetry_off))]
-    return recorder::active();
-    #[cfg(diablo_telemetry_off)]
-    false
-}
-
-/// Records one lifecycle event for transaction `id` at sim-time
-/// `at_us`. A no-op unless a recorder is armed (one relaxed atomic
-/// load), and an empty inline function when compiled out.
-#[inline]
-pub fn emit(id: u64, stage: TraceStage, at_us: u64, arg0: u64, arg1: u64) {
-    #[cfg(not(diablo_telemetry_off))]
-    recorder::emit(id, stage, at_us, arg0, arg1);
-    #[cfg(diablo_telemetry_off)]
-    let _ = (id, stage, at_us, arg0, arg1);
-}
-
-/// Freezes and returns the recorded traces, disarming the recorder.
-/// `None` when no recorder was armed (or when compiled out).
-#[inline]
-pub fn take() -> Option<TraceSet> {
-    #[cfg(not(diablo_telemetry_off))]
-    return recorder::take();
-    #[cfg(diablo_telemetry_off)]
-    None
+    /// Freezes the recorded trails.
+    pub fn finish(self) -> TraceSet {
+        TraceSet {
+            seed: self.seed,
+            cap: self.cap,
+            txs: self.members,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -624,32 +587,33 @@ mod tests {
     }
 
     #[test]
-    fn bottom_k_membership_is_order_independent() {
+    fn membership_is_order_independent() {
         if !crate::enabled() {
             return; // recorder compiled out
         }
         // Emitting ids in two different orders must sample the same set:
         // membership is a function of the id set and seed only.
-        let ids: Vec<u64> = (0..100).collect();
         let expected: Vec<u64> = {
-            let mut ranked: Vec<(u64, u64)> = ids.iter().map(|&i| (rank(9, i), i)).collect();
+            let mut ranked: Vec<(u64, u64)> = (0..100).map(|i| (rank(9, i), i)).collect();
             ranked.sort_unstable();
             let mut keep: Vec<u64> = ranked[..10].iter().map(|&(_, i)| i).collect();
             keep.sort_unstable();
             keep
         };
         for forward in [true, false] {
-            configure(TraceSample::Limit(10), 9);
+            let mut tracer = Tracer::arm(TraceSample::Limit(10), 9, 100).unwrap();
+            assert_eq!(tracer.armed_for(), 100);
             let order: Vec<u64> = if forward {
-                ids.clone()
+                (0..100).collect()
             } else {
-                ids.iter().rev().copied().collect()
+                (0..100).rev().collect()
             };
             for id in order {
-                emit(id, TraceStage::Submitted, id, 0, 0);
-                emit(id, TraceStage::Admitted, id + 1, 0, 0);
+                tracer.emit(id, TraceStage::Submitted, id, 0, 0);
+                tracer.emit(id, TraceStage::Admitted, id + 1, 0, 0);
             }
-            let set = take().unwrap();
+            let set = tracer.finish();
+            assert_eq!((set.seed, set.cap), (9, 10));
             let got: Vec<u64> = set.txs.iter().map(|t| t.id).collect();
             assert_eq!(got, expected, "forward={forward}");
             // Sampled trails are complete: both events survived.
@@ -660,18 +624,31 @@ mod tests {
     }
 
     #[test]
-    fn take_disarms() {
-        configure(TraceSample::All, 1);
-        emit(5, TraceStage::Submitted, 50, 0, 0);
-        if crate::enabled() {
-            let set = take().unwrap();
-            assert_eq!(set.txs.len(), 1);
-            assert!(!active());
+    fn every_id_is_a_member_up_to_the_cap() {
+        if !crate::enabled() {
+            assert!(Tracer::arm(TraceSample::All, 1, 5).is_none());
+            return;
         }
-        assert!(take().is_none());
-        // Disarmed emits go nowhere.
-        emit(6, TraceStage::Submitted, 60, 0, 0);
-        assert!(take().is_none());
+        for sample in [
+            TraceSample::All,
+            TraceSample::Limit(5),
+            TraceSample::Limit(6),
+        ] {
+            let mut tracer = Tracer::arm(sample, 1, 5).unwrap();
+            for id in (0..5).rev() {
+                tracer.emit(id, TraceStage::Submitted, id * 10, 0, 0);
+            }
+            // Ids the run was not armed for go nowhere.
+            tracer.emit(5, TraceStage::Submitted, 50, 0, 0);
+            tracer.emit(u64::MAX, TraceStage::Submitted, 60, 0, 0);
+            let set = tracer.finish();
+            assert_eq!(set.cap, sample.cap());
+            let ids: Vec<u64> = set.txs.iter().map(|t| t.id).collect();
+            assert_eq!(ids, [0, 1, 2, 3, 4]);
+            assert!(set.txs.iter().all(|t| t.events.len() == 1));
+        }
+        let armed_for_nothing = Tracer::arm(TraceSample::Limit(3), 1, 0).unwrap();
+        assert!(armed_for_nothing.finish().is_empty());
     }
 
     #[test]
