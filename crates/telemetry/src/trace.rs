@@ -267,29 +267,27 @@ impl TraceSet {
         if other.txs.is_empty() {
             return;
         }
-        let mut merged: std::collections::BTreeMap<u64, TxTrace> = std::mem::take(&mut self.txs)
-            .into_iter()
-            .map(|t| (t.id, t))
-            .collect();
-        for tx in &other.txs {
-            let entry = merged.entry(tx.id).or_insert_with(|| TxTrace {
-                id: tx.id,
+        // Both sides are ascending by id: walk them together.
+        let mut mine = std::mem::take(&mut self.txs).into_iter().peekable();
+        for theirs in &other.txs {
+            while let Some(tx) = mine.next_if(|t| t.id < theirs.id) {
+                self.txs.push(tx);
+            }
+            let mut tx = mine.next_if(|t| t.id == theirs.id).unwrap_or(TxTrace {
+                id: theirs.id,
                 events: Vec::new(),
             });
-            entry.events.extend(tx.events.iter().copied());
-            entry.events.sort_by_key(|e| (e.at_us, e.stage as u8));
+            tx.events.extend_from_slice(&theirs.events);
+            tx.events.sort_by_key(|e| (e.at_us, e.stage as u8));
+            self.txs.push(tx);
         }
-        self.txs = merged.into_values().collect();
+        self.txs.extend(mine);
         if (self.txs.len() as u64) > self.cap {
             let seed = self.seed;
-            let cap = self.cap as usize;
             let mut ranked: Vec<(u64, u64)> =
                 self.txs.iter().map(|t| (rank(seed, t.id), t.id)).collect();
-            ranked.sort_unstable();
-            ranked.truncate(cap);
-            let keep: std::collections::BTreeSet<u64> =
-                ranked.into_iter().map(|(_, id)| id).collect();
-            self.txs.retain(|t| keep.contains(&t.id));
+            let bound = *ranked.select_nth_unstable(self.cap as usize - 1).1;
+            self.txs.retain(|t| (rank(seed, t.id), t.id) <= bound);
         }
     }
 
