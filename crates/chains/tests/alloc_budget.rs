@@ -7,15 +7,16 @@
 //! invoke — two allocations when the spec names the arguments, one
 //! otherwise — plus a per-block constant for the result and plan
 //! vectors. It has a process of its own because it installs a counting
-//! global allocator.
+//! global allocator (`counting/mod.rs`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+mod counting;
 
 use diablo_chains::tx::{CallSel, Payload};
 use diablo_chains::{ExecMode, ExecutionEngine};
 use diablo_contracts::DApp;
 use diablo_vm::VmFlavor;
+
+use counting::allocations;
 
 /// Calls per block.
 const CALLS: u64 = 1_000;
@@ -25,43 +26,6 @@ const PER_CALL: u64 = 2;
 /// transaction vectors, the plan statistics, and the occasional
 /// doubling of a growing state map or write log.
 const PER_BLOCK: u64 = 32;
-
-/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) so far. A
-/// statistic that publishes no other data, hence `Relaxed`.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter never touches
-// the returned memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Allocator calls `execute_block` makes on `block`, after one warm-up
 /// block has grown the scratch, the telemetry shard and the state map.
@@ -73,9 +37,9 @@ fn allocations_of_second_block(engine: &mut ExecutionEngine, block: &[Payload]) 
         // write log is off).
         state.drain_writes();
     }
-    let before = ALLOCATIONS.load(Relaxed);
+    let before = allocations();
     let costs = engine.execute_block(block);
-    let made = ALLOCATIONS.load(Relaxed) - before;
+    let made = allocations() - before;
     assert!(
         costs.iter().all(|cost| cost.ok),
         "measured block must commit"

@@ -36,6 +36,28 @@ for seed in 0x45f480ec9f91520a 0xcad1b6baefab2b95 0xc9fe069d1f6ef645 0x7a2fe0758
         cargo test -q --release --offline -p diablo-core --test results_plane
 done
 
+# The tracer (membership decided when the run is armed) and
+# TraceSet::merge (a two-pointer walk) against the streaming bottom-k
+# recorder and the map-based merge they replaced, kept as the oracle in
+# the test. The seeds are the cases that failed while the change was
+# mutation-checked: emit's threshold compare made strict, merge's bound
+# compare made strict. The unseeded workspace run above sweeps the full
+# randomized case set.
+echo "==> tracer differential replays (pinned seeds)"
+for seed in 0xc9fe069d1f6ef645 0x83ec3fefd347df57; do
+    echo "    DIABLO_PROP_SEED=$seed"
+    DIABLO_PROP_SEED="$seed" \
+        cargo test -q --release --offline -p diablo-telemetry --test trace_oracle
+done
+
+# The trace recorder used to be process-global, and two unit tests that
+# armed it at once took each other's recorder at eight test threads —
+# never at the two a 2-core runner defaults to. Every tracer is a value
+# now; run the crate's unit tests wide once so shared state cannot come
+# back unseen.
+echo "==> telemetry unit tests at 8 test threads"
+cargo test -q --release --offline -p diablo-telemetry --lib -- --test-threads=8
+
 # Deterministic parallel execution: replay the serial-vs-parallel
 # differential properties under pinned seeds. Each seed pins one
 # flavor / DApp / thread-count case — together they cover 2, 4 and 8
@@ -277,6 +299,10 @@ RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
 # a reader that builds nothing for the transaction array.
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-core --test results_alloc
+# And the budget of tracing: a run asked to trace allocates exactly what
+# its untraced twin does when the tracer is compiled out.
+RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
+    cargo test -q --offline -p diablo-chains --test trace_alloc_budget
 
 echo "==> cargo doc --no-deps --offline --workspace (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
@@ -296,13 +322,15 @@ DIABLO_BENCH_SAMPLES=2 DIABLO_BENCH_JSON="$bench_json" \
 # workload, on its state-store workload (the one that runs the
 # incremental state roots over a state that grows to 30,002 entries),
 # on its execution workload (60,000 Exact Gaming calls through the
-# reused scratch) and on its results workload (the only one whose
+# reused scratch), on its results workload (the only one whose
 # iteration re-parses its own JSON and compares the emitted JSON and
-# stats text across iterations). Every iteration is verified (conservation, the
+# stats text across iterations) and on its tracing workload (every
+# iteration arms a tracer and runs it under partition, corruption and
+# retries). Every iteration is verified (conservation, the
 # commit rule, a fingerprint that repeats), and the last stdout line
 # says whether all of them held; two seconds is enough to run the
 # check, not to measure.
-for workload in model_200n store_video exec_gaming spec_native; do
+for workload in model_200n store_video exec_gaming spec_native trace_chaos; do
     echo "==> host-bench smoke (benchmark/ on $workload, result line must be correct)"
     cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 \
