@@ -2,12 +2,12 @@
 //!
 //! Measures a 10k-transaction Exchange experiment (1,000 TPS for 10
 //! simulated seconds on Quorum) four ways: tracing disabled, sampled at
-//! the default reservoir limit, sampled at 64, and full (`all`). The
-//! untraced scenario is the hot path: when the tracer
-//! is off, its cost is one relaxed atomic load per emission site, so
-//! `trace/exchange_10ktx/off` must sit within noise of the tracing-free
-//! baseline. The sampled scenarios bound the cost of bounded tracing;
-//! `all` is the worst case and is expected to pay for its allocations.
+//! the default limit, sampled at 64, and full (`all`). The untraced
+//! scenario is the hot path: a run that armed no tracer pays the test
+//! of an `Option` per emission site, so `trace/exchange_10ktx/off` must
+//! sit within noise of the tracing-free baseline. A sampled run adds one
+//! rank and one compare per event of a non-member; `all` is the worst
+//! case and pays for every trail's allocations.
 //!
 //! The bench harness opts into the wall clock: here we measure real CPU
 //! cost, not modeled sim time. Snapshots and trace sets produced under

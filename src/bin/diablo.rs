@@ -128,8 +128,8 @@ fn emit(report: &Report, inv: &Invocation) -> Result<(), String> {
                 std::fs::write(path, set.to_chrome_json()).map_err(|e| e.to_string())?;
                 eprintln!("wrote {path}");
             }
-            // Tracing was requested but the recorder produced nothing —
-            // the tracer was compiled out (`--cfg diablo_telemetry_off`).
+            // Tracing was requested but the run armed no tracer: it was
+            // compiled out (`--cfg diablo_telemetry_off`).
             None => eprintln!(
                 "warning: --trace-out={path} skipped (tracer compiled out of this binary)"
             ),
