@@ -764,8 +764,10 @@ pub fn serve_primary(
     // simulation telemetry; the Secondaries contribute their
     // planning-side snapshots, merged commutatively. A Secondary that
     // dies before reporting is skipped: the aggregation is partial
-    // rather than hung.
-    let mut telemetry = diablo_telemetry::snapshot();
+    // rather than hung. The Primary's own snapshot is taken last: by
+    // then an in-process Secondary has cleared the recorder it reported
+    // from, and `secondary.lost` below is in it.
+    let mut reported = diablo_telemetry::TelemetrySnapshot::default();
     for (si, stream) in streams.iter_mut().enumerate() {
         if dead[si] {
             continue;
@@ -792,7 +794,7 @@ pub fn serve_primary(
         })();
         match collect {
             Ok((snapshot, set)) => {
-                telemetry.merge(&snapshot);
+                reported.merge(&snapshot);
                 // Merged like telemetry: today's planning-side chunks
                 // are empty (the merge is the identity), and an untraced
                 // run keeps `trace: None` so reports stay byte-identical
@@ -809,6 +811,9 @@ pub fn serve_primary(
             }
         }
     }
+
+    let mut telemetry = diablo_telemetry::snapshot();
+    telemetry.merge(&reported);
 
     // The report's lost set: workers gone from the wire plus workers
     // the fault plan killed in simulation.
@@ -869,7 +874,9 @@ pub fn run_secondary_with_retry(
     use crate::abstraction::ConnectorError;
     use diablo_net::{dial, DialErrorKind, DialPolicy};
 
-    diablo_telemetry::reset();
+    // This thread's recorder only: an in-process Primary records into
+    // the same registry and has reset its own.
+    diablo_telemetry::thread_reset();
     let policy = DialPolicy {
         attempts: retry.attempts,
         backoff: std::time::Duration::from_micros(retry.backoff.as_micros()),
@@ -974,12 +981,13 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
         status_name(TxStatus::Committed)
     );
     write_message(&mut stream, &Message::Stats { text: text.clone() })?;
-    write_message(
-        &mut stream,
-        &Message::Telemetry {
-            snapshot: diablo_telemetry::snapshot(),
-        },
-    )?;
+    // The session runs on this one thread, so the thread's recorder is
+    // the Secondary's share. It is cleared before the frame leaves: a
+    // Primary in the same process snapshots every recorder once it has
+    // this one's copy, and must not find the same counts there again.
+    let snapshot = diablo_telemetry::thread_snapshot();
+    diablo_telemetry::thread_reset();
+    write_message(&mut stream, &Message::Telemetry { snapshot })?;
     write_message(
         &mut stream,
         &Message::TraceChunk {

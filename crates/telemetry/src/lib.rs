@@ -136,6 +136,23 @@ pub fn reset() {
     recorder::reset();
 }
 
+/// Freezes what the calling thread itself recorded, leaving out every
+/// other thread's recorder. A Secondary's session runs on one thread,
+/// and in an in-process deployment the Primary's recorders are in the
+/// same registry: this is the Secondary's share alone.
+pub fn thread_snapshot() -> TelemetrySnapshot {
+    #[cfg(not(diablo_telemetry_off))]
+    return recorder::thread_snapshot();
+    #[cfg(diablo_telemetry_off)]
+    TelemetrySnapshot::default()
+}
+
+/// Clears the calling thread's recorder and no other thread's.
+pub fn thread_reset() {
+    #[cfg(not(diablo_telemetry_off))]
+    recorder::thread_reset();
+}
+
 /// Increments a counter: `counter!("name")` adds 1,
 /// `counter!("name", n)` adds `n`.
 #[macro_export]
@@ -197,6 +214,28 @@ mod tests {
             assert_eq!(snap.counter("test.lib.counter_a"), Some(3));
         } else {
             assert!(snap.is_empty());
+        }
+    }
+
+    #[test]
+    fn thread_scope_sees_and_clears_only_its_own_thread() {
+        super::counter("test.lib.thread_scope.outer", 5);
+        std::thread::spawn(|| {
+            super::counter("test.lib.thread_scope.inner", 2);
+            let own = super::thread_snapshot();
+            if super::enabled() {
+                assert_eq!(own.counter("test.lib.thread_scope.inner"), Some(2));
+                assert_eq!(own.counters.len(), 1, "{:?}", own.counters);
+            }
+            super::thread_reset();
+            assert!(super::thread_snapshot().is_empty());
+        })
+        .join()
+        .expect("scoped thread");
+        let all = super::snapshot();
+        if super::enabled() {
+            assert_eq!(all.counter("test.lib.thread_scope.outer"), Some(5));
+            assert_eq!(all.counter("test.lib.thread_scope.inner"), None);
         }
     }
 

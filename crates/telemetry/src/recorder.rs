@@ -106,6 +106,41 @@ impl LocalData {
             self.spans.entry(path.clone()).or_default().merge(s);
         }
     }
+
+    /// The sorted, mergeable form of this state.
+    fn freeze(&self) -> TelemetrySnapshot {
+        let mut counters: Vec<(String, u64)> = self
+            .counters
+            .iter()
+            .map(|(&n, &v)| (n.to_string(), v))
+            .collect();
+        counters.sort();
+        let mut gauges: Vec<(String, i64)> = self
+            .gauges
+            .iter()
+            .map(|(&n, &v)| (n.to_string(), v))
+            .collect();
+        gauges.sort();
+        let mut histograms: Vec<(String, HistogramSnapshot)> = self
+            .histograms
+            .iter()
+            .map(|(&n, h)| (n.to_string(), HistogramSnapshot::from_histogram(h)))
+            .collect();
+        histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut spans: Vec<(String, SpanStat)> = self
+            .spans
+            .iter()
+            .map(|(path, &s)| (path.join(";"), s))
+            .collect();
+        spans.sort_by(|a, b| a.0.cmp(&b.0));
+
+        TelemetrySnapshot {
+            counters,
+            gauges,
+            histograms,
+            spans,
+        }
+    }
 }
 
 pub(crate) struct Shard(Mutex<LocalData>);
@@ -183,38 +218,18 @@ pub(crate) fn snapshot() -> TelemetrySnapshot {
         acc.absorb(&shard.lock());
     }
     drop(reg);
+    acc.freeze()
+}
 
-    let mut counters: Vec<(String, u64)> = acc
-        .counters
-        .iter()
-        .map(|(&n, &v)| (n.to_string(), v))
-        .collect();
-    counters.sort();
-    let mut gauges: Vec<(String, i64)> = acc
-        .gauges
-        .iter()
-        .map(|(&n, &v)| (n.to_string(), v))
-        .collect();
-    gauges.sort();
-    let mut histograms: Vec<(String, HistogramSnapshot)> = acc
-        .histograms
-        .iter()
-        .map(|(&n, h)| (n.to_string(), HistogramSnapshot::from_histogram(h)))
-        .collect();
-    histograms.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut spans: Vec<(String, SpanStat)> = acc
-        .spans
-        .iter()
-        .map(|(path, &s)| (path.join(";"), s))
-        .collect();
-    spans.sort_by(|a, b| a.0.cmp(&b.0));
+/// Freezes the calling thread's own shard: what this thread recorded,
+/// whatever the rest of the process did meanwhile.
+pub(crate) fn thread_snapshot() -> TelemetrySnapshot {
+    with_local(|data| data.freeze()).unwrap_or_default()
+}
 
-    TelemetrySnapshot {
-        counters,
-        gauges,
-        histograms,
-        spans,
-    }
+/// Clears the calling thread's own shard and no other.
+pub(crate) fn thread_reset() {
+    with_local(LocalData::clear);
 }
 
 /// Clears every shard (live and retired). The start of each benchmark
