@@ -481,15 +481,31 @@ fn write_frame(stream: &mut TcpStream, framed: &ByteBuf) -> Result<(), String> {
 
 /// Reads one framed message from a stream.
 pub fn read_message(stream: &mut TcpStream) -> Result<Message, String> {
+    let mut frame = Vec::new();
+    read_frame(stream, &mut frame)?;
+    decode(&frame)
+}
+
+/// Reads one frame's body into `frame`, replacing what it held. The
+/// length prefix is a claim by the peer: the buffer grows as bytes
+/// arrive, never by the claim, so four bytes cannot make this end
+/// allocate [`MAX_FRAME`].
+fn read_frame(stream: &mut TcpStream, frame: &mut Vec<u8>) -> Result<(), String> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf).map_err(|e| e.to_string())?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME {
         return Err(format!("frame of {len} bytes exceeds the limit"));
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).map_err(|e| e.to_string())?;
-    decode(&body)
+    frame.clear();
+    let got = stream
+        .take(len as u64)
+        .read_to_end(frame)
+        .map_err(|e| e.to_string())?;
+    if got < len {
+        return Err(format!("frame of {len} bytes ended after {got}"));
+    }
+    Ok(())
 }
 
 /// Status ↔ wire encoding.
@@ -624,6 +640,9 @@ pub fn serve_primary(
     let mut streams = Vec::with_capacity(ranges.len());
     for range in &ranges {
         let (mut stream, _addr) = listener.accept().map_err(|e| e.to_string())?;
+        // Every read runs under the deadline, the first included: a
+        // peer that connects and says nothing must not hang the Primary.
+        let _ = stream.set_read_timeout(Some(SECONDARY_DEADLINE));
         match read_message(&mut stream)? {
             Message::Hello { .. } => {}
             other => return Err(format!("expected Hello, got {other:?}")),
@@ -640,10 +659,10 @@ pub fn serve_primary(
         streams.push(stream);
     }
 
-    // Collect plans. Every read from here on runs under a deadline: a
-    // Secondary that dies mid-benchmark must not hang the Primary, so a
-    // timed-out (or closed) stream marks the Secondary as dead, its
-    // partial plan is discarded, and aggregation proceeds without it.
+    // Collect plans. A Secondary that dies mid-benchmark must not hang
+    // the Primary, so a timed-out (or closed) stream marks the
+    // Secondary as dead, its partial plan is discarded, and aggregation
+    // proceeds without it.
     // (`dead` tracks streams actually gone from the wire; a Secondary
     // killed *in simulation* by the fault plan stays connected and
     // keeps exchanging messages.)
@@ -652,7 +671,6 @@ pub fn serve_primary(
     let mut origin: Vec<(u32, u32)> = Vec::new(); // (secondary, local index)
     let mut planned_counts: Vec<u32> = vec![0; streams.len()];
     for (si, stream) in streams.iter_mut().enumerate() {
-        let _ = stream.set_read_timeout(Some(SECONDARY_DEADLINE));
         let start = merged.len();
         let mut local = 0u32;
         loop {

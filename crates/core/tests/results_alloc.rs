@@ -9,9 +9,9 @@
 //! is left. It has a process of its own because it installs a counting
 //! global allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+mod counting;
 
+use counting::measure;
 use diablo_chains::{Chain, FaultPlan, RunResult, TxRecord, TxStatus};
 use diablo_core::json::read_result_stats;
 use diablo_core::output::results_json_report;
@@ -20,77 +20,6 @@ use diablo_sim::{SimDuration, SimTime};
 
 /// Records in the measured result.
 const RECORDS: usize = 100_000;
-
-// Statistics that publish no other data, hence `Relaxed`.
-/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) so far.
-static CALLS: AtomicUsize = AtomicUsize::new(0);
-/// Bytes asked for so far (a `realloc` counts its new size).
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Bytes live now, and the most that were since [`measure`] reset it.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    CALLS.fetch_add(1, Relaxed);
-    BYTES.fetch_add(bytes, Relaxed);
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counters never touch
-// the returned memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        grew(new_size);
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// What a call cost the allocator.
-struct Cost {
-    calls: usize,
-    bytes: usize,
-    /// Most bytes live at once above what was live when it began.
-    peak: usize,
-}
-
-fn measure<T>(call: impl FnOnce() -> T) -> (T, Cost) {
-    let (calls, bytes, live) = (CALLS.load(Relaxed), BYTES.load(Relaxed), LIVE.load(Relaxed));
-    PEAK.store(live, Relaxed);
-    let value = call();
-    let cost = Cost {
-        calls: CALLS.load(Relaxed) - calls,
-        bytes: BYTES.load(Relaxed) - bytes,
-        peak: PEAK.load(Relaxed) - live,
-    };
-    (value, cost)
-}
 
 /// A run in the shape of `spec_native`'s: commits a few hundred
 /// milliseconds after submission, with drops and pending records mixed
