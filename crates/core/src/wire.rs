@@ -593,7 +593,10 @@ fn wire_to_planned(tx: &WireTx) -> Result<PlannedTx, String> {
             call: Some(CallSel {
                 entry: tx.entry,
                 args: tx.args,
-                argc: tx.argc.min(2),
+                argc: match tx.argc {
+                    0..=2 => tx.argc,
+                    more => return Err(format!("{more} arguments, at most 2 fit a call")),
+                },
             }),
         },
         other => return Err(format!("unknown tx kind {other}")),
@@ -636,61 +639,66 @@ pub fn serve_primary(
     declare_resources(&spec, &mut scratch).map_err(|e| e.to_string())?;
     let dapp = scratch.sole_dapp();
 
-    // Accept the Secondaries and dispatch their shares.
+    // Accept the Secondaries and dispatch their shares. From its first
+    // frame on a Secondary can be lost — silent past the deadline, gone
+    // from the wire, or speaking something that is not the protocol
+    // (an undecodable frame, a message out of turn, a `Plan` entry no
+    // transaction can be made from). All three are that worker's death:
+    // its share is discarded and the others' session goes on.
+    // (`dead` tracks streams lost on the wire; a Secondary killed *in
+    // simulation* by the fault plan stays connected and keeps
+    // exchanging messages.)
     let mut streams = Vec::with_capacity(ranges.len());
-    for range in &ranges {
+    let mut dead = vec![false; ranges.len()];
+    for (si, range) in ranges.iter().enumerate() {
         let (mut stream, _addr) = listener.accept().map_err(|e| e.to_string())?;
         // Every read runs under the deadline, the first included: a
         // peer that connects and says nothing must not hang the Primary.
         let _ = stream.set_read_timeout(Some(SECONDARY_DEADLINE));
-        match read_message(&mut stream)? {
-            Message::Hello { .. } => {}
-            other => return Err(format!("expected Hello, got {other:?}")),
+        let assigned = (|| match read_message(&mut stream)? {
+            Message::Hello { .. } => write_message(
+                &mut stream,
+                &Message::Assign {
+                    chain: chain.name().to_string(),
+                    spec: spec_text.to_string(),
+                    first: range.0,
+                    last: range.1,
+                },
+            ),
+            other => Err(format!("expected Hello, got {other:?}")),
+        })();
+        if assigned.is_err() {
+            dead[si] = true;
+            diablo_telemetry::counter!("secondary.lost", 1);
         }
-        write_message(
-            &mut stream,
-            &Message::Assign {
-                chain: chain.name().to_string(),
-                spec: spec_text.to_string(),
-                first: range.0,
-                last: range.1,
-            },
-        )?;
         streams.push(stream);
     }
 
-    // Collect plans. A Secondary that dies mid-benchmark must not hang
-    // the Primary, so a timed-out (or closed) stream marks the
-    // Secondary as dead, its partial plan is discarded, and aggregation
-    // proceeds without it.
-    // (`dead` tracks streams actually gone from the wire; a Secondary
-    // killed *in simulation* by the fault plan stays connected and
-    // keeps exchanging messages.)
-    let mut dead = vec![false; streams.len()];
+    // Collect plans; a lost Secondary's partial plan is discarded.
     let mut merged: Vec<PlannedTx> = Vec::new();
     let mut origin: Vec<(u32, u32)> = Vec::new(); // (secondary, local index)
     let mut planned_counts: Vec<u32> = vec![0; streams.len()];
     for (si, stream) in streams.iter_mut().enumerate() {
+        if dead[si] {
+            continue;
+        }
         let start = merged.len();
         let mut local = 0u32;
-        loop {
-            match read_message(stream) {
-                Ok(Message::Plan { txs }) => {
+        let collected = (|| loop {
+            match read_message(stream)? {
+                Message::Plan { txs } => {
                     for wire in &txs {
                         merged.push(wire_to_planned(wire)?);
                         origin.push((si as u32, local));
                         local += 1;
                     }
                 }
-                Ok(Message::PlanDone) => break,
-                Ok(other) => return Err(format!("expected Plan, got {other:?}")),
-                Err(_) => {
-                    dead[si] = true;
-                    break;
-                }
+                Message::PlanDone => return Ok(()),
+                other => return Err(format!("expected Plan, got {other:?}")),
             }
-        }
-        if dead[si] {
+        })();
+        if collected.is_err() {
+            dead[si] = true;
             merged.truncate(start);
             origin.truncate(start);
             diablo_telemetry::counter!("secondary.lost", 1);
@@ -1241,6 +1249,26 @@ mod tests {
             let wire = planned_to_wire(&tx);
             assert_eq!(wire_to_planned(&wire).unwrap(), tx);
         }
+    }
+
+    #[test]
+    fn entries_no_transaction_can_be_made_from_are_errors() {
+        let call = WireTx {
+            at_us: 7,
+            sender: 1,
+            kind: 2,
+            dapp: 0,
+            seq: 3,
+            entry: 0,
+            args: [1, 2],
+            argc: 2,
+        };
+        assert!(wire_to_planned(&call).is_ok());
+        // Three arguments do not fit a call: an error, not a silent 2.
+        assert!(wire_to_planned(&WireTx { argc: 3, ..call }).is_err());
+        assert!(wire_to_planned(&WireTx { kind: 9, ..call }).is_err());
+        let past_the_dapps = DApp::ALL.len() as u8;
+        assert!(wire_to_planned(&WireTx { dapp: past_the_dapps, ..call }).is_err());
     }
 
     #[test]

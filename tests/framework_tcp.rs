@@ -6,7 +6,9 @@ use std::thread;
 
 use diablo::chains::Chain;
 use diablo::core::primary::BenchmarkOptions;
-use diablo::core::wire::{read_message, run_secondary, serve_primary, write_message, Message};
+use diablo::core::wire::{
+    read_message, run_secondary, serve_primary, write_message, Message, WireTx,
+};
 use diablo::net::DeploymentKind;
 
 const SPEC: &str = r#"
@@ -133,6 +135,75 @@ fn dead_secondary_yields_a_partial_aggregation() {
     );
     assert!(live_stats.contains("1000 sent"), "{live_stats}");
     // The partial aggregation is called out in the stats text.
+    assert!(
+        report.stats_text().contains("died mid-benchmark"),
+        "{}",
+        report.stats_text()
+    );
+}
+
+#[test]
+fn garbage_from_one_secondary_costs_only_its_share() {
+    // The sibling of the test above: the second worker says a valid
+    // Hello, takes its assignment and then sends a `Plan` frame no
+    // transaction can be made from (`kind = 9`). That used to return
+    // `Err` from `serve_primary` and abandon the live worker
+    // mid-session; it is the worker's death, like silence.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+
+    let live = {
+        let addr = addr.clone();
+        thread::spawn(move || run_secondary(&addr, "survivor"))
+    };
+    let babbling = thread::spawn(move || {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let hello = Message::Hello {
+            tag: "babbler".to_string(),
+        };
+        write_message(&mut stream, &hello).expect("hello");
+        match read_message(&mut stream).expect("assign") {
+            Message::Assign { .. } => {}
+            other => panic!("expected Assign, got {other:?}"),
+        }
+        let nonsense = WireTx {
+            at_us: 1_000,
+            sender: 1,
+            kind: 9,
+            dapp: 0,
+            seq: 0,
+            entry: 0,
+            args: [0, 0],
+            argc: 0,
+        };
+        write_message(&mut stream, &Message::Plan { txs: vec![nonsense] }).expect("plan");
+        // Stay connected until the Primary hangs up: it must not wait
+        // for this worker to go away by itself.
+        let _ = read_message(&mut stream);
+    });
+
+    let report = serve_primary(
+        &listener,
+        Chain::Quorum,
+        DeploymentKind::Testnet,
+        SPEC,
+        "tcp-garbage",
+        &BenchmarkOptions::default(),
+        2,
+    )
+    .expect("one worker's protocol violation is not the Primary's failure");
+    let live_stats = live.join().expect("join").expect("survivor");
+    babbling.join().expect("babbling thread");
+
+    assert_eq!(report.secondaries, 2);
+    assert_eq!(report.lost_secondaries.len(), 1, "{:?}", report.lost_secondaries);
+    assert_eq!(report.result.submitted(), 1_000);
+    assert!(
+        report.result.commit_ratio() > 0.9,
+        "{}",
+        report.result.summary()
+    );
+    assert!(live_stats.contains("1000 sent"), "{live_stats}");
     assert!(
         report.stats_text().contains("died mid-benchmark"),
         "{}",
