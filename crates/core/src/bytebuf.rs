@@ -38,6 +38,19 @@ impl ByteBuf {
         self.data.is_empty()
     }
 
+    /// Empties the buffer and keeps its allocation, so one buffer can
+    /// encode frame after frame.
+    pub fn clear(&mut self) {
+        self.data.clear();
+    }
+
+    /// Makes room for `additional` more bytes. An encoder that knows
+    /// the size of what it is about to write calls this first, so the
+    /// buffer is sized by that and not by doubling past it.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.data.push(v);

@@ -10,6 +10,31 @@
 //! Framing: every message is `u32` little-endian length followed by a
 //! one-byte message tag and the body. Integers are little-endian;
 //! strings and vectors are length-prefixed.
+//!
+//! The session, and who waits for whom:
+//!
+//! ```text
+//! Secondary                          Primary
+//!   Hello                      ──▶
+//!                              ◀──   Assign
+//!   per client: plan it, then
+//!   Plan × ⌈n / 16,384⌉        ──▶   decoded onto the merged plan
+//!   PlanDone                   ──▶   (next Secondary; then sort, run)
+//!                              ◀──   Outcomes × ⌈n / 16,384⌉, OutcomesDone
+//!   Stats, Telemetry, TraceChunk ─▶
+//!                              ◀──   Done
+//! ```
+//!
+//! Neither end waits without cause. Both sockets have `TCP_NODELAY`
+//! ([`accept_secondary`], [`connect_primary`]), each arrow is one
+//! `write` of whole frames from the end's one encode buffer, and each
+//! end reads every frame into one buffer that grows as bytes arrive. A
+//! Secondary ships a client's plan as soon as that client is planned,
+//! so the Primary decodes while the Secondary plans the next; the
+//! Primary restores the order with one stable sort (see
+//! [`serve_primary`]). A Secondary that falls silent, hangs up or
+//! breaks the protocol is lost — its share discarded, the worker
+//! listed in [`Report::lost_secondaries`] — and the others carry on.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -277,72 +302,64 @@ pub fn get_trace(buf: &mut ByteReader) -> Result<diablo_telemetry::trace::TraceS
     Ok(TraceSet { seed, cap, txs })
 }
 
-/// Starts a frame: reserves the 4-byte length prefix and writes the
-/// message tag. Finish with [`finish_frame`].
-fn begin_frame(tag: u8, capacity: usize) -> ByteBuf {
-    let mut framed = ByteBuf::with_capacity(capacity + 5);
-    framed.put_u32_le(0); // length prefix, patched by finish_frame
-    framed.put_u8(tag);
-    framed
+/// Tags of the two message kinds the session decodes without building
+/// a [`Message`], and the size of one entry of each.
+const TAG_PLAN: u8 = 3;
+const TAG_OUTCOMES: u8 = 5;
+const PLAN_ENTRY: usize = 32;
+const OUTCOME_ENTRY: usize = 17;
+
+/// Appends one frame to `out`: reserves the 4-byte length prefix, lets
+/// `body` write the tag and the body behind it, and patches the prefix.
+/// The body is framed in place — no copy into a second buffer — and a
+/// buffer may hold any number of frames.
+fn put_frame(out: &mut ByteBuf, body: impl FnOnce(&mut ByteBuf)) {
+    let at = out.len();
+    out.put_u32_le(0);
+    body(out);
+    let len = out.len() - at - 4;
+    out.set_u32_le(at, len as u32);
 }
 
-/// Patches the reserved length prefix of a [`begin_frame`] buffer. The
-/// body is framed in place — no copy into a second buffer.
-fn finish_frame(mut framed: ByteBuf) -> ByteBuf {
-    let body_len = framed.len() - 4;
-    framed.set_u32_le(0, body_len as u32);
-    framed
-}
-
-fn put_wire_tx(body: &mut ByteBuf, tx: &WireTx) {
-    body.put_u64_le(tx.at_us);
-    body.put_u32_le(tx.sender);
-    body.put_u8(tx.kind);
-    body.put_u8(tx.dapp);
-    body.put_u64_le(tx.seq);
-    body.put_u8(tx.entry);
-    body.put_i32_le(tx.args[0]);
-    body.put_i32_le(tx.args[1]);
-    body.put_u8(tx.argc);
-}
-
-fn put_wire_outcome(body: &mut ByteBuf, tx: &WireOutcome) {
-    body.put_u8(tx.status);
-    body.put_u64_le(tx.submit_us);
-    body.put_u64_le(tx.decide_us);
-}
-
-/// Encodes a `Plan` frame straight from a slice of planned
-/// transactions: the Secondary streams chunk views of its plan without
-/// first collecting each chunk into an owned `Vec<WireTx>`.
-fn encode_plan_chunk(txs: &[PlannedTx]) -> ByteBuf {
-    let mut framed = begin_frame(3, 4 + txs.len() * 32);
-    framed.put_u32_le(txs.len() as u32);
+/// Tag and body of a `Plan` message. The Secondary passes chunk views
+/// of its plan mapped through [`planned_to_wire`], without collecting
+/// a `Vec<WireTx>` per chunk; [`encode`] passes an owned message's.
+fn put_plan(body: &mut ByteBuf, count: usize, txs: impl Iterator<Item = WireTx>) {
+    body.reserve(5 + count * PLAN_ENTRY);
+    body.put_u8(TAG_PLAN);
+    body.put_u32_le(count as u32);
     for tx in txs {
-        put_wire_tx(&mut framed, &planned_to_wire(tx));
+        body.put_u64_le(tx.at_us);
+        body.put_u32_le(tx.sender);
+        body.put_u8(tx.kind);
+        body.put_u8(tx.dapp);
+        body.put_u64_le(tx.seq);
+        body.put_u8(tx.entry);
+        body.put_i32_le(tx.args[0]);
+        body.put_i32_le(tx.args[1]);
+        body.put_u8(tx.argc);
     }
-    finish_frame(framed)
 }
 
-/// Encodes an `Outcomes` frame straight from a slice: the Primary's
-/// fan-out sends chunk views of one outcomes vector without cloning
-/// each chunk into an owned message.
-fn encode_outcomes_chunk(txs: &[WireOutcome]) -> ByteBuf {
-    let mut framed = begin_frame(5, 4 + txs.len() * 17);
-    framed.put_u32_le(txs.len() as u32);
+/// Tag and body of an `Outcomes` message; the Primary's fan-out passes
+/// chunk views of one outcomes vector.
+fn put_outcomes(body: &mut ByteBuf, txs: &[WireOutcome]) {
+    body.reserve(5 + txs.len() * OUTCOME_ENTRY);
+    body.put_u8(TAG_OUTCOMES);
+    body.put_u32_le(txs.len() as u32);
     for tx in txs {
-        put_wire_outcome(&mut framed, tx);
+        body.put_u8(tx.status);
+        body.put_u64_le(tx.submit_us);
+        body.put_u64_le(tx.decide_us);
     }
-    finish_frame(framed)
 }
 
-/// Encodes a message into a framed byte buffer.
-pub fn encode(msg: &Message) -> ByteBuf {
-    let framed = match msg {
+/// Appends `msg` to `out` as one frame.
+fn put_message(out: &mut ByteBuf, msg: &Message) {
+    put_frame(out, |f| match msg {
         Message::Hello { tag } => {
-            let mut f = begin_frame(1, 64);
-            put_string(&mut f, tag);
-            f
+            f.put_u8(1);
+            put_string(f, tag);
         }
         Message::Assign {
             chain,
@@ -350,46 +367,73 @@ pub fn encode(msg: &Message) -> ByteBuf {
             first,
             last,
         } => {
-            let mut f = begin_frame(2, chain.len() + spec.len() + 16);
-            put_string(&mut f, chain);
-            put_string(&mut f, spec);
+            f.put_u8(2);
+            put_string(f, chain);
+            put_string(f, spec);
             f.put_u32_le(*first);
             f.put_u32_le(*last);
-            f
         }
-        Message::Plan { txs } => return encode_plan_frame_owned(txs),
-        Message::PlanDone => begin_frame(4, 0),
-        Message::Outcomes { txs } => return encode_outcomes_chunk(txs),
-        Message::OutcomesDone => begin_frame(6, 0),
+        Message::Plan { txs } => put_plan(f, txs.len(), txs.iter().copied()),
+        Message::PlanDone => f.put_u8(4),
+        Message::Outcomes { txs } => put_outcomes(f, txs),
+        Message::OutcomesDone => f.put_u8(6),
         Message::Stats { text } => {
-            let mut f = begin_frame(7, text.len() + 4);
-            put_string(&mut f, text);
-            f
+            f.put_u8(7);
+            put_string(f, text);
         }
-        Message::Done => begin_frame(8, 0),
+        Message::Done => f.put_u8(8),
         Message::Telemetry { snapshot } => {
-            let mut f = begin_frame(9, 256);
-            put_telemetry(&mut f, snapshot);
-            f
+            f.put_u8(9);
+            put_telemetry(f, snapshot);
         }
         Message::TraceChunk { set } => {
-            let mut f = begin_frame(10, 20 + set.txs.len() * 64);
-            put_trace(&mut f, set);
-            f
+            f.put_u8(10);
+            put_trace(f, set);
         }
-    };
-    finish_frame(framed)
+    });
 }
 
-/// [`encode`]'s arm for an owned `Plan` message (roundtrip tests and
-/// any caller holding `WireTx` values directly).
-fn encode_plan_frame_owned(txs: &[WireTx]) -> ByteBuf {
-    let mut framed = begin_frame(3, 4 + txs.len() * 32);
-    framed.put_u32_le(txs.len() as u32);
-    for tx in txs {
-        put_wire_tx(&mut framed, tx);
+/// Encodes a message into a framed byte buffer.
+pub fn encode(msg: &Message) -> ByteBuf {
+    let mut out = ByteBuf::new();
+    put_message(&mut out, msg);
+    out
+}
+
+/// Reads the entry count of a `Plan` or `Outcomes` body and checks that
+/// as many entries of `size` bytes follow, so a count alone cannot make
+/// the reader reserve room for entries that never came.
+fn entry_count(body: &mut ByteReader, size: usize, what: &str) -> Result<usize, String> {
+    let n = body.get_u32_le().map_err(|_| format!("truncated {what}"))? as usize;
+    if body.remaining() < n * size {
+        return Err(format!("truncated {what} body"));
     }
-    finish_frame(framed)
+    Ok(n)
+}
+
+/// Reads one `Plan` entry: the field order of [`put_plan`], for
+/// [`decode`] and the Primary's session alike.
+fn get_wire_tx(body: &mut ByteReader) -> Result<WireTx, String> {
+    Ok(WireTx {
+        at_us: body.get_u64_le()?,
+        sender: body.get_u32_le()?,
+        kind: body.get_u8()?,
+        dapp: body.get_u8()?,
+        seq: body.get_u64_le()?,
+        entry: body.get_u8()?,
+        args: [body.get_i32_le()?, body.get_i32_le()?],
+        argc: body.get_u8()?,
+    })
+}
+
+/// Reads one `Outcomes` entry: the field order of [`put_outcomes`], for
+/// [`decode`] and the Secondary's session alike.
+fn get_wire_outcome(body: &mut ByteReader) -> Result<WireOutcome, String> {
+    Ok(WireOutcome {
+        status: body.get_u8()?,
+        submit_us: body.get_u64_le()?,
+        decide_us: body.get_u64_le()?,
+    })
 }
 
 /// Decodes one frame body (without the length prefix).
@@ -418,39 +462,20 @@ pub fn decode(body: &[u8]) -> Result<Message, String> {
                 last,
             })
         }
-        3 => {
-            let n = body.get_u32_le().map_err(|_| "truncated plan")? as usize;
-            if body.remaining() < n * 32 {
-                return Err("truncated plan body".into());
-            }
+        TAG_PLAN => {
+            let n = entry_count(&mut body, PLAN_ENTRY, "plan")?;
             let mut txs = Vec::with_capacity(n);
             for _ in 0..n {
-                txs.push(WireTx {
-                    at_us: body.get_u64_le()?,
-                    sender: body.get_u32_le()?,
-                    kind: body.get_u8()?,
-                    dapp: body.get_u8()?,
-                    seq: body.get_u64_le()?,
-                    entry: body.get_u8()?,
-                    args: [body.get_i32_le()?, body.get_i32_le()?],
-                    argc: body.get_u8()?,
-                });
+                txs.push(get_wire_tx(&mut body)?);
             }
             Ok(Message::Plan { txs })
         }
         4 => Ok(Message::PlanDone),
-        5 => {
-            let n = body.get_u32_le().map_err(|_| "truncated outcomes")? as usize;
-            if body.remaining() < n * 17 {
-                return Err("truncated outcomes body".into());
-            }
+        TAG_OUTCOMES => {
+            let n = entry_count(&mut body, OUTCOME_ENTRY, "outcomes")?;
             let mut txs = Vec::with_capacity(n);
             for _ in 0..n {
-                txs.push(WireOutcome {
-                    status: body.get_u8()?,
-                    submit_us: body.get_u64_le()?,
-                    decide_us: body.get_u64_le()?,
-                });
+                txs.push(get_wire_outcome(&mut body)?);
             }
             Ok(Message::Outcomes { txs })
         }
@@ -469,14 +494,52 @@ pub fn decode(body: &[u8]) -> Result<Message, String> {
     }
 }
 
-/// Writes one framed message to a stream.
-pub fn write_message(stream: &mut TcpStream, msg: &Message) -> Result<(), String> {
-    write_frame(stream, &encode(msg))
+/// One frame of the plan phase, decoded where the Primary uses it: the
+/// entries of a `Plan` body go from the frame's bytes, through a
+/// [`WireTx`] on the stack, onto the end of `plan` — what [`decode`]
+/// and [`wire_to_planned`] give entry by entry, or the error they give,
+/// without the `Vec<WireTx>` between. Returns `false` for `PlanDone`,
+/// which ends the phase; any other message is an error. On `Err`,
+/// `plan` may have grown by the entries before the bad one.
+pub fn decode_plan_frame(body: &[u8], plan: &mut Vec<PlannedTx>) -> Result<bool, String> {
+    if body.first() != Some(&TAG_PLAN) {
+        return match decode(body)? {
+            Message::PlanDone => Ok(false),
+            other => Err(format!("expected Plan, got {other:?}")),
+        };
+    }
+    let mut body = ByteReader::new(&body[1..]);
+    let n = entry_count(&mut body, PLAN_ENTRY, "plan")?;
+    plan.reserve(n);
+    for _ in 0..n {
+        plan.push(wire_to_planned(&get_wire_tx(&mut body)?)?);
+    }
+    Ok(true)
 }
 
-/// Writes an already-framed buffer to a stream.
-fn write_frame(stream: &mut TcpStream, framed: &ByteBuf) -> Result<(), String> {
-    stream.write_all(framed).map_err(|e| e.to_string())
+/// Writes one framed message to a stream.
+pub fn write_message(stream: &mut TcpStream, msg: &Message) -> Result<(), String> {
+    stream.write_all(&encode(msg)).map_err(|e| e.to_string())
+}
+
+/// Sends what `fill` appends to the session's one encode buffer —
+/// whole frames, as many as the protocol sends before it next reads —
+/// in a single write. With `TCP_NODELAY` on the socket the bytes are on
+/// the wire when this returns, and no small frame sits in the kernel
+/// waiting for the ACK of the one before it.
+fn send(
+    stream: &mut TcpStream,
+    out: &mut ByteBuf,
+    fill: impl FnOnce(&mut ByteBuf),
+) -> Result<(), String> {
+    out.clear();
+    fill(out);
+    stream.write_all(out).map_err(|e| e.to_string())
+}
+
+/// [`send`] for one message.
+fn send_message(stream: &mut TcpStream, out: &mut ByteBuf, msg: &Message) -> Result<(), String> {
+    send(stream, out, |out| put_message(out, msg))
 }
 
 /// Reads one framed message from a stream.
@@ -486,10 +549,10 @@ pub fn read_message(stream: &mut TcpStream) -> Result<Message, String> {
     decode(&frame)
 }
 
-/// Reads one frame's body into `frame`, replacing what it held. The
-/// length prefix is a claim by the peer: the buffer grows as bytes
-/// arrive, never by the claim, so four bytes cannot make this end
-/// allocate [`MAX_FRAME`].
+/// Reads one frame's body into `frame`, replacing what it held; a
+/// session reads every frame into one buffer. The length prefix is a
+/// claim by the peer: the buffer grows as bytes arrive, never by the
+/// claim, so four bytes cannot make this end allocate [`MAX_FRAME`].
 fn read_frame(stream: &mut TcpStream, frame: &mut Vec<u8>) -> Result<(), String> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf).map_err(|e| e.to_string())?;
@@ -573,7 +636,10 @@ fn planned_to_wire(tx: &PlannedTx) -> WireTx {
     }
 }
 
-fn wire_to_planned(tx: &WireTx) -> Result<PlannedTx, String> {
+/// The planned transaction a `Plan` entry stands for; an error if it
+/// stands for none (unknown kind, DApp index past [`DApp::ALL`], more
+/// arguments than a call holds).
+pub fn wire_to_planned(tx: &WireTx) -> Result<PlannedTx, String> {
     let dapp = || {
         DApp::ALL
             .get(tx.dapp as usize)
@@ -608,6 +674,50 @@ fn wire_to_planned(tx: &WireTx) -> Result<PlannedTx, String> {
     })
 }
 
+/// Accepts one Secondary on the Primary's listener. The socket is set
+/// up before its first frame: `TCP_NODELAY`, because the session sends
+/// a small frame and then waits for the answer, and every read under
+/// the 30 s Secondary deadline, the first included — a peer that
+/// connects and says nothing must not hang the Primary.
+pub fn accept_secondary(listener: &TcpListener) -> Result<TcpStream, String> {
+    let (stream, _addr) = listener.accept().map_err(|e| e.to_string())?;
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
+    stream
+        .set_read_timeout(Some(SECONDARY_DEADLINE))
+        .map_err(|e| e.to_string())?;
+    Ok(stream)
+}
+
+/// What is left of a Secondary after one phase of its session. A phase
+/// that failed — silence past the deadline, a closed stream, or
+/// something that is not the protocol: an undecodable frame, a message
+/// out of turn, a `Plan` entry no transaction can be made from — is
+/// that worker's death and nobody else's: it is counted, its socket is
+/// closed, and the session goes on with the others.
+fn survivor(si: usize, stream: TcpStream, phase: Result<(), String>) -> Option<TcpStream> {
+    match phase {
+        Ok(()) => Some(stream),
+        Err(reason) => {
+            eprintln!("warning: secondary {si} lost: {reason}");
+            diablo_telemetry::counter!("secondary.lost", 1);
+            None
+        }
+    }
+}
+
+/// Runs one phase of the session on every Secondary still on the wire.
+fn each_live(
+    workers: &mut [Option<TcpStream>],
+    mut phase: impl FnMut(usize, &mut TcpStream) -> Result<(), String>,
+) {
+    for (si, slot) in workers.iter_mut().enumerate() {
+        if let Some(mut stream) = slot.take() {
+            let done = phase(si, &mut stream);
+            *slot = survivor(si, stream, done);
+        }
+    }
+}
+
 /// Runs the Primary end of the distributed mode: accepts
 /// `n_secondaries` connections, dispatches assignments, collects plans,
 /// runs the benchmark, returns outcomes and aggregates statistics.
@@ -639,151 +749,129 @@ pub fn serve_primary(
     declare_resources(&spec, &mut scratch).map_err(|e| e.to_string())?;
     let dapp = scratch.sole_dapp();
 
-    // Accept the Secondaries and dispatch their shares. From its first
-    // frame on a Secondary can be lost — silent past the deadline, gone
-    // from the wire, or speaking something that is not the protocol
-    // (an undecodable frame, a message out of turn, a `Plan` entry no
-    // transaction can be made from). All three are that worker's death:
-    // its share is discarded and the others' session goes on.
-    // (`dead` tracks streams lost on the wire; a Secondary killed *in
-    // simulation* by the fault plan stays connected and keeps
-    // exchanging messages.)
-    let mut streams = Vec::with_capacity(ranges.len());
-    let mut dead = vec![false; ranges.len()];
+    // Every frame of the session is read into one buffer and encoded
+    // in another.
+    let mut frame = Vec::new();
+    let mut out = ByteBuf::new();
+
+    // Accept the Secondaries and dispatch their shares. A slot is
+    // `None` once its worker is lost on the wire; a Secondary killed
+    // *in simulation* by the fault plan stays connected and keeps
+    // exchanging messages.
+    let mut workers: Vec<Option<TcpStream>> = Vec::with_capacity(ranges.len());
     for (si, range) in ranges.iter().enumerate() {
-        let (mut stream, _addr) = listener.accept().map_err(|e| e.to_string())?;
-        // Every read runs under the deadline, the first included: a
-        // peer that connects and says nothing must not hang the Primary.
-        let _ = stream.set_read_timeout(Some(SECONDARY_DEADLINE));
-        let assigned = (|| match read_message(&mut stream)? {
-            Message::Hello { .. } => write_message(
-                &mut stream,
-                &Message::Assign {
-                    chain: chain.name().to_string(),
-                    spec: spec_text.to_string(),
-                    first: range.0,
-                    last: range.1,
-                },
-            ),
-            other => Err(format!("expected Hello, got {other:?}")),
+        let mut stream = accept_secondary(listener)?;
+        let assigned = (|| {
+            read_frame(&mut stream, &mut frame)?;
+            match decode(&frame)? {
+                Message::Hello { .. } => {
+                    let assign = Message::Assign {
+                        chain: chain.name().to_string(),
+                        spec: spec_text.to_string(),
+                        first: range.0,
+                        last: range.1,
+                    };
+                    send_message(&mut stream, &mut out, &assign)
+                }
+                other => Err(format!("expected Hello, got {other:?}")),
+            }
         })();
-        if assigned.is_err() {
-            dead[si] = true;
-            diablo_telemetry::counter!("secondary.lost", 1);
-        }
-        streams.push(stream);
+        workers.push(survivor(si, stream, assigned));
     }
 
-    // Collect plans; a lost Secondary's partial plan is discarded.
+    // Collect the plans, one Secondary after the other, each frame
+    // decoded straight onto the end of `merged`; `shares[si]` is where
+    // Secondary `si`'s entries lie. A lost worker's partial share is
+    // discarded.
     let mut merged: Vec<PlannedTx> = Vec::new();
-    let mut origin: Vec<(u32, u32)> = Vec::new(); // (secondary, local index)
-    let mut planned_counts: Vec<u32> = vec![0; streams.len()];
-    for (si, stream) in streams.iter_mut().enumerate() {
-        if dead[si] {
-            continue;
-        }
+    let mut shares = vec![0..0; workers.len()];
+    each_live(&mut workers, |si, stream| {
         let start = merged.len();
-        let mut local = 0u32;
-        let collected = (|| loop {
-            match read_message(stream)? {
-                Message::Plan { txs } => {
-                    for wire in &txs {
-                        merged.push(wire_to_planned(wire)?);
-                        origin.push((si as u32, local));
-                        local += 1;
-                    }
-                }
-                Message::PlanDone => return Ok(()),
-                other => return Err(format!("expected Plan, got {other:?}")),
+        let held = (|| loop {
+            read_frame(stream, &mut frame)?;
+            if !decode_plan_frame(&frame, &mut merged)? {
+                return Ok(());
+            }
+            if u32::try_from(merged.len()).is_err() {
+                return Err("more planned transactions than a 32-bit index holds".into());
             }
         })();
-        if collected.is_err() {
-            dead[si] = true;
-            merged.truncate(start);
-            origin.truncate(start);
-            diablo_telemetry::counter!("secondary.lost", 1);
-        } else {
-            planned_counts[si] = local;
+        match held {
+            Ok(()) => shares[si] = start..merged.len(),
+            Err(_) => merged.truncate(start),
         }
-    }
+        held
+    });
 
-    // Apply declared Secondary kills: a worker killed at T submits
-    // nothing from T on, so its later transactions leave the plan (the
+    // Order the plan by submission instant with one stable sort over
+    // inline `(instant, index)` keys. A Secondary streams its clients
+    // one by one, so `merged` is a concatenation of per-client runs,
+    // each stably sorted by its Secondary; a stable sort of
+    // concatenated stably-sorted runs is the stable sort of the
+    // concatenation, so equal instants come out by (client, planning
+    // order) — the order the Secondary's own whole-range sort gave when
+    // it planned everything before it sent anything, and the one
+    // `run_local` gives. The sort finds the runs and merges them.
+    //
+    // Declared Secondary kills apply here: a worker killed at T submits
+    // nothing from T on, so its later transactions get no key (the
     // worker itself is still connected — its death is simulated — and
-    // later receives Pending fillers for the dropped entries).
-    if !faults.secondary_kills().is_empty() {
-        let mut dropped = 0u64;
-        let mut keep = vec![true; merged.len()];
-        for (i, tx) in merged.iter().enumerate() {
-            let (si, _) = origin[i];
-            if let Some(at) = faults.kill_of_secondary(si as usize) {
-                if tx.at >= at {
-                    keep[i] = false;
-                    dropped += 1;
-                }
-            }
-        }
-        if dropped > 0 {
-            let mut it = keep.iter();
-            merged.retain(|_| *it.next().unwrap());
-            let mut it = keep.iter();
-            origin.retain(|_| *it.next().unwrap());
-            diablo_telemetry::counter!("secondary.killed_txs", dropped);
-        }
+    // later receives Pending fillers for them).
+    let mut keys: Vec<(SimTime, u32)> = Vec::with_capacity(merged.len());
+    for (si, share) in shares.iter().enumerate() {
+        let kill = faults.kill_of_secondary(si);
+        keys.extend(
+            share
+                .clone()
+                .filter(|&i| kill.is_none_or(|at| merged[i].at < at))
+                .map(|i| (merged[i].at, i as u32)),
+        );
     }
-
-    // Sort by time, keeping the origin map aligned.
-    let mut order: Vec<usize> = (0..merged.len()).collect();
-    order.sort_by_key(|&i| merged[i].at);
-    let merged_sorted: Vec<PlannedTx> = order.iter().map(|&i| merged[i]).collect();
+    let planned = merged.len();
+    if keys.len() < planned {
+        diablo_telemetry::counter!("secondary.killed_txs", (planned - keys.len()) as u64);
+    }
+    keys.sort_by_key(|&(at, _)| at);
+    let order: Vec<u32> = keys.iter().map(|&(_, i)| i).collect();
+    drop(keys);
+    let plan: Vec<PlannedTx> = order.iter().map(|&i| merged[i as usize]).collect();
+    // The run starts with the ordered plan and `order`, not with two
+    // more copies of the plan.
+    drop(merged);
 
     // Run the benchmark.
-    let mut result = match ChainHarness::new(chain, deployment, dapp, run.clone()) {
-        Ok(h) => h.run(merged_sorted, workload_name, spec.duration_secs() as f64),
-        Err(reason) => RunResult::unable(chain, workload_name, spec.duration_secs() as f64, reason),
+    let secs = spec.duration_secs() as f64;
+    let mut result = match ChainHarness::new(chain, deployment, dapp, run) {
+        Ok(h) => h.run(plan, workload_name, secs),
+        Err(reason) => RunResult::unable(chain, workload_name, secs, reason),
     };
 
-    // Route outcomes back in each Secondary's planning order. Buckets
-    // start at the full planned size so entries the kill schedule
-    // removed still answer as Pending (a Secondary checks it got one
-    // outcome per planned transaction).
-    let mut per_secondary: Vec<Vec<WireOutcome>> = planned_counts
-        .iter()
-        .map(|&n| {
-            vec![
-                WireOutcome {
-                    status: 0,
-                    submit_us: 0,
-                    decide_us: u64::MAX,
-                };
-                n as usize
-            ]
-        })
-        .collect();
-    for (pos, &idx) in order.iter().enumerate() {
-        let (si, local) = origin[idx];
-        let rec = &result.records[pos];
-        per_secondary[si as usize][local as usize] = WireOutcome {
+    // Route outcomes back in each Secondary's planning order: record
+    // `pos` belongs to entry `order[pos]` of `merged`. Entries the kill
+    // schedule removed, and all of them if the chain was unable to run,
+    // answer as Pending (a Secondary checks it got one outcome per
+    // planned transaction).
+    let pending = WireOutcome {
+        status: 0,
+        submit_us: 0,
+        decide_us: u64::MAX,
+    };
+    let mut outcomes = vec![pending; planned];
+    for (rec, &i) in result.records.iter().zip(&order) {
+        outcomes[i as usize] = WireOutcome {
             status: status_to_wire(rec.status),
             submit_us: rec.submitted.as_micros(),
-            decide_us: rec.decided.map(|d| d.as_micros()).unwrap_or(u64::MAX),
+            decide_us: rec.decided.map_or(u64::MAX, |d| d.as_micros()),
         };
     }
-    for (si, (stream, outcomes)) in streams.iter_mut().zip(per_secondary).enumerate() {
-        if dead[si] {
-            continue; // gone from the wire; nothing to answer
+    each_live(&mut workers, |si, stream| {
+        for chunk in outcomes[shares[si].clone()].chunks(CHUNK) {
+            send(stream, &mut out, |out| {
+                put_frame(out, |f| put_outcomes(f, chunk));
+            })?;
         }
-        let send = (|| -> Result<(), String> {
-            for chunk in outcomes.chunks(CHUNK) {
-                write_frame(stream, &encode_outcomes_chunk(chunk))?;
-            }
-            write_message(stream, &Message::OutcomesDone)
-        })();
-        if send.is_err() {
-            diablo_telemetry::counter!("secondary.lost", 1);
-            dead[si] = true;
-        }
-    }
+        send_message(stream, &mut out, &Message::OutcomesDone)
+    });
 
     // Aggregate the Secondaries' statistics and telemetry reports. The
     // Primary ran the chain itself, so its own recorder holds the run's
@@ -792,64 +880,43 @@ pub fn serve_primary(
     // dies before reporting is skipped: the aggregation is partial
     // rather than hung. The Primary's own snapshot is taken last: by
     // then an in-process Secondary has cleared the recorder it reported
-    // from, and `secondary.lost` below is in it.
+    // from, and every `secondary.lost` is in it.
     let mut reported = diablo_telemetry::TelemetrySnapshot::default();
-    for (si, stream) in streams.iter_mut().enumerate() {
-        if dead[si] {
-            continue;
+    each_live(&mut workers, |_, stream| {
+        let mut next = || {
+            read_frame(stream, &mut frame)?;
+            decode(&frame)
+        };
+        let (Message::Stats { .. }, Message::Telemetry { snapshot }, Message::TraceChunk { set }) =
+            (next()?, next()?, next()?)
+        else {
+            return Err("expected Stats, Telemetry and TraceChunk".into());
+        };
+        let _ = send_message(stream, &mut out, &Message::Done);
+        reported.merge(&snapshot);
+        // Merged like telemetry: today's planning-side chunks are empty
+        // (the merge is the identity), and an untraced run keeps
+        // `trace: None` so reports stay byte-identical to an untraced
+        // Primary's.
+        match result.trace.as_mut() {
+            Some(trace) => trace.merge(&set),
+            None if !set.is_empty() => result.trace = Some(set),
+            None => {}
         }
-        type SecondaryReport = (
-            diablo_telemetry::TelemetrySnapshot,
-            diablo_telemetry::trace::TraceSet,
-        );
-        let collect = (|| -> Result<SecondaryReport, String> {
-            match read_message(stream)? {
-                Message::Stats { .. } => {}
-                other => return Err(format!("expected Stats, got {other:?}")),
-            }
-            let snapshot = match read_message(stream)? {
-                Message::Telemetry { snapshot } => snapshot,
-                other => return Err(format!("expected Telemetry, got {other:?}")),
-            };
-            let set = match read_message(stream)? {
-                Message::TraceChunk { set } => set,
-                other => return Err(format!("expected TraceChunk, got {other:?}")),
-            };
-            let _ = write_message(stream, &Message::Done);
-            Ok((snapshot, set))
-        })();
-        match collect {
-            Ok((snapshot, set)) => {
-                reported.merge(&snapshot);
-                // Merged like telemetry: today's planning-side chunks
-                // are empty (the merge is the identity), and an untraced
-                // run keeps `trace: None` so reports stay byte-identical
-                // to an untraced Primary's.
-                match result.trace.as_mut() {
-                    Some(trace) => trace.merge(&set),
-                    None if !set.is_empty() => result.trace = Some(set),
-                    None => {}
-                }
-            }
-            Err(_) => {
-                diablo_telemetry::counter!("secondary.lost", 1);
-                dead[si] = true;
-            }
-        }
-    }
-
+        Ok(())
+    });
     let mut telemetry = diablo_telemetry::snapshot();
     telemetry.merge(&reported);
 
     // The report's lost set: workers gone from the wire plus workers
     // the fault plan killed in simulation.
-    let lost_secondaries: Vec<usize> = (0..streams.len())
-        .filter(|&si| dead[si] || faults.kill_of_secondary(si).is_some())
+    let lost_secondaries: Vec<usize> = (0..workers.len())
+        .filter(|&si| workers[si].is_none() || faults.kill_of_secondary(si).is_some())
         .collect();
 
     Ok(Report {
         result,
-        secondaries: streams.len(),
+        secondaries: workers.len(),
         clients,
         telemetry,
         faults,
@@ -897,12 +964,23 @@ pub fn run_secondary_with_retry(
     tag: &str,
     retry: &diablo_chains::RetryPolicy,
 ) -> Result<String, SecondaryError> {
-    use crate::abstraction::ConnectorError;
-    use diablo_net::{dial, DialErrorKind, DialPolicy};
-
     // This thread's recorder only: an in-process Primary records into
     // the same registry and has reset its own.
     diablo_telemetry::thread_reset();
+    let stream = connect_primary(addr, retry)?;
+    secondary_session(stream, tag).map_err(SecondaryError::Protocol)
+}
+
+/// Dials the Primary at `addr` under `retry` and sets `TCP_NODELAY` on
+/// the socket (see [`accept_secondary`]). A Secondary reads without a
+/// deadline: between its plan and its outcomes lies the whole run.
+pub fn connect_primary(
+    addr: &str,
+    retry: &diablo_chains::RetryPolicy,
+) -> Result<TcpStream, SecondaryError> {
+    use crate::abstraction::ConnectorError;
+    use diablo_net::{dial, DialErrorKind, DialPolicy};
+
     let policy = DialPolicy {
         attempts: retry.attempts,
         backoff: std::time::Duration::from_micros(retry.backoff.as_micros()),
@@ -921,19 +999,26 @@ pub fn run_secondary_with_retry(
             },
         })
     })?;
-    secondary_session(stream, tag).map_err(SecondaryError::Protocol)
+    stream
+        .set_nodelay(true)
+        .map_err(|e| SecondaryError::Protocol(e.to_string()))?;
+    Ok(stream)
 }
 
 /// The Secondary's side of the wire protocol, from Hello to Done, on an
 /// established connection.
 fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String> {
-    write_message(
-        &mut stream,
-        &Message::Hello {
-            tag: tag.to_string(),
-        },
-    )?;
-    let (spec_text, chain_name, range) = match read_message(&mut stream)? {
+    // Every frame of the session is read into one buffer and encoded
+    // in another.
+    let mut frame = Vec::new();
+    let mut out = ByteBuf::new();
+
+    let hello = Message::Hello {
+        tag: tag.to_string(),
+    };
+    send_message(&mut stream, &mut out, &hello)?;
+    read_frame(&mut stream, &mut frame)?;
+    let (spec_text, chain_name, (first, last)) = match decode(&frame)? {
         Message::Assign {
             chain,
             spec,
@@ -945,20 +1030,42 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
     let chain = Chain::parse(&chain_name).ok_or_else(|| format!("unknown chain {chain_name}"))?;
     let spec = BenchmarkSpec::parse(&spec_text).map_err(|e| e.to_string())?;
 
-    // Presign (plan) the assigned client share, timing it: §4's
-    // Secondaries "constantly check if the submission time is not too
-    // late compared to the time demanded by the Primary and emit a
-    // warning otherwise". In virtual time nothing can be late, but a
-    // Secondary that presigns slower than the workload's real-time rate
-    // would lag a live deployment, so we warn on that.
-    let plan_started = std::time::Instant::now();
+    // Presign (plan) the assigned share and ship it one client at a
+    // time: the Primary reads and decodes client `g` while this end
+    // plans client `g + 1`, and neither holds more than it must. A
+    // client's plan is sorted by `take_plan`; the Primary's stable sort
+    // of the concatenation restores the order a whole-range
+    // `take_plan` would have sent (see `serve_primary`). The connector
+    // is one for the whole range, so invocation sequence numbers run on
+    // from client to client as they did.
+    //
+    // The planning calls are timed: §4's Secondaries "constantly check
+    // if the submission time is not too late compared to the time
+    // demanded by the Primary and emit a warning otherwise". In virtual
+    // time nothing can be late, but a Secondary that presigns slower
+    // than the workload's real-time rate would lag a live deployment,
+    // so we warn on that. Waiting for the Primary to take the frames is
+    // not planning and is not counted.
     let mut conn = adapters::connector(chain);
     declare_resources(&spec, &mut conn).map_err(|e| e.to_string())?;
-    plan_range(&spec, range, &mut conn).map_err(|e| e.to_string())?;
-    let plan = conn.take_plan();
-    let planned = plan.len();
+    let mut planned = 0usize;
+    let mut planning = std::time::Duration::ZERO;
+    for client in first..last {
+        let started = std::time::Instant::now();
+        plan_range(&spec, (client, client + 1), &mut conn).map_err(|e| e.to_string())?;
+        let plan = conn.take_plan();
+        planning += started.elapsed();
+        planned += plan.len();
+        for chunk in plan.chunks(CHUNK) {
+            let wire = chunk.iter().map(planned_to_wire);
+            send(&mut stream, &mut out, |out| {
+                put_frame(out, |f| put_plan(f, chunk.len(), wire));
+            })?;
+        }
+    }
+    send_message(&mut stream, &mut out, &Message::PlanDone)?;
     diablo_telemetry::counter!("secondary.planned_txs", planned as u64);
-    let plan_wall = plan_started.elapsed().as_secs_f64();
+    let plan_wall = planning.as_secs_f64();
     let workload_secs = spec.duration_secs().max(1) as f64;
     let lag_warning = if plan_wall > workload_secs {
         format!(
@@ -967,29 +1074,28 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
     } else {
         String::new()
     };
-    for chunk in plan.chunks(CHUNK) {
-        write_frame(&mut stream, &encode_plan_chunk(chunk))?;
-    }
-    write_message(&mut stream, &Message::PlanDone)?;
 
-    // Receive outcomes and compute local statistics.
+    // Receive outcomes, folding each entry into the local statistics as
+    // it is read off the frame.
     let mut committed = 0u64;
     let mut latency_sum = 0.0f64;
     let mut received = 0usize;
     loop {
-        match read_message(&mut stream)? {
-            Message::Outcomes { txs } => {
-                for o in &txs {
-                    received += 1;
-                    let status = status_from_wire(o.status)?;
-                    if status == TxStatus::Committed && o.decide_us != u64::MAX {
-                        committed += 1;
-                        latency_sum += (o.decide_us.saturating_sub(o.submit_us)) as f64 / 1e6;
-                    }
-                }
+        read_frame(&mut stream, &mut frame)?;
+        if frame.first() != Some(&TAG_OUTCOMES) {
+            match decode(&frame)? {
+                Message::OutcomesDone => break,
+                other => return Err(format!("expected Outcomes, got {other:?}")),
             }
-            Message::OutcomesDone => break,
-            other => return Err(format!("expected Outcomes, got {other:?}")),
+        }
+        let mut body = ByteReader::new(&frame[1..]);
+        for _ in 0..entry_count(&mut body, OUTCOME_ENTRY, "outcomes")? {
+            let o = get_wire_outcome(&mut body)?;
+            received += 1;
+            if status_from_wire(o.status)? == TxStatus::Committed && o.decide_us != u64::MAX {
+                committed += 1;
+                latency_sum += (o.decide_us.saturating_sub(o.submit_us)) as f64 / 1e6;
+            }
         }
     }
     if received != planned {
@@ -1006,21 +1112,27 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
         "secondary {tag}: {planned} sent, {committed} {}, avg latency {avg_latency:.2}s{lag_warning}",
         status_name(TxStatus::Committed)
     );
-    write_message(&mut stream, &Message::Stats { text: text.clone() })?;
+
     // The session runs on this one thread, so the thread's recorder is
-    // the Secondary's share. It is cleared before the frame leaves: a
+    // the Secondary's share. It is cleared before the frames leave: a
     // Primary in the same process snapshots every recorder once it has
     // this one's copy, and must not find the same counts there again.
     let snapshot = diablo_telemetry::thread_snapshot();
     diablo_telemetry::thread_reset();
-    write_message(&mut stream, &Message::Telemetry { snapshot })?;
-    write_message(
-        &mut stream,
-        &Message::TraceChunk {
+    // Secondaries plan and presign but do not simulate and own no
+    // tracer: the trace contribution is empty.
+    let report = [
+        Message::Stats { text: text.clone() },
+        Message::Telemetry { snapshot },
+        Message::TraceChunk {
             set: diablo_telemetry::trace::TraceSet::default(),
         },
-    )?;
-    match read_message(&mut stream)? {
+    ];
+    send(&mut stream, &mut out, |out| {
+        report.iter().for_each(|msg| put_message(out, msg));
+    })?;
+    read_frame(&mut stream, &mut frame)?;
+    match decode(&frame)? {
         Message::Done => Ok(text),
         other => Err(format!("expected Done, got {other:?}")),
     }
@@ -1183,7 +1295,8 @@ mod tests {
             })
             .collect();
         for chunk in outcomes.chunks(33) {
-            let zero_copy = encode_outcomes_chunk(chunk);
+            let mut zero_copy = ByteBuf::new();
+            put_frame(&mut zero_copy, |f| put_outcomes(f, chunk));
             let owned = encode(&Message::Outcomes {
                 txs: chunk.to_vec(),
             });
@@ -1206,7 +1319,10 @@ mod tests {
             })
             .collect();
         for chunk in plan.chunks(17) {
-            let zero_copy = encode_plan_chunk(chunk);
+            let mut zero_copy = ByteBuf::new();
+            put_frame(&mut zero_copy, |f| {
+                put_plan(f, chunk.len(), chunk.iter().map(planned_to_wire));
+            });
             let owned = encode(&Message::Plan {
                 txs: chunk.iter().map(planned_to_wire).collect(),
             });
@@ -1267,8 +1383,8 @@ mod tests {
         // Three arguments do not fit a call: an error, not a silent 2.
         assert!(wire_to_planned(&WireTx { argc: 3, ..call }).is_err());
         assert!(wire_to_planned(&WireTx { kind: 9, ..call }).is_err());
-        let past_the_dapps = DApp::ALL.len() as u8;
-        assert!(wire_to_planned(&WireTx { dapp: past_the_dapps, ..call }).is_err());
+        let dapp = DApp::ALL.len() as u8;
+        assert!(wire_to_planned(&WireTx { dapp, ..call }).is_err());
     }
 
     #[test]
