@@ -176,7 +176,13 @@ fn garbage_from_one_secondary_costs_only_its_share() {
             args: [0, 0],
             argc: 0,
         };
-        write_message(&mut stream, &Message::Plan { txs: vec![nonsense] }).expect("plan");
+        write_message(
+            &mut stream,
+            &Message::Plan {
+                txs: vec![nonsense],
+            },
+        )
+        .expect("plan");
         // Stay connected until the Primary hangs up: it must not wait
         // for this worker to go away by itself.
         let _ = read_message(&mut stream);
@@ -196,7 +202,12 @@ fn garbage_from_one_secondary_costs_only_its_share() {
     babbling.join().expect("babbling thread");
 
     assert_eq!(report.secondaries, 2);
-    assert_eq!(report.lost_secondaries.len(), 1, "{:?}", report.lost_secondaries);
+    assert_eq!(
+        report.lost_secondaries.len(),
+        1,
+        "{:?}",
+        report.lost_secondaries
+    );
     assert_eq!(report.result.submitted(), 1_000);
     assert!(
         report.result.commit_ratio() > 0.9,
@@ -251,6 +262,103 @@ fn killed_secondary_truncates_its_share() {
     assert_eq!(report.lost_secondaries, vec![1]);
     // Worker 0 submits its full 1000; worker 1 only the first half.
     assert_eq!(report.result.submitted(), 1_500);
+}
+
+/// Two behaviors per client at rates whose spacings divide the tick, so
+/// every client submits at the same instants and the two behaviors of a
+/// client meet at every tick start; few enough signers that Diem's
+/// per-sender cap decides fates by who comes first among equals.
+const TIES_SPEC: &str = r#"
+workloads:
+  - number: 5
+    client:
+      behavior:
+        - interaction: !transfer
+            from: { sample: !account { number: 3 } }
+          load:
+            0: 1000
+            8: 0
+        - interaction: !transfer
+            from: { sample: !account { number: 7 } }
+          load:
+            0: 50
+            8: 0
+"#;
+
+#[test]
+fn records_equal_local_mode_at_every_secondary_count() {
+    // Secondaries stream their plans client by client and the Primary
+    // orders the concatenation with one stable sort. Wherever instants
+    // tie across clients or behaviors, the order must be the one
+    // `run_local` gets from sorting whole ranges: (client, planning
+    // order). Records are positional, so a reordering shows as a
+    // different status or latency at some index.
+    for n in [1, 2, 3, 4] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let addr = addr.clone();
+                thread::spawn(move || run_secondary(&addr, &format!("zone-{i}")))
+            })
+            .collect();
+        let options = BenchmarkOptions {
+            secondaries: n,
+            ..BenchmarkOptions::default()
+        };
+        let tcp = serve_primary(
+            &listener,
+            Chain::Diem,
+            DeploymentKind::Testnet,
+            TIES_SPEC,
+            "tcp-ties",
+            &options,
+            n,
+        )
+        .expect("primary");
+        for h in handles {
+            h.join().expect("join").expect("secondary");
+        }
+        let local = diablo::core::run_local(
+            Chain::Diem,
+            DeploymentKind::Testnet,
+            TIES_SPEC,
+            "tcp-ties",
+            &options,
+        )
+        .expect("local");
+
+        let fates = |report: &diablo::core::Report| -> Vec<_> {
+            let records = &report.result.records;
+            records
+                .iter()
+                .map(|r| (r.submitted, r.decided, r.status))
+                .collect()
+        };
+        let (tcp, local) = (fates(&tcp), fates(&local));
+        // 5 clients × (1,000 + 50) TPS × 8 s.
+        assert_eq!(local.len(), 42_000);
+        assert!(
+            local.windows(2).filter(|w| w[0].0 == w[1].0).count() > 1_000,
+            "the spec must tie instants"
+        );
+        let dropped = local
+            .iter()
+            .filter(|r| r.2 == diablo::chains::TxStatus::DroppedPerSender)
+            .count();
+        assert!(
+            dropped > 4_000 && dropped < 38_000,
+            "fates must depend on order: {dropped} dropped per sender"
+        );
+        if let Some(at) = (0..local.len()).find(|&i| tcp.get(i) != Some(&local[i])) {
+            panic!(
+                "{n} secondaries: record {at} is {:?} over TCP, {:?} locally",
+                tcp.get(at),
+                local[at]
+            );
+        }
+        assert_eq!(tcp.len(), local.len());
+    }
 }
 
 #[test]
