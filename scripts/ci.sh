@@ -50,6 +50,25 @@ for seed in 0xc9fe069d1f6ef645 0x83ec3fefd347df57; do
         cargo test -q --release --offline -p diablo-telemetry --test trace_oracle
 done
 
+# The Primary's direct `Plan` decoder against `decode` +
+# `wire_to_planned` on damaged frames. The seeds are the cases that
+# failed while decode_plan_frame was mutation-checked: the length check
+# before the entries removed, the loop one entry short. The unseeded
+# workspace run above sweeps the full randomized case set.
+echo "==> wire differential replays (pinned seeds)"
+for seed in 0x5c3fe047b914202b 0xadbe0d5c9d0867c6; do
+    echo "    DIABLO_PROP_SEED=$seed"
+    DIABLO_PROP_SEED="$seed" \
+        cargo test -q --release --offline -p diablo-core --test wire_properties
+done
+
+# The wire session's deterministic gate, in place of a timing: peak live
+# bytes per planned transaction of one in-process session, a MAX_FRAME
+# length prefix that must allocate nothing, and TCP_NODELAY on both
+# ends.
+echo "==> wire allocation gate (peak bytes per planned transaction, nodelay)"
+cargo test -q --release --offline -p diablo-core --test wire_alloc
+
 # The trace recorder used to be process-global, and two unit tests that
 # armed it at once took each other's recorder at eight test threads —
 # never at the two a 2-core runner defaults to. Every tracer is a value
@@ -299,6 +318,9 @@ RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
 # a reader that builds nothing for the transaction array.
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-core --test results_alloc
+# And the wire session's peak per planned transaction.
+RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
+    cargo test -q --offline -p diablo-core --test wire_alloc
 # And the budget of tracing: a run asked to trace allocates exactly what
 # its untraced twin does when the tracer is compiled out.
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
@@ -326,11 +348,14 @@ DIABLO_BENCH_SAMPLES=2 DIABLO_BENCH_JSON="$bench_json" \
 # iteration re-parses its own JSON and compares the emitted JSON and
 # stats text across iterations) and on its tracing workload (every
 # iteration arms a tracer and runs it under partition, corruption and
-# retries). Every iteration is verified (conservation, the
+# retries) and on its wire workload (every iteration is a Primary and a
+# Secondary over a loopback socket, 180,000 planned transactions
+# streamed client by client and ordered by the Primary). Every
+# iteration is verified (conservation, the
 # commit rule, a fingerprint that repeats), and the last stdout line
 # says whether all of them held; two seconds is enough to run the
 # check, not to measure.
-for workload in model_200n store_video exec_gaming spec_native trace_chaos; do
+for workload in model_200n store_video exec_gaming spec_native trace_chaos tcp_overload; do
     echo "==> host-bench smoke (benchmark/ on $workload, result line must be correct)"
     cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 2 --trace 0 \
