@@ -324,20 +324,25 @@ fn put_frame(out: &mut ByteBuf, body: impl FnOnce(&mut ByteBuf)) {
 /// Tag and body of a `Plan` message. The Secondary passes chunk views
 /// of its plan mapped through [`planned_to_wire`], without collecting
 /// a `Vec<WireTx>` per chunk; [`encode`] passes an owned message's.
+/// An entry is laid out in an array and appended in one piece: nine
+/// appends per entry cost twice the time (1.9 → 1.0 ms for `encode`
+/// over 180,000 entries each of `Plan` and `Outcomes`).
 fn put_plan(body: &mut ByteBuf, count: usize, txs: impl Iterator<Item = WireTx>) {
     body.reserve(5 + count * PLAN_ENTRY);
     body.put_u8(TAG_PLAN);
     body.put_u32_le(count as u32);
     for tx in txs {
-        body.put_u64_le(tx.at_us);
-        body.put_u32_le(tx.sender);
-        body.put_u8(tx.kind);
-        body.put_u8(tx.dapp);
-        body.put_u64_le(tx.seq);
-        body.put_u8(tx.entry);
-        body.put_i32_le(tx.args[0]);
-        body.put_i32_le(tx.args[1]);
-        body.put_u8(tx.argc);
+        let mut e = [0u8; PLAN_ENTRY];
+        e[0..8].copy_from_slice(&tx.at_us.to_le_bytes());
+        e[8..12].copy_from_slice(&tx.sender.to_le_bytes());
+        e[12] = tx.kind;
+        e[13] = tx.dapp;
+        e[14..22].copy_from_slice(&tx.seq.to_le_bytes());
+        e[22] = tx.entry;
+        e[23..27].copy_from_slice(&tx.args[0].to_le_bytes());
+        e[27..31].copy_from_slice(&tx.args[1].to_le_bytes());
+        e[31] = tx.argc;
+        body.put_slice(&e);
     }
 }
 
@@ -348,9 +353,11 @@ fn put_outcomes(body: &mut ByteBuf, txs: &[WireOutcome]) {
     body.put_u8(TAG_OUTCOMES);
     body.put_u32_le(txs.len() as u32);
     for tx in txs {
-        body.put_u8(tx.status);
-        body.put_u64_le(tx.submit_us);
-        body.put_u64_le(tx.decide_us);
+        let mut e = [0u8; OUTCOME_ENTRY];
+        e[0] = tx.status;
+        e[1..9].copy_from_slice(&tx.submit_us.to_le_bytes());
+        e[9..17].copy_from_slice(&tx.decide_us.to_le_bytes());
+        body.put_slice(&e);
     }
 }
 
@@ -395,7 +402,15 @@ fn put_message(out: &mut ByteBuf, msg: &Message) {
 
 /// Encodes a message into a framed byte buffer.
 pub fn encode(msg: &Message) -> ByteBuf {
-    let mut out = ByteBuf::new();
+    // One allocation of the final size for the two big kinds: a buffer
+    // grown from empty takes another path through the allocator and
+    // costs `encode` a tenth more.
+    let entries = match msg {
+        Message::Plan { txs } => txs.len() * PLAN_ENTRY,
+        Message::Outcomes { txs } => txs.len() * OUTCOME_ENTRY,
+        _ => 0,
+    };
+    let mut out = ByteBuf::with_capacity(64 + entries);
     put_message(&mut out, msg);
     out
 }
@@ -413,6 +428,7 @@ fn entry_count(body: &mut ByteReader, size: usize, what: &str) -> Result<usize, 
 
 /// Reads one `Plan` entry: the field order of [`put_plan`], for
 /// [`decode`] and the Primary's session alike.
+#[inline]
 fn get_wire_tx(body: &mut ByteReader) -> Result<WireTx, String> {
     Ok(WireTx {
         at_us: body.get_u64_le()?,
@@ -428,6 +444,7 @@ fn get_wire_tx(body: &mut ByteReader) -> Result<WireTx, String> {
 
 /// Reads one `Outcomes` entry: the field order of [`put_outcomes`], for
 /// [`decode`] and the Secondary's session alike.
+#[inline]
 fn get_wire_outcome(body: &mut ByteReader) -> Result<WireOutcome, String> {
     Ok(WireOutcome {
         status: body.get_u8()?,
@@ -698,7 +715,8 @@ fn survivor(si: usize, stream: TcpStream, phase: Result<(), String>) -> Option<T
     match phase {
         Ok(()) => Some(stream),
         Err(reason) => {
-            eprintln!("warning: secondary {si} lost: {reason}");
+            // `{:.200}`: the reason may quote a whole unexpected message.
+            eprintln!("warning: secondary {si} lost: {reason:.200}");
             diablo_telemetry::counter!("secondary.lost", 1);
             None
         }
