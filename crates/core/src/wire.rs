@@ -561,9 +561,13 @@ fn send_message(stream: &mut TcpStream, out: &mut ByteBuf, msg: &Message) -> Res
 
 /// Reads one framed message from a stream.
 pub fn read_message(stream: &mut TcpStream) -> Result<Message, String> {
-    let mut frame = Vec::new();
-    read_frame(stream, &mut frame)?;
-    decode(&frame)
+    receive(stream, &mut Vec::new())
+}
+
+/// [`read_message`] through the session's one read buffer.
+fn receive(stream: &mut TcpStream, frame: &mut Vec<u8>) -> Result<Message, String> {
+    read_frame(stream, frame)?;
+    decode(frame)
 }
 
 /// Reads one frame's body into `frame`, replacing what it held; a
@@ -779,21 +783,19 @@ pub fn serve_primary(
     let mut workers: Vec<Option<TcpStream>> = Vec::with_capacity(ranges.len());
     for (si, range) in ranges.iter().enumerate() {
         let mut stream = accept_secondary(listener)?;
-        let assigned = (|| {
-            read_frame(&mut stream, &mut frame)?;
-            match decode(&frame)? {
-                Message::Hello { .. } => {
-                    let assign = Message::Assign {
-                        chain: chain.name().to_string(),
-                        spec: spec_text.to_string(),
-                        first: range.0,
-                        last: range.1,
-                    };
-                    send_message(&mut stream, &mut out, &assign)
-                }
-                other => Err(format!("expected Hello, got {other:?}")),
+        let assigned = match receive(&mut stream, &mut frame) {
+            Ok(Message::Hello { .. }) => {
+                let assign = Message::Assign {
+                    chain: chain.name().to_string(),
+                    spec: spec_text.to_string(),
+                    first: range.0,
+                    last: range.1,
+                };
+                send_message(&mut stream, &mut out, &assign)
             }
-        })();
+            Ok(other) => Err(format!("expected Hello, got {other:?}")),
+            Err(unreadable) => Err(unreadable),
+        };
         workers.push(survivor(si, stream, assigned));
     }
 
@@ -901,10 +903,7 @@ pub fn serve_primary(
     // from, and every `secondary.lost` is in it.
     let mut reported = diablo_telemetry::TelemetrySnapshot::default();
     each_live(&mut workers, |_, stream| {
-        let mut next = || {
-            read_frame(stream, &mut frame)?;
-            decode(&frame)
-        };
+        let mut next = || receive(stream, &mut frame);
         let (Message::Stats { .. }, Message::Telemetry { snapshot }, Message::TraceChunk { set }) =
             (next()?, next()?, next()?)
         else {
@@ -1035,8 +1034,7 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
         tag: tag.to_string(),
     };
     send_message(&mut stream, &mut out, &hello)?;
-    read_frame(&mut stream, &mut frame)?;
-    let (spec_text, chain_name, (first, last)) = match decode(&frame)? {
+    let (spec_text, chain_name, (first, last)) = match receive(&mut stream, &mut frame)? {
         Message::Assign {
             chain,
             spec,
@@ -1149,8 +1147,7 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
     send(&mut stream, &mut out, |out| {
         report.iter().for_each(|msg| put_message(out, msg));
     })?;
-    read_frame(&mut stream, &mut frame)?;
-    match decode(&frame)? {
+    match receive(&mut stream, &mut frame)? {
         Message::Done => Ok(text),
         other => Err(format!("expected Done, got {other:?}")),
     }

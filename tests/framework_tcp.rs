@@ -24,6 +24,16 @@ workloads:
 "#;
 
 fn run_distributed(n_secondaries: usize) -> (diablo::core::Report, Vec<String>) {
+    let options = BenchmarkOptions::default();
+    run_distributed_on(Chain::Quorum, SPEC, &options, n_secondaries)
+}
+
+fn run_distributed_on(
+    chain: Chain,
+    spec: &str,
+    options: &BenchmarkOptions,
+    n_secondaries: usize,
+) -> (diablo::core::Report, Vec<String>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let handles: Vec<_> = (0..n_secondaries)
@@ -34,11 +44,11 @@ fn run_distributed(n_secondaries: usize) -> (diablo::core::Report, Vec<String>) 
         .collect();
     let report = serve_primary(
         &listener,
-        Chain::Quorum,
+        chain,
         DeploymentKind::Testnet,
-        SPEC,
+        spec,
         "tcp-test",
-        &BenchmarkOptions::default(),
+        options,
         n_secondaries,
     )
     .expect("primary");
@@ -294,36 +304,16 @@ fn records_equal_local_mode_at_every_secondary_count() {
     // order). Records are positional, so a reordering shows as a
     // different status or latency at some index.
     for n in [1, 2, 3, 4] {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let addr = addr.clone();
-                thread::spawn(move || run_secondary(&addr, &format!("zone-{i}")))
-            })
-            .collect();
         let options = BenchmarkOptions {
             secondaries: n,
             ..BenchmarkOptions::default()
         };
-        let tcp = serve_primary(
-            &listener,
-            Chain::Diem,
-            DeploymentKind::Testnet,
-            TIES_SPEC,
-            "tcp-ties",
-            &options,
-            n,
-        )
-        .expect("primary");
-        for h in handles {
-            h.join().expect("join").expect("secondary");
-        }
+        let (tcp, _) = run_distributed_on(Chain::Diem, TIES_SPEC, &options, n);
         let local = diablo::core::run_local(
             Chain::Diem,
             DeploymentKind::Testnet,
             TIES_SPEC,
-            "tcp-ties",
+            "tcp-test",
             &options,
         )
         .expect("local");
