@@ -1,13 +1,11 @@
 //! Benchmark: telemetry hot-path cost, enabled vs compiled out.
 //!
 //! Measures the three recording primitives (counter add, histogram
-//! record, span enter/exit) and the 10k-transaction Exchange block of
-//! `block_execution` with instrumentation live. The same binary built
-//! with `RUSTFLAGS="--cfg diablo_telemetry_off"` runs the identical
+//! record, span enter/exit) and a 10k-transaction Exchange block with
+//! instrumentation live. The same binary built with
+//! `RUSTFLAGS="--cfg diablo_telemetry_off"` runs the identical
 //! scenarios through the no-op macros — comparing the two
-//! `BENCH_telemetry.json` files gives the enabled-vs-disabled delta,
-//! and the compiled-out numbers must sit within noise of the pre-PR
-//! `block_execution` baseline.
+//! `BENCH_telemetry.json` files gives the enabled-vs-disabled delta.
 //!
 //! The bench harness opts into the wall clock: here we measure real CPU
 //! cost, not modeled sim time (such snapshots are not deterministic and
@@ -46,8 +44,8 @@ fn main() {
         black_box(OPS)
     });
 
-    // The block_execution scenario with instrumentation live: a
-    // 10k-transaction Exchange block (five independent conflict
+    // Block execution with instrumentation live: a 10k-transaction
+    // Exchange block (five independent conflict
     // components) through the Exact engine, serial and 4 workers.
     let payloads: Vec<Payload> = (0..10_000u64)
         .map(|seq| Payload::Invoke {

@@ -1,103 +1,24 @@
-//! Shared helpers for the table/figure regeneration binaries.
+//! The paper's evaluation (§6), regenerated and asserted.
 //!
-//! Every table and figure of the paper's evaluation (§6) has a binary in
-//! `src/bin` that re-runs the corresponding experiments against the
-//! simulated chains and prints the table rows / bar values / CDF series
-//! the paper reports. This library holds the common experiment drivers
-//! and plain-text rendering.
+//! [`ledger`] lists every table and figure with how it is built from
+//! runs and what the paper says it shows; [`cache`] executes each run
+//! once however many rows read it; [`cli`] is the `repro` binary.
+//! `tests/paper_shapes.rs` at the workspace root evaluates the ledger's
+//! predicates, `scripts/ci.sh` byte-compares what `repro all` prints
+//! against `results/`.
 
-use diablo_chains::{Chain, Concurrency, Experiment, RunResult};
-use diablo_contracts::DApp;
-use diablo_net::DeploymentKind;
-use diablo_workloads::{traces, Workload};
+pub mod cache;
+pub mod cli;
+pub mod ledger;
 
-/// Scale factor for quick runs: set `DIABLO_QUICK=1` to shorten every
-/// workload 4× (useful while iterating; figures use full length).
-pub fn quick_factor() -> f64 {
-    match std::env::var("DIABLO_QUICK") {
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => 0.25,
-        _ => 1.0,
-    }
-}
+mod beyond;
+mod figures;
+mod tables;
 
-/// Worker-thread count for committed-block execution: `--threads N` (or
-/// `--threads=N`) on the command line, else `DIABLO_THREADS=N` in the
-/// environment, else 1 (serial, the paper's baseline).
-pub fn thread_knob() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            if let Ok(n) = v.parse() {
-                return n;
-            }
-        }
-    }
-    std::env::var("DIABLO_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
+use std::fmt::Write as _;
+use std::sync::Arc;
 
-/// Whether the optimistic executor was requested: `--optimistic` on the
-/// command line or `DIABLO_OPTIMISTIC=1` in the environment.
-pub fn optimistic_knob() -> bool {
-    if std::env::args().skip(1).any(|a| a == "--optimistic") {
-        return true;
-    }
-    matches!(
-        std::env::var("DIABLO_OPTIMISTIC"),
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true")
-    )
-}
-
-/// The block-commit concurrency [`thread_knob`] and [`optimistic_knob`]
-/// resolve to: 0 or 1 worker means serial execution, anything larger
-/// enables the deterministic static parallel executor with that many
-/// workers — or the optimistic (Block-STM-style) executor when
-/// requested, which also accepts a single worker (the protocol is
-/// worker-count independent).
-pub fn concurrency() -> Concurrency {
-    if optimistic_knob() {
-        return Concurrency::Optimistic(thread_knob().max(1));
-    }
-    match thread_knob() {
-        0 | 1 => Concurrency::Serial,
-        n => Concurrency::Parallel(n),
-    }
-}
-
-/// Shortens a workload by the quick factor (keeps rates, trims time).
-pub fn maybe_quick(w: Workload) -> Workload {
-    let f = quick_factor();
-    if f >= 1.0 {
-        return w;
-    }
-    let keep = ((w.duration_secs() as f64 * f).ceil() as usize).max(10);
-    Workload::from_rates(
-        w.name().to_string(),
-        w.rates()[..keep.min(w.rates().len())].to_vec(),
-    )
-}
-
-/// Runs one native-transfer experiment (honors the `--threads` knob).
-pub fn run_native(chain: Chain, deployment: DeploymentKind, workload: Workload) -> RunResult {
-    Experiment::new(chain, deployment, maybe_quick(workload))
-        .with_concurrency(concurrency())
-        .run()
-}
-
-/// Runs one DApp experiment (honors the `--threads` knob).
-pub fn run_dapp(chain: Chain, deployment: DeploymentKind, dapp: DApp) -> RunResult {
-    let workload = traces::for_dapp(dapp.name()).expect("every dapp has a trace");
-    Experiment::new(chain, deployment, maybe_quick(workload))
-        .with_dapp(dapp)
-        .with_concurrency(concurrency())
-        .run()
-}
+use cache::Run;
 
 /// A horizontal bar for plain-text "figures".
 pub fn bar(value: f64, max: f64, width: usize) -> String {
@@ -108,31 +29,21 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "█".repeat(n.clamp(1, width))
 }
 
-/// Formats a results row in the figures' common layout.
-pub fn result_row(label: &str, r: &RunResult) -> String {
-    if !r.able() {
-        return format!(
-            "{label:<11} {:>8}  {:>8}  {:>7}   X {}",
-            "X",
-            "X",
-            "X",
-            r.unable_reason.as_deref().unwrap_or("unable")
-        );
+/// The one table layout every throughput / latency / commit comparison
+/// prints in. Bars scale to `scale`, or to the best row without one; a
+/// chain that cannot run the DApp at all gets Figure 5's X marks.
+fn perf_table(out: &mut String, head: &str, scale: Option<f64>, rows: &[(String, Arc<Run>)]) {
+    let w = rows.iter().map(|(label, _)| label.chars().count()).fold(head.len(), usize::max);
+    let max = scale.unwrap_or_else(|| rows.iter().map(|(_, r)| r.tput).fold(1.0, f64::max));
+    let _ = writeln!(out, "{head:<w$}  tput TPS   latency   commit  throughput");
+    for (label, r) in rows {
+        let (tput, latency, commit) = (r.tput, r.latency, r.commit() * 100.0);
+        let bar = bar(tput, max, 30);
+        let _ = match &r.unable {
+            Some(reason) => writeln!(out, "{label:<w$}         X         X        X  ({reason})"),
+            None => writeln!(out, "{label:<w$} {tput:>9.1} {latency:>8.1}s {commit:>7.1}%  {bar}"),
+        };
     }
-    format!(
-        "{label:<11} {:>8.1}  {:>7.1}s  {:>6.1}%",
-        r.avg_throughput(),
-        r.avg_latency_secs(),
-        r.commit_ratio() * 100.0
-    )
-}
-
-/// The header matching [`result_row`].
-pub fn result_header(label: &str) -> String {
-    format!(
-        "{label:<11} {:>8}  {:>8}  {:>7}",
-        "tput TPS", "latency", "commit"
-    )
 }
 
 #[cfg(test)]
@@ -144,36 +55,6 @@ mod tests {
         assert_eq!(bar(0.0, 10.0, 10), "");
         assert_eq!(bar(10.0, 10.0, 10).chars().count(), 10);
         assert_eq!(bar(5.0, 10.0, 10).chars().count(), 5);
-        assert_eq!(
-            bar(0.01, 10.0, 10).chars().count(),
-            1,
-            "non-zero values stay visible"
-        );
-    }
-
-    #[test]
-    fn quick_factor_defaults_to_full() {
-        // Unless the environment says otherwise, workloads are full-length.
-        if std::env::var("DIABLO_QUICK").is_err() {
-            assert_eq!(quick_factor(), 1.0);
-        }
-    }
-
-    #[test]
-    fn thread_knob_defaults_to_serial() {
-        // Without `--threads` / `DIABLO_THREADS`, block commits stay
-        // serial (the paper's baseline).
-        if std::env::var("DIABLO_THREADS").is_err() {
-            assert_eq!(thread_knob(), 1);
-            assert_eq!(concurrency(), Concurrency::Serial);
-        }
-    }
-
-    #[test]
-    fn maybe_quick_preserves_rates() {
-        let w = Workload::from_rates("x", vec![5.0; 100]);
-        let q = maybe_quick(w.clone());
-        assert_eq!(q.rate_at(0), 5.0);
-        assert!(q.duration_secs() <= w.duration_secs());
+        assert_eq!(bar(0.01, 10.0, 10).chars().count(), 1, "non-zero values stay visible");
     }
 }

@@ -1,0 +1,243 @@
+//! Tables 1-4: claimed vs observed performance, the DApp traces, the
+//! deployments and their network, the chains.
+
+use std::fmt::Write as _;
+use std::ops::Range;
+use std::sync::Arc;
+
+use diablo_chains::Chain;
+use diablo_contracts::{exchange::Stock, DApp};
+use diablo_core::adapters;
+use diablo_net::DeploymentKind::{Datacenter, Devnet, Testnet};
+use diablo_net::{probe_pair, DeploymentConfig, DeploymentKind, NetworkModel, Region};
+use diablo_sim::DetRng;
+use diablo_workloads::Workload;
+
+use crate::cache::{Cache, Load, Run};
+use crate::ledger::Check::Test;
+use crate::ledger::{ensure, shape, Check, Claim, Outcome, Row};
+
+const TRACES: &str = "crates/workloads/src/traces.rs";
+const MATRIX: &str = "crates/net/src/matrix.rs";
+const BEHAVIOR: &str = "crates/chains/tests/consensus_behavior.rs";
+
+/// Tables 1-4.
+#[rustfmt::skip]
+pub const ROWS: &[Row] = &[
+    Row { id: "table1", section: "§2", body: table1,
+        title: "Table 1: claimed vs observed performance (best across configurations)",
+        claims: &[
+        shape!("observed: Algorand 885 TPS / 8.5 s on testnet, Avalanche 323 TPS / 49 s on \
+                datacenter, Solana 8,845 TPS / 12 s on datacenter under the 10,000 TPS load",
+            table1_observed_peaks_match_the_paper),
+    ] },
+    Row { id: "table2", section: "§3", body: table2,
+        title: "Table 2: DApps and their real-trace workloads",
+        claims: &[
+        Claim("NASDAQ: 180 s, a 19,800 TPS first second, a 25-140 TPS tail",
+            Test(TRACES, "gafam_shape_matches_paper")),
+        Claim("per-stock bursts peak at 800 (Google), 4,000 (Microsoft), 10,000 (Apple)",
+            Test(TRACES, "per_stock_peaks_match_paper")),
+        Claim("Dota 2: ~13,300 TPS for 276 s", Test(TRACES, "dota_shape_matches_paper")),
+        Claim("FIFA: 176 s between 1,416 and 5,305 TPS, 3,483 on average",
+            Test(TRACES, "fifa_shape_matches_paper")),
+        Claim("Uber: 810 to 900 TPS over 120 s", Test(TRACES, "uber_shape_matches_paper")),
+        Claim("YouTube: 38,761 TPS", Test(TRACES, "youtube_shape_matches_paper")),
+    ] },
+    Row { id: "table3", section: "§5.1", body: table3,
+        title: "Table 3: deployment configurations and the inter-region network",
+        claims: &[
+        Claim("round-trip times between the ten regions",
+            Test(MATRIX, "rtt_is_symmetric_and_matches_paper_samples")),
+        Claim("bandwidth between the ten regions",
+            Test(MATRIX, "bandwidth_is_symmetric_and_matches_paper_samples")),
+    ] },
+    Row { id: "table4", section: "§5.2", body: table4,
+        title: "Table 4: blockchains evaluated in Diablo",
+        claims: &[
+        shape!("property, consensus, VM and DApp language per chain; Algorand, Diem and Solana \
+                cap a transaction's computation", table4_matches_the_paper),
+        Claim("Solana: 30 confirmations, hence >= 12 s latency",
+            Test(BEHAVIOR, "solana_latency_floor_is_thirty_slots")),
+        Claim("Solana: a transaction's blockhash expires after 120 s",
+            Test(BEHAVIOR, "solana_expires_stale_blockhashes")),
+        Claim("Diem: at most 100 transactions in flight per signer",
+            Test(BEHAVIOR, "diem_per_sender_cap_reports_distinct_status")),
+        Claim("Quorum: IBFT never drops a request",
+            Test(BEHAVIOR, "quorum_never_reports_admission_drops")),
+        Claim("Quorum: the backlog it keeps strangles block production",
+            Test(BEHAVIOR, "quorum_block_interval_grows_with_backlog")),
+        Claim("Avalanche: throttled by its block period whatever the load",
+            Test(BEHAVIOR, "avalanche_throughput_is_load_invariant")),
+        Claim("Avalanche: 8 M gas per block",
+            Test(BEHAVIOR, "avalanche_gas_limit_caps_transfer_throughput")),
+        Claim("Algorand: a bounded pool that drops bursts",
+            Test(BEHAVIOR, "algorand_drops_bursts_at_the_pool")),
+        Claim("Ethereum: the London fee prices transactions out under load, then recovers",
+            Test(BEHAVIOR, "ethereum_commits_resume_after_a_burst_fee_spike")),
+    ] },
+];
+
+/// What a chain's makers announce (throughput, latency, setup); where
+/// the paper's own measurement puts a reproduction, and on which setup;
+/// the probes (configuration, offered TPS) searched for it.
+struct Peak {
+    chain: Chain,
+    claimed: [&'static str; 3],
+    tput: Range<f64>,
+    latency: Range<f64>,
+    setup: DeploymentKind,
+    probes: [(DeploymentKind, u32); 3],
+}
+
+#[rustfmt::skip]
+const PEAKS: [Peak; 3] = [
+    Peak { chain: Chain::Algorand, claimed: ["1K-46K TPS", "2.5-4.5 s", "?"],
+        tput: 820.0..950.0, latency: 6.0..12.0, setup: Testnet,
+        probes: [(Testnet, 1_000), (Datacenter, 1_000), (Devnet, 1_000)] },
+    Peak { chain: Chain::Avalanche, claimed: ["4.5K TPS", "2 s", "?"],
+        tput: 250.0..400.0, latency: 35.0..60.0, setup: Datacenter,
+        probes: [(Datacenter, 1_000), (Datacenter, 10_000), (Testnet, 1_000)] },
+    Peak { chain: Chain::Solana, claimed: ["200K TPS", "<1 s", "150 nodes"],
+        tput: 7_500.0..10_000.0, latency: 9.0..18.0, setup: Datacenter,
+        probes: [(Datacenter, 10_000), (Datacenter, 1_000), (Testnet, 1_000)] },
+];
+
+/// The probe with the highest throughput; the first of equals.
+fn observed(c: &Cache, peak: &Peak) -> (Arc<Run>, DeploymentKind) {
+    let run = |(kind, tps)| (c.native(peak.chain, kind, tps), kind);
+    let mut runs = peak.probes.map(run).into_iter();
+    let first = runs.next().expect("three probes");
+    runs.fold(first, |best, next| if next.0.tput > best.0.tput { next } else { best })
+}
+
+fn table1(c: &Cache, out: &mut String) {
+    out.push_str("Blockchain | claimed tput    latency     setup |");
+    out.push_str("   observed  latency       setup\n");
+    for peak in &PEAKS {
+        let (r, kind) = observed(c, peak);
+        let (chain, [tput, latency, setup]) = (peak.chain.name(), peak.claimed);
+        let _ = write!(out, "{chain:<10} | {tput:>12} {latency:>10} {setup:>9} |");
+        let _ = writeln!(out, " {:>6.0} TPS {:>6.1} s {:>11}", r.tput, r.latency, kind.name());
+    }
+}
+
+fn table1_observed_peaks_match_the_paper(c: &Cache) -> Outcome {
+    for peak in &PEAKS {
+        let (r, kind) = observed(c, peak);
+        ensure!(kind == peak.setup, "{r} on {}, paper on {}", kind.name(), peak.setup.name());
+        ensure!(peak.tput.contains(&r.tput), "{r}, expected {:?} TPS", peak.tput);
+        ensure!(peak.latency.contains(&r.latency), "{r}, expected {:?} s", peak.latency);
+    }
+    Ok(())
+}
+
+fn sparkline(w: &Workload, width: usize) -> String {
+    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let peak = w.peak_tps().max(1.0);
+    let chunk = w.rates().len().div_ceil(width).max(1);
+    let level = |c: &[f64]| {
+        let m = c.iter().copied().fold(0.0, f64::max);
+        LEVELS[(((m / peak) * 7.0).round() as usize).min(7)]
+    };
+    w.rates().chunks(chunk).map(level).collect()
+}
+
+fn table2(_: &Cache, out: &mut String) {
+    out.push_str("DApp          Contract               Trace     ");
+    out.push_str(" secs  peak TPS  mean TPS  total txs\n");
+    for dapp in DApp::ALL {
+        let w = Load::Trace(dapp).workload();
+        let (name, contract, trace) = (dapp.name(), dapp.contract_name(), dapp.workload_name());
+        let _ = write!(out, "{name:<13} {contract:<22} {trace:<9} {:>5}", w.duration_secs());
+        let _ = writeln!(out, " {:>9.0} {:>9.0} {:>10}", w.peak_tps(), w.mean_tps(), w.total_txs());
+        let _ = writeln!(out, "{:>13} {}", "", sparkline(&w, 60));
+    }
+    out.push_str("\nPer-stock NASDAQ bursts (the availability experiment, Figure 6):\n");
+    let stocks = [Stock::Google, Stock::Amazon, Stock::Facebook, Stock::Microsoft, Stock::Apple];
+    for w in stocks.map(|stock| Load::Burst(stock).workload()) {
+        let (name, peak, tail, txs) = (w.name(), w.peak_tps(), w.rate_at(10), w.total_txs());
+        let _ = writeln!(out, "  {name:<18} peak {peak:>6.0} TPS, tail {tail:>3.0} TPS, {txs} txs");
+    }
+}
+
+fn table3(_: &Cache, out: &mut String) {
+    out.push_str("Configuration  nodes   vCPUs  memory  regions\n");
+    for kind in DeploymentKind::ALL {
+        let cfg = DeploymentConfig::standard(kind);
+        let (name, nodes, machine) = (kind.name(), cfg.node_count(), cfg.machine());
+        let (vcpus, memory) = (machine.vcpus(), machine.memory_gib());
+        let regions = if cfg.is_local() { "Ohio" } else { "all" };
+        let _ = writeln!(out, "{name:<12} {nodes:>6} {vcpus:>7} {memory:>4} GiB  {regions}");
+    }
+    out.push_str(
+        "\nBandwidth (Mbps, upper triangle) / RTT (ms, lower triangle), re-measured with\n\
+         ping/iperf-style probes between devnet machines of the network model\n\n",
+    );
+    let net = NetworkModel::deterministic();
+    let mut rng = DetRng::new(3);
+    let _ = write!(out, "{:<11}", "");
+    for r in Region::ALL {
+        let _ = write!(out, "{:>8}", &r.city()[..r.city().len().min(7)]);
+    }
+    for a in Region::ALL {
+        let _ = write!(out, "\n{:<11}", a.city());
+        for b in Region::ALL {
+            if a == b {
+                let _ = write!(out, "{:>8}", "-");
+                continue;
+            }
+            let probe = probe_pair(&net, &mut rng, a, b);
+            let cell = if a.index() < b.index() { probe.bandwidth_mbps } else { probe.rtt_ms };
+            let _ = write!(out, "{cell:>8.1}");
+        }
+    }
+}
+
+/// The columns of Table 4, and whether the VM caps a transaction's
+/// computation, as the implementation has them.
+fn table4_row(chain: Chain) -> (String, &'static str, &'static str, &'static str, Option<u64>) {
+    let (property, vm) = (chain.property().to_string(), chain.vm_flavor());
+    (property, chain.consensus_name(), vm.name(), vm.dapp_language(), vm.per_tx_budget())
+}
+
+fn table4(_: &Cache, out: &mut String) {
+    out.push_str("Blockchain Prop.    Consensus   VM       DApp lang.\n");
+    for chain in Chain::ALL {
+        let (name, (property, consensus, vm, language, _)) = (chain.name(), table4_row(chain));
+        let _ = writeln!(out, "{name:<10} {property:<8} {consensus:<11} {vm:<8} {language}");
+    }
+    out.push_str("\nExecution limits (the §6.4 universality result hinges on these):\n");
+    for chain in Chain::ALL {
+        let name = chain.name();
+        let _ = match table4_row(chain) {
+            (_, _, vm, _, Some(budget)) => {
+                writeln!(out, "  {name:<10} hard per-transaction budget of {budget} {vm} units")
+            }
+            _ => writeln!(out, "  {name:<10} no hard per-transaction cap (block gas limit only)"),
+        };
+    }
+    out.push_str("\nAdapter integration notes (§5.2):\n");
+    for adapter in adapters::ADAPTERS {
+        let (chain, detection) = (adapter.chain.name(), adapter.commit_detection);
+        let _ = writeln!(out, "  {chain:<10} commit detection: {detection}");
+        let _ = writeln!(out, "  {:<10} {}", "", adapter.quirk);
+    }
+}
+
+fn table4_matches_the_paper(_: &Cache) -> Outcome {
+    let paper = [
+        (Chain::Algorand, "prob.", "BA*", "AVM", "PyTeal", true),
+        (Chain::Avalanche, "prob.", "Avalanche", "geth", "Solidity", false),
+        (Chain::Diem, "det.", "HotStuff", "MoveVM", "Move", true),
+        (Chain::Ethereum, "eventual", "Clique", "geth", "Solidity", false),
+        (Chain::Quorum, "det.", "IBFT", "geth", "Solidity", false),
+        (Chain::Solana, "eventual", "TowerBFT", "eBPF", "Solidity", true),
+    ];
+    for (chain, property, consensus, vm, language, capped) in paper {
+        let built = table4_row(chain);
+        let paper = (property.to_string(), consensus, vm, language, built.4.filter(|_| capped));
+        ensure!(built == paper && built.4.is_some() == capped, "{chain}: {built:?}");
+    }
+    Ok(())
+}

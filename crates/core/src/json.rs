@@ -86,8 +86,8 @@ impl std::error::Error for JsonError {}
 /// How many arrays and objects may be open at once. A results file
 /// nests four deep and a Chrome trace four; the bound keeps a hostile
 /// file (two million `[`) from overflowing the stack of the recursive
-/// descent.
-const MAX_DEPTH: usize = 128;
+/// descent. `yaml.rs` holds its collections and tags to the same bound.
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Which part of a value the parser builds. Whatever it does not build
 /// it still checks against the whole grammar — one descent serves both,

@@ -13,6 +13,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::json::MAX_DEPTH;
+
 /// A parsed YAML value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -107,6 +109,7 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
         lines,
         pos: 0,
         anchors: HashMap::new(),
+        depth: 0,
     };
     let value = parser.parse_block(0)?;
     if parser.pos < parser.lines.len() {
@@ -167,6 +170,20 @@ struct Parser {
     lines: Vec<Line>,
     pos: usize,
     anchors: HashMap<String, Value>,
+    /// Lists, maps, tags and anchors open around the value being
+    /// parsed; every function that recurses goes through
+    /// [`Parser::nested`] or passes `depth + 1` down the flow parsers.
+    depth: usize,
+}
+
+/// The error of a value nested deeper than [`MAX_DEPTH`]. A spec nests
+/// six deep; the bound keeps a hostile one (200,000 `[`, or 20,000
+/// indented `k:`) from overflowing the stack of the recursive descent.
+fn too_deep(line: usize) -> ParseError {
+    ParseError {
+        line,
+        message: format!("nesting deeper than {MAX_DEPTH} levels"),
+    }
 }
 
 impl Parser {
@@ -175,6 +192,22 @@ impl Parser {
             line,
             message: message.into(),
         }
+    }
+
+    /// Runs `parse` one level further in, or fails at `line` when that
+    /// level is past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        line: usize,
+        parse: impl FnOnce(&mut Parser) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(too_deep(line));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     /// Parses a block (map or list) whose items are indented at least
@@ -186,11 +219,11 @@ impl Parser {
         if first.indent < min_indent {
             return Ok(Value::Scalar(String::new()));
         }
-        let indent = first.indent;
+        let (indent, number) = (first.indent, first.number);
         if first.content.starts_with("- ") || first.content == "-" {
-            self.parse_list(indent)
+            self.nested(number, |p| p.parse_list(indent))
         } else {
-            self.parse_map(indent)
+            self.nested(number, |p| p.parse_map(indent))
         }
     }
 
@@ -216,7 +249,7 @@ impl Parser {
                     content: rest,
                 };
                 self.lines.insert(self.pos, virtual_line);
-                items.push(self.parse_map(indent + 2)?);
+                items.push(self.nested(number, |p| p.parse_map(indent + 2))?);
             } else {
                 items.push(self.parse_inline(&rest, number)?);
             }
@@ -273,7 +306,7 @@ impl Parser {
                 };
                 return Ok(Value::Tagged(name, Box::new(inner)));
             }
-            let inner = self.parse_inline(rest, number)?;
+            let inner = self.nested(number, |p| p.parse_inline(rest, number))?;
             return Ok(Value::Tagged(name, Box::new(inner)));
         }
         self.parse_inline(text, number)
@@ -294,7 +327,7 @@ impl Parser {
             let value = if tail.is_empty() {
                 Value::Scalar(String::new())
             } else {
-                self.parse_inline(tail, number)?
+                self.nested(number, |p| p.parse_inline(tail, number))?
             };
             self.anchors.insert(name, value.clone());
             return Ok(value);
@@ -316,13 +349,13 @@ impl Parser {
             let inner = if tail.is_empty() {
                 Value::Scalar(String::new())
             } else {
-                self.parse_inline(tail, number)?
+                self.nested(number, |p| p.parse_inline(tail, number))?
             };
             return Ok(Value::Tagged(name, Box::new(inner)));
         }
         // Flow collections.
         if rest.starts_with('{') || rest.starts_with('[') {
-            let (value, consumed) = parse_flow(rest, number)?;
+            let (value, consumed) = parse_flow(rest, number, self.depth)?;
             rest = rest[consumed..].trim();
             if !rest.is_empty() {
                 return Err(self.err(number, format!("trailing content `{rest}`")));
@@ -368,12 +401,14 @@ fn unquote(s: &str) -> String {
 }
 
 /// Parses a flow value starting at the beginning of `s`, returning the
-/// value and the number of bytes consumed.
-fn parse_flow(s: &str, line: usize) -> Result<(Value, usize), ParseError> {
+/// value and the number of bytes consumed. `depth` counts what is open
+/// around it, block levels included.
+fn parse_flow(s: &str, line: usize, depth: usize) -> Result<(Value, usize), ParseError> {
     let bytes = s.as_bytes();
     match bytes.first() {
-        Some(b'{') => parse_flow_map(s, line),
-        Some(b'[') => parse_flow_list(s, line),
+        Some(b'{' | b'[' | b'!') if depth == MAX_DEPTH => Err(too_deep(line)),
+        Some(b'{') => parse_flow_map(s, line, depth + 1),
+        Some(b'[') => parse_flow_list(s, line, depth + 1),
         Some(b'!') => {
             // A tag: `!name` optionally followed by a flow value.
             let name_end = s
@@ -391,7 +426,7 @@ fn parse_flow(s: &str, line: usize) -> Result<(Value, usize), ParseError> {
                     i,
                 ));
             }
-            let (inner, consumed) = parse_flow(&s[i..], line)?;
+            let (inner, consumed) = parse_flow(&s[i..], line, depth + 1)?;
             Ok((Value::Tagged(name, Box::new(inner)), i + consumed))
         }
         _ => {
@@ -416,7 +451,7 @@ fn parse_flow(s: &str, line: usize) -> Result<(Value, usize), ParseError> {
     }
 }
 
-fn parse_flow_map(s: &str, line: usize) -> Result<(Value, usize), ParseError> {
+fn parse_flow_map(s: &str, line: usize, depth: usize) -> Result<(Value, usize), ParseError> {
     debug_assert!(s.starts_with('{'));
     let mut entries = Vec::new();
     let mut i = 1;
@@ -435,7 +470,7 @@ fn parse_flow_map(s: &str, line: usize) -> Result<(Value, usize), ParseError> {
         let key = unquote(rest[..colon].trim());
         i += colon + 1;
         i += count_ws(&s[i..]);
-        let (value, consumed) = parse_flow(&s[i..], line)?;
+        let (value, consumed) = parse_flow(&s[i..], line, depth)?;
         i += consumed;
         entries.push((key, value));
         i += count_ws(&s[i..]);
@@ -450,7 +485,7 @@ fn parse_flow_map(s: &str, line: usize) -> Result<(Value, usize), ParseError> {
     }
 }
 
-fn parse_flow_list(s: &str, line: usize) -> Result<(Value, usize), ParseError> {
+fn parse_flow_list(s: &str, line: usize, depth: usize) -> Result<(Value, usize), ParseError> {
     debug_assert!(s.starts_with('['));
     let mut items = Vec::new();
     let mut i = 1;
@@ -459,7 +494,7 @@ fn parse_flow_list(s: &str, line: usize) -> Result<(Value, usize), ParseError> {
         if s[i..].starts_with(']') {
             return Ok((Value::List(items), i + 1));
         }
-        let (value, consumed) = parse_flow(&s[i..], line)?;
+        let (value, consumed) = parse_flow(&s[i..], line, depth)?;
         i += consumed;
         items.push(value);
         i += count_ws(&s[i..]);
@@ -591,6 +626,44 @@ mod tests {
     fn duplicate_key_errors() {
         let err = parse("a: 1\na: 2\n").unwrap_err();
         assert!(err.message.contains("duplicate key"));
+    }
+
+    /// `w: [[[…]]]`: one map and `levels - 1` lists open at once.
+    fn flow_probe(levels: usize) -> String {
+        format!("w: {}{}\n", "[".repeat(levels - 1), "]".repeat(levels - 1))
+    }
+
+    /// `levels` maps, one `k:` a line, each indented one deeper.
+    fn block_probe(levels: usize) -> String {
+        (0..levels).map(|i| format!("{}k:\n", " ".repeat(i))).collect()
+    }
+
+    /// A map whose value sits under `levels - 1` tags on one line.
+    fn tag_probe(levels: usize) -> String {
+        format!("w: {}x\n", "!t ".repeat(levels - 1))
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let too_deep = |text: &str| match parse(text) {
+            Err(e) if e.message.contains("nesting deeper") => Some(e.line),
+            _ => None,
+        };
+        for probe in [flow_probe, tag_probe] {
+            assert!(parse(&probe(MAX_DEPTH)).is_ok());
+            assert_eq!(too_deep(&probe(MAX_DEPTH + 1)), Some(1));
+            // The depths that used to overflow the stack (exit 134).
+            assert_eq!(too_deep(&probe(200_001)), Some(1));
+        }
+        assert!(parse(&block_probe(MAX_DEPTH)).is_ok());
+        assert_eq!(too_deep(&block_probe(MAX_DEPTH + 1)), Some(MAX_DEPTH + 1));
+        assert_eq!(too_deep(&block_probe(3_000)), Some(MAX_DEPTH + 1));
+        // A list of maps opens two levels a line.
+        let list_of_maps = |lines: usize| -> String {
+            (0..lines).map(|i| format!("{}- k:\n", " ".repeat(3 * i))).collect()
+        };
+        assert!(parse(&list_of_maps(MAX_DEPTH / 2)).is_ok());
+        assert_eq!(too_deep(&list_of_maps(3_000)), Some(MAX_DEPTH / 2 + 1));
     }
 
     #[test]

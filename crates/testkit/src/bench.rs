@@ -51,11 +51,6 @@ pub struct BenchResult {
     pub samples: usize,
     /// Iterations averaged within each sample.
     pub iters: u64,
-    /// Work items processed per call (transactions, operations; 0 =
-    /// unspecified). Regression gates compare two runs of a benchmark
-    /// only when their item counts match — a smoke-sized run must never
-    /// be measured against a full-scale baseline.
-    pub items: u64,
 }
 
 impl BenchResult {
@@ -63,8 +58,7 @@ impl BenchResult {
     pub fn to_json_line(&self, suite: &str) -> String {
         format!(
             "{{\"suite\":\"{}\",\"name\":\"{}\",\"mean_ns\":{:.1},\"p50_ns\":{:.1},\
-             \"p99_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},\"samples\":{},\"iters\":{},\
-             \"items\":{}}}",
+             \"p99_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},\"samples\":{},\"iters\":{}}}",
             escape(suite),
             escape(&self.name),
             self.mean_ns,
@@ -73,8 +67,7 @@ impl BenchResult {
             self.min_ns,
             self.max_ns,
             self.samples,
-            self.iters,
-            self.items
+            self.iters
         )
     }
 }
@@ -139,13 +132,7 @@ impl Bench {
     }
 
     /// Benchmarks a closure: the whole closure body is timed.
-    pub fn bench<T>(&mut self, name: &str, routine: impl FnMut() -> T) {
-        self.bench_items(name, 0, routine);
-    }
-
-    /// Benchmarks a closure that processes `items` work items per call
-    /// (recorded in the result for shape-matched regression gating).
-    pub fn bench_items<T>(&mut self, name: &str, items: u64, mut routine: impl FnMut() -> T) {
+    pub fn bench<T>(&mut self, name: &str, mut routine: impl FnMut() -> T) {
         if self.skipped(name) {
             return;
         }
@@ -163,7 +150,7 @@ impl Bench {
             }
             sample_ns.push(started.elapsed().as_nanos() as f64 / iters as f64);
         }
-        self.record(name, sample_ns, iters, items);
+        self.record(name, sample_ns, iters);
     }
 
     /// Benchmarks a closure against fresh input from `setup` on every
@@ -187,10 +174,10 @@ impl Bench {
             black_box(routine(input));
             sample_ns.push(started.elapsed().as_nanos() as f64);
         }
-        self.record(name, sample_ns, 1, 0);
+        self.record(name, sample_ns, 1);
     }
 
-    fn record(&mut self, name: &str, sample_ns: Vec<f64>, iters: u64, items: u64) {
+    fn record(&mut self, name: &str, sample_ns: Vec<f64>, iters: u64) {
         let mut summary = Summary::new();
         for &s in &sample_ns {
             summary.record(s);
@@ -206,7 +193,6 @@ impl Bench {
             max_ns: summary.max(),
             samples,
             iters,
-            items,
         };
         println!(
             "{:<48} mean {:>10}  p50 {:>10}  p99 {:>10}  ({} × {} iters)",
@@ -281,25 +267,11 @@ mod tests {
             max_ns: 1400.0,
             samples: 20,
             iters: 100,
-            items: 5_000,
         };
         let line = r.to_json_line("suite");
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"name\":\"group/case\""));
         assert!(line.contains("\"mean_ns\":1234.5"));
-        assert!(line.contains("\"items\":5000"));
-    }
-
-    #[test]
-    fn items_are_recorded() {
-        let mut b = Bench::suite("selftest");
-        b.filter = None;
-        b.samples(2);
-        b.bench_items("sized", 7, || 1u8);
-        b.bench("unsized", || 1u8);
-        let results = b.finish();
-        assert_eq!(results[0].items, 7);
-        assert_eq!(results[1].items, 0);
     }
 
     #[test]

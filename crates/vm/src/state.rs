@@ -394,6 +394,13 @@ mod tests {
         assert!(s.store(1, 11, &lim));
         assert_eq!(s.load(1), 11);
         assert_eq!(s.entry_count(), 2);
+        // Keys 2^32 apart share their low 32 bits; each keeps its own
+        // entry (`hash.rs` checks that they also keep their own bucket).
+        for k in 0..1024 {
+            assert!(s.store(k << 32, k, &lim));
+        }
+        assert!((0..1024).all(|k| s.load(k << 32) == k));
+        assert_eq!(s.entry_count(), 2 + 1024);
     }
 
     #[test]
