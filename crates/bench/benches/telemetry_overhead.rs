@@ -1,7 +1,8 @@
 //! Benchmark: telemetry hot-path cost, enabled vs compiled out.
 //!
-//! Measures the three recording primitives (counter add, histogram
-//! record, span enter/exit) and a 10k-transaction Exchange block with
+//! Measures the recording primitives (counter add, histogram record,
+//! a batch through `record_all`, span enter/exit) and a
+//! 10k-transaction Exchange block with
 //! instrumentation live. The same binary built with
 //! `RUSTFLAGS="--cfg diablo_telemetry_off"` runs the identical
 //! scenarios through the no-op macros — comparing the two
@@ -35,6 +36,13 @@ fn main() {
         for i in 0..OPS {
             diablo_telemetry::record!("bench.telemetry.histogram", i * 37);
         }
+        black_box(OPS)
+    });
+    // The same 10k values through one recorder entry: what is left per
+    // value once the TLS lookup, the lock and the name hash are paid
+    // once — the reason a run records per tick and per block.
+    b.bench("record/record_all_10k", || {
+        diablo_telemetry::record_all("bench.telemetry.record_all", (0..OPS).map(|i| i * 37));
         black_box(OPS)
     });
     b.bench("record/span_10k", || {

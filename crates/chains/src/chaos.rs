@@ -98,10 +98,11 @@ pub fn apply_directive(
         }
         "slowdown" => {
             let (factor, at) = split_once(value, '@').ok_or_else(|| bad("expected FACTOR@AT"))?;
-            let factor: f64 = factor
-                .trim()
-                .parse()
-                .map_err(|_| bad("factor must be a number"))?;
+            let text = factor.trim();
+            let factor: f64 = text.parse().map_err(|_| bad("factor must be a number"))?;
+            if !factor.is_finite() || factor < 1.0 {
+                return Err(bad(&format!("factor `{text}` is not a finite number of at least 1")));
+            }
             Ok(builder.slowdown(parse_secs(at).map_err(|e| bad(&e))?, factor))
         }
         "kill-secondary" => {
@@ -296,6 +297,15 @@ mod tests {
             FaultPlan::builder().slowdown(t(60), 4.0).build()
         );
         assert_eq!(
+            parse("slowdown", "1@60"),
+            FaultPlan::builder().slowdown(t(60), 1.0).build()
+        );
+        let err = apply_directive(FaultPlan::builder(), "slowdown", "0.5@1").map(|_| ());
+        assert_eq!(
+            err.unwrap_err(),
+            "fault directive `slowdown: 0.5@1`: factor `0.5` is not a finite number of at least 1"
+        );
+        assert_eq!(
             parse("kill-secondary", "1@45"),
             FaultPlan::builder().kill_secondary(1, t(45)).build()
         );
@@ -322,6 +332,11 @@ mod tests {
             ("loss", "0.1@10..40,port=3"),
             ("corrupt", "-0.5@10..40"),
             ("slowdown", "4"),
+            ("slowdown", "nan@1"),
+            ("slowdown", "inf@1"),
+            ("slowdown", "0@1"),
+            ("slowdown", "-1@1"),
+            ("slowdown", "0.5@1"),
             ("retry", "0x100/2000"),
             ("warp", "1@2"),
         ] {

@@ -155,6 +155,8 @@ pub struct ExecutionEngine {
     /// Profiled-mode cache: (entry, arg class) → (cost, replays since
     /// refresh).
     cache: HashMap<(&'static str, ArgClass), (ExecCost, u64)>,
+    /// Cache hits not yet published (once per block, not per hit).
+    cache_hits: u64,
 }
 
 /// Gas cost of a native transfer on each flavor (the EVM intrinsic for
@@ -180,6 +182,7 @@ impl ExecutionEngine {
             scratch: Scratch::default(),
             last_exec_counts: Vec::new(),
             cache: HashMap::new(),
+            cache_hits: 0,
         }
     }
 
@@ -246,6 +249,20 @@ impl ExecutionEngine {
 
     /// Executes (or replays) one transaction, returning its cost.
     pub fn execute(&mut self, payload: Payload) -> ExecCost {
+        let cost = self.execute_tallied(payload);
+        self.publish_cache_hits();
+        cost
+    }
+
+    fn publish_cache_hits(&mut self) {
+        let hits = std::mem::take(&mut self.cache_hits);
+        if hits > 0 {
+            diablo_telemetry::counter("exec.profiled.cache_hits", hits);
+        }
+    }
+
+    /// [`Self::execute`], its cache hit left for the caller to publish.
+    fn execute_tallied(&mut self, payload: Payload) -> ExecCost {
         match payload {
             Payload::Transfer => ExecCost {
                 gas: transfer_gas(self.flavor),
@@ -278,7 +295,7 @@ impl ExecutionEngine {
                 if *age < PROFILE_REFRESH {
                     // A hit only bumps the age in place: one hash lookup.
                     *age += 1;
-                    diablo_telemetry::counter!("exec.profiled.cache_hits");
+                    self.cache_hits += 1;
                     return *cost;
                 }
             }
@@ -346,7 +363,9 @@ impl ExecutionEngine {
         let plannable =
             self.mode == ExecMode::Exact && payloads.len() >= 2 && self.contract.is_some();
         if !plannable {
-            return payloads.iter().map(|&p| self.execute(p)).collect();
+            let costs = payloads.iter().map(|&p| self.execute_tallied(p)).collect();
+            self.publish_cache_hits();
+            return costs;
         }
         // The optimistic protocol itself is worker-count independent, so
         // it runs even at 1 thread: Optimistic(1) must produce the same

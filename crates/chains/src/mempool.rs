@@ -57,6 +57,9 @@ pub enum AdmitError {
 /// ([`release`](Mempool::release)) — a steady-state pool recycles slots
 /// instead of allocating, and a million-entry backlog stays one dense
 /// slab rather than a deque of owned copies.
+///
+/// [`admit`](Mempool::admit) runs per transaction and records no telemetry:
+/// its caller publishes the growth of the lifetime tallies once per tick.
 pub struct Mempool {
     policy: MempoolPolicy,
     arena: Arena<TxMeta>,
@@ -130,14 +133,12 @@ impl Mempool {
         if let Some(limit) = self.policy.per_sender {
             if self.per_sender.get(sender).copied().unwrap_or(0) >= limit {
                 self.dropped_sender += 1;
-                diablo_telemetry::counter!("mempool.dropped.per_sender");
                 return Err(AdmitError::PerSenderLimit);
             }
         }
         if let Some(cap) = self.policy.capacity {
             if self.queue.len() >= cap {
                 self.dropped_full += 1;
-                diablo_telemetry::counter!("mempool.dropped.pool_full");
                 return Err(AdmitError::PoolFull);
             }
         }
@@ -148,7 +149,6 @@ impl Mempool {
         let id = self.arena.insert(tx);
         self.queue.push_back(id);
         self.admitted_total += 1;
-        diablo_telemetry::counter!("mempool.admitted");
         Ok(())
     }
 

@@ -95,9 +95,8 @@ pub struct ChainSim {
     pacemaker: SimDuration,
     /// Blocks awaiting confirmation depth.
     awaiting: VecDeque<PendingFinality>,
-    /// Commit instant of each block, indexed by `height - 1`.
-    commit_times: Vec<SimTime>,
-    /// Block-explorer records, one per produced block.
+    /// Block-explorer records, one per produced block, indexed by
+    /// `height - 1`.
     blocks: Vec<BlockRecord>,
     /// Per-sender id of the first dropped transaction: later
     /// transactions of that account are stalled behind the nonce gap
@@ -126,6 +125,8 @@ pub struct ChainSim {
     /// The per-transaction tracer, when the run is traced: one owner on
     /// the single-threaded loop, armed for the ids `0..plan.len()`.
     tracer: Option<Tracer>,
+    /// A tick's gossip delays, recorded and drained in one piece at its end.
+    gossip_us: Vec<u64>,
 }
 
 impl ChainSim {
@@ -201,7 +202,6 @@ impl ChainSim {
             wire_estimate,
             pacemaker,
             awaiting: VecDeque::new(),
-            commit_times: Vec::new(),
             blocks: Vec::new(),
             broken_from: vec![u32::MAX; accounts.max(1)],
             arrival_per_sec,
@@ -212,6 +212,7 @@ impl ChainSim {
             store: None,
             live: None,
             tracer: None,
+            gossip_us: Vec::new(),
         }
     }
 

@@ -63,7 +63,7 @@ impl ChainSim {
             // The decision instant is the commit of the depth-th
             // successor block plus the client's detection delay.
             let confirm_height = block.height + depth;
-            let confirm_at = self.commit_times[(confirm_height - 1) as usize];
+            let confirm_at = self.blocks[(confirm_height - 1) as usize].committed;
             let decided = confirm_at.max(block.committed) + self.params.detection_delay;
             for (id, ok) in block.txs {
                 let rec = &mut self.records[id as usize];
@@ -132,7 +132,6 @@ impl ChainSim {
     pub(super) fn commit_empty(&mut self, committed: SimTime) {
         diablo_telemetry::counter!("consensus.blocks.empty");
         self.height += 1;
-        self.commit_times.push(committed);
         self.blocks.push(BlockRecord {
             height: self.height,
             committed,
@@ -173,13 +172,9 @@ impl ChainSim {
             "consensus.commit_latency_us",
             committed.since(now).saturating_sub(exec_share)
         );
-        if diablo_telemetry::enabled() {
-            for &id in &batch {
-                // Queueing delay: submission to inclusion in a block.
-                let tx = self.pool.meta(id);
-                diablo_telemetry::record_duration!("mempool.queue_wait_us", now.since(tx.submitted));
-            }
-        }
+        // Queueing delay: submission to inclusion in a block.
+        let waits = batch.iter().map(|&id| now.since(self.pool.meta(id).submitted).as_micros());
+        diablo_telemetry::record_all("mempool.queue_wait_us", waits);
         if let Some(tracer) = &mut self.tracer {
             let round = self.rounds;
             let block = self.height + 1;
@@ -191,7 +186,6 @@ impl ChainSim {
             }
         }
         self.height += 1;
-        self.commit_times.push(committed);
         let block_bytes: u32 = batch.iter().map(|&id| self.pool.meta(id).wire_bytes).sum();
         self.blocks.push(BlockRecord {
             height: self.height,

@@ -7,7 +7,7 @@ use diablo_sim::{SimDuration, SimTime};
 use diablo_telemetry::trace::TraceStage;
 
 use super::{ChainSim, TICK_MS};
-use crate::mempool::AdmitError;
+use crate::mempool::{AdmitError, Mempool};
 use crate::records::{TxRecord, TxStatus};
 use crate::tx::TxMeta;
 
@@ -19,6 +19,10 @@ impl ChainSim {
         let tick_end = SimTime::from_millis((k as u64 + 1) * TICK_MS);
         let due = self.plan[start..].partition_point(|tx| tx.at < tick_end);
         let nodes = self.qmodel.node_count().max(1);
+        let (mut rerouted, mut corrupted, mut rejected, mut deferred) = (0u64, 0u64, 0u64, 0u64);
+        let tallies = |p: &Mempool| [p.admitted_total(), p.dropped_full(), p.dropped_sender()];
+        let pool_before = tallies(&self.pool);
+        self.gossip_us.reserve(due);
         for i in start..start + due {
             // `PlannedTx` is `Copy`: reading out of the plan keeps the
             // borrow checker away from the mutations below.
@@ -41,7 +45,7 @@ impl ChainSim {
                 // client retries with exponential backoff until its
                 // policy runs out, then reports the transaction
                 // rejected.
-                match self.resolve_submission(planned.at) {
+                match self.resolve_submission(planned.at, &mut corrupted) {
                     Some(at) => {
                         if at > planned.at {
                             let delay = at.since(planned.at).as_micros();
@@ -50,6 +54,7 @@ impl ChainSim {
                         submit_at = at;
                     }
                     None => {
+                        rejected += 1;
                         let decided = planned.at + self.faults.retry_policy().timeout;
                         let rec = &mut self.records[id as usize];
                         rec.status = TxStatus::Rejected;
@@ -65,7 +70,7 @@ impl ChainSim {
                     for off in 1..nodes {
                         let alt = (site + off) % nodes;
                         if !self.timeline.is_crashed(alt, submit_at) {
-                            diablo_telemetry::counter!("client.submit.rerouted");
+                            rerouted += 1;
                             self.trace(id, TraceStage::Rerouted, submit_at, alt as u64, 0);
                             site = alt;
                             break;
@@ -82,7 +87,7 @@ impl ChainSim {
                     gossip = SimDuration::from_secs_f64(gossip.as_secs_f64() / (1.0 - loss));
                 }
             }
-            diablo_telemetry::record_duration!("net.submit.gossip_us", gossip);
+            self.gossip_us.push(gossip.as_micros());
             let mut available = submit_at + gossip;
             if !self.timeline.is_empty() {
                 // A transaction entering a non-committing partition
@@ -92,7 +97,7 @@ impl ChainSim {
                     if comp != p.committing {
                         let deferred_from = available;
                         available = available.max(p.until);
-                        diablo_telemetry::counter!("net.partition.deferred");
+                        deferred += 1;
                         let deferral = available.since(deferred_from).as_micros();
                         self.trace(id, TraceStage::Deferred, available, deferral, 0);
                     }
@@ -129,13 +134,30 @@ impl ChainSim {
                 }
             }
         }
+        diablo_telemetry::record_all("net.submit.gossip_us", self.gossip_us.drain(..));
+        let pool = tallies(&self.pool);
+        // The loop above never enters the recorder; its tallies do, once.
+        // A counter exists from its first bump: a zero must not make one.
+        for (name, n) in [
+            ("client.submit.rerouted", rerouted),
+            ("client.submit.corrupted", corrupted),
+            ("client.submit.rejected", rejected),
+            ("net.partition.deferred", deferred),
+            ("mempool.admitted", pool[0] - pool_before[0]),
+            ("mempool.dropped.pool_full", pool[1] - pool_before[1]),
+            ("mempool.dropped.per_sender", pool[2] - pool_before[2]),
+        ] {
+            if n > 0 {
+                diablo_telemetry::counter(name, n);
+            }
+        }
     }
 
     /// Resolves one submission against the corruption faults and the
-    /// client retry policy: returns the instant of the first accepted
-    /// attempt, or `None` when every attempt within the policy's
-    /// timeout window was corrupted and rejected.
-    fn resolve_submission(&mut self, planned_at: SimTime) -> Option<SimTime> {
+    /// client retry policy, adding its corrupted attempts to `corrupted`:
+    /// returns the instant of the first accepted attempt, or `None` when
+    /// every attempt within the policy's timeout window was rejected.
+    fn resolve_submission(&mut self, planned_at: SimTime, corrupted: &mut u64) -> Option<SimTime> {
         let policy = self.faults.retry_policy();
         let deadline = planned_at + policy.timeout;
         let mut attempt_at = planned_at;
@@ -146,14 +168,13 @@ impl ChainSim {
             }
             let rate = self.timeline.corruption_rate(attempt_at);
             if rate > 0.0 && self.rng.chance(rate) {
-                diablo_telemetry::counter!("client.submit.corrupted");
+                *corrupted += 1;
                 attempt_at = attempt_at + backoff;
                 backoff = backoff * 2;
                 continue;
             }
             return Some(attempt_at);
         }
-        diablo_telemetry::counter!("client.submit.rejected");
         None
     }
 }

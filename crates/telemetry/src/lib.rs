@@ -21,18 +21,21 @@
 //!
 //! Recording goes through thread-local shards (see [`mod@self`]
 //! internals) registered in a global registry; [`snapshot`] freezes and
-//! merges them, [`reset`] clears them between runs. Use the macros for
-//! call sites:
+//! merges them, [`reset`] clears them between runs. Every call is one
+//! *entry* — a TLS lookup, a `RefCell` borrow, the shard's lock, a hash
+//! of the name: ~30 ns — so a loop over transactions tallies in a local
+//! and publishes after it, or hands its observations to [`record_all`]:
 //!
 //! ```
-//! use diablo_telemetry::{counter, record, span};
+//! use diablo_telemetry::{counter, record, record_all, span};
 //!
-//! fn admit() {
-//!     span!("mempool.admit");
-//!     counter!("mempool.admitted");
-//!     record!("mempool.pool_depth", 42);
+//! fn commit_block(waits_us: &[u64]) {
+//!     span!("consensus.commit");
+//!     counter!("consensus.blocks.committed");
+//!     record!("consensus.block.txs", waits_us.len() as u64);
+//!     record_all("mempool.queue_wait_us", waits_us.iter().copied());
 //! }
-//! # admit();
+//! # commit_block(&[900, 1_200]);
 //! ```
 
 #![warn(missing_docs)]
@@ -93,9 +96,21 @@ pub fn record(name: &'static str, v: u64) {
 #[inline]
 pub fn record_n(name: &'static str, v: u64, n: u64) {
     #[cfg(not(diablo_telemetry_off))]
-    recorder::with_local(|data| data.histogram(name, v, n));
+    recorder::with_local(|data| data.histogram(name, std::iter::once((v, n))));
     #[cfg(diablo_telemetry_off)]
     let _ = (name, v, n);
+}
+
+/// Records every value of `values` in one recorder entry; the snapshot
+/// is the one a [`record()`] per value would leave (none for an empty
+/// iterator). The iterator is pulled while the recorder is held, so it
+/// must not record; the no-op build never pulls it.
+#[inline]
+pub fn record_all(name: &'static str, values: impl IntoIterator<Item = u64>) {
+    #[cfg(not(diablo_telemetry_off))]
+    recorder::with_local(|data| data.histogram(name, values.into_iter().map(|v| (v, 1))));
+    #[cfg(diablo_telemetry_off)]
+    let _ = (name, values);
 }
 
 /// Records a [`diablo_sim::SimDuration`] into the named histogram, in
@@ -151,6 +166,15 @@ pub fn thread_snapshot() -> TelemetrySnapshot {
 pub fn thread_reset() {
     #[cfg(not(diablo_telemetry_off))]
     recorder::thread_reset();
+}
+
+/// How often the calling thread entered its recorder since its last reset:
+/// once per `counter`, `gauge`, `record*` or closed span. `0` in no-op builds.
+pub fn recorder_entries() -> u64 {
+    #[cfg(not(diablo_telemetry_off))]
+    return recorder::entries();
+    #[cfg(diablo_telemetry_off)]
+    0
 }
 
 /// Increments a counter: `counter!("name")` adds 1,
@@ -258,17 +282,66 @@ mod tests {
         super::record_n("test.lib.hist_n", 7, 3);
         super::record_n("test.lib.hist_n", 900, 2);
         super::record_n("test.lib.hist_none", 7, 0);
+        super::record_all("test.lib.hist_all", [7u64, 900, 7, 900, 7]);
+        super::record_all("test.lib.hist_all_none", std::iter::empty());
         for v in [7u64, 7, 7, 900, 900] {
             super::record!("test.lib.hist_singles", v);
         }
         let snap = super::snapshot();
         if super::enabled() {
-            assert_eq!(
-                snap.histogram("test.lib.hist_n"),
-                snap.histogram("test.lib.hist_singles")
-            );
+            let singles = snap.histogram("test.lib.hist_singles");
+            assert_eq!(snap.histogram("test.lib.hist_n"), singles);
+            assert_eq!(snap.histogram("test.lib.hist_all"), singles);
             assert!(snap.histogram("test.lib.hist_none").is_none());
+            assert!(snap.histogram("test.lib.hist_all_none").is_none());
         }
+    }
+
+    #[test]
+    fn record_all_merges_across_threads_and_pulls_nothing_when_off() {
+        let pulled = std::cell::Cell::new(0u64);
+        let values = |range: std::ops::Range<u64>| range.map(|v| v * v * 37);
+        std::thread::spawn(move || super::record_all("test.lib.hist_all_threads", values(0..100)))
+            .join()
+            .expect("recording thread");
+        super::record_all(
+            "test.lib.hist_all_threads",
+            values(100..200).inspect(|_| pulled.set(pulled.get() + 1)),
+        );
+        values(0..200).for_each(|v| super::record!("test.lib.hist_all_threads_singles", v));
+        let snap = super::snapshot();
+        if super::enabled() {
+            assert_eq!(pulled.get(), 100);
+            let merged = snap.histogram("test.lib.hist_all_threads").unwrap();
+            assert_eq!(merged.count, 200);
+            assert_eq!(Some(merged), snap.histogram("test.lib.hist_all_threads_singles"));
+        } else {
+            assert_eq!(pulled.get(), 0);
+            assert!(snap.is_empty());
+        }
+    }
+
+    #[test]
+    fn recorder_entries_count_calls_not_values() {
+        // A difference, so whatever this thread recorded before is out.
+        let before = super::recorder_entries();
+        super::counter("test.lib.entries.counter", 5);
+        super::record_all("test.lib.entries.hist", 0..1_000);
+        {
+            super::span!("test.lib.entries.span");
+        }
+        let spent = super::recorder_entries() - before;
+        assert_eq!(spent, if super::enabled() { 3 } else { 0 });
+    }
+
+    #[test]
+    #[cfg(not(diablo_telemetry_off))]
+    #[should_panic(expected = "must not record")]
+    fn an_iterator_that_records_is_caught() {
+        super::record_all(
+            "test.lib.reentrant",
+            (0..3u64).inspect(|_| super::counter!("test.lib.reentrant.inner")),
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Thread-local recorders and the global registry.
 //!
 //! Every recording thread owns a *shard*: a mutex-wrapped map of named
-//! metrics. The mutex is uncontended on the hot path — only the owning
-//! thread records into it; the registry takes it briefly when a
-//! snapshot or reset walks all shards ("lock-free in spirit"). Shards
+//! metrics. The mutex is uncontended — only the owning thread records
+//! into it; the registry takes it briefly when a snapshot or reset
+//! walks all shards — but every entry ([`with_local`]) takes it. Shards
 //! of exited threads fold into a `retired` accumulator so short-lived
 //! scoped workers (the parallel executor spawns them per block) never
 //! leak registry entries.
@@ -56,6 +56,8 @@ pub(crate) struct LocalData {
     gauges: HashMap<&'static str, i64, FnvBuild>,
     histograms: HashMap<&'static str, LogHistogram, FnvBuild>,
     spans: HashMap<Vec<&'static str>, SpanStat, FnvBuild>,
+    /// [`with_local`] calls since the last clear; in no snapshot.
+    entries: u64,
 }
 
 impl LocalData {
@@ -68,11 +70,13 @@ impl LocalData {
         *e = (*e).max(v);
     }
 
-    pub(crate) fn histogram(&mut self, name: &'static str, v: u64, n: u64) {
+    pub(crate) fn histogram(&mut self, name: &'static str, values: impl Iterator<Item = (u64, u64)>) {
         // No entry for zero observations: an empty histogram would
         // still show up in the snapshot.
-        if n > 0 {
-            self.histograms.entry(name).or_default().record_n(v, n);
+        let mut values = values.filter(|&(_, n)| n > 0).peekable();
+        if values.peek().is_some() {
+            let h = self.histograms.entry(name).or_default();
+            values.for_each(|(v, n)| h.record_n(v, n));
         }
     }
 
@@ -88,6 +92,7 @@ impl LocalData {
         self.gauges.clear();
         self.histograms.clear();
         self.spans.clear();
+        self.entries = 0;
     }
 
     /// Folds `other` into `self` (commutative per key).
@@ -192,7 +197,7 @@ thread_local! {
 pub(crate) fn with_local<R>(f: impl FnOnce(&mut LocalData) -> R) -> Option<R> {
     LOCAL
         .try_with(|slot| {
-            let mut slot = slot.borrow_mut();
+            let mut slot = slot.try_borrow_mut().expect("a `record_all` iterator must not record");
             let handle = slot.get_or_insert_with(|| {
                 let shard = Arc::new(Shard(Mutex::new(LocalData::default())));
                 registry()
@@ -203,6 +208,7 @@ pub(crate) fn with_local<R>(f: impl FnOnce(&mut LocalData) -> R) -> Option<R> {
                 LocalHandle { shard }
             });
             let mut data = handle.shard.lock();
+            data.entries += 1;
             f(&mut data)
         })
         .ok()
@@ -225,6 +231,15 @@ pub(crate) fn snapshot() -> TelemetrySnapshot {
 /// whatever the rest of the process did meanwhile.
 pub(crate) fn thread_snapshot() -> TelemetrySnapshot {
     with_local(|data| data.freeze()).unwrap_or_default()
+}
+
+/// This thread's [`with_local`] calls since its last clear, less this one.
+pub(crate) fn entries() -> u64 {
+    with_local(|data| {
+        data.entries -= 1;
+        data.entries
+    })
+    .unwrap_or(0)
 }
 
 /// Clears the calling thread's own shard and no other.

@@ -90,6 +90,12 @@ done
 echo "==> wire allocation gate (peak bytes per planned transaction, nodelay)"
 cargo test -q --release --offline -p diablo-core --test wire_alloc
 
+# The telemetry budget, the same kind of gate for the recorder: a run
+# enters it per tick and per block, never per transaction (it did four
+# times per transaction, two thirds of `model_200n`'s iteration).
+echo "==> telemetry budget gate (recorder entries per tick and per block)"
+cargo test -q --release --offline -p diablo-chains --test telemetry_budget
+
 # The trace recorder used to be process-global, and two unit tests that
 # armed it at once took each other's recorder at eight test threads —
 # never at the two a 2-core runner defaults to. Every tracer is a value
@@ -213,6 +219,21 @@ for probe in flow block; do
     esac
 done
 rm -f "$deep_yaml"
+
+# A fault directive's number is checked where it is parsed. A slowdown
+# factor below 1 (or NaN) used to be clamped to no slowdown at all: an
+# unfaulted run, exit 0, reported as faulted.
+echo "==> fault-directive smoke (--slowdown=0.5@1 is refused, naming the factor)"
+status=0
+slow_err="$(cargo run -q --release --offline --bin diablo -- run --chain=quorum \
+    --slowdown=0.5@1 workloads/native-10.yaml 2>&1 >/dev/null)" || status=$?
+case "$status:$slow_err" in
+1:*'factor `0.5`'*) ;;
+*)
+    echo "fault-directive smoke: exit status $status, message: $slow_err" >&2
+    exit 1
+    ;;
+esac
 
 # Chaos smoke: a pinned-seed run with crash-recovery, a partition and
 # message loss (flags on top of the workload's own fault: section) must
@@ -374,6 +395,9 @@ RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
 # its untraced twin does when the tracer is compiled out.
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-chains --test trace_alloc_budget
+# And the telemetry budget: without the recorder a run makes no entry.
+RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
+    cargo test -q --offline -p diablo-chains --test telemetry_budget
 
 echo "==> cargo doc --no-deps --offline --workspace (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
