@@ -13,8 +13,8 @@
 //!   (millions of transactions, a 1.4 M-op Mobility call each) would be
 //!   intractable otherwise; the cost of a DApp call is constant across
 //!   calls up to argument variation, which the refresh executions verify.
-
-use std::collections::HashMap;
+//!   A replay builds no call: its cache key comes from the call's
+//!   [`calls::CallShape`], and the cache is a few slots probed in order.
 
 use diablo_contracts::{build, calls, Contract, DApp, Unsupported};
 use diablo_vm::{CallOutcome, ContractState, ExecError, Interpreter, Scratch, TxContext, VmFlavor};
@@ -119,7 +119,7 @@ pub struct ExecCost {
 /// count and a payload-size magnitude; entries invoked with different
 /// shapes (e.g. `update()` vs `update(1, 1)`) get distinct cache slots
 /// instead of silently replaying each other's cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ArgClass {
     /// Number of call arguments.
     argc: u8,
@@ -129,11 +129,30 @@ struct ArgClass {
 }
 
 impl ArgClass {
-    fn of(call: &calls::CallSpec) -> ArgClass {
+    fn of(shape: calls::CallShape) -> ArgClass {
         ArgClass {
-            argc: call.args.len() as u8,
-            payload_pow2: (u64::BITS - call.payload_bytes.leading_zeros()) as u8,
+            argc: shape.argc as u8,
+            payload_pow2: (u64::BITS - shape.payload_bytes.leading_zeros()) as u8,
         }
+    }
+}
+
+/// One profiled-mode cache entry.
+#[derive(Debug)]
+struct ProfileSlot {
+    entry: &'static str,
+    class: ArgClass,
+    cost: ExecCost,
+    /// Replays since the cost was last measured.
+    age: u64,
+}
+
+impl ProfileSlot {
+    /// Entry names are literals of `calls`, so two equal ones are
+    /// nearly always one string: the bytes are compared only when the
+    /// pointers differ.
+    fn holds(&self, entry: &'static str, class: ArgClass) -> bool {
+        self.class == class && (std::ptr::eq(self.entry, entry) || self.entry == entry)
     }
 }
 
@@ -152,9 +171,9 @@ pub struct ExecutionEngine {
     /// (speculations + re-executions under the optimistic executor, 1
     /// everywhere else) — the tracer's `executed` annotation.
     last_exec_counts: Vec<u32>,
-    /// Profiled-mode cache: (entry, arg class) → (cost, replays since
-    /// refresh).
-    cache: HashMap<(&'static str, ArgClass), (ExecCost, u64)>,
+    /// Profiled-mode cache, one slot per (entry, arg class) seen: a
+    /// DApp has at most six entries, so a probe is a short scan.
+    cache: Vec<ProfileSlot>,
     /// Cache hits not yet published (once per block, not per hit).
     cache_hits: u64,
 }
@@ -181,7 +200,7 @@ impl ExecutionEngine {
             contract: None,
             scratch: Scratch::default(),
             last_exec_counts: Vec::new(),
-            cache: HashMap::new(),
+            cache: Vec::new(),
             cache_hits: 0,
         }
     }
@@ -288,24 +307,36 @@ impl ExecutionEngine {
     }
 
     fn execute_invoke(&mut self, dapp: DApp, seq: u64, sel: Option<CallSel>) -> ExecCost {
-        let call = Self::resolve(dapp, seq, sel);
-        if self.mode == ExecMode::Profiled {
-            let key = (call.entry, ArgClass::of(&call));
-            if let Some((cost, age)) = self.cache.get_mut(&key) {
-                if *age < PROFILE_REFRESH {
-                    // A hit only bumps the age in place: one hash lookup.
-                    *age += 1;
-                    self.cache_hits += 1;
-                    return *cost;
-                }
-            }
-            let cost = self.interpret(seq, call);
-            diablo_telemetry::counter!("exec.profiled.refreshes");
-            self.cache.insert(key, (cost, 0));
-            cost
-        } else {
-            self.interpret(seq, call)
+        if self.mode == ExecMode::Exact {
+            return self.interpret(seq, Self::resolve(dapp, seq, sel));
         }
+        let shape = match sel {
+            None => calls::shape_for(dapp, seq),
+            Some(sel) => calls::shape_for_entry(dapp, sel.entry, sel.argc as usize),
+        };
+        let class = ArgClass::of(shape);
+        let slot = self.cache.iter().position(|s| s.holds(shape.entry, class));
+        if let Some(slot) = slot.map(|i| &mut self.cache[i]) {
+            if slot.age < PROFILE_REFRESH {
+                // A hit resolves nothing: no call, no argument vector.
+                slot.age += 1;
+                self.cache_hits += 1;
+                return slot.cost;
+            }
+        }
+        let cost = self.interpret(seq, Self::resolve(dapp, seq, sel));
+        diablo_telemetry::counter!("exec.profiled.refreshes");
+        let fresh = ProfileSlot {
+            entry: shape.entry,
+            class,
+            cost,
+            age: 0,
+        };
+        match slot {
+            Some(i) => self.cache[i] = fresh,
+            None => self.cache.push(fresh),
+        }
+        cost
     }
 
     fn interpret(&mut self, seq: u64, call: calls::CallSpec) -> ExecCost {
@@ -333,6 +364,13 @@ impl ExecutionEngine {
             &mut contract.initial_state,
         );
         cost_of(result, intrinsic)
+    }
+
+    /// One payload after the other, cache hits published once.
+    fn execute_each(&mut self, payloads: &[Payload]) -> Vec<ExecCost> {
+        let costs = payloads.iter().map(|&p| self.execute_tallied(p)).collect();
+        self.publish_cache_hits();
+        costs
     }
 
     /// Executes one committed batch, returning per-transaction costs in
@@ -363,9 +401,7 @@ impl ExecutionEngine {
         let plannable =
             self.mode == ExecMode::Exact && payloads.len() >= 2 && self.contract.is_some();
         if !plannable {
-            let costs = payloads.iter().map(|&p| self.execute_tallied(p)).collect();
-            self.publish_cache_hits();
-            return costs;
+            return self.execute_each(payloads);
         }
         // The optimistic protocol itself is worker-count independent, so
         // it runs even at 1 thread: Optimistic(1) must produce the same
@@ -398,7 +434,7 @@ impl ExecutionEngine {
                             // No executor can schedule an entry without
                             // an id; the per-payload loop prices it as
                             // the failure it is.
-                            return payloads.iter().map(|&p| self.execute(p)).collect();
+                            return self.execute_each(payloads);
                         };
                         slots.push(slot);
                         intrinsics.push(intrinsic_cost(flavor, &call));
@@ -633,6 +669,112 @@ mod tests {
             call: None,
         });
         assert_eq!(a.gas, ea.gas);
+    }
+
+    /// The cache as it was before the slots: every call resolved, its
+    /// key hashed. Misses and refreshes interpret on an `Exact` engine
+    /// of the oracle's own, so both sides run the same calls against
+    /// the same state.
+    struct HashedProfile {
+        interpreter: ExecutionEngine,
+        cache: std::collections::HashMap<(&'static str, u8, u32), (ExecCost, u64)>,
+        hits: u64,
+        refreshes: u64,
+    }
+
+    impl HashedProfile {
+        fn execute(&mut self, payload: Payload) -> ExecCost {
+            let Payload::Invoke { dapp, seq, call } = payload else {
+                return self.interpreter.execute(payload);
+            };
+            let call = ExecutionEngine::resolve(dapp, seq, call);
+            let payload_bits = u64::BITS - call.payload_bytes.leading_zeros();
+            let key = (call.entry, call.args.len() as u8, payload_bits);
+            if let Some((cost, age)) = self.cache.get_mut(&key) {
+                if *age < PROFILE_REFRESH {
+                    *age += 1;
+                    self.hits += 1;
+                    return *cost;
+                }
+            }
+            let cost = self.interpreter.execute(payload);
+            self.refreshes += 1;
+            self.cache.insert(key, (cost, 0));
+            cost
+        }
+    }
+
+    /// Transfers, the default rotation, every entry index (one past the
+    /// table included) and three argument counts of entry 0.
+    fn mixed_payloads(dapp: DApp, n: u64) -> Vec<Payload> {
+        let entries = calls::entries(dapp).len() as u64;
+        let explicit = |seq, entry, argc| Payload::Invoke {
+            dapp,
+            seq,
+            call: Some(CallSel {
+                entry,
+                args: [1, 1],
+                argc,
+            }),
+        };
+        (0..n)
+            .map(|seq| match seq % 8 {
+                0 => Payload::Transfer,
+                3 => explicit(seq, (seq / 8 % (entries + 1)) as u8, 0),
+                4 => explicit(seq, 0, 2),
+                5 => explicit(seq, 0, 1),
+                // A quarter of the calls, so that this class ages out.
+                6 | 7 => explicit(seq, 0, 0),
+                _ => Payload::Invoke {
+                    dapp,
+                    seq,
+                    call: None,
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn profiled_slots_replay_what_the_hashed_cache_did() {
+        for flavor in VmFlavor::ALL {
+            for dapp in DApp::ALL {
+                let Ok(mut engine) = ExecutionEngine::with_dapp(flavor, ExecMode::Profiled, dapp)
+                else {
+                    continue; // YouTube on the AVM
+                };
+                let mut oracle = HashedProfile {
+                    interpreter: ExecutionEngine::with_dapp(flavor, ExecMode::Exact, dapp).unwrap(),
+                    cache: Default::default(),
+                    hits: 0,
+                    refreshes: 0,
+                };
+                let payloads = mixed_payloads(dapp, 5_000);
+                let want: Vec<ExecCost> = payloads.iter().map(|&p| oracle.execute(p)).collect();
+                assert!(oracle.refreshes > oracle.cache.len() as u64, "no slot aged out");
+
+                diablo_telemetry::thread_reset();
+                // Uneven blocks, then lone calls: both publish the hits.
+                let (blocks, lone) = payloads.split_at(4_000);
+                let mut got: Vec<ExecCost> = blocks
+                    .chunks(611)
+                    .flat_map(|block| engine.execute_block(block))
+                    .collect();
+                got.extend(lone.iter().map(|&p| engine.execute(p)));
+                assert_eq!(got, want, "{flavor:?} {dapp:?}");
+                if diablo_telemetry::enabled() {
+                    let seen = diablo_telemetry::thread_snapshot();
+                    let count = |name| seen.counter(name).unwrap_or(0);
+                    assert_eq!(
+                        (
+                            count("exec.profiled.cache_hits"),
+                            count("exec.profiled.refreshes")
+                        ),
+                        (oracle.hits, oracle.refreshes),
+                        "{flavor:?} {dapp:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Allocation budget of serial `Exact` block execution.
+//! Allocation budget of serial block execution.
 //!
 //! A DApp call is a few hundred instructions, so a handful of allocator
 //! calls around each one costs as much as the call itself (20 per
 //! Gaming `update` before the interpreter ran in a reused scratch).
-//! This test pins what is left: the argument vector of each resolved
-//! invoke — two allocations when the spec names the arguments, one
-//! otherwise — plus a per-block constant for the result and plan
-//! vectors. It has a process of its own because it installs a counting
-//! global allocator (`counting/mod.rs`).
+//! This test pins what is left. Under `Exact`: the argument vector of
+//! each resolved invoke — two allocations when the spec names the
+//! arguments, one otherwise — plus a per-block constant for the result
+//! and plan vectors. Under `Profiled` the constant alone: a cache hit
+//! resolves no call, so it has no argument vector to allocate. It has
+//! a process of its own because it installs a counting global
+//! allocator (`counting/mod.rs`).
 
 mod counting;
 
@@ -69,6 +71,27 @@ fn serial_exact_blocks_allocate_per_block_not_per_instruction() {
         made <= PER_CALL * CALLS + PER_BLOCK,
         "Gaming: {made} allocations for {CALLS} calls"
     );
+
+    // Profiled: the warm-up block filled the cache, so the measured one
+    // is 1,000 hits (or 999 and a refresh), whether the spec named the
+    // arguments or left the default call.
+    let default_calls: Vec<Payload> = (0..CALLS)
+        .map(|seq| Payload::Invoke {
+            dapp: DApp::Gaming,
+            seq,
+            call: None, // update(1, 1)
+        })
+        .collect();
+    for (block, spelling) in [(&gaming, "update(1, 1) named"), (&default_calls, "default")] {
+        let mut engine =
+            ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Profiled, DApp::Gaming)
+                .expect("Gaming builds on geth");
+        let made = allocations_of_second_block(&mut engine, block);
+        assert!(
+            made <= PER_BLOCK,
+            "Profiled Gaming, {spelling}: {made} allocations for {CALLS} calls"
+        );
+    }
 
     // VideoSharing with the write log on: every upload creates a key,
     // so the state map and the log grow through the measured block.
