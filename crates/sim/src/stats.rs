@@ -24,13 +24,22 @@ const LOG_HIST_SUB: usize = 1 << LOG_HIST_SUB_BITS;
 /// histograms a plain bucket-wise addition — commutative and
 /// associative, so a merged histogram is bit-identical no matter how
 /// the observations were sharded across recorders.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
     min: u64,
     max: u64,
+}
+
+/// [`LogHistogram::new`]: a derived `Default` would start `min` at 0 and
+/// report that as the smallest observation of every histogram made by
+/// `or_default()`.
+impl Default for LogHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl LogHistogram {
@@ -672,6 +681,15 @@ mod tests {
             assert!(idx >= prev, "index regressed at 2^{s}");
             prev = idx;
         }
+    }
+
+    #[test]
+    fn log_histogram_default_is_new() {
+        assert_eq!(LogHistogram::default(), LogHistogram::new());
+        let mut h = LogHistogram::default();
+        h.record(5);
+        h.record(9);
+        assert_eq!(h.min(), 5);
     }
 
     #[test]

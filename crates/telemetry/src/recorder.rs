@@ -256,3 +256,20 @@ pub(crate) fn reset() {
         shard.lock().clear();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_histogram_made_on_first_use_reports_its_smallest_value() {
+        let mut shard = LocalData::default();
+        shard.histogram("h", [(5, 1), (9, 1)].into_iter());
+        assert_eq!(shard.freeze().histogram("h").map(|h| h.min), Some(5));
+        // What a snapshot and a retiring thread do: fold the shard into
+        // an accumulator that has no such histogram yet.
+        let mut acc = LocalData::default();
+        acc.absorb(&shard);
+        assert_eq!(acc.freeze().histogram("h").map(|h| h.min), Some(5));
+    }
+}
