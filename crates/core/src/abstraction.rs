@@ -15,6 +15,9 @@
 //! each; here each chain's adapter (see [`crate::adapters`]) binds the
 //! same four functions to the simulated networks of `diablo-chains`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use diablo_chains::{tx::CallSel, Payload, PlannedTx};
 use diablo_contracts::DApp;
 use diablo_sim::SimTime;
@@ -245,6 +248,11 @@ pub trait Connector {
 
     /// Schedules an encoded interaction on a client (function 4).
     fn trigger(&mut self, client: ClientId, encoded: Encoded) -> Result<(), ConnectorError>;
+
+    /// Says that `client` is about to be triggered `interactions` times,
+    /// for a connector that holds what it is given. Capacity only: a
+    /// wrong count changes nothing a trigger does.
+    fn reserve(&mut self, _client: ClientId, _interactions: usize) {}
 }
 
 /// Connector state shared by all simulated chains: tracks declared
@@ -300,12 +308,53 @@ impl SimConnector {
         }
     }
 
-    /// Drains all triggered interactions into one time-sorted plan.
+    /// Drains all triggered interactions into one time-sorted plan:
+    /// the stable sort of the clients' triggers, client after client.
     pub fn take_plan(&mut self) -> Vec<PlannedTx> {
-        let mut all: Vec<PlannedTx> = self.plans.iter_mut().flat_map(std::mem::take).collect();
-        all.sort_by_key(|t| t.at);
-        all
+        let mut runs: Vec<Vec<PlannedTx>> = self.plans.iter_mut().map(std::mem::take).collect();
+        for run in &mut runs {
+            // One behaviour triggers in time order; a client with
+            // several is their concatenation.
+            if !run.is_sorted_by_key(|t| t.at) {
+                run.sort_by_key(|t| t.at);
+            }
+        }
+        merge_runs(runs)
     }
+}
+
+/// Merges time-sorted runs into the stable sort of their concatenation
+/// (equal instants: the earlier run first, a run in its own order), in
+/// one vector of exactly the final size.
+pub(crate) fn merge_runs(mut runs: Vec<Vec<PlannedTx>>) -> Vec<PlannedTx> {
+    runs.retain(|run| !run.is_empty());
+    if runs.len() <= 1 {
+        return runs.pop().unwrap_or_default();
+    }
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut taken = vec![0; runs.len()];
+    // The next (instant, run) of every run, least first.
+    let mut heads: BinaryHeap<Reverse<(SimTime, usize)>> = runs
+        .iter()
+        .enumerate()
+        .map(|(r, run)| Reverse((run[0].at, r)))
+        .collect();
+    while let Some(Reverse((_, r))) = heads.pop() {
+        // Everything of run `r` that sorts before the other heads.
+        let rest = &runs[r][taken[r]..];
+        let n = match heads.peek() {
+            Some(&Reverse(bound)) => {
+                1 + rest[1..].iter().take_while(|t| (t.at, r) < bound).count()
+            }
+            None => rest.len(),
+        };
+        merged.extend_from_slice(&rest[..n]);
+        taken[r] += n;
+        if let Some(next) = rest.get(n) {
+            heads.push(Reverse((next.at, r)));
+        }
+    }
+    merged
 }
 
 impl Connector for SimConnector {
@@ -418,6 +467,12 @@ impl Connector for SimConnector {
         plan.push(encoded.planned);
         Ok(())
     }
+
+    fn reserve(&mut self, client: ClientId, interactions: usize) {
+        if let Some(plan) = self.plans.get_mut(client.0 as usize) {
+            plan.reserve_exact(interactions);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -515,6 +570,42 @@ mod tests {
         let plan = c.take_plan();
         let times: Vec<u64> = plan.iter().map(|p| p.at.as_micros() / 1_000_000).collect();
         assert_eq!(times, vec![1, 2, 5, 9]);
+    }
+
+    #[test]
+    fn the_plan_is_the_stable_sort_of_the_clients_triggers() {
+        use diablo_testkit::gen::{u64s, vecs};
+        use diablo_testkit::{prop_assert_eq, Property};
+
+        // Per client, instants in trigger order: few distinct values, so
+        // ties within and across clients are the common case, and
+        // unsorted, so a client's own run has to be sorted first.
+        let clients = vecs(vecs(u64s(0..=12), 0..=40), 0..=6);
+        Property::new("the_plan_is_the_stable_sort_of_the_clients_triggers")
+            .cases(256)
+            .check(&clients, |clients| {
+                let mut c = SimConnector::new("x");
+                let mut want = Vec::new();
+                for (k, instants) in clients.iter().enumerate() {
+                    let client = c.create_client(&[]).unwrap();
+                    c.reserve(client, instants.len());
+                    for (i, &secs) in instants.iter().enumerate() {
+                        // The sender says who triggered it and when.
+                        let planned = PlannedTx {
+                            at: SimTime::from_secs(secs),
+                            sender: (k * 100 + i) as u32,
+                            payload: Payload::Transfer,
+                        };
+                        c.trigger(client, Encoded { planned }).unwrap();
+                        want.push(planned);
+                    }
+                }
+                want.sort_by_key(|t| t.at);
+                let got = c.take_plan();
+                prop_assert_eq!(got.capacity(), got.len());
+                prop_assert_eq!(got, want);
+                Ok(())
+            });
     }
 
     #[test]

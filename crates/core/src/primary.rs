@@ -166,8 +166,7 @@ pub fn run_with_setup(
     let faults = run.faults.clone();
     let lost_secondaries = apply_secondary_kills(&faults, &ranges, &mut plans);
 
-    let mut merged: Vec<PlannedTx> = plans.into_iter().flatten().collect();
-    merged.sort_by_key(|t| t.at);
+    let merged = crate::abstraction::merge_runs(plans);
 
     let secondaries = ranges.len();
     let result = match ChainHarness::with_config(chain, setup.config.clone(), dapp, run) {

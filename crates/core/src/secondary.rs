@@ -81,9 +81,10 @@ pub fn plan_range(
             .ok_or(ConnectorError::UnknownClient { client: global })?;
         let client = connector.create_client(&group.view)?;
         stats.clients += 1;
-        for (bi, behavior) in group.behaviors.iter().enumerate() {
-            let workload = behavior.to_workload("client");
-            let ticks = workload.ticks(TICK_MS);
+        let ticks = group.behaviors.iter().map(|b| b.to_workload("client").ticks(TICK_MS));
+        let ticks: Vec<Vec<u64>> = ticks.collect();
+        connector.reserve(client, ticks.iter().flatten().sum::<u64>() as usize);
+        for (bi, (behavior, ticks)) in group.behaviors.iter().zip(&ticks).enumerate() {
             // Counter seeded per (client, behavior) so account usage is
             // deterministic and spread.
             let mut counter = (global as u64)
