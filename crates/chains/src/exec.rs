@@ -147,15 +147,6 @@ struct ProfileSlot {
     age: u64,
 }
 
-impl ProfileSlot {
-    /// Entry names are literals of `calls`, so two equal ones are
-    /// nearly always one string: the bytes are compared only when the
-    /// pointers differ.
-    fn holds(&self, entry: &'static str, class: ArgClass) -> bool {
-        self.class == class && (std::ptr::eq(self.entry, entry) || self.entry == entry)
-    }
-}
-
 /// Executes transactions for one chain's VM flavor.
 #[derive(Debug)]
 pub struct ExecutionEngine {
@@ -178,14 +169,19 @@ pub struct ExecutionEngine {
     cache_hits: u64,
 }
 
-/// Gas cost of a native transfer on each flavor (the EVM intrinsic for
-/// geth; small flat costs elsewhere).
-fn transfer_gas(flavor: VmFlavor) -> u64 {
-    match flavor {
+/// Cost of a native transfer on each flavor (the EVM intrinsic for
+/// geth; small flat gas costs elsewhere).
+fn transfer_cost(flavor: VmFlavor) -> ExecCost {
+    let gas = match flavor {
         VmFlavor::Geth => 21_000,
         VmFlavor::Avm => 1,
         VmFlavor::MoveVm => 600,
         VmFlavor::Ebpf => 1_500,
+    };
+    ExecCost {
+        gas,
+        ops: 10,
+        ok: true,
     }
 }
 
@@ -283,11 +279,7 @@ impl ExecutionEngine {
     /// [`Self::execute`], its cache hit left for the caller to publish.
     fn execute_tallied(&mut self, payload: Payload) -> ExecCost {
         match payload {
-            Payload::Transfer => ExecCost {
-                gas: transfer_gas(self.flavor),
-                ops: 10,
-                ok: true,
-            },
+            Payload::Transfer => transfer_cost(self.flavor),
             Payload::Invoke { dapp, seq, call } => self.execute_invoke(dapp, seq, call),
         }
     }
@@ -297,11 +289,8 @@ impl ExecutionEngine {
         match sel {
             None => calls::call_for(dapp, seq),
             Some(sel) => {
-                let args: Vec<i64> = sel.args[..sel.argc as usize]
-                    .iter()
-                    .map(|&a| a as i64)
-                    .collect();
-                calls::call_for_entry(dapp, sel.entry, &args)
+                let args = sel.args.map(i64::from);
+                calls::call_for_entry(dapp, sel.entry, &args[..sel.argc as usize])
             }
         }
     }
@@ -314,8 +303,13 @@ impl ExecutionEngine {
             None => calls::shape_for(dapp, seq),
             Some(sel) => calls::shape_for_entry(dapp, sel.entry, sel.argc as usize),
         };
-        let class = ArgClass::of(shape);
-        let slot = self.cache.iter().position(|s| s.holds(shape.entry, class));
+        let (entry, class) = (shape.entry, ArgClass::of(shape));
+        // Entry names are literals of `calls`, so equal ones are nearly
+        // always one string: bytes are compared only if pointers differ.
+        let same = |s: &ProfileSlot| {
+            s.class == class && (std::ptr::eq(s.entry, entry) || s.entry == entry)
+        };
+        let slot = self.cache.iter().position(same);
         if let Some(slot) = slot.map(|i| &mut self.cache[i]) {
             if slot.age < PROFILE_REFRESH {
                 // A hit resolves nothing: no call, no argument vector.
@@ -327,7 +321,7 @@ impl ExecutionEngine {
         let cost = self.interpret(seq, Self::resolve(dapp, seq, sel));
         diablo_telemetry::counter!("exec.profiled.refreshes");
         let fresh = ProfileSlot {
-            entry: shape.entry,
+            entry,
             class,
             cost,
             age: 0,
@@ -343,11 +337,7 @@ impl ExecutionEngine {
         let intrinsic = intrinsic_cost(self.flavor, &call);
         let Some(contract) = self.contract.as_mut() else {
             // No contract deployed: treat as a transfer-priced no-op.
-            return ExecCost {
-                gas: transfer_gas(self.flavor),
-                ops: 10,
-                ok: true,
-            };
+            return transfer_cost(self.flavor);
         };
         // Preparation interns every entry of the program, so an entry
         // it does not know is one neither interpreter could run.
@@ -423,11 +413,7 @@ impl ExecutionEngine {
             let contract = self.contract.as_ref().expect("checked above");
             for (slot, &payload) in payloads.iter().enumerate() {
                 match payload {
-                    Payload::Transfer => costs.push(ExecCost {
-                        gas: transfer_gas(flavor),
-                        ops: 10,
-                        ok: true,
-                    }),
+                    Payload::Transfer => costs.push(transfer_cost(flavor)),
                     Payload::Invoke { dapp, seq, call } => {
                         let call = Self::resolve(dapp, seq, call);
                         let Some(entry) = contract.prepared.entry_id(call.entry) else {

@@ -4,9 +4,8 @@
 //! calls around each one costs as much as the call itself (20 per
 //! Gaming `update` before the interpreter ran in a reused scratch).
 //! This test pins what is left. Under `Exact`: the argument vector of
-//! each resolved invoke — two allocations when the spec names the
-//! arguments, one otherwise — plus a per-block constant for the result
-//! and plan vectors. Under `Profiled` the constant alone: a cache hit
+//! each resolved invoke, plus a per-block constant for the result and
+//! plan vectors. Under `Profiled` the constant alone: a cache hit
 //! resolves no call, so it has no argument vector to allocate. It has
 //! a process of its own because it installs a counting global
 //! allocator (`counting/mod.rs`).
@@ -22,8 +21,8 @@ use counting::allocations;
 
 /// Calls per block.
 const CALLS: u64 = 1_000;
-/// Allowed per call: the resolved argument vector and its copy.
-const PER_CALL: u64 = 2;
+/// Allowed per call: the resolved argument vector.
+const PER_CALL: u64 = 1;
 /// Allowed per block, whatever its size: the cost, slot, intrinsic and
 /// transaction vectors, the plan statistics, and the occasional
 /// doubling of a growing state map or write log.

@@ -115,16 +115,6 @@ pub fn call_for(dapp: DApp, seq: u64) -> CallSpec {
     build(shape_for(dapp, seq), |i| default_arg(dapp, seq, i))
 }
 
-/// The call buying one token of a specific stock (used by the per-stock
-/// NASDAQ burst workloads of Figure 6).
-pub fn exchange_call(stock: Stock) -> CallSpec {
-    CallSpec {
-        entry: stock.entry(),
-        args: vec![],
-        payload_bytes: 0,
-    }
-}
-
 /// The callable entry points of a DApp, in a stable order (indices are
 /// the wire encoding of an explicit function selection).
 pub fn entries(dapp: DApp) -> &'static [&'static str] {

@@ -16,7 +16,7 @@
 //! same four functions to the simulated networks of `diablo-chains`.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use diablo_chains::{tx::CallSel, Payload, PlannedTx};
 use diablo_contracts::DApp;
@@ -332,26 +332,15 @@ pub(crate) fn merge_runs(mut runs: Vec<Vec<PlannedTx>>) -> Vec<PlannedTx> {
         return runs.pop().unwrap_or_default();
     }
     let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    let mut taken = vec![0; runs.len()];
-    // The next (instant, run) of every run, least first.
-    let mut heads: BinaryHeap<Reverse<(SimTime, usize)>> = runs
-        .iter()
-        .enumerate()
-        .map(|(r, run)| Reverse((run[0].at, r)))
-        .collect();
-    while let Some(Reverse((_, r))) = heads.pop() {
-        // Everything of run `r` that sorts before the other heads.
-        let rest = &runs[r][taken[r]..];
-        let n = match heads.peek() {
-            Some(&Reverse(bound)) => {
-                1 + rest[1..].iter().take_while(|t| (t.at, r) < bound).count()
-            }
-            None => rest.len(),
-        };
-        merged.extend_from_slice(&rest[..n]);
-        taken[r] += n;
-        if let Some(next) = rest.get(n) {
-            heads.push(Reverse((next.at, r)));
+    // (instant, run, index) of every run's next entry, least first.
+    let heads = runs.iter().enumerate().map(|(r, run)| Reverse((run[0].at, r, 0)));
+    let mut heads: BinaryHeap<_> = heads.collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((_, r, i)) = *head;
+        merged.push(runs[r][i]);
+        match runs[r].get(i + 1) {
+            Some(next) => *head = Reverse((next.at, r, i + 1)),
+            None => drop(PeekMut::pop(head)),
         }
     }
     merged

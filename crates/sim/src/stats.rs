@@ -33,9 +33,7 @@ pub struct LogHistogram {
     max: u64,
 }
 
-/// [`LogHistogram::new`]: a derived `Default` would start `min` at 0 and
-/// report that as the smallest observation of every histogram made by
-/// `or_default()`.
+/// [`LogHistogram::new`]: a derived `Default` starts `min` at 0.
 impl Default for LogHistogram {
     fn default() -> Self {
         Self::new()

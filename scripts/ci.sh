@@ -96,6 +96,21 @@ cargo test -q --release --offline -p diablo-core --test wire_alloc
 echo "==> telemetry budget gate (recorder entries per tick and per block)"
 cargo test -q --release --offline -p diablo-chains --test telemetry_budget
 
+# A Profiled cache hit is one probe: its key comes from the call's
+# shape (`calls::shape_for*`), the table both `CallSpec` builders are
+# written on. Release-mode runs of the three things that hold that: the
+# shapes against builders spelled out literally, the slot cache against
+# a resolve-and-hash oracle (same costs, same hit and refresh counts,
+# four flavors), and the allocation gate whose Profiled arm allows a
+# 1,000-hit block the per-block constant (~1,000 and ~2,000 allocator
+# calls before). `plan_alloc` is the same kind of gate for planning: 96
+# bytes allocated per planned transaction, 237 before.
+echo "==> profiled-hit gates (call shapes, slot cache vs hashed oracle, allocation budgets)"
+cargo test -q --release --offline -p diablo-contracts --lib calls::
+cargo test -q --release --offline -p diablo-chains --lib exec::tests::profiled
+cargo test -q --release --offline -p diablo-chains --test alloc_budget
+cargo test -q --release --offline -p diablo-core --test plan_alloc
+
 # The trace recorder used to be process-global, and two unit tests that
 # armed it at once took each other's recorder at eight test threads —
 # never at the two a 2-core runner defaults to. Every tracer is a value
@@ -359,7 +374,9 @@ rm -f "$live_json"
 # Sim-path regression: without --live, the unified RunConfig resolution
 # must leave reports byte-identical to the checked-in golden file (same
 # spec, same pinned seed). This is the guard that the config redesign
-# and the live plumbing never perturb the deterministic path.
+# and the live plumbing never perturb the deterministic path. Its
+# histograms must not all report a minimum of 0 again (the recorder's
+# `or_default()` ones did, 17 of 17, ten of them wrongly).
 echo "==> sim golden (pinned-seed run vs results/golden_sim_exchange.json)"
 sim_json="$(mktemp /tmp/diablo-sim-golden.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
@@ -371,6 +388,10 @@ cmp "$sim_json" results/golden_sim_exchange.json || {
     echo "       --output=results/golden_sim_exchange.json workloads/exchange-apple.yaml)" >&2
     exit 1
 }
+grep -q '"min":[1-9]' "$sim_json" || {
+    echo "sim golden: every histogram reports \"min\":0" >&2
+    exit 1
+}
 rm -f "$sim_json"
 
 # Disabled-build check: with telemetry compiled out, the no-op macros
@@ -380,8 +401,10 @@ rm -f "$sim_json"
 echo "==> telemetry-off build + tier-1 (--cfg diablo_telemetry_off)"
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline
-# The allocation budget of serial Exact execution must hold without the
-# recorder too (the workspace run above checks it with telemetry on).
+# The allocation budgets of serial execution must hold without the
+# recorder too (the workspace run above checks them with telemetry on):
+# Exact's per-call vectors, and a Profiled hit that allocates nothing
+# and so cannot be pulling the recorder in.
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-chains --test alloc_budget
 # So must the budget of the results path: the document's one buffer and
@@ -395,6 +418,12 @@ RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
 # its untraced twin does when the tracer is compiled out.
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-chains --test trace_alloc_budget
+# And planning's bytes per planned transaction.
+RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
+    cargo test -q --offline -p diablo-core --test plan_alloc
+# And the slot cache against its oracle (costs only: no counters here).
+RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
+    cargo test -q --offline -p diablo-chains --lib exec::tests::profiled
 # And the telemetry budget: without the recorder a run makes no entry.
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-chains --test telemetry_budget
