@@ -463,11 +463,6 @@ impl ChainParams {
             ConsensusKind::HotStuff { .. } | ConsensusKind::Ibft { .. }
         )
     }
-
-    /// The `local` knob some tests use to check parameter derivation.
-    pub fn accounts_for(chain: Chain, config: &DeploymentConfig) -> u32 {
-        Self::standard(chain, config).accounts
-    }
 }
 
 /// Execution rate for a machine: serial geth-style execution scaled by a

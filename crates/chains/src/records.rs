@@ -115,15 +115,17 @@ pub fn rate_per_sec(count: u64, window_secs: f64) -> f64 {
     }
 }
 
-/// Everything the results JSON, the `--stat` block and the summary line
-/// read from the records, gathered in one pass over them.
+/// Everything the results JSON, the `--stat` block, the summary line
+/// and [`RunResult`]'s rate and latency accessors read from the records,
+/// gathered in one pass over them: the submission-window rule and the
+/// latency summation order are written here and nowhere else.
 ///
-/// Two figures depend on the order of that pass and are kept as the
-/// accessors compute them: the average latency divides a sequential
-/// `f64` sum of the per-record latencies, taken in record order (a sum
-/// of the integer microseconds is a different double), and the tail
-/// quantiles come from a histogram fed `(secs * 1e6) as u64`, which is
-/// not always the microsecond count the latency started as. The median
+/// Two figures depend on the order of that pass: the average latency
+/// divides a sequential `f64` sum of the per-record latencies, taken in
+/// record order (a sum of the integer microseconds is a different
+/// double), and the tail quantiles come from a histogram fed
+/// `(secs * 1e6) as u64`, which is not always the microsecond count the
+/// latency started as. The median
 /// and the maximum are order statistics, which the monotone
 /// microseconds-to-seconds conversion preserves, so they are taken on
 /// the integers.
@@ -234,7 +236,8 @@ impl Tally {
         self.second_digits
     }
 
-    /// [`RunResult::commit_ratio`].
+    /// Proportion of committed transactions (0 when nothing was
+    /// submitted).
     pub fn commit_ratio(&self) -> f64 {
         if self.sent == 0 {
             0.0
@@ -243,12 +246,16 @@ impl Tally {
         }
     }
 
-    /// [`RunResult::avg_throughput`].
+    /// Average throughput: transactions committed *within* the
+    /// submission window, divided by the window (the paper's
+    /// figure-of-merit; commits during the drain period still count
+    /// toward the commit ratio and the latency CDF, not throughput).
     pub fn avg_throughput(&self) -> f64 {
         rate_per_sec(self.in_window, self.workload_secs)
     }
 
-    /// [`RunResult::avg_latency_secs`].
+    /// Average commit latency over committed transactions, in seconds
+    /// (0 when nothing committed).
     pub fn latency_avg_secs(&self) -> f64 {
         if self.latencies_us.is_empty() {
             0.0
@@ -257,25 +264,24 @@ impl Tally {
         }
     }
 
-    /// [`RunResult::median_latency_secs`].
+    /// Median commit latency, in seconds (0 when nothing committed).
     pub fn latency_median_secs(&self) -> f64 {
         self.median_latency_us as f64 / 1e6
     }
 
-    /// [`RunResult::max_latency_secs`].
+    /// Maximum commit latency, in seconds (0 when nothing committed).
     pub fn latency_max_secs(&self) -> f64 {
         self.max_latency_us as f64 / 1e6
     }
 
-    /// The 95th and 99th latency percentiles in seconds, as
-    /// [`diablo_sim::Summary::percentiles`] reports them: nearest rank on
-    /// a [`LogHistogram`] of microseconds, at most ~3% below the true
+    /// The 95th and 99th latency percentiles in seconds: nearest rank
+    /// on a [`LogHistogram`] of microseconds, at most ~3% below the true
     /// value.
     pub fn latency_tail_secs(&self) -> (f64, f64) {
         let mut hist = LogHistogram::new();
         for &us in &self.latencies_us {
-            // Through seconds and back, as `Summary::record` is fed:
-            // the product can land one below `us`.
+            // Through seconds and back, the value the printed tail has
+            // always been taken on: the product can land one below `us`.
             hist.record((us as f64 / 1e6 * 1e6) as u64);
         }
         (
@@ -320,65 +326,35 @@ impl RunResult {
         self.records.iter().filter(|r| r.status == status).count() as u64
     }
 
-    /// Proportion of committed transactions (0 when nothing was
-    /// submitted).
+    /// [`Tally::commit_ratio`].
     pub fn commit_ratio(&self) -> f64 {
-        let n = self.submitted();
-        if n == 0 {
-            0.0
-        } else {
-            self.committed() as f64 / n as f64
-        }
+        Tally::new(self).commit_ratio()
     }
 
-    /// Average throughput: transactions committed *within* the
-    /// submission window, divided by the window (the paper's
-    /// figure-of-merit; commits during the drain period still count
-    /// toward the commit ratio and the latency CDF, not throughput).
+    /// [`Tally::avg_throughput`].
     pub fn avg_throughput(&self) -> f64 {
-        if self.workload_secs <= 0.0 {
-            return 0.0;
-        }
-        let window = diablo_sim::SimTime::from_secs_f64_ceil(self.workload_secs);
-        let in_window = self
-            .records
-            .iter()
-            .filter(|r| r.status == TxStatus::Committed && r.decided.is_some_and(|d| d <= window))
-            .count();
-        rate_per_sec(in_window as u64, self.workload_secs)
+        Tally::new(self).avg_throughput()
     }
 
     /// Average submitted load over the submission window, in tx/s —
-    /// same zero-duration convention as [`RunResult::avg_throughput`].
+    /// same zero-duration convention as [`Tally::avg_throughput`].
     pub fn avg_load(&self) -> f64 {
         rate_per_sec(self.submitted(), self.workload_secs)
     }
 
-    /// Average commit latency over committed transactions, in seconds.
+    /// [`Tally::latency_avg_secs`].
     pub fn avg_latency_secs(&self) -> f64 {
-        let (sum, count) = self
-            .records
-            .iter()
-            .filter_map(|r| r.latency_secs())
-            .fold((0.0, 0u64), |(sum, count), l| (sum + l, count + 1));
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
+        Tally::new(self).latency_avg_secs()
     }
 
-    /// Median commit latency, in seconds (0 when nothing committed).
+    /// [`Tally::latency_median_secs`].
     pub fn median_latency_secs(&self) -> f64 {
         Tally::new(self).latency_median_secs()
     }
 
-    /// Maximum commit latency, in seconds.
+    /// [`Tally::latency_max_secs`].
     pub fn max_latency_secs(&self) -> f64 {
-        self.records
-            .iter()
-            .filter_map(|r| r.latency_secs())
-            .fold(0.0, f64::max)
+        Tally::new(self).latency_max_secs()
     }
 
     /// The latency CDF of committed transactions (Figure 6).
@@ -413,11 +389,6 @@ impl RunResult {
             ts.record_at(r.submitted, 1);
         }
         ts
-    }
-
-    /// Peak one-second committed throughput.
-    pub fn peak_throughput(&self) -> u64 {
-        self.commit_series().peak()
     }
 
     /// Mean interval between consecutive non-genesis blocks, seconds
@@ -548,18 +519,15 @@ mod tests {
         assert!(STATUSES.iter().enumerate().all(|(i, &s)| s as usize == i));
         assert!(t.counts().all(|(status, n)| n == r.count_status(status)));
         assert_eq!(t.decided(), 4);
-        assert_eq!(t.commit_ratio(), r.commit_ratio());
+        assert_eq!(t.commit_ratio(), 4.0 / 7.0);
         assert_eq!(t.avg_throughput(), 0.2);
-        assert_eq!(t.avg_throughput(), r.avg_throughput());
         assert_eq!(t.latency_avg_secs(), 3.0);
-        assert_eq!(t.latency_avg_secs(), r.avg_latency_secs());
         assert_eq!(t.latency_median_secs(), 3.0);
         assert_eq!(
             t.latency_median_secs(),
             r.latency_cdf().quantile(0.5).unwrap()
         );
         assert_eq!(t.latency_max_secs(), 4.0);
-        assert_eq!(t.latency_max_secs(), r.max_latency_secs());
         assert_eq!(t.latency_tail_secs(), (4.0, 4.0));
         // Seven submissions and four decisions, two of them at 12 s.
         assert_eq!(t.second_digits(), 7 + 4 + 2);

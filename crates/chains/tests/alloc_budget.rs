@@ -8,16 +8,16 @@
 //! plan vectors. Under `Profiled` the constant alone: a cache hit
 //! resolves no call, so it has no argument vector to allocate. It has
 //! a process of its own because it installs a counting global
-//! allocator (`counting/mod.rs`).
-
-mod counting;
+//! allocator (`diablo_testkit::alloc`).
 
 use diablo_chains::tx::{CallSel, Payload};
 use diablo_chains::{ExecMode, ExecutionEngine};
 use diablo_contracts::DApp;
+use diablo_testkit::alloc::{measure, Counting};
 use diablo_vm::VmFlavor;
 
-use counting::allocations;
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// Calls per block.
 const CALLS: u64 = 1_000;
@@ -38,14 +38,12 @@ fn allocations_of_second_block(engine: &mut ExecutionEngine, block: &[Payload]) 
         // write log is off).
         state.drain_writes();
     }
-    let before = allocations();
-    let costs = engine.execute_block(block);
-    let made = allocations() - before;
+    let (costs, made) = measure(|| engine.execute_block(block));
     assert!(
         costs.iter().all(|cost| cost.ok),
         "measured block must commit"
     );
-    made
+    made.calls as u64
 }
 
 // One test function: the counter is process-wide, and the harness would

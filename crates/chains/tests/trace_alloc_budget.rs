@@ -8,17 +8,17 @@
 //! is not a member, so under a bound the excess does not depend on how
 //! long the run is. With the tracer compiled out the excess is zero.
 //! It has a process of its own because it installs a counting global
-//! allocator (`counting/mod.rs`).
-
-mod counting;
+//! allocator (`diablo_testkit::alloc`).
 
 use diablo_chains::{Chain, Experiment};
 use diablo_contracts::DApp;
 use diablo_net::DeploymentKind;
 use diablo_telemetry::trace::TraceSample;
+use diablo_testkit::alloc::{measure, Counting};
 use diablo_workloads::traces;
 
-use counting::allocations;
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// Allowed per member: its event vector's three growth steps.
 const PER_MEMBER: u64 = 3;
@@ -37,9 +37,8 @@ fn run(secs: u64, sample: Option<TraceSample>) -> (u64, u64) {
     .with_seed(42)
     .with_grace(20);
     experiment.run.trace = sample;
-    let before = allocations();
-    let result = experiment.run();
-    let made = allocations() - before;
+    let (result, cost) = measure(|| experiment.run());
+    let made = cost.calls as u64;
     assert_eq!(result.committed(), result.submitted(), "every trail must be whole");
     let members = result.trace.map_or(0, |set| set.txs.len() as u64);
     (made, members)

@@ -24,7 +24,6 @@ pub mod exchange;
 pub mod gaming;
 pub mod isqrt;
 pub mod mobility;
-pub mod source;
 pub mod videosharing;
 pub mod webservice;
 

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use diablo_chains::RunResult;
+use diablo_chains::{RunResult, Tally};
 
 /// Latency percentile summary of a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,16 +72,17 @@ pub fn comparison_csv(results: &[&RunResult]) -> String {
     );
     for r in results {
         let lat = latency_summary(r);
+        let tally = Tally::new(r);
         let _ = writeln!(
             out,
             "{},{},{},{},{:.6},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{}",
             r.chain.name(),
             r.workload,
-            r.submitted(),
-            r.committed(),
-            r.commit_ratio(),
-            r.avg_throughput(),
-            r.avg_latency_secs(),
+            tally.sent(),
+            tally.committed(),
+            tally.commit_ratio(),
+            tally.avg_throughput(),
+            tally.latency_avg_secs(),
             lat.p50,
             lat.p90,
             lat.p99,

@@ -91,11 +91,6 @@ impl ByteBuf {
     pub fn as_slice(&self) -> &[u8] {
         &self.data
     }
-
-    /// Consumes the buffer, returning the underlying vector.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
-    }
 }
 
 impl Deref for ByteBuf {

@@ -20,6 +20,8 @@
 
 use std::collections::BTreeMap;
 
+use diablo_chains::Tally;
+
 use crate::json::{parse_members, Json};
 use crate::report::{phase_of, Report};
 use crate::tracediff::StageDiff;
@@ -88,9 +90,10 @@ pub fn summarize(report: &Report) -> RunSummary {
             phases.insert(name.clone(), (phase, h.count, h.quantile(0.50)));
         }
     }
+    let tally = Tally::new(&report.result);
     RunSummary {
-        throughput: report.result.avg_throughput(),
-        latency: report.result.avg_latency_secs(),
+        throughput: tally.avg_throughput(),
+        latency: tally.latency_avg_secs(),
         phases,
     }
 }

@@ -10,14 +10,14 @@
 //! harness); `crate::wire` adds the distributed Primary/Secondary mode
 //! over TCP.
 
-use diablo_chains::{ChainHarness, PlannedTx, RunConfig, RunOverlay};
+use diablo_chains::{Chain, ChainHarness, PlannedTx, RunConfig, RunOverlay};
+use diablo_contracts::DApp;
 use diablo_net::DeploymentKind;
 
 use crate::adapters;
 use crate::report::Report;
 use crate::secondary::{declare_resources, plan_range};
 use crate::spec::BenchmarkSpec;
-use diablo_chains::Chain;
 
 /// Options of a benchmark run.
 ///
@@ -91,6 +91,46 @@ pub(crate) fn partition_clients(clients: u32, parts: usize) -> Vec<(u32, u32)> {
     ranges
 }
 
+/// What every Primary establishes before it plans or accepts anything.
+pub(crate) struct Prepared {
+    /// The parsed benchmark.
+    pub spec: BenchmarkSpec,
+    /// The clients split over the Secondaries.
+    pub ranges: Vec<(u32, u32)>,
+    /// The one layered resolution: defaults ← the spec's sections ← the
+    /// invocation's overlay.
+    pub run: RunConfig,
+    /// The DApp the simulated backend deploys.
+    pub dapp: Option<DApp>,
+}
+
+/// Parses `spec_text` and prepares its run over `secondaries`, refusing
+/// a spec that declares several DApps. Resets the telemetry recorder,
+/// so the report's snapshot covers exactly this benchmark.
+pub(crate) fn prepare(
+    chain: Chain,
+    spec_text: &str,
+    secondaries: usize,
+    options: &BenchmarkOptions,
+) -> Result<Prepared, String> {
+    let spec = BenchmarkSpec::parse(spec_text).map_err(|e| e.to_string())?;
+    let ranges = partition_clients(spec.client_count(), secondaries);
+    let run = options.resolve(&spec);
+    diablo_telemetry::reset();
+    let mut scratch = adapters::connector(chain);
+    declare_resources(&spec, &mut scratch).map_err(|e| e.to_string())?;
+    let dapp = scratch.sole_dapp();
+    if dapp.is_none() && scratch.contract_count() > 1 {
+        return Err("the simulated backend deploys one DApp per benchmark".to_string());
+    }
+    Ok(Prepared {
+        spec,
+        ranges,
+        run,
+        dapp,
+    })
+}
+
 /// Runs a benchmark spec end-to-end against a simulated chain.
 ///
 /// Returns the aggregated [`Report`]; chains unable to run the spec's
@@ -119,25 +159,14 @@ pub fn run_with_setup(
     options: &BenchmarkOptions,
 ) -> Result<Report, String> {
     let chain = setup.chain;
-    let spec = BenchmarkSpec::parse(spec_text).map_err(|e| e.to_string())?;
-    let clients = spec.client_count();
-
-    // One telemetry scope per run: the report's snapshot covers exactly
-    // this benchmark, and consecutive runs in one process don't bleed
-    // into each other.
-    diablo_telemetry::reset();
-
-    // Validate resources once on a scratch connector; this also resolves
-    // the DApp the simulated backend will deploy.
-    let mut scratch = adapters::connector(chain);
-    declare_resources(&spec, &mut scratch).map_err(|e| e.to_string())?;
-    let dapp = scratch.sole_dapp();
-    if dapp.is_none() && scratch.contract_count() > 1 {
-        return Err("the simulated backend deploys one DApp per benchmark".to_string());
-    }
+    let Prepared {
+        spec,
+        ranges,
+        run,
+        dapp,
+    } = prepare(chain, spec_text, options.secondaries, options)?;
 
     // Dispatch planning to the Secondaries (worker threads).
-    let ranges = partition_clients(clients, options.secondaries);
     let plans: Vec<Result<Vec<PlannedTx>, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .iter()
@@ -158,11 +187,6 @@ pub fn run_with_setup(
     });
     let mut plans: Vec<Vec<PlannedTx>> = plans.into_iter().collect::<Result<_, _>>()?;
 
-    // The one layered resolution: defaults ← the spec's sections ← the
-    // invocation's overlay (CLI flags). The fault schedule is additive
-    // — the CLI's chaos flags pile onto the spec's `fault:` section —
-    // and every other knob is won by the topmost layer that sets it.
-    let run = options.resolve(&spec);
     let faults = run.faults.clone();
     let lost_secondaries = apply_secondary_kills(&faults, &ranges, &mut plans);
 
@@ -181,7 +205,7 @@ pub fn run_with_setup(
     Ok(Report {
         result,
         secondaries,
-        clients,
+        clients: spec.client_count(),
         telemetry: diablo_telemetry::snapshot(),
         faults,
         lost_secondaries,

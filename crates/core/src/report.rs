@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 use diablo_chains::{FaultPlan, RunResult, Tally, TxStatus};
-use diablo_sim::{SimTime, Summary};
+use diablo_sim::{LogHistogram, SimTime};
 use diablo_telemetry::TelemetrySnapshot;
 
 /// The aggregated outcome of one benchmark run.
@@ -159,15 +159,15 @@ impl Report {
             .sum();
         let in_fault =
             |t: SimTime| windows.iter().any(|&(from, until)| t >= from && t < until);
-        let mut faulty = Summary::new();
-        let mut healthy = Summary::new();
+        // Per side: a Welford running mean (not a sum over the count,
+        // which can round to another `{:.2}`) and a histogram of
+        // microseconds for the p95.
+        let mut sides = [(0.0f64, LogHistogram::new()), (0.0, LogHistogram::new())];
         for rec in &r.records {
             if let Some(l) = rec.latency_secs() {
-                if in_fault(rec.submitted) {
-                    faulty.record(l);
-                } else {
-                    healthy.record(l);
-                }
+                let (mean, hist) = &mut sides[usize::from(!in_fault(rec.submitted))];
+                hist.record((l * 1e6).max(0.0) as u64);
+                *mean += (l - *mean) / hist.count() as f64;
             }
         }
         let _ = writeln!(
@@ -176,20 +176,14 @@ impl Report {
             windows.len(),
             fault_secs
         );
-        let _ = writeln!(
-            out,
-            "fault-period latency: avg {:.2} s, p95 {:.2} s ({} committed)",
-            faulty.mean(),
-            faulty.percentiles().p95(),
-            faulty.count()
-        );
-        let _ = writeln!(
-            out,
-            "healthy-period latency: avg {:.2} s, p95 {:.2} s ({} committed)",
-            healthy.mean(),
-            healthy.percentiles().p95(),
-            healthy.count()
-        );
+        for (label, (mean, hist)) in ["fault-period", "healthy-period"].iter().zip(&sides) {
+            let _ = writeln!(
+                out,
+                "{label} latency: avg {mean:.2} s, p95 {:.2} s ({} committed)",
+                hist.quantile(0.95) as f64 / 1e6,
+                hist.count()
+            );
+        }
         out
     }
 

@@ -48,7 +48,7 @@ use diablo_sim::SimTime;
 use crate::adapters;
 use crate::bytebuf::{ByteBuf, ByteReader};
 use crate::output::status_name;
-use crate::primary::{partition_clients, BenchmarkOptions};
+use crate::primary::{prepare, BenchmarkOptions, Prepared};
 use crate::report::Report;
 use crate::secondary::{declare_resources, plan_range};
 use crate::spec::BenchmarkSpec;
@@ -752,24 +752,15 @@ pub fn serve_primary(
     options: &BenchmarkOptions,
     n_secondaries: usize,
 ) -> Result<Report, String> {
-    let spec = BenchmarkSpec::parse(spec_text).map_err(|e| e.to_string())?;
-    let clients = spec.client_count();
-    let ranges = partition_clients(clients, n_secondaries);
-
-    // The one layered resolution (defaults ← spec ← invocation). The
-    // TCP path previously hand-merged only `storage:`; it now honors
-    // the spec's `execution:` and `sigverify:` sections exactly like
-    // the in-process runner.
-    let run = options.resolve(&spec);
+    // Everything `run_local` checks is checked before a Secondary is
+    // accepted.
+    let Prepared {
+        spec,
+        ranges,
+        run,
+        dapp,
+    } = prepare(chain, spec_text, n_secondaries, options)?;
     let faults = run.faults.clone();
-
-    // The report's telemetry covers exactly this experiment.
-    diablo_telemetry::reset();
-
-    // Resolve the DApp once for the backend.
-    let mut scratch = adapters::connector(chain);
-    declare_resources(&spec, &mut scratch).map_err(|e| e.to_string())?;
-    let dapp = scratch.sole_dapp();
 
     // Every frame of the session is read into one buffer and encoded
     // in another.
@@ -934,7 +925,7 @@ pub fn serve_primary(
     Ok(Report {
         result,
         secondaries: workers.len(),
-        clients,
+        clients: spec.client_count(),
         telemetry,
         faults,
         lost_secondaries,

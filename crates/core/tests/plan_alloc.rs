@@ -9,13 +9,14 @@
 //! pins what is left. It has a process of its own because it installs a
 //! counting global allocator.
 
-mod counting;
-
-use counting::measure;
 use diablo_chains::PlannedTx;
 use diablo_core::abstraction::SimConnector;
 use diablo_core::secondary::{declare_resources, plan_range};
 use diablo_core::spec::BenchmarkSpec;
+use diablo_testkit::alloc::{measure, Counting};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// `spec_native`'s shape: 4 clients x 250 TPS x 120 s of transfers.
 const SPEC: &str = r#"

@@ -9,14 +9,15 @@
 //! is left. It has a process of its own because it installs a counting
 //! global allocator.
 
-mod counting;
-
-use counting::measure;
 use diablo_chains::{Chain, FaultPlan, RunResult, TxRecord, TxStatus};
 use diablo_core::json::read_result_stats;
 use diablo_core::output::results_json_report;
 use diablo_core::Report;
 use diablo_sim::{SimDuration, SimTime};
+use diablo_testkit::alloc::{measure, Counting};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// Records in the measured result.
 const RECORDS: usize = 100_000;

@@ -31,8 +31,35 @@ mod oracle {
     use diablo_core::livediff::RunSummary;
     use diablo_core::output::{json_escape, status_name};
     use diablo_core::Report;
-    use diablo_sim::{Cdf, SimTime, Summary};
+    use diablo_sim::{Cdf, LogHistogram, SimTime};
     use diablo_telemetry::TelemetrySnapshot;
+
+    /// What the removed `diablo_sim::Summary` kept of a stream of
+    /// latencies in seconds: a Welford mean and a histogram of
+    /// microseconds for the tail.
+    pub struct Summary {
+        mean: f64,
+        hist: LogHistogram,
+    }
+
+    impl Summary {
+        pub fn of(latencies: impl Iterator<Item = f64>) -> Summary {
+            let mut s = Summary {
+                mean: 0.0,
+                hist: LogHistogram::new(),
+            };
+            for x in latencies {
+                s.hist
+                    .record((x * 1e6).max(0.0).min(u64::MAX as f64) as u64);
+                s.mean += (x - s.mean) / s.hist.count() as f64;
+            }
+            s
+        }
+
+        pub fn quantile(&self, q: f64) -> f64 {
+            self.hist.quantile(q) as f64 / 1e6
+        }
+    }
 
     pub fn committed(r: &RunResult) -> u64 {
         r.records
@@ -221,13 +248,7 @@ mod oracle {
         let failed = count_status(r, TxStatus::Failed);
         let rejected = count_status(r, TxStatus::Rejected);
         let pending = count_status(r, TxStatus::Pending);
-        let mut latencies = Summary::new();
-        for rec in &r.records {
-            if let Some(l) = rec.latency_secs() {
-                latencies.record(l);
-            }
-        }
-        let tail = latencies.percentiles();
+        let (p95, p99) = tail_latency_secs(r);
         let mut out = format!(
             "benchmark {} on {} ({} secondaries, {} clients)\n\
              {sent} transactions sent, {committed} committed, {dropped} dropped, \
@@ -244,8 +265,8 @@ mod oracle {
             avg_throughput(r),
             avg_latency_secs(r),
             median_latency_secs(r),
-            tail.p95(),
-            tail.p99(),
+            p95,
+            p99,
         );
         if let Some(storage) = &r.storage {
             let _ = writeln!(
@@ -261,7 +282,7 @@ mod oracle {
                 storage.resident_bytes,
             );
         }
-        out.push_str(&report.fault_summary());
+        out.push_str(&fault_summary(report));
         out.push_str(&report.phase_breakdown());
         if let Some(diff) = &report.live_diff {
             out.push_str(&diablo_core::livediff::render(diff));
@@ -271,14 +292,71 @@ mod oracle {
 
     /// The `p95` / `p99` of `stats_text`, before rounding to print.
     pub fn tail_latency_secs(r: &RunResult) -> (f64, f64) {
-        let mut latencies = Summary::new();
+        let latencies = Summary::of(r.records.iter().filter_map(|r| r.latency_secs()));
+        (latencies.quantile(0.95), latencies.quantile(0.99))
+    }
+
+    pub fn fault_summary(report: &Report) -> String {
+        let mut out = String::new();
+        if !report.lost_secondaries.is_empty() {
+            let ids: Vec<String> = report
+                .lost_secondaries
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let _ = writeln!(
+                out,
+                "warning: secondaries [{}] died mid-benchmark; results are partial",
+                ids.join(", ")
+            );
+        }
+        if report.faults.is_empty() {
+            return out;
+        }
+        let r = &report.result;
+        let mut horizon = SimTime::from_millis((r.workload_secs * 1000.0) as u64);
         for rec in &r.records {
-            if let Some(l) = rec.latency_secs() {
-                latencies.record(l);
+            horizon = horizon.max(rec.submitted);
+            if let Some(d) = rec.decided {
+                horizon = horizon.max(d);
             }
         }
-        let tail = latencies.percentiles();
-        (tail.p95(), tail.p99())
+        let windows = report.faults.active_windows(horizon);
+        let fault_secs: f64 = windows
+            .iter()
+            .map(|&(from, until)| until.as_secs_f64() - from.as_secs_f64())
+            .sum();
+        let in_fault = |t: SimTime| windows.iter().any(|&(from, until)| t >= from && t < until);
+        let side = |faulty: bool| {
+            Summary::of(
+                r.records
+                    .iter()
+                    .filter(|rec| in_fault(rec.submitted) == faulty)
+                    .filter_map(|rec| rec.latency_secs()),
+            )
+        };
+        let (faulty, healthy) = (side(true), side(false));
+        let _ = writeln!(
+            out,
+            "fault windows: {} spanning {:.1} s",
+            windows.len(),
+            fault_secs
+        );
+        let _ = writeln!(
+            out,
+            "fault-period latency: avg {:.2} s, p95 {:.2} s ({} committed)",
+            faulty.mean,
+            faulty.quantile(0.95),
+            faulty.hist.count()
+        );
+        let _ = writeln!(
+            out,
+            "healthy-period latency: avg {:.2} s, p95 {:.2} s ({} committed)",
+            healthy.mean,
+            healthy.quantile(0.95),
+            healthy.hist.count()
+        );
+        out
     }
 
     pub fn summary(r: &RunResult) -> String {

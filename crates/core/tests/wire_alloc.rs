@@ -9,19 +9,20 @@
 //! origin map besides. This test has a process of its own because it
 //! installs a counting global allocator.
 
-mod counting;
-
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 
-use counting::measure;
 use diablo_chains::{Chain, RetryPolicy};
 use diablo_core::primary::BenchmarkOptions;
 use diablo_core::wire::{
     accept_secondary, connect_primary, read_message, run_secondary, serve_primary,
 };
 use diablo_net::DeploymentKind;
+use diablo_testkit::alloc::{measure, Counting};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// `wire`'s `MAX_FRAME`: the largest length prefix a reader accepts.
 const MAX_FRAME: u32 = 64 << 20;

@@ -19,5 +19,5 @@ pub mod time;
 pub use arena::{Arena, ArenaId};
 pub use queue::{EventQueue, QueueBackend};
 pub use rng::DetRng;
-pub use stats::{Cdf, Histogram, LogHistogram, Percentiles, Summary, TimeSeries};
+pub use stats::{Cdf, LogHistogram, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -1,11 +1,11 @@
-//! Streaming statistics, histograms, CDFs and per-second time series.
+//! A log-linear histogram, CDFs and per-second time series.
 //!
 //! These are the primitives the Diablo aggregator (paper §4, "Primary")
-//! uses to turn per-transaction submit/commit timestamps into the average
-//! throughput / average latency / commit-ratio numbers reported in the
-//! paper's figures, and into the latency CDFs of Figure 6.
+//! uses to turn per-transaction submit/commit timestamps into latency
+//! quantiles, the latency CDFs of Figure 6 and throughput over time. The
+//! averages and ratios themselves are `diablo_chains::Tally`'s.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Sub-bucket resolution of [`LogHistogram`]: 2^5 = 32 linear
 /// sub-buckets per power-of-two octave, bounding the relative
@@ -141,27 +141,41 @@ impl LogHistogram {
     /// the floor of the bucket holding that rank (≤ ~3% below the true
     /// value). Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        Self::quantile_of(self.iter_indexed(), self.count, self.min, self.max, q)
+    }
+
+    /// [`Self::quantile`] over a histogram given as its parts: `count`
+    /// observations spanning `min..=max`, whose non-empty buckets
+    /// `buckets` yields as ascending `(bucket_index, count)` pairs. The
+    /// one nearest-rank walk, shared with frozen snapshots.
+    pub fn quantile_of(
+        buckets: impl IntoIterator<Item = (usize, u64)>,
+        count: u64,
+        min: u64,
+        max: u64,
+        q: f64,
+    ) -> u64 {
+        if count == 0 {
             return 0;
         }
         let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         if rank == 1 {
-            return self.min;
+            return min;
         }
-        if rank == self.count {
-            return self.max;
+        if rank == count {
+            return max;
         }
         let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
+        for (idx, c) in buckets {
             seen += c;
             if seen >= rank {
                 // Clamp to the observed extremes so single-value
                 // distributions report exactly that value.
-                return Self::bucket_floor(idx).clamp(self.min, self.max);
+                return Self::bucket_floor(idx).clamp(min, max);
             }
         }
-        self.max
+        max
     }
 
     /// Merges another histogram into this one (bucket-wise addition).
@@ -181,15 +195,6 @@ impl LogHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Iterates `(bucket_floor, count)` over non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_floor(i), c))
-    }
-
     /// Iterates `(bucket_index, count)` over non-empty buckets, for
     /// compact wire encodings.
     pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
@@ -198,151 +203,6 @@ impl LogHistogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
-    }
-}
-
-/// Microseconds per unit when [`Summary`] folds its `f64` observations
-/// into the quantile histogram (seconds-scale inputs keep ~µs grain).
-const SUMMARY_HIST_SCALE: f64 = 1e6;
-
-/// Streaming summary statistics (Welford's online algorithm) plus a
-/// log-linear histogram for tail quantiles.
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    hist: LogHistogram,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            hist: LogHistogram::new(),
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        // Negative observations clamp to bucket 0; the histogram only
-        // serves the quantile view, moments above stay exact.
-        self.hist
-            .record((x * SUMMARY_HIST_SCALE).max(0.0).min(u64::MAX as f64) as u64);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 if fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation, or 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.hist.merge(&other.hist);
-    }
-
-    /// A quantile view over the recorded observations (nearest-rank on
-    /// the internal log-linear histogram, ≤ ~3% quantization error).
-    pub fn percentiles(&self) -> Percentiles<'_> {
-        Percentiles { hist: &self.hist }
-    }
-}
-
-/// Quantile view over a [`Summary`], backed by its [`LogHistogram`].
-#[derive(Debug, Clone, Copy)]
-pub struct Percentiles<'a> {
-    hist: &'a LogHistogram,
-}
-
-impl Percentiles<'_> {
-    /// The `q`-quantile (`q` in `[0, 1]`) in the summary's input units.
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.hist.quantile(q) as f64 / SUMMARY_HIST_SCALE
-    }
-
-    /// Median.
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
     }
 }
 
@@ -416,62 +276,6 @@ impl Cdf {
     }
 }
 
-/// A fixed-bucket histogram over non-negative values.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bucket_width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `buckets` buckets, each `bucket_width` wide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is not positive or `buckets` is zero.
-    pub fn new(bucket_width: f64, buckets: usize) -> Self {
-        assert!(bucket_width > 0.0, "bucket width must be positive");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            bucket_width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation (negative values clamp to bucket 0).
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let idx = (x.max(0.0) / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Number of observations past the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Iterates `(bucket_start, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (i as f64 * self.bucket_width, c))
-    }
-}
-
 /// A per-second time series of counters, used for throughput-over-time
 /// plots like the workload graphs in the paper's Table 2.
 #[derive(Debug, Clone, Default)]
@@ -511,80 +315,15 @@ impl TimeSeries {
         self.buckets.iter().sum()
     }
 
-    /// Maximum one-second value.
-    pub fn peak(&self) -> u64 {
-        self.buckets.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean events per second over the covered window, or 0 if empty.
-    pub fn mean_rate(&self) -> f64 {
-        if self.buckets.is_empty() {
-            0.0
-        } else {
-            self.total() as f64 / self.buckets.len() as f64
-        }
-    }
-
     /// Read-only view of the bucket values.
     pub fn values(&self) -> &[u64] {
         &self.buckets
     }
 }
 
-/// Converts a latency duration into seconds for statistics.
-pub fn latency_secs(d: SimDuration) -> f64 {
-    d.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basic_moments() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn summary_empty_is_zero() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn summary_merge_matches_single_stream() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for (i, &x) in data.iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
 
     #[test]
     fn cdf_quantiles_and_fractions() {
@@ -615,18 +354,6 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
         }
         assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(1.0, 4);
-        for x in [0.5, 1.5, 1.7, 3.9, 4.0, 100.0, -1.0] {
-            h.record(x);
-        }
-        let counts: Vec<u64> = h.iter().map(|(_, c)| c).collect();
-        assert_eq!(counts, vec![2, 2, 0, 1]); // -1 clamps to bucket 0
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 7);
     }
 
     #[test]
@@ -735,33 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_percentiles_track_tail() {
-        let mut s = Summary::new();
-        for i in 1..=100 {
-            s.record(i as f64); // seconds-scale inputs
-        }
-        let p = s.percentiles();
-        assert!((p.p50() - 50.0).abs() / 50.0 < 0.05, "p50 = {}", p.p50());
-        assert!((p.p95() - 95.0).abs() / 95.0 < 0.05, "p95 = {}", p.p95());
-        assert!((p.p99() - 99.0).abs() / 99.0 < 0.05, "p99 = {}", p.p99());
-    }
-
-    #[test]
-    fn summary_merge_carries_percentiles() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for i in 1..=50 {
-            a.record(i as f64);
-        }
-        for i in 51..=100 {
-            b.record(i as f64);
-        }
-        a.merge(&b);
-        let p = a.percentiles();
-        assert!((p.p99() - 99.0).abs() / 99.0 < 0.05, "p99 = {}", p.p99());
-    }
-
-    #[test]
     fn timeseries_buckets() {
         let mut ts = TimeSeries::new();
         ts.record_at(SimTime::from_millis(100), 1);
@@ -772,7 +472,5 @@ mod tests {
         assert_eq!(ts.get(2), 5);
         assert_eq!(ts.seconds(), 3);
         assert_eq!(ts.total(), 8);
-        assert_eq!(ts.peak(), 5);
-        assert!((ts.mean_rate() - 8.0 / 3.0).abs() < 1e-12);
     }
 }

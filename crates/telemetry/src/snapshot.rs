@@ -75,28 +75,11 @@ impl HistogramSnapshot {
         }
     }
 
-    /// The `q`-quantile by nearest rank over bucket floors (same
-    /// semantics as [`LogHistogram::quantile`]). Returns 0 when empty.
+    /// The `q`-quantile by nearest rank over bucket floors
+    /// ([`LogHistogram::quantile`]'s walk). Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        if rank == 1 {
-            return self.min;
-        }
-        if rank == self.count {
-            return self.max;
-        }
-        let mut seen = 0u64;
-        for &(idx, c) in &self.buckets {
-            seen += c;
-            if seen >= rank {
-                return LogHistogram::bucket_floor(idx as usize).clamp(self.min, self.max);
-            }
-        }
-        self.max
+        let buckets = self.buckets.iter().map(|&(idx, c)| (idx as usize, c));
+        LogHistogram::quantile_of(buckets, self.count, self.min, self.max, q)
     }
 
     /// Merges another snapshot into this one (bucket-wise addition).

@@ -7,8 +7,8 @@
 //! 1. warms up and estimates the per-call cost,
 //! 2. picks an iteration count so each timed sample is long enough to
 //!    measure (~2 ms, or a single call for slow macrobenchmarks),
-//! 3. records N samples and reports mean/p50/p99 through
-//!    [`diablo_sim::stats::Summary`] and [`diablo_sim::stats::Cdf`].
+//! 3. records N samples and reports their mean, and p50/p99/min/max
+//!    through [`diablo_sim::stats::Cdf`].
 //!
 //! Output is one human-readable line per benchmark; with
 //! `DIABLO_BENCH_JSON` set, [`Bench::finish`] additionally writes
@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use diablo_sim::stats::{Cdf, Summary};
+use diablo_sim::stats::Cdf;
 
 pub use std::hint::black_box;
 
@@ -178,19 +178,16 @@ impl Bench {
     }
 
     fn record(&mut self, name: &str, sample_ns: Vec<f64>, iters: u64) {
-        let mut summary = Summary::new();
-        for &s in &sample_ns {
-            summary.record(s);
-        }
         let samples = sample_ns.len();
+        let mean_ns = sample_ns.iter().sum::<f64>() / samples as f64;
         let cdf = Cdf::from_samples(sample_ns);
         let result = BenchResult {
             name: name.to_string(),
-            mean_ns: summary.mean(),
+            mean_ns,
             p50_ns: cdf.quantile(0.5).unwrap_or(0.0),
             p99_ns: cdf.quantile(0.99).unwrap_or(0.0),
-            min_ns: summary.min(),
-            max_ns: summary.max(),
+            min_ns: cdf.quantile(0.0).unwrap_or(0.0),
+            max_ns: cdf.quantile(1.0).unwrap_or(0.0),
             samples,
             iters,
         };

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds hermetically — `cargo build --release --offline`
 //! from a cold registry — so its test and bench infrastructure cannot
-//! depend on external crates. This crate supplies the two substrates the
+//! depend on external crates. This crate supplies the substrates the
 //! suite needs, built on the deterministic primitives of `diablo-sim`:
 //!
 //! - [`prop`]: a small property-testing harness. Generators ([`gen`])
@@ -11,9 +11,11 @@
 //!   prints a **replayable seed**: re-running the test with
 //!   `DIABLO_PROP_SEED=<seed>` reproduces exactly the failing case.
 //! - [`mod@bench`]: a statistics-reporting micro/macro-benchmark harness:
-//!   warmup, N timed samples, mean/p50/p99 computed by
-//!   [`diablo_sim::stats`], human-readable output plus optional
+//!   warmup, N timed samples, their mean and p50/p99 (by
+//!   [`diablo_sim::stats::Cdf`]), human-readable output plus optional
 //!   `BENCH_<suite>.json` line output (set `DIABLO_BENCH_JSON`).
+//! - [`alloc`]: the counting global allocator of the allocation-budget
+//!   tests — calls, bytes and peak live bytes of one call.
 //!
 //! # Writing a property
 //!
@@ -43,6 +45,7 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod bench;
 pub mod gen;
 pub mod prop;

@@ -25,7 +25,6 @@ pub mod flavor;
 pub mod gas;
 mod hash;
 pub mod interp;
-pub mod lang;
 pub mod mv;
 pub mod op;
 pub mod prepared;

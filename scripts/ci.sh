@@ -4,6 +4,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "==> lines of Rust in crates/*/src + src (scripts/loc.sh)"
+scripts/loc.sh
+
 echo "==> cargo build --release --offline --workspace --all-targets"
 cargo build --release --offline --workspace --all-targets
 
@@ -249,6 +252,49 @@ case "$status:$slow_err" in
     exit 1
     ;;
 esac
+
+# Both Primaries make the same checks before anything runs: a spec that
+# invokes two DApps is refused by `diablo primary` as by `diablo run`,
+# before the Primary waits for a Secondary. It used to accept the
+# Secondaries and run both DApps' calls on a native engine. The binary
+# runs directly, not under `cargo run`, so the timeout reaches it.
+echo "==> two-DApp smoke (run and primary refuse it alike, within 5 s)"
+two_dapps="$(mktemp /tmp/diablo-two-dapps.XXXXXX.yaml)"
+cat >"$two_dapps" <<'EOF'
+workloads:
+  - number: 2
+    client:
+      behavior:
+        - interaction: !invoke
+            from: { sample: !account { number: 10 } }
+            contract: { sample: !contract { name: "nasdaq" } }
+            function: "buyApple"
+          load:
+            0: 10
+            6: 0
+        - interaction: !invoke
+            from: { sample: !account { number: 10 } }
+            contract: { sample: !contract { name: "dota" } }
+            function: "update(1, 1)"
+          load:
+            0: 10
+            6: 0
+EOF
+for role in run primary; do
+    if [ "$role" = run ]; then set -- run --chain=quorum; else
+        set -- primary --chain=quorum --secondaries=1 --port=0; fi
+    status=0
+    two_err="$(timeout 5 ./target/release/diablo "$@" "$two_dapps" 2>&1 >/dev/null)" \
+        || status=$?
+    case "$status:$two_err" in
+    1:*"one DApp per benchmark"*) ;;
+    *)
+        echo "two-DApp smoke ($role): exit status $status, message: $two_err" >&2
+        exit 1
+        ;;
+    esac
+done
+rm -f "$two_dapps"
 
 # Chaos smoke: a pinned-seed run with crash-recovery, a partition and
 # message loss (flags on top of the workload's own fault: section) must

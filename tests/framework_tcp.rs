@@ -370,3 +370,57 @@ fn distributed_matches_local_mode() {
         "identical plans must produce identical latencies"
     );
 }
+
+/// Two DApps in one spec: the simulated backend deploys one.
+const TWO_DAPPS_SPEC: &str = r#"
+workloads:
+  - number: 2
+    client:
+      behavior:
+        - interaction: !invoke
+            from: { sample: !account { number: 10 } }
+            contract: { sample: !contract { name: "nasdaq" } }
+            function: "buyApple"
+          load:
+            0: 10
+            6: 0
+        - interaction: !invoke
+            from: { sample: !account { number: 10 } }
+            contract: { sample: !contract { name: "dota" } }
+            function: "update(1, 1)"
+          load:
+            0: 10
+            6: 0
+"#;
+
+#[test]
+fn the_primary_refuses_a_spec_local_mode_refuses() {
+    let options = BenchmarkOptions::default();
+    let local = diablo::core::run_local(
+        Chain::Quorum,
+        DeploymentKind::Testnet,
+        TWO_DAPPS_SPEC,
+        "two-dapps",
+        &options,
+    )
+    .expect_err("local mode refuses two DApps");
+    assert!(local.contains("one DApp per benchmark"), "{local}");
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let secondary = thread::spawn(move || run_secondary(&addr, "zone-0"));
+    let tcp = serve_primary(
+        &listener,
+        Chain::Quorum,
+        DeploymentKind::Testnet,
+        TWO_DAPPS_SPEC,
+        "two-dapps",
+        &options,
+        1,
+    )
+    .expect_err("the Primary refuses it before accepting anyone");
+    assert_eq!(tcp, local);
+    // Nobody served the Secondary: accept it and hang up.
+    drop(listener.accept().expect("the secondary connects"));
+    assert!(secondary.join().expect("join").is_err());
+}
