@@ -3,10 +3,10 @@
 //! A frame's length prefix is the peer's claim, not a fact: reading a
 //! frame must cost this end what arrived, not what was announced. And a
 //! session's memory is the plan it moves, once: the Secondary plans and
-//! ships a client at a time, the Primary decodes frames straight into
-//! the merged plan and starts the run holding the ordered plan and an
-//! index per transaction, not the merged copy, the sort keys and an
-//! origin map besides. This test has a process of its own because it
+//! ships a client at a time, the Primary decodes frames straight onto
+//! the end of the shares, merges them into the ordered plan and an index
+//! per transaction, and starts the run holding those two, not the
+//! shipped copy besides. This test has a process of its own because it
 //! installs a counting global allocator.
 
 use std::io::Write;
@@ -101,12 +101,12 @@ fn a_session_holds_its_plan_once() {
 }
 
 /// The bound on [`a_session_holds_its_plan_once`]. The peak is where
-/// the Primary orders the plan: the merged plan (40 bytes an entry, in
-/// a vector grown by doubling), its ordered copy and 4 bytes of index,
-/// next to two frame buffers of a few hundred kilobytes. Measured:
-/// 4,204,402 bytes, 140 per transaction; the session that planned the
-/// whole range, merged it, mapped origins and sorted through an index
-/// vector before it ran: 7,236,774 bytes, 241 per transaction.
+/// the Primary orders the plan: the shipped shares (40 bytes an entry,
+/// in a vector grown by doubling), the ordered plan and 4 bytes of
+/// index, next to two frame buffers of a few hundred kilobytes.
+/// Measured: 4,204,402 bytes, 140 per transaction; the session that
+/// planned the whole range, merged it, mapped origins and sorted through
+/// an index vector before it ran: 7,236,774 bytes, 241 per transaction.
 const PEAK_BYTES_PER_TX: usize = 160;
 
 /// Both ends of a session get their socket from these two functions,

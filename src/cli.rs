@@ -138,7 +138,7 @@ pub const FLAGS: &[FlagSpec] = &[
         "secondaries",
         FlagKind::Value("N"),
         FlagGroup::Common,
-        "number of load-generating Secondaries (default: 2)",
+        "number of load-generating Secondaries, at least 1 (default: 2)",
     ),
     flag(
         "seed",

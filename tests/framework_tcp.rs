@@ -2,14 +2,26 @@
 //! TCP, exercising the wire protocol end to end.
 
 use std::net::{TcpListener, TcpStream};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::thread;
 
-use diablo::chains::Chain;
+use diablo::chains::{Chain, FaultPlan, RunOverlay};
 use diablo::core::primary::BenchmarkOptions;
 use diablo::core::wire::{
     read_message, run_secondary, serve_primary, write_message, Message, WireTx,
 };
+use diablo::core::Report;
 use diablo::net::DeploymentKind;
+use diablo::sim::SimTime;
+
+/// The telemetry recorder is one per process and every run resets it: a
+/// test that reads a counter of its runs holds this alone, and every
+/// other test shares it.
+static RECORDER: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    RECORDER.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 const SPEC: &str = r#"
 workloads:
@@ -61,6 +73,7 @@ fn run_distributed_on(
 
 #[test]
 fn two_secondaries_full_run() {
+    let _recorder = shared();
     let (report, stats) = run_distributed(2);
     assert_eq!(report.secondaries, 2);
     assert_eq!(report.clients, 4);
@@ -82,6 +95,7 @@ fn two_secondaries_full_run() {
 
 #[test]
 fn four_secondaries_same_totals_as_one() {
+    let _recorder = shared();
     let (one, _) = run_distributed(1);
     let (four, _) = run_distributed(4);
     assert_eq!(one.result.submitted(), four.result.submitted());
@@ -90,6 +104,7 @@ fn four_secondaries_same_totals_as_one() {
 
 #[test]
 fn dead_secondary_yields_a_partial_aggregation() {
+    let _recorder = shared();
     // One live Secondary and one that dies right after its assignment
     // (Hello → Assign → dropped connection). The Primary must detect
     // the death, discard the dead worker's share and aggregate the
@@ -154,6 +169,7 @@ fn dead_secondary_yields_a_partial_aggregation() {
 
 #[test]
 fn garbage_from_one_secondary_costs_only_its_share() {
+    let _recorder = shared();
     // The sibling of the test above: the second worker says a valid
     // Hello, takes its assignment and then sends a `Plan` frame no
     // transaction can be made from (`kind = 9`). That used to return
@@ -234,11 +250,11 @@ fn garbage_from_one_secondary_costs_only_its_share() {
 
 #[test]
 fn killed_secondary_truncates_its_share() {
+    let _recorder = shared();
     // A declared `kill-secondary` fault: worker 1 dies (in simulation)
     // at t = 5 s of a 10 s workload. Its transactions from 5 s on leave
     // the plan, while the worker itself — alive on the wire — still
     // gets one outcome per planned transaction.
-    use diablo::sim::SimTime;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let handles: Vec<_> = (0..2)
@@ -248,11 +264,11 @@ fn killed_secondary_truncates_its_share() {
         })
         .collect();
     let options = BenchmarkOptions {
-        run: diablo::chains::RunOverlay {
-            faults: diablo::chains::FaultPlan::builder()
+        run: RunOverlay {
+            faults: FaultPlan::builder()
                 .kill_secondary(1, SimTime::from_secs(5))
                 .build(),
-            ..diablo::chains::RunOverlay::none()
+            ..RunOverlay::none()
         },
         ..BenchmarkOptions::default()
     };
@@ -298,7 +314,7 @@ workloads:
 #[test]
 fn records_equal_local_mode_at_every_secondary_count() {
     // Secondaries stream their plans client by client and the Primary
-    // orders the concatenation with one stable sort. Wherever instants
+    // merges the concatenation's runs. Wherever instants
     // tie across clients or behaviors, the order must be the one
     // `run_local` gets from sorting whole ranges: (client, planning
     // order). Records are positional, so a reordering shows as a
@@ -349,10 +365,120 @@ fn records_equal_local_mode_at_every_secondary_count() {
         }
         assert_eq!(tcp.len(), local.len());
     }
+
+    // A declared kill cuts Secondary 1's share alike in both Primaries,
+    // and both publish what it cut as one `secondary.killed_txs`, or
+    // nothing when it cut nothing: a kill inside the workload, and one
+    // after its end.
+    let _alone = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
+    for kill in [4, 60] {
+        let options = BenchmarkOptions {
+            run: RunOverlay {
+                faults: FaultPlan::builder()
+                    .kill_secondary(1, SimTime::from_secs(kill))
+                    .build(),
+                ..RunOverlay::none()
+            },
+            secondaries: 3,
+        };
+        let (tcp, _) = run_distributed_on(Chain::Diem, TIES_SPEC, &options, 3);
+        let local = diablo::core::run_local(
+            Chain::Diem,
+            DeploymentKind::Testnet,
+            TIES_SPEC,
+            "tcp-test",
+            &options,
+        )
+        .expect("local");
+        let fates = |report: &Report| -> Vec<_> {
+            let records = &report.result.records;
+            records
+                .iter()
+                .map(|r| (r.submitted, r.decided, r.status))
+                .collect()
+        };
+        assert!(
+            fates(&tcp) == fates(&local),
+            "kill at {kill} s: records differ"
+        );
+        let killed = 42_000 - local.result.records.len() as u64;
+        assert_eq!(killed > 0, kill < 8, "kill at {kill} s cut {killed}");
+        let want = (killed > 0 && diablo::telemetry::enabled()).then_some(killed);
+        let counter = |report: &Report| report.telemetry.counter("secondary.killed_txs");
+        assert_eq!(counter(&tcp), want, "kill at {kill} s over TCP");
+        assert_eq!(counter(&local), want, "kill at {kill} s locally");
+        assert_eq!(tcp.lost_secondaries, vec![1]);
+        assert_eq!(local.lost_secondaries, vec![1]);
+    }
+}
+
+#[test]
+fn a_plan_shipped_latest_first_runs_whole() {
+    // The Primary merges the runs it finds in what a Secondary ships; it
+    // does not take a share for sorted. This Secondary ships its plan
+    // latest first, in two frames, and every transaction runs.
+    let _recorder = shared();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let backwards = thread::spawn(move || {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let hello = Message::Hello {
+            tag: "backwards".to_string(),
+        };
+        write_message(&mut stream, &hello).expect("hello");
+        match read_message(&mut stream).expect("assign") {
+            Message::Assign { .. } => {}
+            other => panic!("expected Assign, got {other:?}"),
+        }
+        let transfer = |k: u64| WireTx {
+            at_us: (600 - k) * 10_000,
+            sender: (k % 100) as u32,
+            kind: 0,
+            dapp: 0,
+            seq: 0,
+            entry: 0,
+            args: [0, 0],
+            argc: 0,
+        };
+        for frame in [0..300, 300..600] {
+            let txs = frame.map(transfer).collect();
+            write_message(&mut stream, &Message::Plan { txs }).expect("plan");
+        }
+        write_message(&mut stream, &Message::PlanDone).expect("plan done");
+        let mut outcomes = 0;
+        loop {
+            match read_message(&mut stream).expect("outcomes") {
+                Message::Outcomes { txs } => outcomes += txs.len(),
+                Message::OutcomesDone => break,
+                other => panic!("expected Outcomes, got {other:?}"),
+            }
+        }
+        let text = String::new();
+        write_message(&mut stream, &Message::Stats { text }).expect("stats");
+        let snapshot = Default::default();
+        write_message(&mut stream, &Message::Telemetry { snapshot }).expect("telemetry");
+        assert_eq!(read_message(&mut stream).expect("done"), Message::Done);
+        outcomes
+    });
+
+    let report = serve_primary(
+        &listener,
+        Chain::Quorum,
+        DeploymentKind::Testnet,
+        SPEC,
+        "tcp-backwards",
+        &BenchmarkOptions::default(),
+        1,
+    )
+    .expect("primary");
+    assert_eq!(backwards.join().expect("backwards"), 600);
+    assert!(report.lost_secondaries.is_empty());
+    assert_eq!(report.result.submitted(), 600);
 }
 
 #[test]
 fn distributed_matches_local_mode() {
+    let _recorder = shared();
     let (tcp, _) = run_distributed(2);
     let local = diablo::core::run_local(
         Chain::Quorum,
@@ -395,6 +521,7 @@ workloads:
 
 #[test]
 fn the_primary_refuses_a_spec_local_mode_refuses() {
+    let _recorder = shared();
     let options = BenchmarkOptions::default();
     let local = diablo::core::run_local(
         Chain::Quorum,

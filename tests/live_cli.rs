@@ -4,9 +4,10 @@
 //! code, while a non-transient bad address fails fast with its own
 //! documented exit code.
 
+use std::io::Read;
 use std::net::TcpListener;
-use std::process::Command;
-use std::time::Instant;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const EXIT_FAILURE: i32 = 1;
 const EXIT_NON_TRANSIENT: i32 = 2;
@@ -72,6 +73,57 @@ fn unknown_flags_are_a_usage_error() {
     assert_eq!(out.status.code(), Some(EXIT_FAILURE));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--no-such-flag"), "stderr: {stderr}");
+}
+
+#[test]
+fn zero_secondaries_are_refused_before_anyone_waits() {
+    // A live run spawns no Secondary for `--secondaries=0`, and its
+    // Primary used to wait to accept one all the same; `diablo primary`
+    // did too, and `diablo run` planned on one.
+    for args in [
+        &["run", "--live"][..],
+        &["run"][..],
+        &["primary", "--port=0"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_diablo"))
+            .args(args)
+            .args([
+                "--secondaries=0",
+                "--chain=quorum",
+                "workloads/exchange.yaml",
+            ])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn diablo");
+        let start = Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("try_wait") {
+                break Some(status);
+            }
+            if start.elapsed() > Duration::from_secs(5) {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        let _ = child
+            .stderr
+            .take()
+            .expect("stderr")
+            .read_to_string(&mut stderr);
+        assert_eq!(
+            status.map(|s| s.code()),
+            Some(Some(EXIT_FAILURE)),
+            "{args:?} (None: still running after 5 s); stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("at least one secondary"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
