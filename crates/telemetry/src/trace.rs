@@ -18,7 +18,7 @@
 //!   sim-time, produced by the single-threaded simulation loop; worker
 //!   threads never emit trace events. The executor-dependent
 //!   annotations ([`TraceStage::Executed`]'s mode and execution count)
-//!   are kept in the [`TraceSet`] and on the wire but deliberately
+//!   are kept in the [`TraceSet`] but deliberately
 //!   *omitted from the Chrome export*, so the exported waterfall is a
 //!   pure function of the modeled timeline and stays byte-identical
 //!   across `Serial`, `Parallel(n)` and `Optimistic(n)` runs of the
@@ -40,7 +40,7 @@
 //! trails. It compiles out with the rest of the crate under
 //! `--cfg diablo_telemetry_off`: [`Tracer::arm`] returns `None` and
 //! [`Tracer::emit`] is an empty inline function. The data types stay
-//! compiled so the wire protocol and report plumbing type-check.
+//! compiled so the report plumbing type-checks.
 
 use std::fmt;
 
@@ -107,28 +107,6 @@ impl TraceStage {
             TraceStage::DroppedPerSender => "dropped_per_sender",
             TraceStage::DroppedExpired => "dropped_expired",
         }
-    }
-
-    /// Decodes a wire byte.
-    pub fn from_u8(b: u8) -> Option<TraceStage> {
-        use TraceStage::*;
-        Some(match b {
-            0 => Submitted,
-            1 => Retried,
-            2 => Rerouted,
-            3 => Deferred,
-            4 => Admitted,
-            5 => Selected,
-            6 => Ordered,
-            7 => Executed,
-            8 => Persisted,
-            9 => Finalized,
-            10 => Rejected,
-            11 => DroppedPoolFull,
-            12 => DroppedPerSender,
-            13 => DroppedExpired,
-            _ => return None,
-        })
     }
 }
 
@@ -555,16 +533,6 @@ mod tests {
                 })
                 .collect(),
         }
-    }
-
-    #[test]
-    fn stage_codes_roundtrip() {
-        for b in 0..=13u8 {
-            let stage = TraceStage::from_u8(b).unwrap();
-            assert_eq!(stage as u8, b);
-            assert!(!stage.name().is_empty());
-        }
-        assert_eq!(TraceStage::from_u8(14), None);
     }
 
     #[test]
