@@ -156,7 +156,8 @@ pub struct ExecutionEngine {
     concurrency: Concurrency,
     /// The deployed contract for the experiment's DApp (if any).
     contract: Option<Contract>,
-    /// The buffers every serially executed call runs in.
+    /// The buffers every serially executed call runs in, and their
+    /// telemetry until the next publish.
     scratch: Scratch,
     /// Per-transaction execution counts of the last committed block
     /// (speculations + re-executions under the optimistic executor, 1
@@ -265,18 +266,21 @@ impl ExecutionEngine {
     /// Executes (or replays) one transaction, returning its cost.
     pub fn execute(&mut self, payload: Payload) -> ExecCost {
         let cost = self.execute_tallied(payload);
-        self.publish_cache_hits();
+        self.publish();
         cost
     }
 
-    fn publish_cache_hits(&mut self) {
+    /// Publishes the cache hits and the serially executed calls tallied
+    /// since the last publish.
+    fn publish(&mut self) {
         let hits = std::mem::take(&mut self.cache_hits);
         if hits > 0 {
             diablo_telemetry::counter("exec.profiled.cache_hits", hits);
         }
+        self.scratch.publish();
     }
 
-    /// [`Self::execute`], its cache hit left for the caller to publish.
+    /// [`Self::execute`], its telemetry left for the caller to publish.
     fn execute_tallied(&mut self, payload: Payload) -> ExecCost {
         match payload {
             Payload::Transfer => transfer_cost(self.flavor),
@@ -356,10 +360,10 @@ impl ExecutionEngine {
         cost_of(result, intrinsic)
     }
 
-    /// One payload after the other, cache hits published once.
+    /// One payload after the other, their telemetry published once.
     fn execute_each(&mut self, payloads: &[Payload]) -> Vec<ExecCost> {
         let costs = payloads.iter().map(|&p| self.execute_tallied(p)).collect();
-        self.publish_cache_hits();
+        self.publish();
         costs
     }
 
@@ -455,6 +459,7 @@ impl ExecutionEngine {
                 );
                 costs[slot] = cost_of(result, intrinsic);
             }
+            self.publish();
             return costs;
         }
 

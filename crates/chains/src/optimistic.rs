@@ -234,7 +234,8 @@ impl OptimisticExecutor {
                             .map(|ixs| {
                                 scope.spawn(move || {
                                     let mut scratch = Scratch::default();
-                                    ixs.iter()
+                                    let speculated: Vec<_> = ixs
+                                        .iter()
                                         .map(|&i| {
                                             let (entry, ctx) = &txs[i];
                                             let mut view =
@@ -258,7 +259,9 @@ impl OptimisticExecutor {
                                             };
                                             (i, spec)
                                         })
-                                        .collect()
+                                        .collect();
+                                    scratch.publish();
+                                    speculated
                                 })
                             })
                             .collect();
@@ -312,6 +315,7 @@ impl OptimisticExecutor {
             }
         }
 
+        scratch.publish();
         if diablo_telemetry::enabled() {
             stats.record();
         }

@@ -45,7 +45,8 @@
 //! outcome is passed through a caller-supplied mapping closure *on the
 //! worker that produced it*, while its events still sit in that scratch:
 //! callers that only need a summary (gas, ops, success — see
-//! `ExecutionEngine::execute_block`) never copy them out.
+//! `ExecutionEngine::execute_block`) never copy them out. A worker
+//! publishes its scratch's telemetry once, when its share is done.
 
 use diablo_vm::{
     CallOutcome, ContractState, EntryId, ExecError, Interpreter, Overlay, PreparedProgram,
@@ -338,6 +339,7 @@ impl ParallelExecutor {
                 seg_start = i + 1;
             }
         }
+        scratch.publish();
         results
             .into_iter()
             .map(|r| r.expect("every transaction was slotted"))
@@ -409,6 +411,7 @@ impl ParallelExecutor {
                                 (j, map(offset + j, r))
                             })
                             .collect();
+                        scratch.publish();
                         (out, overlay.into_delta())
                     })
                 })

@@ -10,7 +10,7 @@
 //! counts the calling thread's entries, and a serial run stays on the
 //! thread that started it.
 
-use diablo_chains::exec::PROFILE_REFRESH;
+use diablo_chains::exec::{ExecMode, PROFILE_REFRESH};
 use diablo_chains::{chaos, Chain, ChainParams, Experiment, FaultPlan, RunResult, TxStatus};
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, InstanceType};
@@ -22,12 +22,13 @@ use diablo_workloads::traces;
 const PER_TICK: u64 = 8;
 /// Allowed per block, empty or not: the round's consensus phases and
 /// quorum traffic, the pool drain (5), the commit (4), the executor
-/// and the signature/execution delays (3), a fault counter or two.
+/// and the signature/execution delays (3), the VM's call count and gas
+/// under `Exact` (2), a fault counter or two.
 /// The runs below measure 16 to 20.
 const PER_BLOCK: u64 = 24;
 /// Allowed per Profiled refresh, the one real VM call in
-/// `PROFILE_REFRESH` replays of a cache entry: the refresh counter and
-/// the VM's call counter and gas histogram.
+/// `PROFILE_REFRESH` replays of a cache entry: the refresh counter, and
+/// the VM's call counter and gas histogram, which its block publishes.
 const PER_REFRESH: u64 = 3;
 /// Cache entries of a run, each with a refresh cycle of its own (the
 /// Exchange rotates over five stocks).
@@ -143,6 +144,22 @@ fn the_pool_full_drop_path_stays_within_budget() {
     let dropped = run.result.count_status(TxStatus::DroppedPoolFull);
     assert!(dropped > run.txs / 10, "only {dropped} of {} shed", run.txs);
     run.assert_within_budget("Diem at 3,000 TPS");
+}
+
+#[test]
+fn exact_execution_stays_within_budget() {
+    // `exec_gaming`'s shape: every Gaming call interpreted, its call
+    // count and gas tallied per block (two entries per call before).
+    let run = measure(
+        Experiment::new(
+            Chain::Quorum,
+            DeploymentKind::Testnet,
+            traces::constant(500.0, 20),
+        )
+        .with_dapp(DApp::Gaming)
+        .with_exec_mode(ExecMode::Exact),
+    );
+    run.assert_within_budget("Exact Gaming on Quorum");
 }
 
 #[test]

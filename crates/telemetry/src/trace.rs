@@ -33,7 +33,7 @@
 //!   trails out in id order. [`Tracer::emit`] then compares one rank
 //!   against that threshold; a non-member costs nothing else, a member
 //!   is never evicted, and the sampled set cannot depend on emission
-//!   interleaving or on how chunks were merged.
+//!   interleaving.
 //!
 //! The [`Tracer`] is a value the run owns, not process state: two runs
 //! in one process, on one thread or two, cannot see each other's
@@ -197,11 +197,7 @@ pub fn rank(seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A frozen, mergeable set of transaction traces.
-///
-/// Sorted by transaction id; [`TraceSet::merge`] preserves the sort and
-/// re-applies the sampler bound, so a set merged from chunks is
-/// byte-identical to one recorded whole.
+/// A frozen set of transaction traces, sorted by transaction id.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSet {
     /// Sampler seed (the run seed).
@@ -224,49 +220,6 @@ impl TraceSet {
             .binary_search_by_key(&id, |t| t.id)
             .ok()
             .map(|i| &self.txs[i])
-    }
-
-    /// Merges another set (e.g. a Secondary's chunk) into this one:
-    /// trails union by id (same-id events concatenate in stamp order)
-    /// and the sampler bound is re-applied over the union, keeping the
-    /// result identical to a single-recorder run.
-    pub fn merge(&mut self, other: &TraceSet) {
-        // A zero cap only arises from `TraceSet::default()` (never from
-        // a tracer, whose bounds are positive); read it as unbounded
-        // so merging a default-constructed set cannot truncate.
-        fn norm(cap: u64) -> u64 {
-            if cap == 0 {
-                u64::MAX
-            } else {
-                cap
-            }
-        }
-        self.cap = norm(self.cap).min(norm(other.cap));
-        if other.txs.is_empty() {
-            return;
-        }
-        // Both sides are ascending by id: walk them together.
-        let mut mine = std::mem::take(&mut self.txs).into_iter().peekable();
-        for theirs in &other.txs {
-            while let Some(tx) = mine.next_if(|t| t.id < theirs.id) {
-                self.txs.push(tx);
-            }
-            let mut tx = mine.next_if(|t| t.id == theirs.id).unwrap_or(TxTrace {
-                id: theirs.id,
-                events: Vec::new(),
-            });
-            tx.events.extend_from_slice(&theirs.events);
-            tx.events.sort_by_key(|e| (e.at_us, e.stage as u8));
-            self.txs.push(tx);
-        }
-        self.txs.extend(mine);
-        if (self.txs.len() as u64) > self.cap {
-            let seed = self.seed;
-            let mut ranked: Vec<(u64, u64)> =
-                self.txs.iter().map(|t| (rank(seed, t.id), t.id)).collect();
-            let bound = *ranked.select_nth_unstable(self.cap as usize - 1).1;
-            self.txs.retain(|t| (rank(seed, t.id), t.id) <= bound);
-        }
     }
 
     /// Renders the set as Chrome Trace Event Format JSON.
@@ -516,25 +469,6 @@ impl Tracer {
 mod tests {
     use super::*;
 
-    fn set_of(seed: u64, cap: u64, ids: &[u64]) -> TraceSet {
-        TraceSet {
-            seed,
-            cap,
-            txs: ids
-                .iter()
-                .map(|&id| TxTrace {
-                    id,
-                    events: vec![TraceEvent {
-                        stage: TraceStage::Submitted,
-                        at_us: id * 10,
-                        arg0: 0,
-                        arg1: 0,
-                    }],
-                })
-                .collect(),
-        }
-    }
-
     #[test]
     fn sample_parses() {
         assert_eq!(TraceSample::parse("all"), Ok(TraceSample::All));
@@ -615,39 +549,6 @@ mod tests {
         }
         let armed_for_nothing = Tracer::arm(TraceSample::Limit(3), 1, 0).unwrap();
         assert!(armed_for_nothing.finish().is_empty());
-    }
-
-    #[test]
-    fn merge_unions_and_reapplies_cap() {
-        let mut a = set_of(3, 4, &[1, 2, 3]);
-        let b = set_of(3, 4, &[4, 5, 6]);
-        a.merge(&b);
-        assert_eq!(a.txs.len(), 4);
-        let mut ranked: Vec<(u64, u64)> = (1..=6).map(|i| (rank(3, i), i)).collect();
-        ranked.sort_unstable();
-        let keep: Vec<u64> = {
-            let mut k: Vec<u64> = ranked[..4].iter().map(|&(_, i)| i).collect();
-            k.sort_unstable();
-            k
-        };
-        assert_eq!(a.txs.iter().map(|t| t.id).collect::<Vec<_>>(), keep);
-        // Merging an empty set changes nothing.
-        let before = a.clone();
-        a.merge(&TraceSet::default());
-        assert_eq!(a.txs, before.txs);
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let a = set_of(11, 8, &[1, 3, 5, 7]);
-        let b = set_of(11, 8, &[2, 3, 6]);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        // Same-id trails concatenate sorted by stamp, so both orders
-        // agree byte for byte.
-        assert_eq!(ab.to_chrome_json(), ba.to_chrome_json());
     }
 
     #[test]

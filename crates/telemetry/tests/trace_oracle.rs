@@ -2,19 +2,18 @@
 //!
 //! [`Tracer`] decides membership once, from `(seed, cap, n)`; the
 //! recorder it replaced kept a streaming bottom-k and evicted as ids
-//! arrived. [`TraceSet::merge`] walks two id-sorted vectors; the body it
-//! replaced went through a `BTreeMap`. Both old bodies are kept in
-//! [`oracle`], and every property here asks for the same [`TraceSet`],
-//! field for field, and the same Chrome export, byte for byte, from
-//! both. Replay a failure with `DIABLO_PROP_SEED`.
+//! arrived. The old recorder is kept in [`oracle`], and the property
+//! here asks both for the same [`TraceSet`], field for field, and the
+//! same Chrome export, byte for byte. Replay a failure with
+//! `DIABLO_PROP_SEED`.
 
 use diablo_sim::DetRng;
-use diablo_telemetry::trace::{TraceEvent, TraceSample, TraceSet, TraceStage, Tracer, TxTrace};
+use diablo_telemetry::trace::{TraceSample, TraceStage, Tracer};
 use diablo_testkit::gen::{u64s, u8s};
 use diablo_testkit::{prop_assert_eq, Property};
 
-/// The parent commit's recorder and merge, verbatim but for being
-/// values instead of a process-global.
+/// The streaming recorder, verbatim but for being a value instead of a
+/// process-global.
 mod oracle {
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -83,43 +82,6 @@ mod oracle {
                 cap: self.cap,
                 txs: self.members.into_values().collect(),
             }
-        }
-    }
-
-    pub fn merge(this: &mut TraceSet, other: &TraceSet) {
-        fn norm(cap: u64) -> u64 {
-            if cap == 0 {
-                u64::MAX
-            } else {
-                cap
-            }
-        }
-        this.cap = norm(this.cap).min(norm(other.cap));
-        if other.txs.is_empty() {
-            return;
-        }
-        let mut merged: BTreeMap<u64, TxTrace> = std::mem::take(&mut this.txs)
-            .into_iter()
-            .map(|t| (t.id, t))
-            .collect();
-        for tx in &other.txs {
-            let entry = merged.entry(tx.id).or_insert_with(|| TxTrace {
-                id: tx.id,
-                events: Vec::new(),
-            });
-            entry.events.extend(tx.events.iter().copied());
-            entry.events.sort_by_key(|e| (e.at_us, e.stage as u8));
-        }
-        this.txs = merged.into_values().collect();
-        if (this.txs.len() as u64) > this.cap {
-            let seed = this.seed;
-            let cap = this.cap as usize;
-            let mut ranked: Vec<(u64, u64)> =
-                this.txs.iter().map(|t| (rank(seed, t.id), t.id)).collect();
-            ranked.sort_unstable();
-            ranked.truncate(cap);
-            let keep: BTreeSet<u64> = ranked.into_iter().map(|(_, id)| id).collect();
-            this.txs.retain(|t| keep.contains(&t.id));
         }
     }
 }
@@ -221,56 +183,6 @@ fn tracer_matches_the_streaming_recorder() {
             }
             let (got, want) = (tracer.finish(), recorder.take());
             prop_assert_eq!(got.txs.len() as u64, n.min(sample.cap()));
-            prop_assert_eq!(&got, &want);
-            prop_assert_eq!(got.to_chrome_json(), want.to_chrome_json());
-            Ok(())
-        });
-}
-
-/// An id-sorted set over a random subset of `0..span`, each trail a few
-/// events in no particular stamp order.
-fn random_set(seed: u64, cap: u64, span: u64, rng: &mut DetRng) -> TraceSet {
-    let mut txs = Vec::new();
-    for id in 0..span {
-        if rng.chance(0.5) {
-            continue;
-        }
-        let events = (0..rng.next_below(4))
-            .map(|_| TraceEvent {
-                stage: *rng.pick(&LIFECYCLE),
-                at_us: rng.next_below(50),
-                arg0: rng.next_below(4),
-                arg1: 0,
-            })
-            .collect();
-        txs.push(TxTrace { id, events });
-    }
-    TraceSet { seed, cap, txs }
-}
-
-#[test]
-fn merge_matches_the_map_based_merge() {
-    let cases = (u64s(0..=u64::MAX), u64s(0..=u64::MAX), u8s(0..=40));
-    Property::new("merge_matches_the_map_based_merge")
-        .cases(300)
-        .check(&cases, |&(seed, shape, span)| {
-            let mut rng = DetRng::new(shape);
-            // Caps on both sides of the union's size, 0 (a default set,
-            // read as unbounded) and `u64::MAX` included.
-            let cap = |rng: &mut DetRng| match rng.next_below(4) {
-                0 => 0,
-                1 => u64::MAX,
-                _ => rng.range_inclusive(1, span as u64 + 1),
-            };
-            let (cap_a, cap_b) = (cap(&mut rng), cap(&mut rng));
-            let a = random_set(seed, cap_a, span as u64, &mut rng);
-            let b = match rng.next_below(5) {
-                0 => TraceSet::default(),
-                _ => random_set(seed, cap_b, span as u64, &mut rng),
-            };
-            let (mut got, mut want) = (a.clone(), a);
-            got.merge(&b);
-            oracle::merge(&mut want, &b);
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(got.to_chrome_json(), want.to_chrome_json());
             Ok(())

@@ -1,58 +1,49 @@
 //! Prepared-program execution: deploy-time lowering for a checked-once
 //! interpreter fast path.
 //!
-//! Contracts are deployed once and executed millions of times per
-//! experiment (a single Mobility call is ~1.4 M instructions), so the
-//! per-instruction overhead of [`Interpreter::execute`] — an `Option`
-//! bounds check per fetch, a [`GasSchedule::cost`] match per op, and two
-//! budget/limit comparisons per op — bounds how large an experiment the
-//! suite can simulate. Everything that overhead re-checks is already
-//! proven safe by [`validate`] at deploy time.
+//! Contracts deploy once and run millions of times (a Mobility call is
+//! ~1.4 M instructions), so what [`Interpreter::execute`] re-checks per
+//! instruction — the fetch bound, a [`GasSchedule::cost`] match, the
+//! budget and allowance, the stack bounds — caps the experiments the
+//! suite can simulate. [`prepare`] lowers a [`validate`]d [`Program`]
+//! into a [`PreparedProgram`] that checks those once:
 //!
-//! [`prepare`] lowers a validated [`Program`] into a [`PreparedProgram`]:
+//! - **jump targets** are verified and rewritten to basic-block indices
+//!   ([`crate::analyze::basic_blocks`]);
+//! - **gas** is folded into one static sum per block, charged and
+//!   checked against the hard budget and the allowance on block entry;
+//! - **the stack** is bounded per block from the ops' stack effects:
+//!   entered at `sp >= need` with `sp + grow <=` [`MAX_STACK`], no op of
+//!   the block can underflow or overflow;
+//! - **each block is lowered twice** (`lower.rs`): a plain stream of one
+//!   instruction per op, and a fused one in which five short runs the
+//!   contracts repeat dispatch as one instruction;
+//! - **entry points** are interned to dense [`EntryId`]s.
 //!
-//! - **jump targets are verified once** and rewritten to basic-block
-//!   indices, so execution never range-checks a target again;
-//! - **basic blocks are discovered** ([`crate::analyze::basic_blocks`])
-//!   and each block's static gas is folded into a per-block sum, so gas
-//!   and the flavor's hard budget are charged and checked **once per
-//!   block** instead of once per instruction;
-//! - **entry points are interned** to dense [`EntryId`]s resolved by
-//!   binary search over sorted names — no string hashing on the call
-//!   path.
-//!
-//! The per-call overhead goes the same way. A DApp call is a few
-//! hundred instructions, so what [`Interpreter::execute`] sets up
-//! around them — a fresh stack, a journal grown from empty, one vector
-//! per emitted event, a `load` before every `store` to journal the old
-//! value — costs as much as the instructions do.
-//! [`Interpreter::execute_prepared_in`] runs in a caller-owned
-//! [`Scratch`] instead: the stack, the journal and the events (stored
-//! flat, handed out as a borrowed [`Events`] view) are cleared and
-//! reused, so a call allocates nothing once the buffers have grown, and
-//! `SStore` takes the old value from the probe that writes the new one
-//! ([`StateAccess::replace`]). [`Interpreter::execute_prepared`] is the
-//! same loop on a throw-away scratch, for callers that want an owned
-//! [`Receipt`].
+//! A call's set-up is hoisted the same way:
+//! [`Interpreter::execute_prepared_in`] reuses a caller-owned [`Scratch`]
+//! (stack buffer, journal, flat events lent out as an [`Events`] view)
+//! and tallies the call's telemetry in it until [`Scratch::publish`];
+//! `SStore` journals the old value from the probe that writes the new
+//! one ([`StateAccess::replace`]). [`Interpreter::execute_prepared`] is
+//! the same loop on a throw-away scratch, returning a [`Receipt`].
 //!
 //! # Pre-charging semantics
 //!
-//! Conceptually, pre-charging moves the gas charge of every instruction
-//! in a block to the block's entry. That could move an `OutOfGas` /
-//! `BudgetExceeded` fault earlier within the block (and report a larger
-//! `used`), so the fast path refuses to pre-charge any block whose full
-//! static cost could trip a meter: such a block is executed with
-//! per-instruction metering identical to [`Interpreter::execute`]. The
-//! observable behaviour is therefore **exactly** the unprepared one —
-//! same [`Receipt`], same [`ExecError`] with the same fields, same state
-//! effects — which the differential property test in
-//! `tests/vm_prepared_differential.rs` asserts across all four flavors.
-//! The metered fallback runs at most for the final blocks of an
-//! exhausted execution, so the fast path covers essentially the whole
-//! run. [`Op::StoreBlob`] terminates a block because its per-byte cost
-//! is dynamic: ending the block there makes the pre-charged prefix equal
-//! the unprepared cumulative gas at the blob-store, so the dynamic meter
-//! check observes identical values on both paths.
+//! Pre-charging could move an `OutOfGas` / `BudgetExceeded` fault
+//! earlier in a block (with a larger `used`), and dropping the stack
+//! checks could hide a `StackUnderflow` / `StackOverflow`. So a block
+//! whose static cost could trip a meter, or whose stack bounds do not
+//! fit, runs its plain stream with the per-instruction metering and
+//! checks of [`Interpreter::execute`], and the [`Receipt`], the
+//! [`ExecError`] with its fields and the state effects are exactly the
+//! unprepared ones (`tests/vm_prepared_differential.rs`, all four
+//! flavors). [`crate::Op::StoreBlob`] ends its block because its
+//! per-byte cost is dynamic: the pre-charged prefix then equals the
+//! unprepared cumulative gas at the blob store, so the dynamic check
+//! observes identical values on both paths.
+
+mod lower;
 
 use crate::analyze::{basic_blocks, rw_set, validate, RwSet, ValidateError};
 use crate::error::ExecError;
@@ -60,10 +51,10 @@ use crate::flavor::VmFlavor;
 use crate::gas::GasSchedule;
 use crate::interp::{rollback, Interpreter, Receipt, TxContext, Undo};
 use crate::interp::{MAX_LOCALS, MAX_OPS, MAX_STACK};
-use crate::op::Op;
 use crate::program::Program;
 use crate::state::{ContractState, StateAccess, StateLimits};
 use crate::Word;
+use lower::Ins;
 
 /// A dense handle for one entry point of one [`PreparedProgram`],
 /// resolved once via [`PreparedProgram::entry_id`] and valid only for
@@ -82,19 +73,18 @@ impl EntryId {
 /// of instructions entered only at its first instruction.
 #[derive(Debug, Clone, Copy)]
 struct Block {
-    /// Index of the first instruction.
+    /// The block's instructions: `start..end` in the plain stream (so
+    /// `start` is its first pc), `fused_start..fused_end` in the fused.
     start: u32,
-    /// One past the last instruction.
     end: u32,
+    fused_start: u32,
+    fused_end: u32,
     /// Saturating sum of the static gas cost of every instruction in
     /// the block (excluding `StoreBlob`'s dynamic per-byte part).
     static_gas: u64,
-}
-
-impl Block {
-    fn len(self) -> u64 {
-        (self.end - self.start) as u64
-    }
+    /// The block's stack bounds ([`lower::stack_bounds`]).
+    need: u32,
+    grow: u32,
 }
 
 /// A validated program lowered for one VM flavor, ready for
@@ -102,9 +92,13 @@ impl Block {
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     flavor: VmFlavor,
-    /// The instruction stream with every jump operand rewritten from a
-    /// program counter to the index of its target basic block.
-    code: Vec<Op>,
+    /// One instruction per op, and the static gas of each: what the
+    /// checked path runs and charges.
+    plain: Vec<Ins>,
+    costs: Vec<u64>,
+    /// Every block's fused stream, in block order: what the fast path
+    /// runs.
+    fused: Vec<Ins>,
     blocks: Vec<Block>,
     /// `(name, start block)` pairs, sorted by name; an [`EntryId`] is an
     /// index into this table.
@@ -121,30 +115,37 @@ pub fn prepare(program: &Program, flavor: VmFlavor) -> Result<PreparedProgram, V
     validate(program)?;
     let schedule = flavor.schedule();
     let leaders = basic_blocks(program);
-    let n = program.len();
+    let ops = program.ops();
+    let n = ops.len();
     // Leader pc -> block index, for rewriting jump targets. Every jump
     // target is a leader by construction.
     let mut block_of_pc = vec![u32::MAX; n];
+    for (i, &start) in leaders.iter().enumerate() {
+        block_of_pc[start] = i as u32;
+    }
+    let plain: Vec<Ins> = ops
+        .iter()
+        .enumerate()
+        .map(|(pc, &op)| lower::plain(op, pc, &block_of_pc))
+        .collect();
+    let mut fused = Vec::with_capacity(n);
     let mut blocks = Vec::with_capacity(leaders.len());
     for (i, &start) in leaders.iter().enumerate() {
         let end = leaders.get(i + 1).copied().unwrap_or(n);
-        block_of_pc[start] = i as u32;
+        let fused_start = fused.len() as u32;
+        lower::fuse(&plain[start..end], &mut fused);
+        let (need, grow) = lower::stack_bounds(&ops[start..end]);
         blocks.push(Block {
             start: start as u32,
             end: end as u32,
-            static_gas: schedule.block_cost(&program.ops()[start..end]),
+            fused_start,
+            fused_end: fused.len() as u32,
+            static_gas: schedule.block_cost(&ops[start..end]),
+            need: need as u32,
+            grow: grow as u32,
         });
     }
-    let code = program
-        .ops()
-        .iter()
-        .map(|&op| match op {
-            Op::Jump(t) => Op::Jump(block_of_pc[t] as usize),
-            Op::JumpIfZero(t) => Op::JumpIfZero(block_of_pc[t] as usize),
-            Op::JumpIfNotZero(t) => Op::JumpIfNotZero(block_of_pc[t] as usize),
-            other => other,
-        })
-        .collect();
+    fused.shrink_to_fit();
     let entries: Vec<(String, u32)> = program
         .entries_sorted()
         .into_iter()
@@ -156,7 +157,9 @@ pub fn prepare(program: &Program, flavor: VmFlavor) -> Result<PreparedProgram, V
         .collect();
     Ok(PreparedProgram {
         flavor,
-        code,
+        plain,
+        costs: ops.iter().map(|&op| schedule.cost(op)).collect(),
+        fused,
         blocks,
         entries,
         rw_sets,
@@ -171,12 +174,12 @@ impl PreparedProgram {
 
     /// Program length in instructions.
     pub fn len(&self) -> usize {
-        self.code.len()
+        self.plain.len()
     }
 
     /// Whether the program has no instructions.
     pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
+        self.plain.is_empty()
     }
 
     /// Number of basic blocks discovered.
@@ -217,26 +220,71 @@ impl PreparedProgram {
 /// What happens after a basic block finishes.
 enum Next {
     /// Continue at this block (a taken jump).
-    Goto(usize),
+    Goto(u32),
     /// Continue at the next block in program order.
     FallThrough,
-    /// `Halt` executed; carries the return value.
-    Done(Option<Word>),
+    /// `Halt` ran or an instruction faulted, as [`Frame::end`] says.
+    End,
 }
 
-/// The buffers a prepared call works in: operand stack, undo journal
-/// and emitted events. [`Interpreter::execute_prepared_in`] clears them
-/// on entry and keeps their capacity, so one `Scratch` (start from
-/// `Scratch::default()`) serves any number of calls — of any program, on
-/// any state — without allocating again.
+/// Telemetry histogram names for per-entry gas. Entry ids are dense and
+/// small (contracts expose a handful of entry points); everything past
+/// the table collapses into the last bucket.
+const GAS_METRICS: [&str; 8] = [
+    "vm.prepared.gas.entry0",
+    "vm.prepared.gas.entry1",
+    "vm.prepared.gas.entry2",
+    "vm.prepared.gas.entry3",
+    "vm.prepared.gas.entry4",
+    "vm.prepared.gas.entry5",
+    "vm.prepared.gas.entry6",
+    "vm.prepared.gas.entry7plus",
+];
+
+/// The buffers a prepared call works in — operand stack, undo journal,
+/// emitted events — and the telemetry of the calls made in it.
+/// [`Interpreter::execute_prepared_in`] reuses the buffers, so one
+/// `Scratch` (start from `Scratch::default()`) serves any number of
+/// calls, of any program on any state, without allocating again.
 #[derive(Debug, Default)]
 pub struct Scratch {
+    /// The operand stack's buffer: a call's stack is its first `sp`
+    /// words. It grows to the highest stack a block run in it needed.
     stack: Vec<Word>,
     journal: Vec<Undo>,
     /// Per event, its tag and where its arguments start in `event_args`
     /// (they end where the next event's start).
     event_heads: Vec<(u16, usize)>,
     event_args: Vec<Word>,
+    /// Since the last publish (all zero when telemetry is compiled out):
+    /// calls, calls in which a block missed the gas pre-charge, and the
+    /// gas of each successful call by [`GAS_METRICS`] bucket.
+    calls: u64,
+    fallbacks: u64,
+    gas: [Vec<u64>; GAS_METRICS.len()],
+}
+
+impl Scratch {
+    /// Publishes the calls made in this scratch since the last publish
+    /// (`vm.prepared.calls`, `.precharge_fallbacks`, `.gas.entry*`) with
+    /// one recorder entry per metric, none for a zero tally, leaving the
+    /// snapshot an entry per call would; an entry costs ~20 instructions.
+    /// `ExecutionEngine` publishes per block, each executor worker per
+    /// chunk, [`Interpreter::execute_prepared`] per call.
+    pub fn publish(&mut self) {
+        if self.calls > 0 {
+            diablo_telemetry::counter("vm.prepared.calls", std::mem::take(&mut self.calls));
+        }
+        if self.fallbacks > 0 {
+            let fallbacks = std::mem::take(&mut self.fallbacks);
+            diablo_telemetry::counter("vm.prepared.precharge_fallbacks", fallbacks);
+        }
+        for (name, gas) in GAS_METRICS.into_iter().zip(&mut self.gas) {
+            if !gas.is_empty() {
+                diablo_telemetry::record_all(name, gas.drain(..));
+            }
+        }
+    }
 }
 
 /// The events one call emitted, in order, borrowed from the [`Scratch`]
@@ -288,9 +336,11 @@ impl CallOutcome<'_> {
     }
 }
 
-/// Per-execution mutable state shared by the fast and metered paths.
+/// Per-execution mutable state shared by the fast and checked paths.
 struct Frame<'a> {
     scratch: &'a mut Scratch,
+    /// The stack height: the operand stack is `scratch.stack[..sp]`.
+    sp: usize,
     locals: [Word; MAX_LOCALS],
     gas: u64,
     ops: u64,
@@ -298,242 +348,229 @@ struct Frame<'a> {
     schedule: GasSchedule,
     limits: StateLimits,
     budget: Option<u64>,
+    /// `Halt`'s return value or the fault, once a block ends the call.
+    end: Result<Option<Word>, ExecError>,
 }
 
-impl Frame<'_> {
-    /// The budget and allowance checks of the unprepared interpreter, in
-    /// the same order (hard budget first).
-    #[inline]
-    fn check_meters(&self) -> Result<(), ExecError> {
-        if let Some(b) = self.budget {
-            if self.gas > b {
-                return Err(ExecError::BudgetExceeded {
-                    used: self.gas,
-                    budget: b,
-                });
-            }
-        }
-        if self.gas > self.ctx.gas_limit {
-            return Err(ExecError::OutOfGas {
-                used: self.gas,
-                limit: self.ctx.gas_limit,
-            });
-        }
-        Ok(())
+/// The unprepared interpreter's meter checks at `gas`, budget first.
+#[inline]
+fn meter_fault(gas: u64, budget: Option<u64>, limit: u64) -> Option<ExecError> {
+    match budget {
+        Some(budget) if gas > budget => Some(ExecError::BudgetExceeded { used: gas, budget }),
+        _ if gas > limit => Some(ExecError::OutOfGas { used: gas, limit }),
+        _ => None,
     }
 }
 
-/// Executes one basic block. With `METERED == false` the caller has
-/// already pre-charged the block's static gas and instruction count and
-/// proven that no meter can trip; with `METERED == true` every
-/// instruction is charged and checked exactly like
-/// [`Interpreter::execute`] does, so meter faults surface at the same
-/// instruction with the same fields.
+/// Executes one basic block: the one copy of the instruction semantics.
+/// With `METERED == false`, `code` is the fused stream of a block whose
+/// gas and instruction count the caller pre-charged, and whose meters
+/// and stack bounds it proved safe. With `METERED == true`, `code` is
+/// the plain stream, charged (`costs`) and checked per instruction as
+/// [`Interpreter::execute`] does, so faults surface at the same pc
+/// (`first_pc` + offset) with the same fields.
 #[inline(always)]
 fn run_block<const METERED: bool, S: StateAccess>(
     f: &mut Frame<'_>,
-    code: &[Op],
-    block_start: usize,
+    code: &[Ins],
+    costs: &[u64],
+    first_pc: usize,
     state: &mut S,
-) -> Result<Next, ExecError> {
-    for (off, &op) in code.iter().enumerate() {
-        let pc = block_start + off;
-        if METERED {
-            f.ops += 1;
-            if f.ops > MAX_OPS {
-                return Err(ExecError::OutOfGas {
-                    used: f.gas,
-                    limit: f.ctx.gas_limit,
-                });
+) -> Next {
+    let stack = &mut f.scratch.stack[..];
+    let mut sp = f.sp;
+    let next = 'block: {
+        for (off, &ins) in code.iter().enumerate() {
+            let pc = first_pc + off;
+            macro_rules! fault {
+                ($e:expr) => {{
+                    f.end = Err($e);
+                    break 'block Next::End;
+                }};
             }
-            f.gas = f.gas.saturating_add(f.schedule.cost(op));
-            f.check_meters()?;
-        }
+            if METERED {
+                f.ops += 1;
+                if f.ops > MAX_OPS {
+                    fault!(ExecError::OutOfGas {
+                        used: f.gas,
+                        limit: f.ctx.gas_limit,
+                    });
+                }
+                f.gas = f.gas.saturating_add(costs[off]);
+                if let Some(e) = meter_fault(f.gas, f.budget, f.ctx.gas_limit) {
+                    fault!(e);
+                }
+            }
 
-        macro_rules! pop {
-            () => {
-                match f.scratch.stack.pop() {
-                    Some(v) => v,
-                    None => return Err(ExecError::StackUnderflow { pc }),
-                }
-            };
-        }
-        macro_rules! push {
-            ($v:expr) => {{
-                if f.scratch.stack.len() >= MAX_STACK {
-                    return Err(ExecError::StackOverflow { pc });
-                }
-                f.scratch.stack.push($v);
-            }};
-        }
-        macro_rules! binop {
-            ($op:expr) => {{
-                let b = pop!();
-                let a = pop!();
-                match $op(a, b) {
-                    Some(v) => push!(v),
-                    None => return Err(ExecError::Overflow { pc }),
-                }
-            }};
-        }
-
-        match op {
-            Op::Push(v) => push!(v),
-            Op::Pop => {
-                let _ = pop!();
+            macro_rules! pop {
+                () => {{
+                    if METERED && sp == 0 {
+                        fault!(ExecError::StackUnderflow { pc });
+                    }
+                    sp -= 1;
+                    stack[sp]
+                }};
             }
-            Op::Dup(n) => match f.scratch.stack.len().checked_sub(1 + n as usize) {
-                Some(i) => {
-                    let v = f.scratch.stack[i];
-                    push!(v);
-                }
-                None => return Err(ExecError::StackUnderflow { pc }),
-            },
-            Op::Swap(n) => {
-                let top = f.scratch.stack.len().checked_sub(1);
-                let other = f.scratch.stack.len().checked_sub(2 + n as usize);
-                match (top, other) {
-                    (Some(t), Some(o)) => f.scratch.stack.swap(t, o),
-                    _ => return Err(ExecError::StackUnderflow { pc }),
-                }
+            // The value first: it may pop, making room for the push.
+            macro_rules! push {
+                ($v:expr) => {{
+                    let v = $v;
+                    if METERED && sp >= MAX_STACK {
+                        fault!(ExecError::StackOverflow { pc });
+                    }
+                    stack[sp] = v;
+                    sp += 1;
+                }};
             }
-            Op::Add => binop!(|a: Word, b: Word| a.checked_add(b)),
-            Op::Sub => binop!(|a: Word, b: Word| a.checked_sub(b)),
-            Op::Mul => binop!(|a: Word, b: Word| a.checked_mul(b)),
-            Op::Div => {
-                let b = pop!();
-                let a = pop!();
-                if b == 0 {
-                    return Err(ExecError::DivisionByZero { pc });
-                }
-                match a.checked_div(b) {
-                    Some(v) => push!(v),
-                    None => return Err(ExecError::Overflow { pc }),
-                }
+            // Pops `a`, pushes `a op b`.
+            macro_rules! binop {
+                ($b:expr, $op:tt) => {{
+                    let b = $b;
+                    push!((pop!() $op b) as Word)
+                }};
             }
-            Op::Mod => {
-                let b = pop!();
-                let a = pop!();
-                if b == 0 {
-                    return Err(ExecError::DivisionByZero { pc });
-                }
-                match a.checked_rem(b) {
-                    Some(v) => push!(v),
-                    None => return Err(ExecError::Overflow { pc }),
-                }
+            // Pops `a`, pushes `a.op(b)`; an overflow faults at `at`.
+            macro_rules! checked {
+                ($b:expr, $op:ident, $at:expr) => {{
+                    let b = $b;
+                    let a = pop!();
+                    match a.$op(b) {
+                        Some(v) => push!(v),
+                        None => fault!(ExecError::Overflow { pc: $at as usize }),
+                    }
+                }};
             }
-            Op::Neg => {
-                let a = pop!();
-                match a.checked_neg() {
-                    Some(v) => push!(v),
-                    None => return Err(ExecError::Overflow { pc }),
-                }
+            macro_rules! divide {
+                ($op:ident, $at:expr) => {{
+                    let b = pop!();
+                    let a = pop!();
+                    if b == 0 {
+                        fault!(ExecError::DivisionByZero { pc: $at as usize });
+                    }
+                    match a.$op(b) {
+                        Some(v) => push!(v),
+                        None => fault!(ExecError::Overflow { pc: $at as usize }),
+                    }
+                }};
             }
-            Op::Lt => binop!(|a: Word, b: Word| Some((a < b) as Word)),
-            Op::Gt => binop!(|a: Word, b: Word| Some((a > b) as Word)),
-            Op::Eq => binop!(|a: Word, b: Word| Some((a == b) as Word)),
-            Op::IsZero => {
-                let a = pop!();
-                push!((a == 0) as Word);
-            }
-            Op::And => binop!(|a: Word, b: Word| Some(a & b)),
-            Op::Or => binop!(|a: Word, b: Word| Some(a | b)),
-            Op::Shl(n) => {
-                let a = pop!();
-                push!(a.wrapping_shl(n as u32));
-            }
-            Op::Shr(n) => {
-                let a = pop!();
-                push!(a.wrapping_shr(n as u32));
-            }
-            // Jump operands were rewritten to block indices at prepare
-            // time; targets were range-verified once, so no check here.
-            Op::Jump(b) => return Ok(Next::Goto(b)),
-            Op::JumpIfZero(b) => {
-                let c = pop!();
-                if c == 0 {
-                    return Ok(Next::Goto(b));
-                }
-                // Not taken: a conditional jump is always the last
-                // instruction of its block, so fall through below.
-            }
-            Op::JumpIfNotZero(b) => {
-                let c = pop!();
-                if c != 0 {
-                    return Ok(Next::Goto(b));
-                }
-            }
-            Op::Load(i) => match f.locals.get(i as usize) {
-                Some(&v) => push!(v),
-                None => return Err(ExecError::InvalidLocal { pc, index: i }),
-            },
-            Op::Store(i) => {
-                let v = pop!();
-                match f.locals.get_mut(i as usize) {
-                    Some(slot) => *slot = v,
-                    None => return Err(ExecError::InvalidLocal { pc, index: i }),
-                }
-            }
-            Op::SLoad => {
-                let key = pop!();
-                push!(state.load(key));
-            }
-            Op::SStore => {
-                let value = pop!();
-                let key = pop!();
-                match state.replace(key, value, &f.limits) {
-                    Some(old) => f.scratch.journal.push(Undo::Entry(key, old)),
-                    None => return Err(ExecError::StateLimitExceeded),
-                }
-            }
-            Op::Arg(i) => push!(f.ctx.args.get(i as usize).copied().unwrap_or(0)),
-            Op::Caller => push!(f.ctx.caller),
-            Op::Emit { tag, arity } => {
-                let Some(first) = f.scratch.stack.len().checked_sub(arity as usize) else {
-                    return Err(ExecError::StackUnderflow { pc });
+            macro_rules! branch {
+                ($a:expr, $op:tt, $c:expr, $to:expr, $when:expr) => {
+                    if ($a $op $c) == $when {
+                        break 'block Next::Goto($to);
+                    }
                 };
-                let start = f.scratch.event_args.len();
-                f.scratch.event_heads.push((tag, start));
-                f.scratch.event_args.extend_from_slice(&f.scratch.stack[first..]);
-                f.scratch.stack.truncate(first);
             }
-            Op::StoreBlob => {
-                // The per-byte part is dynamic and metered on both
-                // paths. StoreBlob ends its block, so the pre-charged
-                // prefix equals the unprepared cumulative gas here and
-                // the checks observe identical values.
-                let len = pop!();
-                let len = len.max(0) as u64;
-                f.gas = f.gas.saturating_add(f.schedule.blob_cost(len));
-                f.check_meters()?;
-                if !state.store_blob(len, &f.limits) {
-                    return Err(ExecError::StateLimitExceeded);
-                }
-                f.scratch.journal.push(Undo::Blob(len));
+            macro_rules! sstore {
+                ($key:expr, $value:expr) => {{
+                    let (key, value) = ($key, $value);
+                    match state.replace(key, value, &f.limits) {
+                        Some(old) => f.scratch.journal.push(Undo::Entry(key, old)),
+                        None => fault!(ExecError::StateLimitExceeded),
+                    }
+                }};
             }
-            Op::Halt => return Ok(Next::Done(f.scratch.stack.pop())),
-            Op::Revert(code) => return Err(ExecError::Reverted(code)),
-            Op::Nop => {}
-        }
-    }
-    Ok(Next::FallThrough)
-}
 
-/// Telemetry histogram name for per-entry gas. Entry ids are dense and
-/// small (contracts expose a handful of entry points); everything past
-/// the table collapses into the last bucket.
-fn entry_gas_metric(entry: EntryId) -> &'static str {
-    const NAMES: [&str; 8] = [
-        "vm.prepared.gas.entry0",
-        "vm.prepared.gas.entry1",
-        "vm.prepared.gas.entry2",
-        "vm.prepared.gas.entry3",
-        "vm.prepared.gas.entry4",
-        "vm.prepared.gas.entry5",
-        "vm.prepared.gas.entry6",
-        "vm.prepared.gas.entry7plus",
-    ];
-    NAMES[entry.index().min(NAMES.len() - 1)]
+            match ins {
+                Ins::Push(v) => push!(v),
+                Ins::Pop => _ = pop!(),
+                Ins::Dup(n) => {
+                    let n = n as usize;
+                    if METERED && sp <= n {
+                        fault!(ExecError::StackUnderflow { pc });
+                    }
+                    push!(stack[sp - 1 - n]);
+                }
+                Ins::Swap(n) => {
+                    let n = n as usize;
+                    if METERED && sp < n + 2 {
+                        fault!(ExecError::StackUnderflow { pc });
+                    }
+                    stack.swap(sp - 1, sp - 2 - n);
+                }
+                Ins::Add(at) => checked!(pop!(), checked_add, at),
+                Ins::Sub(at) => checked!(pop!(), checked_sub, at),
+                Ins::Mul(at) => checked!(pop!(), checked_mul, at),
+                Ins::Div(at) => divide!(checked_div, at),
+                Ins::Mod(at) => divide!(checked_rem, at),
+                Ins::Neg(at) => match pop!().checked_neg() {
+                    Some(v) => push!(v),
+                    None => fault!(ExecError::Overflow { pc: at as usize }),
+                },
+                Ins::Lt => binop!(pop!(), <),
+                Ins::Gt => binop!(pop!(), >),
+                Ins::Eq => binop!(pop!(), ==),
+                Ins::IsZero => binop!(0, ==),
+                Ins::And => binop!(pop!(), &),
+                Ins::Or => binop!(pop!(), |),
+                Ins::Shl(n) => push!(pop!().wrapping_shl(n as u32)),
+                Ins::Shr(n) => push!(pop!().wrapping_shr(n as u32)),
+                // Targets are block indices, checked at prepare time. A
+                // conditional jump ends its block: not taken falls through.
+                Ins::Jump(b) => break 'block Next::Goto(b),
+                Ins::JumpIfZero(b) => branch!(pop!(), ==, 0, b, true),
+                Ins::JumpIfNotZero(b) => branch!(pop!(), !=, 0, b, true),
+                // `validate` keeps every local index inside the file.
+                Ins::Load(i) => push!(f.locals[i as usize]),
+                Ins::Store(i) => f.locals[i as usize] = pop!(),
+                Ins::SLoad => push!(state.load(pop!())),
+                Ins::SStore => {
+                    let value = pop!();
+                    let key = pop!();
+                    sstore!(key, value);
+                }
+                Ins::Arg(i) => push!(f.ctx.args.get(i as usize).copied().unwrap_or(0)),
+                Ins::Caller => push!(f.ctx.caller),
+                Ins::Emit(tag, arity) => {
+                    let arity = arity as usize;
+                    if METERED && sp < arity {
+                        fault!(ExecError::StackUnderflow { pc });
+                    }
+                    let first = sp - arity;
+                    let start = f.scratch.event_args.len();
+                    f.scratch.event_heads.push((tag, start));
+                    f.scratch.event_args.extend_from_slice(&stack[first..sp]);
+                    sp = first;
+                }
+                Ins::StoreBlob => {
+                    // The per-byte part is metered on both paths (see the
+                    // module docs on why StoreBlob ends its block).
+                    let len = pop!().max(0) as u64;
+                    f.gas = f.gas.saturating_add(f.schedule.blob_cost(len));
+                    if let Some(e) = meter_fault(f.gas, f.budget, f.ctx.gas_limit) {
+                        fault!(e);
+                    }
+                    if !state.store_blob(len, &f.limits) {
+                        fault!(ExecError::StateLimitExceeded);
+                    }
+                    f.scratch.journal.push(Undo::Blob(len));
+                }
+                Ins::Halt => {
+                    f.end = Ok(sp.checked_sub(1).map(|top| stack[top]));
+                    break 'block Next::End;
+                }
+                Ins::Revert(code) => fault!(ExecError::Reverted(code)),
+                Ins::Nop => {}
+                // The fused runs, fast path only.
+                Ins::SLoadConst(key) => push!(state.load(key)),
+                Ins::LoadAdd(i, at) => checked!(f.locals[i as usize], checked_add, at),
+                Ins::LoadSub(i, at) => checked!(f.locals[i as usize], checked_sub, at),
+                Ins::LoadLt(i) => binop!(f.locals[i as usize], <),
+                Ins::LoadGt(i) => binop!(f.locals[i as usize], >),
+                Ins::LoadEq(i) => binop!(f.locals[i as usize], ==),
+                Ins::StoreLoad(i) => f.locals[i as usize] = stack[sp - 1],
+                Ins::BranchLt(c, to, when) => branch!(pop!(), <, c, to, when),
+                Ins::BranchGt(c, to, when) => branch!(pop!(), >, c, to, when),
+                Ins::BranchEq(c, to, when) => branch!(pop!(), ==, c, to, when),
+                Ins::LocalBranchLt(i, c, to, when) => branch!(f.locals[i as usize], <, c, to, when),
+                Ins::LocalBranchGt(i, c, to, when) => branch!(f.locals[i as usize], >, c, to, when),
+                Ins::LocalBranchEq(i, c, to, when) => branch!(f.locals[i as usize], ==, c, to, when),
+                Ins::SStoreConst(key, i) => sstore!(key, f.locals[i as usize]),
+            }
+        }
+        Next::FallThrough
+    };
+    f.sp = sp;
+    next
 }
 
 impl Interpreter {
@@ -545,9 +582,9 @@ impl Interpreter {
     /// [`StateAccess`] so the parallel executor can run it against a
     /// copy-on-write [`crate::state::Overlay`].
     ///
-    /// Allocates a [`Scratch`] and an owned [`Receipt`] per call; block
-    /// executors keep a scratch and call
-    /// [`Interpreter::execute_prepared_in`], which this wraps.
+    /// Allocates a [`Scratch`] and an owned [`Receipt`] per call, and
+    /// publishes the call's telemetry; block executors keep a scratch
+    /// and call [`Interpreter::execute_prepared_in`], which this wraps.
     ///
     /// # Panics
     ///
@@ -561,13 +598,18 @@ impl Interpreter {
         ctx: &TxContext,
         state: &mut S,
     ) -> Result<Receipt, ExecError> {
-        self.execute_prepared_in(&mut Scratch::default(), prepared, entry, ctx, state)
-            .map(|call| call.to_receipt())
+        let mut scratch = Scratch::default();
+        let receipt = self
+            .execute_prepared_in(&mut scratch, prepared, entry, ctx, state)
+            .map(|call| call.to_receipt());
+        scratch.publish();
+        receipt
     }
 
     /// [`Interpreter::execute_prepared`] in caller-owned buffers:
     /// whatever an earlier call left in `scratch` is cleared, the
-    /// capacity is kept, and the outcome's events borrow from it.
+    /// capacity is kept, the outcome's events borrow from it, and the
+    /// call's telemetry waits in it for [`Scratch::publish`].
     ///
     /// # Panics
     ///
@@ -593,12 +635,12 @@ impl Interpreter {
                 name: format!("#{}", entry.index()),
             });
         };
-        scratch.stack.clear();
         scratch.journal.clear();
         scratch.event_heads.clear();
         scratch.event_args.clear();
         let mut frame = Frame {
             scratch: &mut *scratch,
+            sp: 0,
             locals: [0 as Word; MAX_LOCALS],
             gas: 0,
             ops: 0,
@@ -606,60 +648,69 @@ impl Interpreter {
             schedule: prepared.flavor.schedule(),
             limits: prepared.flavor.state_limits(),
             budget: prepared.flavor.per_tx_budget(),
+            end: Ok(None),
         };
 
-        // The effective gas ceiling: the tighter of the hard budget and
-        // the transaction's allowance. Exceeding it means some meter
-        // trips — which one (and with which fields) is decided by the
-        // per-instruction fallback.
+        // The tighter of the hard budget and the allowance: exceeding it
+        // trips a meter, and the checked path decides which.
         let allowance = frame.budget.unwrap_or(u64::MAX).min(ctx.gas_limit);
         let blocks = prepared.blocks.as_slice();
         let mut bi = start_block as usize;
         let mut fell_back = false;
-        let result = loop {
+        loop {
             let block = blocks[bi];
-            let code = &prepared.code[block.start as usize..block.end as usize];
-            // Pre-charge the whole block iff no meter can trip inside
-            // it; otherwise run it with per-instruction metering so any
-            // meter fault is observed exactly where the unprepared
-            // interpreter observes it.
+            let (need, grow) = (block.need as usize, block.grow as usize);
+            let room = frame.scratch.stack.len();
+            // Pre-charged and unchecked iff no meter can trip and the
+            // stack bounds fit; else instruction by instruction, so a
+            // fault is observed where the unprepared interpreter sees it.
             let charged = frame.gas.saturating_add(block.static_gas);
-            let fast = charged <= allowance && frame.ops + block.len() <= MAX_OPS;
-            let next = if fast {
+            let len = u64::from(block.end - block.start);
+            let precharge = charged <= allowance && frame.ops + len <= MAX_OPS;
+            let next = if precharge && frame.sp >= need && frame.sp + grow <= room {
                 frame.gas = charged;
-                frame.ops += block.len();
-                run_block::<false, S>(&mut frame, code, block.start as usize, state)
+                frame.ops += len;
+                let code = &prepared.fused[block.fused_start as usize..block.fused_end as usize];
+                run_block::<false, S>(&mut frame, code, &[], 0, state)
+            } else if frame.sp + grow > room && room < MAX_STACK {
+                // Room for the block (up to MAX_STACK), then decide again.
+                let height = (frame.sp + grow).min(MAX_STACK);
+                frame.scratch.stack.resize(height, 0);
+                continue;
             } else {
-                fell_back = true;
-                run_block::<true, S>(&mut frame, code, block.start as usize, state)
+                fell_back |= !precharge;
+                let range = block.start as usize..block.end as usize;
+                let (code, costs) = (&prepared.plain[range.clone()], &prepared.costs[range]);
+                run_block::<true, S>(&mut frame, code, costs, block.start as usize, state)
             };
             match next {
-                Ok(Next::Goto(b)) => bi = b,
-                Ok(Next::FallThrough) => {
+                Next::Goto(b) => bi = b as usize,
+                Next::FallThrough => {
                     bi += 1;
                     if bi == blocks.len() {
-                        break Err(ExecError::MissingTerminator);
+                        frame.end = Err(ExecError::MissingTerminator);
+                        break;
                     }
                 }
-                Ok(Next::Done(ret)) => break Ok(ret),
-                Err(e) => break Err(e),
+                Next::End => break,
             }
-        };
-        let (gas_used, ops_executed) = (frame.gas, frame.ops);
+        }
+        let Frame { gas, ops, end, .. } = frame;
 
-        if result.is_err() {
+        if end.is_err() {
             rollback(&mut scratch.journal, state);
         }
-        diablo_telemetry::counter!("vm.prepared.calls");
-        if fell_back {
-            diablo_telemetry::counter!("vm.prepared.precharge_fallbacks");
+        if diablo_telemetry::enabled() {
+            scratch.calls += 1;
+            scratch.fallbacks += u64::from(fell_back);
+            if end.is_ok() {
+                scratch.gas[entry.index().min(GAS_METRICS.len() - 1)].push(gas);
+            }
         }
-        let ret = result?;
-        diablo_telemetry::record!(entry_gas_metric(entry), gas_used);
         Ok(CallOutcome {
-            gas_used,
-            ops_executed,
-            ret,
+            gas_used: gas,
+            ops_executed: ops,
+            ret: end?,
             events: Events {
                 heads: &scratch.event_heads,
                 args: &scratch.event_args,
@@ -685,6 +736,7 @@ impl Interpreter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::Op;
     use crate::program::Asm;
 
     /// A counting loop: sum 1..=n, return the sum.

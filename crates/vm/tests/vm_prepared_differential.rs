@@ -16,16 +16,29 @@
 //! nothing a call leaves in the buffers — stack, journal, events — can
 //! leak into the next.
 //!
+//! The uniform generator almost never emits the runs the fast path
+//! fuses into one instruction, and never puts a stack at the bound a
+//! block is checked against, so two directed properties do: programs
+//! built mostly from the five fused runs around constants that overflow,
+//! entered one below and exactly at the first block's stack need, and
+//! push runs that end one short of, at and one past `MAX_STACK` across
+//! block boundaries. Both also hold the prepared call's
+//! `vm.prepared.precharge_fallbacks` count to what the call's outcome
+//! implies: stack bounds send a block down the checked path without
+//! counting as a meter fallback.
+//!
 //! Runs on the in-tree `diablo-testkit` harness: failures shrink and
 //! print a `DIABLO_PROP_SEED=<seed>` line that replays the exact case;
 //! `DIABLO_PROP_CASES` scales the case count.
 
-use diablo_testkit::gen::{choice, i64s, just, u16s, u64s, u8s, usizes, vecs, BoxedGen, Gen};
+use diablo_testkit::gen::{
+    choice, from_slice, i64s, just, u16s, u64s, u8s, usizes, vecs, BoxedGen, Gen,
+};
 use diablo_testkit::{prop_assert_eq, Property};
 
 use diablo_vm::{
-    prepare, Asm, ContractState, Interpreter, Op, Program, Scratch, StateLimits, TxContext,
-    VmFlavor, Word, MAX_LOCALS,
+    prepare, Asm, ContractState, ExecError, Interpreter, Op, Program, Receipt, Scratch,
+    StateLimits, TxContext, VmFlavor, Word, MAX_LOCALS, MAX_STACK,
 };
 
 /// Generator: one instruction with jump targets confined to `len`,
@@ -372,6 +385,267 @@ fn prepared_blob_stores_agree() {
             assert_states_agree(&s1, &s2)
         },
     );
+}
+
+/// The gas limits every property draws from.
+fn arb_gas_limit() -> BoxedGen<u64> {
+    choice(vec![
+        // Tiny: trips OutOfGas mid-program, forcing the metered
+        // fallback from the very first block.
+        u64s(0..=300).boxed(),
+        // Mid: the fast path runs until the limit approaches.
+        u64s(1_000..=60_000).boxed(),
+        // Effectively unlimited (hard budgets still apply per flavor).
+        just(u64::MAX).boxed(),
+    ])
+    .boxed()
+}
+
+/// Constants for the directed programs: small ones, and ones a few
+/// steps from either end of the word, so that a fused `Add` or `Sub`
+/// overflows.
+fn arb_word() -> BoxedGen<Word> {
+    choice(vec![
+        i64s(-8..=8).boxed(),
+        i64s(Word::MAX - 8..=Word::MAX).boxed(),
+        i64s(Word::MIN..=Word::MIN + 8).boxed(),
+    ])
+    .boxed()
+}
+
+/// One piece of a directed program: mostly a run the fast path fuses,
+/// else a local set to a constant, a stack reader, a push, or one op of
+/// the uniform generator. Locals are 0..=3 so that stores and loads
+/// meet. A jump operand is a forward distance, which [`edge_program`]
+/// resolves.
+fn arb_piece() -> BoxedGen<Vec<Op>> {
+    let local = || u8s(0..=3);
+    let load_op = || from_slice(&[Op::Add, Op::Sub, Op::Lt, Op::Gt, Op::Eq]);
+    let compare = || from_slice(&[Op::Lt, Op::Gt, Op::Eq]);
+    let jump = || {
+        (usizes(0..=12), u8s(0..=1)).map(|(distance, not_zero)| match not_zero {
+            0 => Op::JumpIfZero(distance),
+            _ => Op::JumpIfNotZero(distance),
+        })
+    };
+    choice(vec![
+        i64s(-2..=11)
+            .map(|key| vec![Op::Push(key), Op::SLoad])
+            .boxed(),
+        (local(), load_op())
+            .map(|(l, op)| vec![Op::Load(l), op])
+            .boxed(),
+        // Both operands set right before: `Add` and `Sub` overflow two
+        // times in nine.
+        ((arb_word(), arb_word()), local(), load_op())
+            .map(|((a, b), l, op)| vec![Op::Push(b), Op::Store(l), Op::Push(a), Op::Load(l), op])
+            .boxed(),
+        local().map(|l| vec![Op::Store(l), Op::Load(l)]).boxed(),
+        (local(), arb_word(), compare(), jump())
+            .map(|(l, c, cmp, jump)| vec![Op::Load(l), Op::Push(c), cmp, jump])
+            .boxed(),
+        (arb_word(), compare(), jump())
+            .map(|(c, cmp, jump)| vec![Op::Push(c), cmp, jump])
+            .boxed(),
+        (i64s(-2..=11), local())
+            .map(|(key, l)| vec![Op::Push(key), Op::Load(l), Op::SStore])
+            .boxed(),
+        (arb_word(), local())
+            .map(|(c, l)| vec![Op::Push(c), Op::Store(l)])
+            .boxed(),
+        (u8s(0..=3), u8s(0..=2))
+            .map(|(n, kind)| match kind {
+                0 => vec![Op::Dup(n)],
+                1 => vec![Op::Swap(n)],
+                _ => vec![Op::Emit { tag: 3, arity: n }],
+            })
+            .boxed(),
+        arb_word().map(|c| vec![Op::Push(c)]).boxed(),
+        arb_op(13).map(|op| vec![op]).boxed(),
+        arb_op(13).map(|op| vec![op]).boxed(),
+    ])
+    .boxed()
+}
+
+/// The lowest stack height the first block of `ops` can be entered at
+/// without an underflow: this file's own reading of each op's stack
+/// effect, independent of the one `prepare` uses.
+fn first_block_need(ops: &[Op]) -> usize {
+    let (mut height, mut need) = (0i64, 0i64);
+    for &op in ops {
+        let (reads, delta) = match op {
+            Op::Push(_) | Op::Load(_) | Op::Arg(_) | Op::Caller => (0, 1),
+            Op::Dup(n) => (i64::from(n) + 1, 1),
+            Op::Swap(n) => (i64::from(n) + 2, 0),
+            Op::Pop | Op::Store(_) | Op::StoreBlob => (1, -1),
+            Op::JumpIfZero(_) | Op::JumpIfNotZero(_) => (1, -1),
+            Op::Neg | Op::IsZero | Op::Shl(_) | Op::Shr(_) | Op::SLoad => (1, 0),
+            Op::SStore => (2, -2),
+            Op::Emit { arity, .. } => (i64::from(arity), -i64::from(arity)),
+            Op::Jump(_) | Op::Halt | Op::Revert(_) | Op::Nop => (0, 0),
+            // Binary arithmetic, comparisons and bitwise ops.
+            _ => (2, -1),
+        };
+        need = need.max(reads - height);
+        height += delta;
+        let ends_block = matches!(
+            op,
+            Op::Jump(_) | Op::JumpIfZero(_) | Op::JumpIfNotZero(_) | Op::StoreBlob
+        ) || op.is_terminator();
+        if ends_block {
+            break;
+        }
+    }
+    need as usize
+}
+
+/// `height` pushes and a jump to the next instruction, so that `body`
+/// starts a block entered at `height`; then `body`, its jump operands
+/// read as forward distances; then enough `Halt`s for every jump to
+/// land on.
+fn edge_program(height: usize, body: &[Op]) -> Program {
+    let mut ops: Vec<Op> = (0..height).map(|i| Op::Push(i as Word - 1)).collect();
+    ops.push(Op::Jump(height + 1));
+    for &op in body {
+        let next = ops.len() + 1;
+        ops.push(match op {
+            Op::Jump(d) => Op::Jump(next + d),
+            Op::JumpIfZero(d) => Op::JumpIfZero(next + d),
+            Op::JumpIfNotZero(d) => Op::JumpIfNotZero(next + d),
+            other => other,
+        });
+    }
+    ops.extend([Op::Halt; 13]);
+    let mut asm = Asm::new();
+    asm.entry("main");
+    asm.ops(&ops);
+    asm.finish()
+}
+
+/// The meter fallbacks the prepared call must count, where its outcome
+/// tells: none for a call that succeeded (each block it ran was charged
+/// in full within the allowance) or that no meter can stop (geth with
+/// unlimited gas), one for a meter fault in a program without a blob
+/// store (nothing else trips a meter on the fast path). Stack bounds
+/// never count.
+fn expected_fallbacks(
+    program: &Program,
+    flavor: VmFlavor,
+    gas_limit: u64,
+    outcome: &Result<Receipt, ExecError>,
+) -> Option<u64> {
+    let unmetered = flavor.per_tx_budget().is_none() && gas_limit == u64::MAX;
+    let meter_fault = matches!(
+        outcome,
+        Err(ExecError::OutOfGas { .. } | ExecError::BudgetExceeded { .. })
+    );
+    match outcome {
+        Ok(_) => Some(0),
+        Err(_) if unmetered => Some(0),
+        Err(_) if meter_fault && !program.ops().contains(&Op::StoreBlob) => Some(1),
+        Err(_) => None,
+    }
+}
+
+/// Runs `main` through the metered interpreter and through
+/// `execute_prepared_in` against equal states that log their writes,
+/// and holds the two to the same receipt or error (pc included), state
+/// and write log, and the prepared call to its expected meter
+/// fallbacks.
+fn agree_on(program: &Program, flavor: VmFlavor, gas_limit: u64) -> Result<(), String> {
+    let Ok(prepared) = prepare(program, flavor) else {
+        return Ok(());
+    };
+    let id = prepared.entry_id("main").expect("main interned");
+    let vm = Interpreter::new(flavor);
+    let ctx = TxContext {
+        caller: 7,
+        args: vec![3, -4],
+        payload_bytes: 0,
+        gas_limit,
+    };
+    let mut s1 = seeded_state();
+    s1.track_writes();
+    s1.drain_writes();
+    let mut s2 = s1.clone();
+    let r1 = vm.execute(program, "main", &ctx, &mut s1);
+    diablo_telemetry::thread_reset();
+    let mut scratch = Scratch::default();
+    let r2 = vm
+        .execute_prepared_in(&mut scratch, &prepared, id, &ctx, &mut s2)
+        .map(|call| call.to_receipt());
+    scratch.publish();
+    let fallbacks = diablo_telemetry::thread_snapshot().counter("vm.prepared.precharge_fallbacks");
+    prop_assert_eq!(&r1, &r2, "{} with limit {}", flavor, gas_limit);
+    prop_assert_eq!(&s1, &s2, "state on {} with limit {}", flavor, gas_limit);
+    let (w1, w2) = (s1.drain_writes(), s2.drain_writes());
+    prop_assert_eq!(w1, w2, "write log on {}", flavor);
+    if diablo_telemetry::enabled() {
+        if let Some(want) = expected_fallbacks(program, flavor, gas_limit, &r1) {
+            prop_assert_eq!(
+                fallbacks.unwrap_or(0),
+                want,
+                "meter fallbacks on {} with limit {}: {:?}",
+                flavor,
+                gas_limit,
+                r1
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Programs made mostly of the fused runs, their first block entered
+/// one below and exactly at its stack need, on every flavor.
+#[test]
+fn fused_runs_agree_at_their_stack_and_overflow_edges() {
+    Property::new("fused_runs_agree_at_their_stack_and_overflow_edges")
+        .cases(512)
+        .check(
+            &(u8s(0..=1), vecs(arb_piece(), 1..=10), arb_gas_limit()),
+            |(at_need, pieces, gas_limit)| {
+                let body: Vec<Op> = pieces.concat();
+                let need = first_block_need(&body);
+                let height = need.saturating_sub(1) + usize::from(*at_need);
+                let program = edge_program(height, &body);
+                VmFlavor::ALL
+                    .into_iter()
+                    .try_for_each(|flavor| agree_on(&program, flavor, *gas_limit))
+            },
+        );
+}
+
+/// Pushes in blocks of 1 to 64, separated by jumps to the next block,
+/// that take the stack to one below, exactly at or one past
+/// `MAX_STACK`, on every flavor.
+#[test]
+fn push_runs_meet_max_stack_across_block_boundaries() {
+    let pushers = [Op::Push(5), Op::Dup(0), Op::Caller, Op::Arg(1), Op::Load(2)];
+    Property::new("push_runs_meet_max_stack_across_block_boundaries")
+        .cases(64)
+        .check(
+            &(
+                usizes(MAX_STACK - 1..=MAX_STACK + 1),
+                vecs((usizes(1..=64), usizes(0..=4)), 1..=6),
+                arb_gas_limit(),
+            ),
+            |(pushes, runs, gas_limit)| {
+                let (mut body, mut pushed) = (vec![Op::Push(1)], 1);
+                for &(len, kind) in runs.iter().cycle() {
+                    let len = len.min(pushes - pushed);
+                    body.extend(std::iter::repeat_n(pushers[kind], len));
+                    body.push(Op::Jump(0));
+                    pushed += len;
+                    if pushed == *pushes {
+                        break;
+                    }
+                }
+                let program = edge_program(0, &body);
+                VmFlavor::ALL
+                    .into_iter()
+                    .try_for_each(|flavor| agree_on(&program, flavor, *gas_limit))
+            },
+        );
 }
 
 /// Type-level anchor: both paths return the very same `Word`-based

@@ -39,12 +39,32 @@ cargo run -q --release --offline -p diablo-bench --bin repro -- assert all
 
 # Prepared execution in a reused scratch: replay one pinned case of the
 # metered-vs-prepared differential suite. Seed 0x13 is a call sequence
-# that fails when the stack, journal or events clear of
-# `execute_prepared_in` is removed; the unseeded workspace run above
-# sweeps the full randomized case set.
+# that fails when the journal or events clear of `execute_prepared_in`
+# is removed; the unseeded workspace run above sweeps the full
+# randomized case set.
 echo "==> prepared differential replay (pinned seed: one scratch, many calls)"
 DIABLO_PROP_SEED=0x13 \
     cargo test -q --release --offline -p diablo-vm --test vm_prepared_differential
+
+# The fast path's stack bounds and fused stream, on the directed cases
+# the uniform generator misses. Each seed is the case that failed while
+# the change was mutation-checked: `grow` one short, `need` reading one
+# slot for `Dup(n)`, a fused `Add` reporting its `Load`'s pc (the fused
+# runs), and the stack buffer allowed one word past MAX_STACK (the push
+# runs). The telemetry-off block below replays them too.
+prepared_replays() {
+    for case in \
+        0xc9fe069d1f6ef645:fused_runs_agree_at_their_stack_and_overflow_edges \
+        0xce484042f096d01c:fused_runs_agree_at_their_stack_and_overflow_edges \
+        0xca5cc073f8d0654:fused_runs_agree_at_their_stack_and_overflow_edges \
+        0x50d8b4eaa688fd1a:push_runs_meet_max_stack_across_block_boundaries; do
+        echo "    DIABLO_PROP_SEED=${case%%:*} ${case#*:}"
+        DIABLO_PROP_SEED="${case%%:*}" cargo test -q --offline "$@" \
+            -p diablo-vm --test vm_prepared_differential "${case#*:}"
+    done
+}
+echo "==> prepared fast-path replays (pinned seeds: stack bounds, fused runs)"
+prepared_replays --release
 
 # The results plane (one tally, the fixed-point record writer, the
 # skipping reader) against the multi-pass, `{:.6}` and tree-building
@@ -60,19 +80,14 @@ for seed in 0x45f480ec9f91520a 0xcad1b6baefab2b95 0xc9fe069d1f6ef645 0x7a2fe0758
         cargo test -q --release --offline -p diablo-core --test results_plane
 done
 
-# The tracer (membership decided when the run is armed) and
-# TraceSet::merge (a two-pointer walk) against the streaming bottom-k
-# recorder and the map-based merge they replaced, kept as the oracle in
-# the test. The seeds are the cases that failed while the change was
-# mutation-checked: emit's threshold compare made strict, merge's bound
-# compare made strict. The unseeded workspace run above sweeps the full
-# randomized case set.
-echo "==> tracer differential replays (pinned seeds)"
-for seed in 0xc9fe069d1f6ef645 0x83ec3fefd347df57; do
-    echo "    DIABLO_PROP_SEED=$seed"
-    DIABLO_PROP_SEED="$seed" \
-        cargo test -q --release --offline -p diablo-telemetry --test trace_oracle
-done
+# The tracer (membership decided when the run is armed) against the
+# streaming bottom-k recorder it replaced, kept as the oracle in the
+# test. The seed is the case that failed while the change was
+# mutation-checked: emit's threshold compare made strict. The unseeded
+# workspace run above sweeps the full randomized case set.
+echo "==> tracer differential replay (pinned seed)"
+DIABLO_PROP_SEED=0xc9fe069d1f6ef645 \
+    cargo test -q --release --offline -p diablo-telemetry --test trace_oracle
 
 # The Primary's direct `Plan` decoder against `decode` +
 # `wire_to_planned` on damaged frames. The seeds are the cases that
@@ -107,7 +122,10 @@ cargo test -q --release --offline -p diablo-core --test wire_alloc
 
 # The telemetry budget, the same kind of gate for the recorder: a run
 # enters it per tick and per block, never per transaction (it did four
-# times per transaction, two thirds of `model_200n`'s iteration).
+# times per transaction, two thirds of `model_200n`'s iteration). Its
+# Exact arm holds the VM to that too: a scratch tallies its calls and
+# gas, and its owner publishes them per block (two entries per call
+# before).
 echo "==> telemetry budget gate (recorder entries per tick and per block)"
 cargo test -q --release --offline -p diablo-chains --test telemetry_budget
 
@@ -497,9 +515,16 @@ RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
 # And the slot cache against its oracle (costs only: no counters here).
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-chains --lib exec::tests::profiled
-# And the telemetry budget: without the recorder a run makes no entry.
+# And the telemetry budget: without the recorder a run makes no entry,
+# its Exact arm included.
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-chains --test telemetry_budget
+# And the fast path's pinned replays: a scratch that tallies nothing
+# must still run every call the same.
+(
+    export RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off
+    prepared_replays
+)
 
 echo "==> cargo doc --no-deps --offline --workspace (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
