@@ -2,7 +2,9 @@
 //!
 //! The pool is on the hot path of every simulated transaction; the
 //! take-batch scan is also the mechanism behind Quorum's overload
-//! collapse, so its cost profile matters.
+//! collapse, so its cost profile matters. A block drains as
+//! `ChainSim::commit_block` does: by slot, reading each record in place,
+//! releasing the slots at the end.
 
 use diablo_testkit::bench::{black_box, Bench};
 
@@ -59,7 +61,16 @@ fn main() {
         b.bench_batched(
             &format!("mempool/take_batch_1500/backlog_{backlog}"),
             || filled(MempoolPolicy::UNBOUNDED, backlog),
-            |mut pool| black_box(pool.take_batch(1_500, u64::MAX, |_| true).len()),
+            |mut pool| {
+                let batch = pool.take_batch_ids(1_500, u64::MAX, |_| true);
+                for &slot in &batch {
+                    black_box(pool.meta(slot));
+                }
+                for slot in batch {
+                    pool.release(slot);
+                }
+                black_box(pool.len())
+            },
         );
     }
 

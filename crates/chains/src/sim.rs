@@ -65,7 +65,8 @@ pub struct ChainSim {
     pool: Mempool,
     fee: FeeMarket,
     engine: ExecutionEngine,
-    /// Per-transaction records (the arena Secondaries report from).
+    /// Per-transaction records, indexed by `TxId` (what Secondaries
+    /// report from).
     records: Vec<TxRecord>,
     /// The submission plan, time-sorted and cut to the entries whose
     /// tick is due by the deadline. Record `i` belongs to `plan[i]`, so

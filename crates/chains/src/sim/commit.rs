@@ -154,9 +154,9 @@ impl ChainSim {
         let capacity = self.block_capacity(now);
         let fee = &self.fee;
         let broken = &self.broken_from;
-        // Drain by arena id: records stay in the pool's slab while the
-        // block is assembled and executed, and the slots are recycled
-        // at the end — no owned copies on the per-block path.
+        // Drain by slot: records stay in the pool while the block is
+        // assembled and executed, and the slots are freed at the end —
+        // no owned copies on the per-block path.
         let batch = self
             .pool
             .take_batch_ids(capacity, self.params.block_bytes_limit, |tx| {

@@ -3,7 +3,7 @@
 use diablo_contracts::DApp;
 use diablo_sim::SimTime;
 
-/// Index of a transaction in the run's record arena.
+/// Index of a transaction in the run's records (its place in the plan).
 pub type TxId = u32;
 
 /// Explicit function selection of an invocation, compact enough to
@@ -43,7 +43,7 @@ pub enum Payload {
 /// Everything the ledger needs to know about a pending transaction.
 #[derive(Debug, Clone, Copy)]
 pub struct TxMeta {
-    /// Record-arena index.
+    /// Index of the transaction's record.
     pub id: TxId,
     /// Sending account (drives per-sender mempool caps).
     pub sender: u32,
@@ -60,40 +60,4 @@ pub struct TxMeta {
     /// the base fee at signing time. Only meaningful on chains with a
     /// London-style fee market.
     pub fee_cap_millis: u64,
-}
-
-impl TxMeta {
-    /// Gas/compute charged at admission (intrinsic + calldata), before
-    /// execution.
-    pub fn is_transfer(&self) -> bool {
-        matches!(self.payload, Payload::Transfer)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn transfer_classification() {
-        let t = TxMeta {
-            id: 0,
-            sender: 1,
-            payload: Payload::Transfer,
-            submitted: SimTime::ZERO,
-            available: SimTime::ZERO,
-            wire_bytes: 150,
-            fee_cap_millis: 2000,
-        };
-        assert!(t.is_transfer());
-        let i = TxMeta {
-            payload: Payload::Invoke {
-                dapp: DApp::Gaming,
-                seq: 0,
-                call: None,
-            },
-            ..t
-        };
-        assert!(!i.is_transfer());
-    }
 }

@@ -10,13 +10,11 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arena::{Arena, ArenaId};
 pub use queue::{EventQueue, QueueBackend};
 pub use rng::DetRng;
 pub use stats::{Cdf, LogHistogram, TimeSeries};
