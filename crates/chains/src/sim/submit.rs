@@ -151,6 +151,8 @@ impl ChainSim {
                 diablo_telemetry::counter(name, n);
             }
         }
+        // Only a tick fills the pool, so its end is where the peak is.
+        diablo_telemetry::gauge!("mempool.depth_peak", self.pool.len() as i64);
     }
 
     /// Resolves one submission against the corruption faults and the

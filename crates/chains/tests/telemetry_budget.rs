@@ -16,15 +16,15 @@ use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, InstanceType};
 use diablo_workloads::traces;
 
-/// Allowed per submission tick: the gossip histogram and the seven
-/// counters a tick may publish (admitted, two kinds of drop, rerouted,
-/// corrupted, rejected, deferred).
-const PER_TICK: u64 = 8;
+/// Allowed per submission tick: the gossip histogram, the pool's depth
+/// gauge and the seven counters a tick may publish (admitted, two kinds
+/// of drop, rerouted, corrupted, rejected, deferred).
+const PER_TICK: u64 = 9;
 /// Allowed per block, empty or not: the round's consensus phases and
-/// quorum traffic, the pool drain (5), the commit (4), the executor
+/// quorum traffic, the pool drain (4), the commit (4), the executor
 /// and the signature/execution delays (3), the VM's call count and gas
 /// under `Exact` (2), a fault counter or two.
-/// The runs below measure 16 to 20.
+/// The runs below measure 15 to 19.
 const PER_BLOCK: u64 = 24;
 /// Allowed per Profiled refresh, the one real VM call in
 /// `PROFILE_REFRESH` replays of a cache entry: the refresh counter, and
