@@ -66,6 +66,23 @@ prepared_replays() {
 echo "==> prepared fast-path replays (pinned seeds: stack bounds, fused runs)"
 prepared_replays --release
 
+# The mempool's slots against a plain `VecDeque<TxMeta>` model: random
+# admit / drain / release / evict interleavings under unbounded,
+# bounded and per-sender policies. Each seed is a case that failed while
+# the pool was mutation-checked: skipped entries spliced back in reverse
+# and a skipped entry freeing its sender's cap (0xc9fe069d1f6ef645), an
+# evicted slot never put back on the free list (0x83ec3fefd347df57). The
+# telemetry-off block below replays them too.
+mempool_replays() {
+    for seed in 0xc9fe069d1f6ef645 0x83ec3fefd347df57; do
+        echo "    DIABLO_PROP_SEED=$seed"
+        DIABLO_PROP_SEED="$seed" cargo test -q --offline "$@" -p diablo-chains --lib \
+            mempool::tests::the_pool_matches_a_plain_queue_model
+    done
+}
+echo "==> mempool model replays (pinned seeds: splice order, sender caps, slot reuse)"
+mempool_replays --release
+
 # The results plane (one tally, the fixed-point record writer, the
 # skipping reader) against the multi-pass, `{:.6}` and tree-building
 # code it replaced, kept as the oracle in the test. Each seed is a case
@@ -520,10 +537,11 @@ RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
     cargo test -q --offline -p diablo-chains --test telemetry_budget
 # And the fast path's pinned replays: a scratch that tallies nothing
-# must still run every call the same.
+# must still run every call the same. So must the pool's.
 (
     export RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off
     prepared_replays
+    mempool_replays
 )
 
 echo "==> cargo doc --no-deps --offline --workspace (deny warnings)"
