@@ -13,6 +13,14 @@
 //! out. The final report names the property, the case seed, the original
 //! and shrunk inputs, and the exact `DIABLO_PROP_SEED=…` incantation
 //! that replays the failure.
+//!
+//! Case seeds are fixed: case *k* (1-based, as the report numbers it)
+//! is always `splitmix64(BASE_SEED + k - 1)`. A failing case's seed is
+//! therefore its case, and a plain unseeded run replays it as long as
+//! the property keeps at least *k* cases. A case that once killed a
+//! mutant needs no replay line in CI; a comment at the property names
+//! the case and the mutant. `DIABLO_PROP_SEED` is for replaying one
+//! failure in isolation, or a seed from outside the case stream.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -30,7 +38,8 @@ pub const DEFAULT_CASES: u32 = 100;
 const MAX_SHRINK_STEPS: u32 = 2_000;
 
 /// Fixed base seed: properties are deterministic run-to-run; vary
-/// `DIABLO_PROP_SEED` to explore other streams.
+/// `DIABLO_PROP_SEED` to explore other streams. Changing it (or
+/// [`splitmix64`]) moves every recorded kill to another case.
 const BASE_SEED: u64 = 0xD1AB_1005_EED0_0001;
 
 /// SplitMix64 output function, used to spread case indices into
@@ -304,6 +313,15 @@ mod tests {
         let msg = payload.downcast_ref::<String>().unwrap();
         assert!(msg.contains("panic: vector too long"), "cause missing: {msg}");
         assert!(msg.contains("DIABLO_PROP_SEED"), "seed missing: {msg}");
+    }
+
+    #[test]
+    fn case_seeds_are_the_ones_recorded_kills_name() {
+        // Cases 1 and 2 of every property. The mutation kills recorded
+        // at properties (and in EXPERIMENTS.md) name cases of this
+        // stream; a new base seed or mixer would silently drop them.
+        assert_eq!(splitmix64(BASE_SEED), 0xc9fe_069d_1f6e_f645);
+        assert_eq!(splitmix64(BASE_SEED.wrapping_add(1)), 0x83ec_3fef_d347_df57);
     }
 
     #[test]

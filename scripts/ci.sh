@@ -10,10 +10,15 @@ scripts/loc.sh
 echo "==> cargo build --release --offline --workspace --all-targets"
 cargo build --release --offline --workspace --all-targets
 
-echo "==> cargo test -q --offline (tier-1)"
+echo "==> tier-1 tests (debug profile)"
 cargo test -q --offline
 
-echo "==> cargo test -q --release --offline --workspace"
+# A property's case seeds are fixed by the case number
+# (crates/testkit/src/prop.rs), so this run replays every case that
+# ever killed a mutant: each kill is commented at its property, case and
+# mutant, and no seed needs a replay line of its own. The allocation,
+# telemetry and planning budget gates run here too.
+echo "==> workspace tests (release profile)"
 cargo test -q --release --offline --workspace
 
 # The paper-facing output: every results/*.txt is what `repro` prints
@@ -25,7 +30,7 @@ cargo test -q --release --offline --workspace
 # `cargo run --release -p diablo-bench --bin repro -- all results/`
 # (crates/bench/tests/ledger.rs keeps rows and files one to one).
 echo "==> repro all (regenerate results/*.txt, byte-compared)"
-repro_dir="$(mktemp -d /tmp/diablo-repro.XXXXXX)"
+repro_dir="$(mktemp -d "${TMPDIR:-/tmp}"/diablo-repro.XXXXXX)"
 cargo run -q --release --offline -p diablo-bench --bin repro -- all "$repro_dir" >/dev/null
 for want in results/*.txt; do
     cmp "$want" "$repro_dir/$(basename "$want")" || {
@@ -37,130 +42,6 @@ rm -rf "$repro_dir"
 echo "==> repro assert all (every shape predicate of the ledger)"
 cargo run -q --release --offline -p diablo-bench --bin repro -- assert all
 
-# Prepared execution in a reused scratch: replay one pinned case of the
-# metered-vs-prepared differential suite. Seed 0x13 is a call sequence
-# that fails when the journal or events clear of `execute_prepared_in`
-# is removed; the unseeded workspace run above sweeps the full
-# randomized case set.
-echo "==> prepared differential replay (pinned seed: one scratch, many calls)"
-DIABLO_PROP_SEED=0x13 \
-    cargo test -q --release --offline -p diablo-vm --test vm_prepared_differential
-
-# The fast path's stack bounds and fused stream, on the directed cases
-# the uniform generator misses. Each seed is the case that failed while
-# the change was mutation-checked: `grow` one short, `need` reading one
-# slot for `Dup(n)`, a fused `Add` reporting its `Load`'s pc (the fused
-# runs), and the stack buffer allowed one word past MAX_STACK (the push
-# runs). The telemetry-off block below replays them too.
-prepared_replays() {
-    for case in \
-        0xc9fe069d1f6ef645:fused_runs_agree_at_their_stack_and_overflow_edges \
-        0xce484042f096d01c:fused_runs_agree_at_their_stack_and_overflow_edges \
-        0xca5cc073f8d0654:fused_runs_agree_at_their_stack_and_overflow_edges \
-        0x50d8b4eaa688fd1a:push_runs_meet_max_stack_across_block_boundaries; do
-        echo "    DIABLO_PROP_SEED=${case%%:*} ${case#*:}"
-        DIABLO_PROP_SEED="${case%%:*}" cargo test -q --offline "$@" \
-            -p diablo-vm --test vm_prepared_differential "${case#*:}"
-    done
-}
-echo "==> prepared fast-path replays (pinned seeds: stack bounds, fused runs)"
-prepared_replays --release
-
-# The mempool's slots against a plain `VecDeque<TxMeta>` model: random
-# admit / drain / release / evict interleavings under unbounded,
-# bounded and per-sender policies. Each seed is a case that failed while
-# the pool was mutation-checked: skipped entries spliced back in reverse
-# and a skipped entry freeing its sender's cap (0xc9fe069d1f6ef645), an
-# evicted slot never put back on the free list (0x83ec3fefd347df57). The
-# telemetry-off block below replays them too.
-mempool_replays() {
-    for seed in 0xc9fe069d1f6ef645 0x83ec3fefd347df57; do
-        echo "    DIABLO_PROP_SEED=$seed"
-        DIABLO_PROP_SEED="$seed" cargo test -q --offline "$@" -p diablo-chains --lib \
-            mempool::tests::the_pool_matches_a_plain_queue_model
-    done
-}
-echo "==> mempool model replays (pinned seeds: splice order, sender caps, slot reuse)"
-mempool_replays --release
-
-# The results plane (one tally, the fixed-point record writer, the
-# skipping reader) against the multi-pass, `{:.6}` and tree-building
-# code it replaced, kept as the oracle in the test. Each seed is a case
-# that failed while the change was mutation-checked: an integer
-# microsecond sum for the average latency, a histogram fed the integer
-# latency, fixed point past 2^52, a skipped number left unchecked. The
-# unseeded workspace run above sweeps the full randomized case set.
-echo "==> results-plane differential replays (pinned seeds)"
-for seed in 0x45f480ec9f91520a 0xcad1b6baefab2b95 0xc9fe069d1f6ef645 0x7a2fe0758f3f2772; do
-    echo "    DIABLO_PROP_SEED=$seed"
-    DIABLO_PROP_SEED="$seed" \
-        cargo test -q --release --offline -p diablo-core --test results_plane
-done
-
-# The tracer (membership decided when the run is armed) against the
-# streaming bottom-k recorder it replaced, kept as the oracle in the
-# test. The seed is the case that failed while the change was
-# mutation-checked: emit's threshold compare made strict. The unseeded
-# workspace run above sweeps the full randomized case set.
-echo "==> tracer differential replay (pinned seed)"
-DIABLO_PROP_SEED=0xc9fe069d1f6ef645 \
-    cargo test -q --release --offline -p diablo-telemetry --test trace_oracle
-
-# The Primary's direct `Plan` decoder against `decode` +
-# `wire_to_planned` on damaged frames. The seeds are the cases that
-# failed while decode_plan_frame was mutation-checked: the length check
-# before the entries removed, the loop one entry short. The unseeded
-# workspace run above sweeps the full randomized case set.
-echo "==> wire differential replays (pinned seeds)"
-for seed in 0x5c3fe047b914202b 0xadbe0d5c9d0867c6; do
-    echo "    DIABLO_PROP_SEED=$seed"
-    DIABLO_PROP_SEED="$seed" \
-        cargo test -q --release --offline -p diablo-core --test wire_properties
-done
-
-# The one plan order: clients' triggers and Primaries' shares, split
-# into natural runs and merged, must be the stable sort of their
-# concatenation, with origins that are a permutation of it. The seed is
-# the case that failed while the merge was mutation-checked: the
-# tie-break made to prefer the later run, and a run boundary placed one
-# entry late. The unseeded workspace run above sweeps the full
-# randomized case set.
-echo "==> plan-order replay (pinned seed)"
-DIABLO_PROP_SEED=0xc9fe069d1f6ef645 \
-    cargo test -q --release --offline -p diablo-core --lib \
-    abstraction::tests::the_plan_is_the_stable_sort_of_its_runs
-
-# The wire session's deterministic gate, in place of a timing: peak live
-# bytes per planned transaction of one in-process session, a MAX_FRAME
-# length prefix that must allocate nothing, and TCP_NODELAY on both
-# ends.
-echo "==> wire allocation gate (peak bytes per planned transaction, nodelay)"
-cargo test -q --release --offline -p diablo-core --test wire_alloc
-
-# The telemetry budget, the same kind of gate for the recorder: a run
-# enters it per tick and per block, never per transaction (it did four
-# times per transaction, two thirds of `model_200n`'s iteration). Its
-# Exact arm holds the VM to that too: a scratch tallies its calls and
-# gas, and its owner publishes them per block (two entries per call
-# before).
-echo "==> telemetry budget gate (recorder entries per tick and per block)"
-cargo test -q --release --offline -p diablo-chains --test telemetry_budget
-
-# A Profiled cache hit is one probe: its key comes from the call's
-# shape (`calls::shape_for*`), the table both `CallSpec` builders are
-# written on. Release-mode runs of the three things that hold that: the
-# shapes against builders spelled out literally, the slot cache against
-# a resolve-and-hash oracle (same costs, same hit and refresh counts,
-# four flavors), and the allocation gate whose Profiled arm allows a
-# 1,000-hit block the per-block constant (~1,000 and ~2,000 allocator
-# calls before). `plan_alloc` is the same kind of gate for planning: 96
-# bytes allocated per planned transaction, 237 before.
-echo "==> profiled-hit gates (call shapes, slot cache vs hashed oracle, allocation budgets)"
-cargo test -q --release --offline -p diablo-contracts --lib calls::
-cargo test -q --release --offline -p diablo-chains --lib exec::tests::profiled
-cargo test -q --release --offline -p diablo-chains --test alloc_budget
-cargo test -q --release --offline -p diablo-core --test plan_alloc
-
 # The trace recorder used to be process-global, and two unit tests that
 # armed it at once took each other's recorder at eight test threads —
 # never at the two a 2-core runner defaults to. Every tracer is a value
@@ -169,37 +50,12 @@ cargo test -q --release --offline -p diablo-core --test plan_alloc
 echo "==> telemetry unit tests at 8 test threads"
 cargo test -q --release --offline -p diablo-telemetry --lib -- --test-threads=8
 
-# Deterministic parallel execution: replay the serial-vs-parallel
-# differential properties under pinned seeds. Each seed pins one
-# flavor / DApp / thread-count case — together they cover 2, 4 and 8
-# workers — while the unseeded workspace run above sweeps the full
-# randomized case set.
-echo "==> parallel differential replays (pinned seeds: 2/4/8 workers)"
-for seed in 0xd1ab70 0xb10c5 0x7; do
-    echo "    DIABLO_PROP_SEED=$seed"
-    DIABLO_PROP_SEED="$seed" \
-        cargo test -q --release --offline -p diablo-chains --test parallel_differential
-done
-
-# Optimistic (Block-STM-style) execution: the same pinned-seed replay
-# discipline over the optimistic differential suite, which also covers
-# the Zipfian hot-account workload the static scheduler serializes.
-# The unseeded workspace run above sweeps the full randomized case set;
-# bit-identity against the serial reference is asserted here and in
-# parallel_differential, nowhere else.
-echo "==> optimistic differential replays (pinned seeds: 2/4/8 workers)"
-for seed in 0xd1ab70 0xb10c5 0x7; do
-    echo "    DIABLO_PROP_SEED=$seed"
-    DIABLO_PROP_SEED="$seed" \
-        cargo test -q --release --offline -p diablo-chains --test optimistic_differential
-done
-
 # Optimistic end-to-end smoke: a pinned-seed exact-mode chaos run
 # through the optimistic executor must be byte-identical across worker
 # counts — results and telemetry counters both (docs/EXECUTION.md §4.2).
 echo "==> optimistic smoke (pinned-seed chaos run, 1 vs 8 workers byte-compared)"
-opt_a="$(mktemp /tmp/diablo-opt-a.XXXXXX.json)"
-opt_b="$(mktemp /tmp/diablo-opt-b.XXXXXX.json)"
+opt_a="$(mktemp "${TMPDIR:-/tmp}"/diablo-opt-a.XXXXXX.json)"
+opt_b="$(mktemp "${TMPDIR:-/tmp}"/diablo-opt-b.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
     --seed=11 --exec-mode=exact --execution=optimistic --threads=1 \
     --output="$opt_a" workloads/exchange-partition.yaml >/dev/null
@@ -221,7 +77,7 @@ rm -f "$opt_a" "$opt_b"
 # pipeline's headline counters (compare validates the JSON reader path
 # on the same file).
 echo "==> telemetry smoke (Exchange run, JSON telemetry section)"
-tmp_json="$(mktemp /tmp/diablo-telemetry.XXXXXX.json)"
+tmp_json="$(mktemp "${TMPDIR:-/tmp}"/diablo-telemetry.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
     --output="$tmp_json" workloads/exchange-apple.yaml >/dev/null
 for key in '"telemetry":{' '"counters":{' '"mempool.admitted"' \
@@ -238,7 +94,7 @@ rm -f "$tmp_json"
 # as a typed JSON error. The reader used to recurse once per bracket
 # and die of a stack overflow (exit 134) on a deeper file.
 echo "==> compare smoke (deeply nested input is a json error, not an abort)"
-deep_json="$(mktemp /tmp/diablo-deep.XXXXXX.json)"
+deep_json="$(mktemp "${TMPDIR:-/tmp}"/diablo-deep.XXXXXX.json)"
 awk 'BEGIN { for (i = 0; i < 200000; i++) printf "["; }' >"$deep_json"
 status=0
 deep_err="$(cargo run -q --release --offline --bin diablo -- \
@@ -261,7 +117,7 @@ esac
 # from `run` as a parse error naming a line. yaml.rs used to recurse
 # once per level and die the same death.
 echo "==> spec smoke (deeply nested yaml is a parse error, not an abort)"
-deep_yaml="$(mktemp /tmp/diablo-deep.XXXXXX.yaml)"
+deep_yaml="$(mktemp "${TMPDIR:-/tmp}"/diablo-deep.XXXXXX.yaml)"
 for probe in flow block; do
     if [ "$probe" = flow ]; then
         awk 'BEGIN { printf "workloads: "; for (i = 0; i < 200000; i++) printf "["; print "" }'
@@ -306,7 +162,7 @@ esac
 # Secondaries and run both DApps' calls on a native engine. The binary
 # runs directly, not under `cargo run`, so the timeout reaches it.
 echo "==> two-DApp smoke (run and primary refuse it alike, within 5 s)"
-two_dapps="$(mktemp /tmp/diablo-two-dapps.XXXXXX.yaml)"
+two_dapps="$(mktemp "${TMPDIR:-/tmp}"/diablo-two-dapps.XXXXXX.yaml)"
 cat >"$two_dapps" <<'EOF'
 workloads:
   - number: 2
@@ -367,8 +223,8 @@ done
 # be byte-identical across two invocations — fault injection draws all
 # its randomness from the seeded simulation RNG.
 echo "==> chaos smoke (pinned-seed partition run, byte-compared)"
-chaos_a="$(mktemp /tmp/diablo-chaos-a.XXXXXX.json)"
-chaos_b="$(mktemp /tmp/diablo-chaos-b.XXXXXX.json)"
+chaos_a="$(mktemp "${TMPDIR:-/tmp}"/diablo-chaos-a.XXXXXX.json)"
+chaos_b="$(mktemp "${TMPDIR:-/tmp}"/diablo-chaos-b.XXXXXX.json)"
 for out in "$chaos_a" "$chaos_b"; do
     cargo run -q --release --offline --bin diablo -- run --chain=quorum \
         --seed=11 --crash=2@10..25 --loss=10%@0..40 \
@@ -386,8 +242,8 @@ rm -f "$chaos_a" "$chaos_b"
 # the store on, and (c) leave output byte-identical to the pre-store
 # format when disabled.
 echo "==> storage smoke (prune modes agree on roots, store output byte-compared)"
-store_a="$(mktemp /tmp/diablo-store-a.XXXXXX.json)"
-store_b="$(mktemp /tmp/diablo-store-b.XXXXXX.json)"
+store_a="$(mktemp "${TMPDIR:-/tmp}"/diablo-store-a.XXXXXX.json)"
+store_b="$(mktemp "${TMPDIR:-/tmp}"/diablo-store-b.XXXXXX.json)"
 root_ref=""
 for prune in full distance=3 before=20; do
     cargo run -q --release --offline --bin diablo -- run --chain=quorum \
@@ -433,8 +289,8 @@ rm -f "$store_a" "$store_b"
 # the export carries only modeled-time facts), and trace-diff of a file
 # against itself must align every transaction with zero delta.
 echo "==> trace smoke (pinned-seed run, --trace-sample=64, 1 vs 8 workers byte-compared)"
-trace_a="$(mktemp /tmp/diablo-trace-a.XXXXXX.json)"
-trace_b="$(mktemp /tmp/diablo-trace-b.XXXXXX.json)"
+trace_a="$(mktemp "${TMPDIR:-/tmp}"/diablo-trace-a.XXXXXX.json)"
+trace_b="$(mktemp "${TMPDIR:-/tmp}"/diablo-trace-b.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
     --seed=11 --exec-mode=exact --threads=1 --trace-sample=64 \
     --trace-out="$trace_a" workloads/exchange-apple.yaml >/dev/null
@@ -462,7 +318,7 @@ rm -f "$trace_a" "$trace_b"
 # The run must complete with no lost Secondaries and report a finite
 # live-vs-simulation fidelity score in the liveDiff section.
 echo "==> live smoke (2 Secondary processes over TCP, fidelity-diffed)"
-live_json="$(mktemp /tmp/diablo-live.XXXXXX.json)"
+live_json="$(mktemp "${TMPDIR:-/tmp}"/diablo-live.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --live --chain=quorum \
     --seed=11 --secondaries=2 --grace=2 --time-scale=50 \
     --output="$live_json" workloads/exchange.yaml >/dev/null
@@ -490,7 +346,7 @@ rm -f "$live_json"
 # golden carries real histogram minima since the recorder stopped
 # making histograms that start at 0: a regression there fails the cmp.)
 echo "==> sim golden (pinned-seed run vs results/golden_sim_exchange.json)"
-sim_json="$(mktemp /tmp/diablo-sim-golden.XXXXXX.json)"
+sim_json="$(mktemp "${TMPDIR:-/tmp}"/diablo-sim-golden.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
     --seed=11 --output="$sim_json" workloads/exchange-apple.yaml >/dev/null
 cmp "$sim_json" results/golden_sim_exchange.json || {
@@ -504,45 +360,14 @@ rm -f "$sim_json"
 
 # Disabled-build check: with telemetry compiled out, the no-op macros
 # (and the per-transaction tracer) must still type-check everywhere and
-# tier-1 must pass. A separate target dir keeps the two configurations'
+# every test must pass: the allocation, tracing and telemetry budgets
+# included (the last makes no recorder entry at all here), and every
+# property, so a scratch or pool that tallies nothing still runs each
+# case the same. A separate target dir keeps the two configurations'
 # caches apart.
-echo "==> telemetry-off build + tier-1 (--cfg diablo_telemetry_off)"
+echo "==> telemetry-off workspace tests (--cfg diablo_telemetry_off)"
 RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
-    cargo test -q --offline
-# The allocation budgets of serial execution must hold without the
-# recorder too (the workspace run above checks them with telemetry on):
-# Exact's per-call vectors, and a Profiled hit that allocates nothing
-# and so cannot be pulling the recorder in.
-RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
-    cargo test -q --offline -p diablo-chains --test alloc_budget
-# So must the budget of the results path: the document's one buffer and
-# a reader that builds nothing for the transaction array.
-RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
-    cargo test -q --offline -p diablo-core --test results_alloc
-# And the wire session's peak per planned transaction.
-RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
-    cargo test -q --offline -p diablo-core --test wire_alloc
-# And the budget of tracing: a run asked to trace allocates exactly what
-# its untraced twin does when the tracer is compiled out.
-RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
-    cargo test -q --offline -p diablo-chains --test trace_alloc_budget
-# And planning's bytes per planned transaction.
-RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
-    cargo test -q --offline -p diablo-core --test plan_alloc
-# And the slot cache against its oracle (costs only: no counters here).
-RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
-    cargo test -q --offline -p diablo-chains --lib exec::tests::profiled
-# And the telemetry budget: without the recorder a run makes no entry,
-# its Exact arm included.
-RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
-    cargo test -q --offline -p diablo-chains --test telemetry_budget
-# And the fast path's pinned replays: a scratch that tallies nothing
-# must still run every call the same. So must the pool's.
-(
-    export RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off
-    prepared_replays
-    mempool_replays
-)
+    cargo test -q --release --offline --workspace
 
 echo "==> cargo doc --no-deps --offline --workspace (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
