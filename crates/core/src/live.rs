@@ -25,7 +25,7 @@ use diablo_chains::Chain;
 use diablo_net::DeploymentKind;
 
 use crate::livediff;
-use crate::primary::{run_local, BenchmarkOptions};
+use crate::primary::{check_secondaries, run_local, BenchmarkOptions};
 use crate::report::Report;
 use crate::spec::BenchmarkSpec;
 use crate::tracediff;
@@ -65,8 +65,9 @@ pub fn run_live(
     if options.run.live.is_none() {
         return Err("run_live requires the live layer (--live) to be set".to_string());
     }
-    // Validate the spec before spawning anything.
-    BenchmarkSpec::parse(spec_text).map_err(|e| e.to_string())?;
+    // Validate the spec and the Secondary count before spawning anything.
+    let spec = BenchmarkSpec::parse(spec_text).map_err(|e| e.to_string())?;
+    check_secondaries(options.secondaries, &spec).map_err(|e| e.to_string())?;
 
     let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(|e| format!("bind: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;

@@ -58,8 +58,7 @@ impl BenchmarkOptions {
 /// Splits `clients` into exactly `parts` (at least 1) contiguous ranges.
 ///
 /// When there are fewer clients than parts, the trailing ranges are
-/// empty — every Secondary still gets an assignment (and an empty plan)
-/// rather than a refused connection.
+/// empty; `prepare` never asks for that ([`check_secondaries`]).
 pub(crate) fn partition_clients(clients: u32, parts: usize) -> Vec<(u32, u32)> {
     let base = clients / parts as u32;
     let extra = clients % parts as u32;
@@ -71,6 +70,45 @@ pub(crate) fn partition_clients(clients: u32, parts: usize) -> Vec<(u32, u32)> {
         start += len;
     }
     ranges
+}
+
+/// A Secondary count a spec cannot use: none at all, or more than the
+/// spec has clients. Each Secondary runs a share of the clients, so one
+/// with no clients would plan nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SecondaryCountError {
+    secondaries: usize,
+    clients: u32,
+}
+
+impl std::fmt::Display for SecondaryCountError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (n, clients) = (self.secondaries, self.clients);
+        if n == 0 {
+            return write!(f, "a benchmark needs at least one secondary (--secondaries=0)");
+        }
+        write!(
+            f,
+            "{n} secondaries for {clients} clients: \
+             each secondary runs a share of the clients, so at most {clients}"
+        )
+    }
+}
+
+/// Refuses a Secondary count `spec` cannot use, before anything is
+/// spawned, accepted or planned for it.
+pub(crate) fn check_secondaries(
+    secondaries: usize,
+    spec: &BenchmarkSpec,
+) -> Result<(), SecondaryCountError> {
+    let clients = spec.client_count();
+    if secondaries == 0 || secondaries > clients as usize {
+        return Err(SecondaryCountError {
+            secondaries,
+            clients,
+        });
+    }
+    Ok(())
 }
 
 /// What every Primary establishes before it plans or accepts anything.
@@ -89,18 +127,17 @@ pub(crate) struct Prepared {
 }
 
 /// Parses `spec_text` and prepares its run over `secondaries`, refusing
-/// none at all and a spec that declares several DApps. Resets the
-/// telemetry recorder, so the report's snapshot covers this benchmark.
+/// a count [`check_secondaries`] refuses and a spec that declares
+/// several DApps. Resets the telemetry recorder, so the report's
+/// snapshot covers this benchmark.
 pub(crate) fn prepare(
     chain: Chain,
     spec_text: &str,
     secondaries: usize,
     options: &BenchmarkOptions,
 ) -> Result<Prepared, String> {
-    if secondaries == 0 {
-        return Err("a benchmark needs at least one secondary (--secondaries=0)".to_string());
-    }
     let spec = BenchmarkSpec::parse(spec_text).map_err(|e| e.to_string())?;
+    check_secondaries(secondaries, &spec).map_err(|e| e.to_string())?;
     let ranges = partition_clients(spec.client_count(), secondaries);
     let run = options.resolve(&spec);
     diablo_telemetry::reset();
@@ -285,6 +322,28 @@ workloads:
     }
 
     #[test]
+    fn a_secondary_count_the_spec_cannot_use_is_refused() {
+        let spec = BenchmarkSpec::parse(SMALL_TRANSFER_SPEC).unwrap();
+        assert_eq!(check_secondaries(4, &spec), Ok(()));
+        for secondaries in [0, 5, 1_000_000_000] {
+            let err = check_secondaries(secondaries, &spec).unwrap_err();
+            assert_eq!(err, SecondaryCountError { secondaries, clients: 4 });
+        }
+        let err = run_local(
+            Chain::Quorum,
+            DeploymentKind::Testnet,
+            SMALL_TRANSFER_SPEC,
+            "native-200",
+            &BenchmarkOptions {
+                secondaries: 1_000_000_000,
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert!(err.contains("1000000000 secondaries for 4 clients"), "{err}");
+    }
+
+    #[test]
     fn local_run_produces_a_report() {
         let report = run_local(
             Chain::Quorum,
@@ -333,7 +392,7 @@ workloads:
         // use the uber contract instead to exercise the unable path.
         let spec = r#"
 workloads:
-  - number: 1
+  - number: 2
     client:
       behavior:
         - interaction: !invoke
@@ -366,7 +425,7 @@ workloads:
         // Single-stock NASDAQ stream: every transaction buys Apple.
         let spec = r#"
 workloads:
-  - number: 1
+  - number: 2
     client:
       behavior:
         - interaction: !invoke
@@ -403,7 +462,7 @@ workloads:
     fn unknown_function_is_rejected_at_encode_time() {
         let spec = r#"
 workloads:
-  - number: 1
+  - number: 2
     client:
       behavior:
         - interaction: !invoke

@@ -199,23 +199,32 @@ for role in run primary; do
 done
 rm -f "$two_dapps"
 
-# No Secondaries at all is refused by every Primary before it spawns or
-# accepts anything. A live run spawned none and then waited to accept
-# one, and `diablo primary` waited the same way (exit 124 here).
-echo "==> zero-secondaries smoke (run --live and primary refuse it, within 5 s)"
-for role in live primary; do
-    if [ "$role" = live ]; then set -- run --live; else
-        set -- primary --port=0; fi
-    status=0
-    zero_err="$(timeout 5 ./target/release/diablo "$@" --secondaries=0 --chain=quorum \
-        workloads/exchange.yaml 2>&1 >/dev/null)" || status=$?
-    case "$status:$zero_err" in
-    1:*"at least one secondary"*) ;;
-    *)
-        echo "zero-secondaries smoke ($role): exit status $status, message: $zero_err" >&2
-        exit 1
-        ;;
+# A Secondary count no spec can use is refused by every Primary before
+# it spawns or accepts anything: none at all, or more than the spec has
+# clients. A live run spawned none and then waited to accept one, and
+# `diablo primary` waited the same way (exit 124 here); a billion
+# crashed `run` spawning planner threads or allocating their plans
+# (exit 101 or 134), and `run --live` spawned that many processes.
+echo "==> secondary-count smoke (0 and 1e9 refused by run, run --live and primary, within 5 s)"
+for role in run live primary; do
+    case "$role" in
+    run) set -- run ;;
+    live) set -- run --live ;;
+    primary) set -- primary --port=0 ;;
     esac
+    for n in 0 1000000000; do
+        status=0
+        count_err="$(timeout 5 ./target/release/diablo "$@" --secondaries="$n" \
+            --chain=quorum workloads/exchange.yaml 2>&1 >/dev/null)" || status=$?
+        case "$n:$status:$count_err" in
+        0:1:*"at least one secondary"*) ;;
+        1000000000:1:*"1000000000 secondaries for 2 clients"*) ;;
+        *)
+            echo "secondary-count smoke ($role, $n): exit status $status, message: $count_err" >&2
+            exit 1
+            ;;
+        esac
+    done
 done
 
 # Chaos smoke: a pinned-seed run with crash-recovery, a partition and

@@ -35,7 +35,7 @@ use diablo::core::json::read_result_stats;
 use diablo::core::output::{results_csv, results_json_report};
 use diablo::core::primary::run_with_setup;
 use diablo::core::wire::{run_secondary_with_retry, serve_primary, SecondaryError};
-use diablo::core::{run_local, run_live, BenchmarkOptions, Report, Setup};
+use diablo::core::{run_local, run_live, BenchmarkOptions, BenchmarkSpec, Report, Setup};
 use diablo::net::DeploymentKind;
 
 /// Exit code for errors the retry policy must not paper over: a
@@ -63,22 +63,37 @@ impl From<&str> for Failure {
     }
 }
 
-/// Builds the invocation's [`BenchmarkOptions`]: the CLI overlay plus
-/// the Secondary count.
-fn options(inv: &Invocation) -> Result<BenchmarkOptions, String> {
+/// Builds the invocation's [`BenchmarkOptions`] for `spec`: the CLI
+/// overlay plus the Secondary count. Without `--secondaries` that is
+/// two, or one per client of a spec that has fewer.
+fn options(inv: &Invocation, spec: &str) -> Result<BenchmarkOptions, String> {
     let mut options = BenchmarkOptions {
         run: inv.overlay()?,
         ..BenchmarkOptions::default()
     };
-    if let Some(n) = inv.get("secondaries") {
-        options.secondaries = n.parse().map_err(|_| "bad --secondaries")?;
+    match inv.get("secondaries") {
+        Some(n) => options.secondaries = n.parse().map_err(|_| "bad --secondaries")?,
+        // A spec that does not parse is refused by the run itself.
+        None => {
+            if let Ok(spec) = BenchmarkSpec::parse(spec) {
+                let clients = spec.client_count().max(1) as usize;
+                options.secondaries = options.secondaries.min(clients);
+            }
+        }
     }
     Ok(options)
 }
 
+/// The workload file's path and text.
+fn read_spec(inv: &Invocation) -> Result<(String, String), String> {
+    let path = inv.positional.get(1).ok_or("missing workload file")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    Ok((path.clone(), text))
+}
+
 fn parse_common(
     inv: &Invocation,
-) -> Result<(Chain, DeploymentKind, BenchmarkOptions, String), String> {
+) -> Result<(Chain, DeploymentKind, BenchmarkOptions, String, String), String> {
     let chain = inv
         .get("chain")
         .ok_or("missing --chain")
@@ -87,13 +102,9 @@ fn parse_common(
         Some(d) => DeploymentKind::parse(d).ok_or("unknown deployment")?,
         None => DeploymentKind::Testnet,
     };
-    let options = options(inv)?;
-    let spec_path = inv
-        .positional
-        .get(1)
-        .ok_or("missing workload file")?
-        .clone();
-    Ok((chain, deployment, options, spec_path))
+    let (spec_path, spec) = read_spec(inv)?;
+    let options = options(inv, &spec)?;
+    Ok((chain, deployment, options, spec_path, spec))
 }
 
 /// The workload name a spec path reports under.
@@ -151,18 +162,12 @@ fn cmd_run(inv: &Invocation) -> Result<(), Failure> {
         let setup_text =
             std::fs::read_to_string(setup_path).map_err(|e| format!("{setup_path}: {e}"))?;
         let setup = Setup::parse(&setup_text).map_err(|e| e.to_string())?;
-        let options = options(inv)?;
-        let spec_path = inv
-            .positional
-            .get(1)
-            .ok_or("missing workload file")?
-            .clone();
-        let spec = std::fs::read_to_string(&spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
+        let (spec_path, spec) = read_spec(inv)?;
+        let options = options(inv, &spec)?;
         let report = run_with_setup(&setup, &spec, workload_name(&spec_path), &options)?;
         return Ok(emit(&report, inv)?);
     }
-    let (chain, deployment, options, spec_path) = parse_common(inv)?;
-    let spec = std::fs::read_to_string(&spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
+    let (chain, deployment, options, spec_path, spec) = parse_common(inv)?;
     let name = workload_name(&spec_path);
     let report = if options.run.live.is_some() {
         // Live mode: this very binary plays the Secondaries.
@@ -175,8 +180,7 @@ fn cmd_run(inv: &Invocation) -> Result<(), Failure> {
 }
 
 fn cmd_primary(inv: &Invocation) -> Result<(), Failure> {
-    let (chain, deployment, options, spec_path) = parse_common(inv)?;
-    let spec = std::fs::read_to_string(&spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
+    let (chain, deployment, options, spec_path, spec) = parse_common(inv)?;
     let name = workload_name(&spec_path);
     let port: u16 = inv
         .get("port")

@@ -138,7 +138,7 @@ pub const FLAGS: &[FlagSpec] = &[
         "secondaries",
         FlagKind::Value("N"),
         FlagGroup::Common,
-        "number of load-generating Secondaries, at least 1 (default: 2)",
+        "number of load-generating Secondaries, 1 to the spec's client count (default: 2, or 1 for one client)",
     ),
     flag(
         "seed",

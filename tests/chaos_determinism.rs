@@ -8,7 +8,8 @@
 //! into each other's snapshots. The workload is a transfer stream —
 //! transfer plans are a pure function of the global client index, so
 //! re-partitioning the clients across Secondaries reproduces the exact
-//! same merged plan.
+//! same merged plan. Eight clients at 30 TPS each give every one of
+//! eight Secondaries a share.
 
 use diablo::chains::{Chain, Concurrency, ExecMode, FaultPlan, RetryPolicy};
 use diablo::core::output::results_json_with_telemetry;
@@ -20,14 +21,14 @@ const SPEC: &str = r#"
 let:
   - &acc { sample: !account { number: 300 } }
 workloads:
-  - number: 4
+  - number: 8
     client:
       view: { sample: !endpoint [ ".*" ] }
       behavior:
         - interaction: !transfer
             from: *acc
           load:
-            0: 60
+            0: 30
             60: 0
 "#;
 
