@@ -413,16 +413,29 @@ pub struct ResultStats {
 
 /// Reads the stats block of a `results.json` produced by
 /// [`crate::output::results_json`].
+///
+/// A document that is no results file is an error at byte 0: `stats`
+/// missing or not an object, or `sent` or `committed` not a number.
 pub fn read_result_stats(text: &str) -> Result<ResultStats, JsonError> {
     let root = parse_members(text, &["chain", "workload", "stats", "unable"])?;
     let field = |k: &str| root.get(k).cloned().unwrap_or(Json::Null);
     let stats = field("stats");
+    if !matches!(stats, Json::Object(_)) {
+        return Err(err(0, "not a results file: no stats object"));
+    }
     let num = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+    let count = |k: &str| {
+        stats
+            .get(k)
+            .and_then(Json::as_f64)
+            .map(|n| n as u64)
+            .ok_or_else(|| err(0, format!("not a results file: stats.{k} is not a number")))
+    };
     Ok(ResultStats {
         chain: field("chain").as_str().unwrap_or("?").to_string(),
         workload: field("workload").as_str().unwrap_or("?").to_string(),
-        sent: num("sent") as u64,
-        committed: num("committed") as u64,
+        sent: count("sent")?,
+        committed: count("committed")?,
         avg_throughput: num("avgThroughput"),
         avg_latency: num("avgLatency"),
         unable: field("unable").as_str().map(str::to_string),
@@ -611,6 +624,19 @@ mod tests {
         // The full tx array parses too.
         let root = parse(&text).unwrap();
         assert_eq!(root.get("txs").unwrap().as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_document_without_results_stats_is_refused() {
+        for (text, why) in [
+            ("{}", "no stats object"),
+            (r#"{"stats":[]}"#, "no stats object"),
+            (r#"{"stats":{"committed":1}}"#, "stats.sent is not a number"),
+            (r#"{"stats":{"sent":1,"committed":[]}}"#, "stats.committed is not a number"),
+        ] {
+            let e = read_result_stats(text).unwrap_err();
+            assert!(e.message.contains(why), "{text}: {e}");
+        }
     }
 
     #[test]

@@ -382,12 +382,22 @@ mod oracle {
         let root = parse(text)?;
         let field = |k: &str| root.get(k).cloned().unwrap_or(Json::Null);
         let stats = field("stats");
+        let refuse = |message: String| JsonError { offset: 0, message };
+        if !matches!(stats, Json::Object(_)) {
+            return Err(refuse("not a results file: no stats object".into()));
+        }
         let num = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+        let count = |k: &str| match stats.get(k) {
+            Some(Json::Number(n)) => Ok(*n as u64),
+            _ => Err(refuse(format!(
+                "not a results file: stats.{k} is not a number"
+            ))),
+        };
         Ok(ResultStats {
             chain: field("chain").as_str().unwrap_or("?").to_string(),
             workload: field("workload").as_str().unwrap_or("?").to_string(),
-            sent: num("sent") as u64,
-            committed: num("committed") as u64,
+            sent: count("sent")?,
+            committed: count("committed")?,
             avg_throughput: num("avgThroughput"),
             avg_latency: num("avgLatency"),
             unable: field("unable").as_str().map(str::to_string),

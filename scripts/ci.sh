@@ -93,13 +93,12 @@ rm -f "$tmp_json"
 # Hostile-input smoke: 200,000 nested `[` must come back from `compare`
 # as a typed JSON error. The reader used to recurse once per bracket
 # and die of a stack overflow (exit 134) on a deeper file.
-echo "==> compare smoke (deeply nested input is a json error, not an abort)"
+echo "==> compare smoke (deeply nested input is a json error, {} is no results file)"
 deep_json="$(mktemp "${TMPDIR:-/tmp}"/diablo-deep.XXXXXX.json)"
 awk 'BEGIN { for (i = 0; i < 200000; i++) printf "["; }' >"$deep_json"
 status=0
 deep_err="$(cargo run -q --release --offline --bin diablo -- \
     compare "$deep_json" "$deep_json" 2>&1 >/dev/null)" || status=$?
-rm -f "$deep_json"
 [ "$status" -ne 0 ] && [ "$status" -ne 134 ] || {
     echo "compare smoke: exit status $status on deeply nested input" >&2
     exit 1
@@ -108,6 +107,20 @@ case "$deep_err" in
 *"json error at byte"*) ;;
 *)
     echo "compare smoke: no json error reported: $deep_err" >&2
+    exit 1
+    ;;
+esac
+# A JSON document that is no results file is refused, naming the file:
+# `{}` used to compare as a table of zeros and `?`, exit 0.
+printf '{}' >"$deep_json"
+status=0
+empty_err="$(cargo run -q --release --offline --bin diablo -- \
+    compare "$deep_json" "$deep_json" 2>&1 >/dev/null)" || status=$?
+rm -f "$deep_json"
+case "$status:$empty_err" in
+1:*"$deep_json: "*"not a results file"*) ;;
+*)
+    echo "compare smoke: exit status $status on {}, message: $empty_err" >&2
     exit 1
     ;;
 esac
