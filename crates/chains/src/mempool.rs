@@ -424,6 +424,9 @@ mod tests {
                 per_sender: Some(2),
             },
         ];
+        // Kills case 1: skipped entries spliced back in reverse, and a
+        // skipped entry decrementing its sender's count.
+        // Kills case 2: `evict_where` never putting the slot on `free`.
         Property::new("the_pool_matches_a_plain_queue_model")
             .cases(300)
             .check(&(u8s(0..=2), steps), |(policy, steps)| {

@@ -573,6 +573,8 @@ mod tests {
         // across runs are the common case, and unsorted, so a client or
         // a share is several runs.
         let shares = vecs(vecs(u64s(0..=12), 0..=40), 0..=6);
+        // Kills case 1: the merge preferring the later run on equal
+        // instants, and `natural_runs` placing a boundary one entry late.
         Property::new("the_plan_is_the_stable_sort_of_its_runs")
             .cases(256)
             .check(&shares, |shares| {

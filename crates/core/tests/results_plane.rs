@@ -601,6 +601,9 @@ fn build(spec: &RunSpec) -> Report {
 
 #[test]
 fn one_tally_prints_what_the_multipass_code_printed() {
+    // Kills case 1: fixed point used past 2^52 microseconds.
+    // Kills case 5: the average latency summed in integer microseconds.
+    // Kills case 51: the tail histogram fed the integer latency.
     Property::new("results_plane_vs_multipass_oracle")
         .cases(400)
         .check(&arb_run(), |spec| {
@@ -783,6 +786,7 @@ fn the_skipping_reader_answers_as_the_tree_did() {
         prop_assert_eq!(summarize_json(text), oracle::summarize_json(text));
         Ok(())
     };
+    // Kills case 164: a skipped number left unchecked.
     Property::new("skipping_reader_vs_tree_reader")
         .cases(600)
         .check(

@@ -410,6 +410,9 @@ fn direct_plan_decoding_equals_the_owned_message() {
         arb_message(),
     ]);
     let compared = std::cell::Cell::new(0u32);
+    // Kills case 3: `decode_plan_frame` without the length check before
+    // the entries.
+    // Kills case 14: `decode_plan_frame`'s loop one entry short.
     Property::new("direct_plan_decoding_equals_the_owned_message")
         .cases(1024)
         .check(&(frames, arb_damage()), |(msg, damage)| {

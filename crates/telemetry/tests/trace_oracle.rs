@@ -165,6 +165,7 @@ fn tracer_matches_the_streaming_recorder() {
         u8s(0..=5),
         u8s(0..=2),
     );
+    // Kills case 1: `emit`'s threshold compare made strict.
     Property::new("tracer_matches_the_streaming_recorder")
         .cases(300)
         .check(&cases, |&((seed, order), cap, n_class, sample_kind)| {

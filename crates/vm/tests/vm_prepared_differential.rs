@@ -256,6 +256,8 @@ fn one_scratch_reused_across_calls_leaks_nothing() {
         (vecs(arb_op(64), 0..=63), vecs(i64s(-1000..=999), 0..=3)),
         gas_limit,
     );
+    // Kills case 1: `execute_prepared_in` without `scratch.journal.clear()`.
+    // Kills case 2: `execute_prepared_in` without `scratch.event_heads.clear()`.
     Property::new("one_scratch_reused_across_calls_leaks_nothing")
         .cases(256)
         .check(
@@ -599,6 +601,9 @@ fn agree_on(program: &Program, flavor: VmFlavor, gas_limit: u64) -> Result<(), S
 /// one below and exactly at its stack need, on every flavor.
 #[test]
 fn fused_runs_agree_at_their_stack_and_overflow_edges() {
+    // Kills case 1: a block's `grow` one short.
+    // Kills case 45: a fused `Add` reporting its `Load`'s pc.
+    // Kills case 54: `need` reading one slot for `Dup(n)`.
     Property::new("fused_runs_agree_at_their_stack_and_overflow_edges")
         .cases(512)
         .check(
@@ -621,6 +626,7 @@ fn fused_runs_agree_at_their_stack_and_overflow_edges() {
 #[test]
 fn push_runs_meet_max_stack_across_block_boundaries() {
     let pushers = [Op::Push(5), Op::Dup(0), Op::Caller, Op::Arg(1), Op::Load(2)];
+    // Kills case 4: the stack buffer grown one word past `MAX_STACK`.
     Property::new("push_runs_meet_max_stack_across_block_boundaries")
         .cases(64)
         .check(
