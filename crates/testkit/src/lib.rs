@@ -38,7 +38,7 @@
 //! | Variable | Effect |
 //! |---|---|
 //! | `DIABLO_PROP_CASES` | Overrides every property's case count. |
-//! | `DIABLO_PROP_SEED` | Replays a single failing case (hex `0x…` or decimal). |
+//! | `DIABLO_PROP_SEED` | Replays a single failing case (hex `0x…` or decimal). A case's seed is fixed by its number, so an unseeded run replays it too, and CI needs no replay line. |
 //! | `DIABLO_BENCH_SAMPLES` | Overrides the per-benchmark sample count. |
 //! | `DIABLO_BENCH_FILTER` | Runs only benchmarks whose name contains the substring. |
 //! | `DIABLO_BENCH_JSON` | Directory (or `1` for `.`) receiving `BENCH_<suite>.json`. |
