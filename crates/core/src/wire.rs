@@ -9,7 +9,8 @@
 //!
 //! Framing: every message is `u32` little-endian length followed by a
 //! one-byte message tag and the body. Integers are little-endian;
-//! strings and vectors are length-prefixed.
+//! strings and vectors are length-prefixed. A body ends where its
+//! message does: a frame with bytes left over is refused.
 //!
 //! The session, and who waits for whom:
 //!

@@ -187,9 +187,9 @@ fn get_telemetry(buf: &mut ByteReader) -> Result<diablo_telemetry::TelemetrySnap
 /// Tags of the two message kinds the session decodes without building
 /// a [`Message`], and the size of one entry of each.
 const TAG_PLAN: u8 = 3;
-pub(super) const TAG_OUTCOMES: u8 = 5;
+const TAG_OUTCOMES: u8 = 5;
 const PLAN_ENTRY: usize = 32;
-pub(super) const OUTCOME_ENTRY: usize = 17;
+const OUTCOME_ENTRY: usize = 17;
 
 /// Appends one frame to `out`: reserves the 4-byte length prefix, lets
 /// `body` write the tag and the body behind it, and patches the prefix.
@@ -209,10 +209,10 @@ pub(super) fn put_frame(out: &mut ByteBuf, body: impl FnOnce(&mut ByteBuf)) {
 /// An entry is laid out in an array and appended in one piece: nine
 /// appends per entry cost twice the time (1.9 → 1.0 ms for `encode`
 /// over 180,000 entries each of `Plan` and `Outcomes`).
-pub(super) fn put_plan(body: &mut ByteBuf, count: usize, txs: impl Iterator<Item = WireTx>) {
-    body.reserve(5 + count * PLAN_ENTRY);
+pub(super) fn put_plan(body: &mut ByteBuf, n: usize, txs: impl Iterator<Item = WireTx>) {
+    body.reserve(5 + n * PLAN_ENTRY);
     body.put_u8(TAG_PLAN);
-    body.put_u32_le(count as u32);
+    body.put_u32_le(n as u32);
     for tx in txs {
         let mut e = [0u8; PLAN_ENTRY];
         e[0..8].copy_from_slice(&tx.at_us.to_le_bytes());
@@ -229,11 +229,11 @@ pub(super) fn put_plan(body: &mut ByteBuf, count: usize, txs: impl Iterator<Item
 }
 
 /// Tag and body of an `Outcomes` message; the Primary's fan-out passes
-/// chunk views of one outcomes vector.
-pub(super) fn put_outcomes(body: &mut ByteBuf, txs: &[WireOutcome]) {
-    body.reserve(5 + txs.len() * OUTCOME_ENTRY);
+/// each chunk's outcomes as it reads them off the run's records.
+pub(super) fn put_outcomes(body: &mut ByteBuf, n: usize, txs: impl Iterator<Item = WireOutcome>) {
+    body.reserve(5 + n * OUTCOME_ENTRY);
     body.put_u8(TAG_OUTCOMES);
-    body.put_u32_le(txs.len() as u32);
+    body.put_u32_le(n as u32);
     for tx in txs {
         let mut e = [0u8; OUTCOME_ENTRY];
         e[0] = tx.status;
@@ -264,7 +264,7 @@ pub(super) fn put_message(out: &mut ByteBuf, msg: &Message) {
         }
         Message::Plan { txs } => put_plan(f, txs.len(), txs.iter().copied()),
         Message::PlanDone => f.put_u8(4),
-        Message::Outcomes { txs } => put_outcomes(f, txs),
+        Message::Outcomes { txs } => put_outcomes(f, txs.len(), txs.iter().copied()),
         Message::OutcomesDone => f.put_u8(6),
         Message::Stats { text } => {
             f.put_u8(7);
@@ -293,55 +293,65 @@ pub fn encode(msg: &Message) -> ByteBuf {
     out
 }
 
-/// Reads the entry count of a `Plan` or `Outcomes` body and checks that
-/// as many entries of `size` bytes follow, so a count alone cannot make
-/// the reader reserve room for entries that never came.
-pub(super) fn entry_count(body: &mut ByteReader, size: usize, what: &str) -> Result<usize, String> {
-    let n = body.get_u32_le().map_err(|_| format!("truncated {what}"))? as usize;
-    if body.remaining() < n * size {
-        return Err(format!("truncated {what} body"));
+/// The one entry reader of `Plan` and `Outcomes` bodies: after the tag,
+/// a count and exactly that many `N`-byte entries. One length check per
+/// frame, so a count alone cannot make the reader reserve room for
+/// entries that never came, nor can bytes follow the last one.
+fn entries<'a, const N: usize>(body: &'a [u8], what: &str) -> Result<&'a [[u8; N]], String> {
+    let (count, body) = body
+        .split_first_chunk()
+        .ok_or_else(|| format!("truncated {what}"))?;
+    let size = u32::from_le_bytes(*count) as usize * N;
+    match body.len().checked_sub(size) {
+        Some(0) => Ok(body.as_chunks().0),
+        Some(extra) => Err(format!("{extra} bytes after the last {what} entry")),
+        None => Err(format!("truncated {what} body")),
     }
-    Ok(n)
 }
 
-/// Reads one `Plan` entry: the field order of [`put_plan`], for
-/// [`decode`] and the Primary's session alike.
+/// The `K` bytes of an entry from `at` on.
+fn field<const K: usize>(entry: &[u8], at: usize) -> [u8; K] {
+    *entry[at..].first_chunk().expect("inside its entry")
+}
+
+/// One `Plan` entry, in the field order of [`put_plan`].
+fn wire_tx(e: &[u8; PLAN_ENTRY]) -> WireTx {
+    WireTx {
+        at_us: u64::from_le_bytes(field(e, 0)),
+        sender: u32::from_le_bytes(field(e, 8)),
+        kind: e[12],
+        dapp: e[13],
+        seq: u64::from_le_bytes(field(e, 14)),
+        entry: e[22],
+        args: [
+            i32::from_le_bytes(field(e, 23)),
+            i32::from_le_bytes(field(e, 27)),
+        ],
+        argc: e[31],
+    }
+}
+
+/// One `Outcomes` entry, in the field order of [`put_outcomes`].
 #[inline]
-fn get_wire_tx(body: &mut ByteReader) -> Result<WireTx, String> {
-    Ok(WireTx {
-        at_us: body.get_u64_le()?,
-        sender: body.get_u32_le()?,
-        kind: body.get_u8()?,
-        dapp: body.get_u8()?,
-        seq: body.get_u64_le()?,
-        entry: body.get_u8()?,
-        args: [body.get_i32_le()?, body.get_i32_le()?],
-        argc: body.get_u8()?,
-    })
+fn wire_outcome(e: &[u8; OUTCOME_ENTRY]) -> WireOutcome {
+    WireOutcome {
+        status: e[0],
+        submit_us: u64::from_le_bytes(field(e, 1)),
+        decide_us: u64::from_le_bytes(field(e, 9)),
+    }
 }
 
-/// Reads one `Outcomes` entry: the field order of [`put_outcomes`], for
-/// [`decode`] and the Secondary's session alike.
-#[inline]
-pub(super) fn get_wire_outcome(body: &mut ByteReader) -> Result<WireOutcome, String> {
-    Ok(WireOutcome {
-        status: body.get_u8()?,
-        submit_us: body.get_u64_le()?,
-        decide_us: body.get_u64_le()?,
-    })
-}
-
-/// Decodes one frame body (without the length prefix).
+/// Decodes one frame body (without the length prefix). A body must end
+/// where its message does: trailing bytes are an error, in every kind.
 pub fn decode(body: &[u8]) -> Result<Message, String> {
-    if body.is_empty() {
+    let Some((&tag, rest)) = body.split_first() else {
         return Err("empty frame".into());
-    }
-    let mut body = ByteReader::new(body);
-    let tag = body.get_u8()?;
-    match tag {
-        1 => Ok(Message::Hello {
+    };
+    let mut body = ByteReader::new(rest);
+    let msg = match tag {
+        1 => Message::Hello {
             tag: get_string(&mut body)?,
-        }),
+        },
         2 => {
             let chain = get_string(&mut body)?;
             let spec = get_string(&mut body)?;
@@ -350,39 +360,40 @@ pub fn decode(body: &[u8]) -> Result<Message, String> {
             }
             let first = body.get_u32_le()?;
             let last = body.get_u32_le()?;
-            Ok(Message::Assign {
+            Message::Assign {
                 chain,
                 spec,
                 first,
                 last,
-            })
+            }
         }
         TAG_PLAN => {
-            let n = entry_count(&mut body, PLAN_ENTRY, "plan")?;
-            let mut txs = Vec::with_capacity(n);
-            for _ in 0..n {
-                txs.push(get_wire_tx(&mut body)?);
-            }
-            Ok(Message::Plan { txs })
+            let txs = entries(rest, "plan")?.iter().map(wire_tx).collect();
+            return Ok(Message::Plan { txs });
         }
-        4 => Ok(Message::PlanDone),
+        4 => Message::PlanDone,
         TAG_OUTCOMES => {
-            let n = entry_count(&mut body, OUTCOME_ENTRY, "outcomes")?;
-            let mut txs = Vec::with_capacity(n);
-            for _ in 0..n {
-                txs.push(get_wire_outcome(&mut body)?);
-            }
-            Ok(Message::Outcomes { txs })
+            let txs = entries(rest, "outcomes")?
+                .iter()
+                .map(wire_outcome)
+                .collect();
+            return Ok(Message::Outcomes { txs });
         }
-        6 => Ok(Message::OutcomesDone),
-        7 => Ok(Message::Stats {
+        6 => Message::OutcomesDone,
+        7 => Message::Stats {
             text: get_string(&mut body)?,
-        }),
-        8 => Ok(Message::Done),
-        9 => Ok(Message::Telemetry {
+        },
+        8 => Message::Done,
+        9 => Message::Telemetry {
             snapshot: get_telemetry(&mut body)?,
-        }),
-        other => Err(format!("unknown message tag {other}")),
+        },
+        other => return Err(format!("unknown message tag {other}")),
+    };
+    match body.remaining() {
+        0 => Ok(msg),
+        extra => Err(format!(
+            "{extra} bytes after the end of a tag {tag} message"
+        )),
     }
 }
 
@@ -394,19 +405,39 @@ pub fn decode(body: &[u8]) -> Result<Message, String> {
 /// which ends the phase; any other message is an error. On `Err`,
 /// `plan` may have grown by the entries before the bad one.
 pub fn decode_plan_frame(body: &[u8], plan: &mut Vec<PlannedTx>) -> Result<bool, String> {
-    if body.first() != Some(&TAG_PLAN) {
+    let Some((&TAG_PLAN, rest)) = body.split_first() else {
         return match decode(body)? {
             Message::PlanDone => Ok(false),
             other => Err(format!("expected Plan, got {other:?}")),
         };
-    }
-    let mut body = ByteReader::new(&body[1..]);
-    let n = entry_count(&mut body, PLAN_ENTRY, "plan")?;
-    plan.reserve(n);
-    for _ in 0..n {
-        plan.push(wire_to_planned(&get_wire_tx(&mut body)?)?);
+    };
+    let entries = entries(rest, "plan")?;
+    plan.reserve(entries.len());
+    for e in entries {
+        let wire = wire_tx(e);
+        let Some(tx) = planned(&wire) else {
+            return Err(unplannable(&wire));
+        };
+        plan.push(tx);
     }
     Ok(true)
+}
+
+/// One frame of the outcomes phase, read where the Secondary uses it:
+/// the entries of an `Outcomes` body straight off the frame's bytes —
+/// what [`decode`] gives, or the error it gives, without the
+/// `Vec<WireOutcome>` between. `None` for `OutcomesDone`, which ends the
+/// phase; any other message is an error.
+pub(super) fn decode_outcomes_frame(
+    body: &[u8],
+) -> Result<Option<impl Iterator<Item = WireOutcome> + '_>, String> {
+    let Some((&TAG_OUTCOMES, rest)) = body.split_first() else {
+        return match decode(body)? {
+            Message::OutcomesDone => Ok(None),
+            other => Err(format!("expected Outcomes, got {other:?}")),
+        };
+    };
+    Ok(Some(entries(rest, "outcomes")?.iter().map(wire_outcome)))
 }
 
 /// Status ↔ wire encoding.
@@ -478,38 +509,45 @@ pub(super) fn planned_to_wire(tx: &PlannedTx) -> WireTx {
 /// stands for none (unknown kind, DApp index past [`DApp::ALL`], more
 /// arguments than a call holds).
 pub fn wire_to_planned(tx: &WireTx) -> Result<PlannedTx, String> {
-    let dapp = || {
-        DApp::ALL
-            .get(tx.dapp as usize)
-            .copied()
-            .ok_or_else(|| format!("unknown dapp index {}", tx.dapp))
+    planned(tx).ok_or_else(|| unplannable(tx))
+}
+
+/// [`wire_to_planned`] without the error: one `match`, and no `String`
+/// on the way, for the Primary's loop over every entry of a frame.
+fn planned(tx: &WireTx) -> Option<PlannedTx> {
+    let invoke = |call| {
+        let dapp = *DApp::ALL.get(tx.dapp as usize)?;
+        let seq = tx.seq;
+        Some(Payload::Invoke { dapp, seq, call })
     };
     let payload = match tx.kind {
         0 => Payload::Transfer,
-        1 => Payload::Invoke {
-            dapp: dapp()?,
-            seq: tx.seq,
-            call: None,
-        },
-        2 => Payload::Invoke {
-            dapp: dapp()?,
-            seq: tx.seq,
-            call: Some(CallSel {
-                entry: tx.entry,
-                args: tx.args,
-                argc: match tx.argc {
-                    0..=2 => tx.argc,
-                    more => return Err(format!("{more} arguments, at most 2 fit a call")),
-                },
-            }),
-        },
-        other => return Err(format!("unknown tx kind {other}")),
+        1 => invoke(None)?,
+        2 if tx.argc <= 2 => invoke(Some(CallSel {
+            entry: tx.entry,
+            args: tx.args,
+            argc: tx.argc,
+        }))?,
+        _ => return None,
     };
-    Ok(PlannedTx {
+    Some(PlannedTx {
         at: SimTime::from_micros(tx.at_us),
         sender: tx.sender,
         payload,
     })
+}
+
+/// Why [`planned`] found no transaction in `tx`: the kind first, then
+/// the DApp, then the argument count.
+#[cold]
+fn unplannable(tx: &WireTx) -> String {
+    match tx.kind {
+        1 | 2 if DApp::ALL.get(tx.dapp as usize).is_none() => {
+            format!("unknown dapp index {}", tx.dapp)
+        }
+        2 => format!("{} arguments, at most 2 fit a call", tx.argc),
+        other => format!("unknown tx kind {other}"),
+    }
 }
 
 #[cfg(test)]
@@ -620,6 +658,69 @@ mod tests {
         assert!(decode(&body).unwrap_err().contains("utf-8"));
     }
 
+    /// The Secondary's outcome reader against `decode`, on valid frames
+    /// and on flipped, truncated, count-inflated and extended ones: the
+    /// same outcomes, the same end of phase, or the same error; and a
+    /// frame it takes is the encoding of what it gave.
+    #[test]
+    fn the_outcomes_reader_equals_the_owned_message() {
+        use diablo_testkit::gen::{u64s, u8s, vecs};
+        use diablo_testkit::{prop_assert_eq, Property};
+
+        let outcomes = vecs(
+            (u8s(0..=255), u64s(0..=u64::MAX), u64s(0..=u64::MAX)),
+            0..=12,
+        );
+        // (how, where or by how much, bytes): 1 flips a byte, 2
+        // truncates, 3 inflates the count, 4 extends; 5 and 6 send
+        // `OutcomesDone` and `Done` instead, 0 the frame as it is.
+        let damage = (u8s(0..=6), u64s(0..=u64::MAX), vecs(u8s(1..=255), 1..=40));
+        // Kills case 2: `decode_outcomes_frame` one entry short.
+        // Kills case 6: `decode_outcomes_frame` past `entries` (no length
+        // check), and `entries` without its length check.
+        Property::new("the_outcomes_reader_equals_the_owned_message")
+            .cases(1024)
+            .check(&(outcomes, damage), |(txs, (how, at, bytes))| {
+                let txs = txs
+                    .iter()
+                    .map(|&(status, submit_us, decide_us)| WireOutcome {
+                        status,
+                        submit_us,
+                        decide_us,
+                    });
+                let msg = match how {
+                    5 => Message::OutcomesDone,
+                    6 => Message::Done,
+                    _ => Message::Outcomes { txs: txs.collect() },
+                };
+                let mut body = encode(&msg)[4..].to_vec();
+                let cut = *at as usize % body.len();
+                match how {
+                    1 => body[cut] ^= bytes[0],
+                    2 => body.truncate(cut),
+                    3 if body.len() >= 5 => {
+                        let count = u32::from_le_bytes(body[1..5].try_into().unwrap());
+                        let count = count.wrapping_add(*at as u32 | 1);
+                        body[1..5].copy_from_slice(&count.to_le_bytes());
+                    }
+                    4 => body.extend_from_slice(bytes),
+                    _ => {}
+                }
+                let direct = decode_outcomes_frame(&body).map(|o| o.map(Iterator::collect));
+                let by_message = decode(&body).and_then(|msg| match msg {
+                    Message::Outcomes { txs } => Ok(Some(txs)),
+                    Message::OutcomesDone => Ok(None),
+                    other => Err(format!("expected Outcomes, got {other:?}")),
+                });
+                prop_assert_eq!(&direct, &by_message);
+                if let Ok(txs) = direct {
+                    let msg = txs.map_or(Message::OutcomesDone, |txs| Message::Outcomes { txs });
+                    prop_assert_eq!(&encode(&msg)[4..], &body[..]);
+                }
+                Ok(())
+            });
+    }
+
     #[test]
     fn slice_chunk_encoders_match_owned_messages() {
         // The zero-copy chunk paths must stay byte-identical to the
@@ -633,7 +734,9 @@ mod tests {
             .collect();
         for chunk in outcomes.chunks(33) {
             let mut zero_copy = ByteBuf::new();
-            put_frame(&mut zero_copy, |f| put_outcomes(f, chunk));
+            put_frame(&mut zero_copy, |f| {
+                put_outcomes(f, chunk.len(), chunk.iter().copied());
+            });
             let owned = encode(&Message::Outcomes {
                 txs: chunk.to_vec(),
             });

@@ -7,13 +7,12 @@ use diablo_chains::{Chain, PlannedTx, TxStatus};
 use diablo_net::{DeploymentConfig, DeploymentKind};
 
 use super::codec::{
-    decode, decode_plan_frame, encode, entry_count, get_wire_outcome, planned_to_wire, put_frame,
+    decode, decode_outcomes_frame, decode_plan_frame, encode, planned_to_wire, put_frame,
     put_message, put_outcomes, put_plan, status_from_wire, status_to_wire, Message, WireOutcome,
-    OUTCOME_ENTRY, TAG_OUTCOMES,
 };
 use crate::abstraction::natural_runs;
 use crate::adapters;
-use crate::bytebuf::{ByteBuf, ByteReader};
+use crate::bytebuf::ByteBuf;
 use crate::output::status_name;
 use crate::primary::{prepare, BenchmarkOptions};
 use crate::report::Report;
@@ -207,40 +206,45 @@ pub fn serve_primary(
     // per-client runs, so the merge puts equal instants in (client,
     // planning order). Kills cut the runs; a killed worker stays
     // connected and later gets Pending fillers. The shares lie one after
-    // the other in `shipped`, so `order[pos]` is the entry of `shipped`
-    // that plan entry `pos` came from.
-    let planned = shipped.len();
-    let mut order: Vec<u32> = Vec::with_capacity(planned);
+    // the other in `shipped`, so `pos_of[k]` is the place in the plan
+    // of entry `k` of `shipped`, or `u32::MAX` if the kills cut it.
+    let mut pos_of = vec![u32::MAX; shipped.len()];
+    let mut pos = 0;
     let runs = shares
         .iter()
         .enumerate()
         .flat_map(|(si, share)| natural_runs(&shipped[share.clone()]).map(move |run| (si, run)));
-    let plan = prepared.merge(runs, |k| order.push(k as u32));
-    // The run holds the ordered plan and `order`, not `shipped` too.
+    let plan = prepared.merge(runs, |k| {
+        pos_of[k] = pos;
+        pos += 1;
+    });
+    // The run holds the ordered plan and `pos_of`, not `shipped` too.
     drop(shipped);
     let result = prepared.run(DeploymentConfig::standard(deployment), plan, workload_name);
 
-    // Route outcomes back in each Secondary's planning order. Entries
-    // the kill schedule removed, and all of them if the chain was unable
-    // to run, answer as Pending (a Secondary checks it got one outcome
-    // per planned transaction).
-    let pending = WireOutcome {
-        status: 0,
-        submit_us: 0,
-        decide_us: u64::MAX,
-    };
-    let mut outcomes = vec![pending; planned];
-    for (rec, &i) in result.records.iter().zip(&order) {
-        outcomes[i as usize] = WireOutcome {
+    // Route outcomes back in each Secondary's planning order, each read
+    // off its record as its frame is encoded. Entries the kill schedule
+    // removed, those past the records of a run cut short, and all of
+    // them if the chain was unable to run, answer as Pending (a
+    // Secondary checks it got one outcome per planned transaction).
+    let outcome = |&pos: &u32| match result.records.get(pos as usize) {
+        Some(rec) => WireOutcome {
             status: status_to_wire(rec.status),
             submit_us: rec.submitted.as_micros(),
             decide_us: rec.decided.map_or(u64::MAX, |d| d.as_micros()),
-        };
-    }
+        },
+        None => WireOutcome {
+            status: 0,
+            submit_us: 0,
+            decide_us: u64::MAX,
+        },
+    };
     each_live(&mut workers, |si, stream| {
-        for chunk in outcomes[shares[si].clone()].chunks(CHUNK) {
+        for chunk in pos_of[shares[si].clone()].chunks(CHUNK) {
             send(stream, &mut out, |out| {
-                put_frame(out, |f| put_outcomes(f, chunk));
+                put_frame(out, |f| {
+                    put_outcomes(f, chunk.len(), chunk.iter().map(outcome))
+                });
             })?;
         }
         send_message(stream, &mut out, &Message::OutcomesDone)
@@ -376,11 +380,13 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
     // Presign (plan) the assigned share and ship it one client at a
     // time: the Primary reads and decodes client `g` while this end
     // plans client `g + 1`, and neither holds more than it must. A
-    // client's plan is sorted by `take_plan`; the Primary's merge of
-    // the concatenation restores the order a whole-range `take_plan`
-    // would have sent (see `serve_primary`). The connector is one for
-    // the whole range, so invocation sequence numbers run on from
-    // client to client as they did.
+    // client's plan is its triggers: `take_plan` hands them over as
+    // they are when they are in time order (one behaviour) and merges
+    // them when not. The order of the whole share is made by the
+    // Primary's merge of the concatenation (see `serve_primary`), and
+    // is the one a whole-range `take_plan` would have sent. The
+    // connector is one for the whole range, so invocation sequence
+    // numbers run on from client to client as they did.
     //
     // The planning calls are timed: §4's Secondaries "constantly check
     // if the submission time is not too late compared to the time
@@ -426,15 +432,10 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
     let mut received = 0usize;
     loop {
         read_frame(&mut stream, &mut frame)?;
-        if frame.first() != Some(&TAG_OUTCOMES) {
-            match decode(&frame)? {
-                Message::OutcomesDone => break,
-                other => return Err(format!("expected Outcomes, got {other:?}")),
-            }
-        }
-        let mut body = ByteReader::new(&frame[1..]);
-        for _ in 0..entry_count(&mut body, OUTCOME_ENTRY, "outcomes")? {
-            let o = get_wire_outcome(&mut body)?;
+        let Some(outcomes) = decode_outcomes_frame(&frame)? else {
+            break;
+        };
+        for o in outcomes {
             received += 1;
             if status_from_wire(o.status)? == TxStatus::Committed && o.decide_us != u64::MAX {
                 committed += 1;

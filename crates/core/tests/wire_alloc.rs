@@ -98,16 +98,31 @@ fn a_session_holds_its_plan_once() {
         "{} bytes live at the session's peak: {per_tx} per planned transaction",
         cost.peak
     );
+    let per_tx = cost.bytes / PLANNED;
+    assert!(
+        per_tx <= BYTES_PER_TX,
+        "{} bytes asked for in {} calls: {per_tx} per planned transaction",
+        cost.bytes,
+        cost.calls
+    );
 }
 
-/// The bound on [`a_session_holds_its_plan_once`]. The peak is where
-/// the Primary orders the plan: the shipped shares (40 bytes an entry,
-/// in a vector grown by doubling), the ordered plan and 4 bytes of
-/// index, next to two frame buffers of a few hundred kilobytes.
-/// Measured: 4,204,402 bytes, 140 per transaction; the session that
+/// The bound on [`a_session_holds_its_plan_once`]'s peak, where the
+/// Primary orders the plan: the shipped shares (a 48-byte `PlannedTx`
+/// an entry, in a vector grown by doubling), the ordered plan and 4
+/// bytes of index, next to two frame buffers of a few hundred kilobytes.
+/// Measured: 4,204,598 bytes, 140 per transaction; the session that
 /// planned the whole range, merged it, mapped origins and sorted through
 /// an index vector before it ran: 7,236,774 bytes, 241 per transaction.
 const PEAK_BYTES_PER_TX: usize = 160;
+
+/// The bound on every byte [`a_session_holds_its_plan_once`] asks the
+/// allocator for, freed or not: each vector the session fills once per
+/// transaction is in it. Measured: 13,248,913 bytes, 441 per
+/// transaction. A session that copies each client's run on the
+/// Secondary (48 bytes a transaction) or builds the outcomes in a vector
+/// before it sends them (24) is over it: the one before did both, 513.
+const BYTES_PER_TX: usize = 456;
 
 /// Both ends of a session get their socket from these two functions,
 /// and both must come back with Nagle's algorithm off: the protocol

@@ -278,6 +278,46 @@ fn truncated_frames_fail_cleanly() {
         );
 }
 
+/// A body ends where its message does. Bytes after it used to be
+/// ignored: `decode(&[8, 0xff, 0xee])` was `Ok(Done)`, and a `Plan` with
+/// three bytes behind its last entry decoded both ways.
+#[test]
+fn bytes_after_a_message_are_an_error() {
+    let tx = WireTx {
+        at_us: 3_000,
+        sender: 1,
+        kind: 0,
+        dapp: 0,
+        seq: 0,
+        entry: 0,
+        args: [0, 0],
+        argc: 0,
+    };
+    let outcome = WireOutcome {
+        status: 1,
+        submit_us: 5,
+        decide_us: 10,
+    };
+    for msg in [
+        Message::Done,
+        Message::Hello { tag: "eu".into() },
+        Message::Plan { txs: vec![tx; 2] },
+        Message::PlanDone,
+        Message::Outcomes {
+            txs: vec![outcome; 2],
+        },
+    ] {
+        let body = [&encode(&msg)[4..], &[0xff, 0xee, 0xdd]].concat();
+        let error = decode(&body).expect_err("three bytes after the message");
+        assert!(error.starts_with("3 bytes after"), "{msg:?}: {error}");
+        // The Primary's direct reader refuses them the same way.
+        if matches!(msg, Message::Plan { .. } | Message::PlanDone) {
+            assert_eq!(decode_plan_frame(&body, &mut Vec::new()), Err(error));
+        }
+    }
+    assert!(decode(&[8, 0xff, 0xee]).is_err());
+}
+
 /// What the plan phase's direct decoder must equal, frame for frame:
 /// the owned message, converted entry by entry. `None` is `PlanDone`.
 fn plan_by_message(body: &[u8]) -> Result<Option<Vec<PlannedTx>>, String> {
@@ -394,7 +434,8 @@ fn damaged(mut body: Vec<u8>, damage: &Damage) -> Vec<u8> {
 /// The Primary's direct `Plan` decoder against `decode` +
 /// `wire_to_planned`, on valid frames and on flipped, truncated,
 /// count-inflated and extended ones: the same transactions, the same
-/// end of phase, or the same error.
+/// end of phase, or the same error. Every kind of message is among the
+/// frames, so the last check holds `decode` to the frame's end in all.
 #[test]
 fn direct_plan_decoding_equals_the_owned_message() {
     let plans = || {
@@ -411,14 +452,20 @@ fn direct_plan_decoding_equals_the_owned_message() {
     ]);
     let compared = std::cell::Cell::new(0u32);
     // Kills case 3: `decode_plan_frame` without the length check before
-    // the entries.
+    // the entries, and the shared `entries` reader without it.
     // Kills case 14: `decode_plan_frame`'s loop one entry short.
+    // Kills case 30: `decode` taking bytes after a message's end.
     Property::new("direct_plan_decoding_equals_the_owned_message")
         .cases(1024)
         .check(&(frames, arb_damage()), |(msg, damage)| {
             let body = damaged(encode(msg)[4..].to_vec(), damage);
             let (direct, by_message) = (plan_direct(&body), plan_by_message(&body));
             prop_assert_eq!(&direct, &by_message);
+            // What `decode` takes is the encoding of what it gives: no
+            // entry short of the count, no byte after the message.
+            if let Ok(msg) = decode(&body) {
+                prop_assert_eq!(&encode(&msg)[4..], &body[..]);
+            }
             if matches!(direct, Ok(Some(ref plan)) if !plan.is_empty()) {
                 compared.set(compared.get() + 1);
             }

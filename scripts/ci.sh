@@ -334,6 +334,60 @@ cargo run -q --release --offline --bin diablo -- trace-diff "$trace_a" "$trace_b
 }
 rm -f "$trace_a" "$trace_b"
 
+# Distributed smoke: `diablo primary` and two `diablo secondary`
+# processes, on a spec whose instants tie across clients and behaviours
+# so that any reordering of the plan changes fates, must write the
+# results JSON of `diablo run` at the same Secondary count and seed,
+# byte for byte apart from the telemetry section (which also holds the
+# Secondaries' planning snapshots). Every process runs under `timeout
+# 10`, the port comes from the Primary's stderr, and no child may be
+# left behind.
+echo "==> distributed smoke (primary + 2 secondary processes = run, within 10 s)"
+dist="$(mktemp -d "${TMPDIR:-/tmp}"/diablo-dist.XXXXXX)"
+cat >"$dist/ties.yaml" <<'EOF'
+workloads:
+  - number: 5
+    client:
+      behavior:
+        - interaction: !transfer
+            from: { sample: !account { number: 3 } }
+          load:
+            0: 1000
+            8: 0
+        - interaction: !transfer
+            from: { sample: !account { number: 7 } }
+          load:
+            0: 50
+            8: 0
+EOF
+set -- --chain=diem --secondaries=2 --seed=5
+./target/release/diablo run "$@" --output="$dist/run.json" "$dist/ties.yaml" >/dev/null
+timeout 10 ./target/release/diablo primary "$@" --port=0 --output="$dist/primary.json" \
+    "$dist/ties.yaml" >/dev/null 2>"$dist/primary.err" &
+pids=$!
+port=""
+for _ in $(seq 100); do
+    port="$(sed -n 's/^primary listening on port \([0-9]*\),.*/\1/p' "$dist/primary.err")"
+    [ -n "$port" ] && break
+    sleep 0.1
+done
+for tag in us-east-2 eu-north-1; do
+    timeout 10 ./target/release/diablo secondary --primary=127.0.0.1:"${port:-1}" \
+        --tag="$tag" >/dev/null &
+    pids="$pids $!"
+done
+status=0
+for pid in $pids; do wait "$pid" || status=$?; done
+left="$(pgrep -x -P $$ 'diablo|timeout' || true)"
+for f in run primary; do sed 's/,"telemetry":.*$/}/' "$dist/$f.json" >"$dist/$f.cut"; done
+if [ -z "$port" ] || [ "$status" != 0 ] || [ -n "$left" ] \
+    || ! cmp "$dist/run.cut" "$dist/primary.cut"; then
+    echo "distributed smoke: port '$port', exit status $status, left behind '$left'" >&2
+    cat "$dist/primary.err" >&2
+    exit 1
+fi
+rm -rf "$dist"
+
 # Live smoke: the Primary spawns two real Secondary processes over
 # localhost TCP and paces the run against the wall clock (compressed
 # 50× via --time-scale so the 12 s workload takes well under a second).
