@@ -66,11 +66,6 @@ impl ByteBuf {
         self.data.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `i32`, little-endian.
-    pub fn put_i32_le(&mut self, v: i32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends raw bytes.
     pub fn put_slice(&mut self, bytes: &[u8]) {
         self.data.extend_from_slice(bytes);
@@ -125,11 +120,6 @@ impl<'a> ByteReader<'a> {
         self.data.len()
     }
 
-    /// Whether all bytes have been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Consumes and returns the next `n` bytes.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.data.len() < n {
@@ -143,11 +133,6 @@ impl<'a> ByteReader<'a> {
         Ok(head)
     }
 
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
     /// Reads a little-endian `u32`.
     pub fn get_u32_le(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -156,11 +141,6 @@ impl<'a> ByteReader<'a> {
     /// Reads a little-endian `u64`.
     pub fn get_u64_le(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `i32`.
-    pub fn get_i32_le(&mut self) -> Result<i32, String> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 }
 
@@ -174,17 +154,15 @@ mod tests {
         buf.put_u8(7);
         buf.put_u32_le(0xDEAD_BEEF);
         buf.put_u64_le(u64::MAX - 1);
-        buf.put_i32_le(-42);
         buf.put_slice(b"abc");
-        assert_eq!(buf.len(), 1 + 4 + 8 + 4 + 3);
+        assert_eq!(buf.len(), 1 + 4 + 8 + 3);
 
         let mut r = ByteReader::new(&buf);
-        assert_eq!(r.get_u8().unwrap(), 7);
+        assert_eq!(r.take(1).unwrap(), [7]);
         assert_eq!(r.get_u32_le().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64_le().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_i32_le().unwrap(), -42);
         assert_eq!(r.take(3).unwrap(), b"abc");
-        assert!(r.is_empty());
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -193,9 +171,9 @@ mod tests {
         assert!(r.get_u32_le().is_err());
         // A failed read consumes nothing.
         assert_eq!(r.remaining(), 2);
-        assert_eq!(r.get_u8().unwrap(), 1);
-        assert_eq!(r.get_u8().unwrap(), 2);
-        assert!(r.get_u8().is_err());
+        assert_eq!(r.take(1).unwrap(), [1]);
+        assert_eq!(r.take(1).unwrap(), [2]);
+        assert!(r.take(1).is_err());
     }
 
     #[test]
