@@ -92,14 +92,6 @@ impl Concurrency {
         }
     }
 
-    /// The mode name [`Concurrency::from_mode`] accepts for this value.
-    pub fn mode_name(self) -> &'static str {
-        match self {
-            Concurrency::Serial => "serial",
-            Concurrency::Parallel(_) => "parallel",
-            Concurrency::Optimistic(_) => "optimistic",
-        }
-    }
 }
 
 /// The cost and outcome of executing one transaction.
@@ -877,12 +869,12 @@ mod tests {
             Some(Concurrency::Optimistic(8))
         );
         assert_eq!(Concurrency::from_mode("speculative", 4), None);
-        for c in [
-            Concurrency::Serial,
-            Concurrency::Parallel(4),
-            Concurrency::Optimistic(8),
+        for (name, c) in [
+            ("serial", Concurrency::Serial),
+            ("parallel", Concurrency::Parallel(4)),
+            ("optimistic", Concurrency::Optimistic(8)),
         ] {
-            assert_eq!(Concurrency::from_mode(c.mode_name(), c.threads()), Some(c));
+            assert_eq!(Concurrency::from_mode(name, c.threads()), Some(c));
         }
     }
 

@@ -16,7 +16,7 @@ use crate::config::RunConfig;
 use crate::exec::{Concurrency, ExecMode};
 use crate::faults::FaultPlan;
 use crate::harness::{ChainHarness, PlannedTx};
-use crate::params::{ChainParams, SigVerify};
+use crate::params::ChainParams;
 use crate::records::RunResult;
 use crate::sim::TICK_MS;
 use crate::tx::{CallSel, Payload};
@@ -112,13 +112,6 @@ impl Experiment {
         self.call = Some(call);
         self
     }
-
-    /// Overrides the signature-verification cost curve (ablations).
-    pub fn with_sig_verify(mut self, sig_verify: SigVerify) -> Self {
-        self.run.sig_verify = Some(sig_verify);
-        self
-    }
-
 
     /// Enables the append-only state store: every committed block runs
     /// the execute → merkleize → persist → prune pipeline under

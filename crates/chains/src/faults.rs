@@ -156,11 +156,6 @@ impl FaultPlan {
         self.retry.unwrap_or_default()
     }
 
-    /// Scheduled Secondary deaths: `(secondary index, instant)`.
-    pub fn secondary_kills(&self) -> &[(usize, SimTime)] {
-        &self.secondary_kills
-    }
-
     /// When (if ever) the given Secondary dies.
     pub fn kill_of_secondary(&self, secondary: usize) -> Option<SimTime> {
         self.secondary_kills
@@ -724,7 +719,7 @@ mod tests {
             .build();
         assert_eq!(plan.kill_of_secondary(1), Some(t(10)), "earliest death wins");
         assert_eq!(plan.kill_of_secondary(0), None);
-        assert_eq!(plan.secondary_kills().len(), 2);
+        assert_eq!(plan.secondary_kills.len(), 2);
     }
 
     #[test]

@@ -450,19 +450,6 @@ impl ChainParams {
             },
         }
     }
-
-    /// Whether this chain never drops an admitted transaction.
-    pub fn never_drops(&self) -> bool {
-        self.mempool.capacity.is_none()
-    }
-
-    /// Whether the local configuration hint applies (kept for adapters).
-    pub fn is_leader_based(&self) -> bool {
-        matches!(
-            self.consensus,
-            ConsensusKind::HotStuff { .. } | ConsensusKind::Ibft { .. }
-        )
-    }
 }
 
 /// Execution rate for a machine: serial geth-style execution scaled by a
@@ -494,9 +481,9 @@ mod tests {
     #[test]
     fn quorum_never_drops_and_has_no_london() {
         let p = ChainParams::standard(Chain::Quorum, &cfg(DeploymentKind::Consortium));
-        assert!(p.never_drops());
+        assert!(p.mempool.capacity.is_none());
         assert!(p.fee_headroom.is_none());
-        assert!(p.is_leader_based());
+        assert!(matches!(p.consensus, ConsensusKind::Ibft { .. }));
     }
 
     #[test]
@@ -562,7 +549,11 @@ mod tests {
     fn leader_based_classification_matches_chain() {
         for chain in Chain::ALL {
             let p = ChainParams::standard(chain, &cfg(DeploymentKind::Devnet));
-            assert_eq!(p.is_leader_based(), chain.is_leader_based_bft(), "{chain}");
+            let leader_based = matches!(
+                p.consensus,
+                ConsensusKind::HotStuff { .. } | ConsensusKind::Ibft { .. }
+            );
+            assert_eq!(leader_based, chain.is_leader_based_bft(), "{chain}");
         }
     }
 }

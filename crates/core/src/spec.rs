@@ -8,7 +8,10 @@
 
 use std::fmt;
 
-use diablo_chains::{Concurrency, FaultPlan, PruneMode, RunOverlay, SigVerify, StorageConfig};
+use diablo_chains::{
+    Concurrency, FaultPlan, PruneMode, RunOverlay, SigVerify, StorageConfig, TxId,
+};
+use diablo_sim::SimTime;
 use diablo_workloads::Workload;
 
 use crate::yaml::{self, Value};
@@ -135,6 +138,18 @@ impl BenchmarkSpec {
         if workloads.is_empty() {
             return Err(err("`workloads` is empty"));
         }
+        // Transaction ids number the whole plan; the count comes from
+        // the breakpoints, so a curve too long to plan is never expanded.
+        let planned: f64 = workloads
+            .iter()
+            .map(|w| w.number as f64 * w.behaviors.iter().map(Behavior::planned_bound).sum::<f64>())
+            .sum();
+        if !(planned <= TxId::MAX as f64) {
+            return Err(err(format!(
+                "the workloads plan {planned:.0} transactions, more than the {} a transaction id numbers",
+                TxId::MAX
+            )));
+        }
         let fault = match root.get("fault") {
             Some(section) => parse_faults(section)?,
             None => FaultPlan::none(),
@@ -195,6 +210,18 @@ impl Behavior {
         let (end, _) = *self.load.last().expect("validated non-empty");
         let points = self.load[..self.load.len() - 1].to_vec();
         Workload::piecewise(name, &points, end)
+    }
+
+    /// What one client plans for this behaviour at most, from the
+    /// breakpoints alone: the integral of the load curve, rounded up.
+    /// [`Workload::ticks`] carries each tick's fraction forward, so its
+    /// counts never sum past this.
+    fn planned_bound(&self) -> f64 {
+        let segments = self.load.windows(2);
+        segments
+            .map(|w| w[0].1 * (w[1].0 - w[0].0) as f64)
+            .sum::<f64>()
+            .ceil()
     }
 }
 
@@ -326,6 +353,11 @@ fn parse_behavior(v: &Value) -> Result<Behavior, SpecError> {
     let mut load = Vec::with_capacity(load_map.len());
     for (k, rate) in load_map {
         let t: u64 = k.parse().map_err(|_| err(format!("bad load time `{k}`")))?;
+        if t > SimTime::MAX_SECS {
+            return Err(err(format!(
+                "load time `{k}` is past the end of the simulation clock"
+            )));
+        }
         let r = rate
             .as_f64()
             .ok_or_else(|| err(format!("bad load rate for `{k}`")))?;
@@ -687,6 +719,69 @@ workloads:
 "#;
         let e = BenchmarkSpec::parse(bad_order).unwrap_err();
         assert!(e.0.contains("increase"), "{e}");
+    }
+
+    fn one_transfer(load: &str) -> String {
+        format!(
+            r#"
+workloads:
+  - number: 1
+    client:
+      behavior:
+        - interaction: !transfer
+            from: {{ sample: !account {{ number: 10 }} }}
+          load: {load}
+"#
+        )
+    }
+
+    #[test]
+    fn a_load_key_past_the_clock_is_refused() {
+        // u64::MAX microseconds is 18,446,744,073,709.55 s. This key
+        // parsed, and planning then asked for a 147 TB rate vector.
+        let e = BenchmarkSpec::parse(&one_transfer("{0: 10, 18446744073710: 0}")).unwrap_err();
+        assert!(e.0.contains("`18446744073710` is past the end"), "{e}");
+        assert!(BenchmarkSpec::parse(&one_transfer("{0: 0, 18446744073709: 0}")).is_ok());
+    }
+
+    #[test]
+    fn a_plan_past_the_transaction_ids_is_refused() {
+        // 10 TPS for a billion seconds: 1e10 ids, and an 80 GB request.
+        let e = BenchmarkSpec::parse(&one_transfer("{0: 10, 1000000000: 0}")).unwrap_err();
+        assert!(e.0.contains("plan 10000000000 transactions"), "{e}");
+        // Two groups that fit alone share one id space.
+        let half = one_transfer("{0: 2147483648, 1: 0}");
+        let twice = half.replacen("number: 1", "number: 2", 1);
+        assert!(BenchmarkSpec::parse(&half).is_ok());
+        let e = BenchmarkSpec::parse(&twice).unwrap_err();
+        assert!(e.0.contains("plan 4294967296 transactions"), "{e}");
+        let e = BenchmarkSpec::parse(&one_transfer("{0: nan, 1: 0}")).unwrap_err();
+        assert!(e.0.contains("transaction id"), "{e}");
+    }
+
+    #[test]
+    fn the_planned_bound_caps_what_planning_expands() {
+        use diablo_testkit::gen::{f64s, u64s, vecs};
+        use diablo_testkit::{prop_assert, Property};
+        let curves = vecs((u64s(0..=49), f64s(0.0..200.0)), 1..=6);
+        Property::new("planned_bound_caps_ticks").cases(256).check(&curves, |segments| {
+            let mut load = Vec::new();
+            let mut t = 0;
+            for &(dur, rate) in segments {
+                load.push((t, rate));
+                t += dur + 1;
+            }
+            load.push((t, 0.0));
+            let behavior = Behavior {
+                interaction: InteractionSpec::Transfer { accounts: 1, amount: 1 },
+                load,
+            };
+            let bound = behavior.planned_bound();
+            let planned: u64 = behavior.to_workload("").ticks(100).iter().sum();
+            prop_assert!(planned as f64 <= bound, "{planned} > {bound}");
+            prop_assert!(planned as f64 >= bound - 2.0, "{planned} far below {bound}");
+            Ok(())
+        });
     }
 
     #[test]

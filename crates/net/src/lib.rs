@@ -15,7 +15,6 @@ pub mod dial;
 pub mod machine;
 pub mod matrix;
 pub mod model;
-pub mod probe;
 pub mod quorum;
 pub mod region;
 
@@ -24,6 +23,5 @@ pub use dial::{dial, DialError, DialErrorKind, DialPolicy};
 pub use machine::{InstanceType, MachineSpec};
 pub use matrix::{bandwidth_mbps, rtt_ms, INTRA_DC_BANDWIDTH_MBPS, INTRA_DC_RTT_MS};
 pub use model::NetworkModel;
-pub use probe::{measure_bandwidth, measure_rtt, probe_pair, ProbeResult};
 pub use quorum::QuorumModel;
 pub use region::Region;

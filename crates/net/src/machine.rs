@@ -1,12 +1,8 @@
 //! Machine classes used by the paper's deployments (§5.1).
 //!
-//! The evaluation uses three AWS instance types. Besides the raw vCPU and
-//! memory figures of Table 3, the machine model exposes derived
-//! throughput figures (signature verifications per second, VM gas per
-//! second, transaction admissions per second) that the blockchain node
-//! simulations in `diablo-chains` consume. The per-core base rates are
-//! calibration constants chosen so the end-to-end experiments reproduce
-//! the paper's observed numbers (see EXPERIMENTS.md).
+//! The evaluation uses three AWS instance types. This module holds the
+//! raw vCPU and memory figures of Table 3; the node simulations in
+//! `diablo-chains` derive their capacities from them (`params.rs`).
 
 use core::fmt;
 
@@ -56,29 +52,12 @@ impl fmt::Display for InstanceType {
     }
 }
 
-/// A machine participating in a deployment: its instance type plus the
-/// derived capacity model used by the node simulations.
+/// A machine participating in a deployment: its instance type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MachineSpec {
     /// The AWS instance type.
     pub instance: InstanceType,
 }
-
-/// Per-core ECDSA (secp256k1) signature verifications per second.
-///
-/// Calibration constant; c5 instances verify on the order of a few
-/// thousand ECDSA signatures per core-second.
-const ECDSA_VERIFY_PER_CORE_PER_SEC: f64 = 2_500.0;
-
-/// Per-core Ed25519 verifications per second (batchable, faster).
-const ED25519_VERIFY_PER_CORE_PER_SEC: f64 = 8_000.0;
-
-/// Per-core EVM-style gas executed per second.
-///
-/// Go-ethereum executes on the order of a few hundred Mgas/s per core on
-/// modern hardware for compute-heavy contracts; we use a conservative
-/// figure for c5-class cores.
-const GAS_PER_CORE_PER_SEC: f64 = 40_000_000.0;
 
 impl MachineSpec {
     /// Machine of the given instance type.
@@ -94,37 +73,6 @@ impl MachineSpec {
     /// Memory in GiB.
     pub const fn memory_gib(self) -> u32 {
         self.instance.memory_gib()
-    }
-
-    /// ECDSA signature verifications per second on this machine,
-    /// assuming all cores verify in parallel.
-    pub fn ecdsa_verify_rate(self) -> f64 {
-        self.vcpus() as f64 * ECDSA_VERIFY_PER_CORE_PER_SEC
-    }
-
-    /// Ed25519 signature verifications per second on this machine.
-    pub fn ed25519_verify_rate(self) -> f64 {
-        self.vcpus() as f64 * ED25519_VERIFY_PER_CORE_PER_SEC
-    }
-
-    /// VM gas units executed per second (single execution thread, as in
-    /// geth's serial EVM execution).
-    pub fn serial_gas_rate(self) -> f64 {
-        GAS_PER_CORE_PER_SEC
-    }
-
-    /// VM gas units executed per second when the chain executes
-    /// transactions in parallel across cores (Solana's Sealevel model).
-    pub fn parallel_gas_rate(self) -> f64 {
-        self.vcpus() as f64 * GAS_PER_CORE_PER_SEC
-    }
-
-    /// Approximate number of transactions the mempool can hold before
-    /// memory pressure forces drops (scaled by machine memory; one
-    /// transaction with metadata ≈ 1 KiB, and the node can devote about
-    /// an eighth of its memory to the pool).
-    pub fn mempool_capacity(self) -> usize {
-        (self.memory_gib() as usize) * 1024 * 1024 / 8
     }
 }
 
@@ -152,29 +100,6 @@ mod tests {
         assert_eq!(InstanceType::C52xlarge.memory_gib(), 16);
         assert_eq!(InstanceType::C59xlarge.vcpus(), 36);
         assert_eq!(InstanceType::C59xlarge.memory_gib(), 72);
-    }
-
-    #[test]
-    fn rates_scale_with_cores() {
-        let small = MachineSpec::new(InstanceType::C5Xlarge);
-        let big = MachineSpec::new(InstanceType::C59xlarge);
-        assert!(big.ecdsa_verify_rate() > small.ecdsa_verify_rate() * 8.0);
-        assert!(big.parallel_gas_rate() > small.parallel_gas_rate() * 8.0);
-        // Serial execution does not benefit from extra cores.
-        assert_eq!(big.serial_gas_rate(), small.serial_gas_rate());
-    }
-
-    #[test]
-    fn ed25519_faster_than_ecdsa() {
-        let m = MachineSpec::new(InstanceType::C52xlarge);
-        assert!(m.ed25519_verify_rate() > m.ecdsa_verify_rate());
-    }
-
-    #[test]
-    fn mempool_capacity_scales_with_memory() {
-        let small = MachineSpec::new(InstanceType::C5Xlarge);
-        let big = MachineSpec::new(InstanceType::C59xlarge);
-        assert_eq!(big.mempool_capacity(), small.mempool_capacity() * 9);
     }
 
     #[test]

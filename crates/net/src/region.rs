@@ -55,11 +55,6 @@ impl Region {
         self as usize
     }
 
-    /// Builds a region from a matrix index.
-    pub fn from_index(index: usize) -> Option<Region> {
-        Region::ALL.get(index).copied()
-    }
-
     /// The human-readable city name used in the paper.
     pub const fn city(self) -> &'static str {
         match self {
@@ -118,9 +113,8 @@ mod tests {
     fn indices_roundtrip() {
         for (i, r) in Region::ALL.iter().enumerate() {
             assert_eq!(r.index(), i);
-            assert_eq!(Region::from_index(i), Some(*r));
         }
-        assert_eq!(Region::from_index(10), None);
+        assert_eq!(Region::ALL.len(), Region::COUNT);
     }
 
     #[test]

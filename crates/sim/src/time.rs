@@ -23,14 +23,19 @@ impl SimTime {
     /// A time far in the future, usable as an "never" sentinel.
     pub const MAX: SimTime = SimTime(u64::MAX);
 
-    /// Builds an instant from whole seconds since the epoch.
+    /// The last whole second the clock can count in microseconds.
+    pub const MAX_SECS: u64 = u64::MAX / 1_000_000;
+
+    /// Builds an instant from whole seconds since the epoch, saturating
+    /// at [`SimTime::MAX`].
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * 1_000_000)
+        SimTime(secs.saturating_mul(1_000_000))
     }
 
-    /// Builds an instant from milliseconds since the epoch.
+    /// Builds an instant from milliseconds since the epoch, saturating
+    /// at [`SimTime::MAX`].
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000)
+        SimTime(ms.saturating_mul(1_000))
     }
 
     /// Builds an instant from microseconds since the epoch.
@@ -75,14 +80,16 @@ impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Builds a duration from whole seconds.
+    /// Builds a duration from whole seconds, saturating at `u64::MAX`
+    /// microseconds.
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000)
+        SimDuration(secs.saturating_mul(1_000_000))
     }
 
-    /// Builds a duration from milliseconds.
+    /// Builds a duration from milliseconds, saturating at `u64::MAX`
+    /// microseconds.
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000)
+        SimDuration(ms.saturating_mul(1_000))
     }
 
     /// Builds a duration from microseconds.
@@ -214,6 +221,22 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_millis(), 2_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn construction_saturates_instead_of_wrapping() {
+        // Wrapped, the first whole second past the clock was a 0.45 s
+        // grace period.
+        let past = SimTime::MAX_SECS + 1;
+        assert_eq!(past, 18_446_744_073_710);
+        assert_eq!(SimTime::from_secs(past), SimTime::MAX);
+        assert_eq!(SimDuration::from_secs(past).as_micros(), u64::MAX);
+        assert_eq!(SimTime::from_millis(u64::MAX), SimTime::MAX);
+        assert_eq!(SimDuration::from_millis(u64::MAX).as_micros(), u64::MAX);
+        assert_eq!(
+            SimTime::from_secs(past - 1).as_micros(),
+            18_446_744_073_709_000_000
+        );
     }
 
     #[test]

@@ -66,17 +66,6 @@ impl Absorber {
         }
     }
 
-    /// Absorbs a byte slice as zero-padded little-endian words plus the
-    /// exact byte length (so `"ab"` and `"ab\0"` differ).
-    pub fn absorb_bytes(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.absorb(u64::from_le_bytes(w));
-        }
-        self.absorb(bytes.len() as u64 ^ 0x6279_7465_735f_6c65); // "bytes_le"
-    }
-
     /// Finishes: length padding, then two cross-lane diffusion rounds.
     pub fn finish(mut self) -> Digest {
         let n = self.words;
@@ -99,13 +88,6 @@ impl Digest {
         for &w in words {
             a.absorb(w);
         }
-        a.finish()
-    }
-
-    /// Digest of a byte string under `tag`.
-    pub fn of_bytes(tag: u64, bytes: &[u8]) -> Digest {
-        let mut a = Absorber::new(tag);
-        a.absorb_bytes(bytes);
         a.finish()
     }
 
@@ -157,11 +139,6 @@ mod tests {
         assert_ne!(Digest::of_words(1, &[1, 2]), Digest::of_words(1, &[2, 1]));
         assert_ne!(Digest::of_words(1, &[1]), Digest::of_words(1, &[1, 0]));
         assert_ne!(Digest::of_words(1, &[]), Digest::of_words(2, &[]));
-        assert_ne!(
-            Digest::of_bytes(1, b"ab"),
-            Digest::of_bytes(1, b"ab\0"),
-            "byte-length padding"
-        );
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl SegmentedLog {
         self.segments.iter().map(|s| s.buf.len() as u64).sum()
     }
 
-    /// Segments currently resident.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Records dropped by pruning so far.
     pub fn pruned_records(&self) -> u64 {
         self.pruned_records
@@ -175,7 +170,7 @@ mod tests {
         assert_eq!(log.get(0), None);
         assert_eq!(log.get(12), None);
         // Heights 1..=11 at 4/segment: [1..4][5..8][9..11].
-        assert_eq!(log.segment_count(), 3);
+        assert_eq!(log.segments.len(), 3);
         assert_eq!(log.resident_records(), 11);
     }
 
@@ -188,7 +183,7 @@ mod tests {
         let before_bytes = log.resident_bytes();
         // Horizon 6: segment [1..4] is entirely below it, [5..8] is not.
         assert_eq!(log.prune_below(6), 1);
-        assert_eq!(log.segment_count(), 2);
+        assert_eq!(log.segments.len(), 2);
         assert_eq!(log.get(3), None);
         assert_eq!(log.get(5), Some(rec(5).as_slice()));
         assert_eq!(log.pruned_records(), 4);
@@ -199,7 +194,7 @@ mod tests {
         );
         // The live tail segment is never pruned even when below horizon.
         assert_eq!(log.prune_below(u64::MAX), 1);
-        assert_eq!(log.segment_count(), 1);
+        assert_eq!(log.segments.len(), 1);
         assert_eq!(log.get(9), Some(rec(9).as_slice()));
     }
 

@@ -4,9 +4,10 @@
 //! within one discrete event returns the same value, so telemetry never
 //! perturbs determinism. The chain simulation publishes its current
 //! [`SimTime`] here as it dispatches events ([`set_sim_now`]), and every
-//! span and duration measurement reads that value. The bench harness —
-//! which measures real CPU cost, not modeled time — opts into a
-//! monotonic wall clock with [`use_wall_clock`].
+//! span and duration measurement reads that value. Live mode and the
+//! host-cost benchmark in `benchmark/` — which measure real time, not
+//! modeled time — opt into a monotonic wall clock with
+//! [`use_wall_clock`].
 //!
 //! The default is the sim clock at t = 0, so telemetry recorded outside
 //! any simulation (e.g. during workload planning) is deterministic too:
@@ -34,8 +35,9 @@ pub fn set_sim_now(now: SimTime) {
     let _ = now;
 }
 
-/// Switches the telemetry clock to monotonic wall time (bench harness
-/// mode). Wall-clocked snapshots are *not* deterministic.
+/// Switches the telemetry clock to monotonic wall time (live mode and
+/// the host-cost benchmark). Wall-clocked snapshots are *not*
+/// deterministic.
 pub fn use_wall_clock() {
     EPOCH.get_or_init(Instant::now);
     WALL.store(true, Ordering::Relaxed);

@@ -234,20 +234,6 @@ impl TelemetrySnapshot {
         out.push_str("}}");
         out
     }
-
-    /// Dumps span statistics in collapsed-stack format (one
-    /// `path;to;frame <exclusive_us>` line per span path), suitable for
-    /// flame-graph tooling.
-    pub fn collapsed_spans(&self) -> String {
-        let mut out = String::new();
-        for (path, s) in &self.spans {
-            out.push_str(path);
-            out.push(' ');
-            out.push_str(&s.exclusive_us.to_string());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 fn push_key(out: &mut String, name: &str) {
@@ -364,32 +350,6 @@ mod tests {
         assert!(json.contains("\"p50\":20"));
         assert!(json.contains("\"p;q\":{\"count\":2,\"inclusive_us\":9,\"exclusive_us\":4}"));
         assert!(!json.contains('.') || json.contains("a.b")); // no floats
-    }
-
-    #[test]
-    fn collapsed_spans_format() {
-        let snap = TelemetrySnapshot {
-            spans: vec![
-                (
-                    "a".into(),
-                    SpanStat {
-                        count: 1,
-                        inclusive_us: 10,
-                        exclusive_us: 4,
-                    },
-                ),
-                (
-                    "a;b".into(),
-                    SpanStat {
-                        count: 1,
-                        inclusive_us: 6,
-                        exclusive_us: 6,
-                    },
-                ),
-            ],
-            ..Default::default()
-        };
-        assert_eq!(snap.collapsed_spans(), "a 4\na;b 6\n");
     }
 
     #[test]

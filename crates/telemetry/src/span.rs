@@ -9,8 +9,8 @@
 //!
 //! Under the default sim clock, time only advances between simulation
 //! events, so spans opened and closed within one event record zero
-//! duration (their call counts remain meaningful). The bench harness
-//! switches to the wall clock to measure real CPU time.
+//! duration (their call counts remain meaningful). The host-cost
+//! benchmark switches to the wall clock to measure real CPU time.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;

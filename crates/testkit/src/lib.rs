@@ -1,8 +1,8 @@
-//! In-tree property-testing and benchmarking harness.
+//! In-tree property-testing harness.
 //!
 //! The workspace builds hermetically — `cargo build --release --offline`
-//! from a cold registry — so its test and bench infrastructure cannot
-//! depend on external crates. This crate supplies the substrates the
+//! from a cold registry — so its test infrastructure cannot depend on
+//! external crates. This crate supplies the substrates the
 //! suite needs, built on the deterministic primitives of `diablo-sim`:
 //!
 //! - [`prop`]: a small property-testing harness. Generators ([`gen`])
@@ -10,10 +10,6 @@
 //!   number of cases, and on failure it greedily shrinks the input and
 //!   prints a **replayable seed**: re-running the test with
 //!   `DIABLO_PROP_SEED=<seed>` reproduces exactly the failing case.
-//! - [`mod@bench`]: a statistics-reporting micro/macro-benchmark harness:
-//!   warmup, N timed samples, their mean and p50/p99 (by
-//!   [`diablo_sim::stats::Cdf`]), human-readable output plus optional
-//!   `BENCH_<suite>.json` line output (set `DIABLO_BENCH_JSON`).
 //! - [`alloc`]: the counting global allocator of the allocation-budget
 //!   tests — calls, bytes and peak live bytes of one call.
 //!
@@ -39,17 +35,12 @@
 //! |---|---|
 //! | `DIABLO_PROP_CASES` | Overrides every property's case count. |
 //! | `DIABLO_PROP_SEED` | Replays a single failing case (hex `0x…` or decimal). A case's seed is fixed by its number, so an unseeded run replays it too, and CI needs no replay line. |
-//! | `DIABLO_BENCH_SAMPLES` | Overrides the per-benchmark sample count. |
-//! | `DIABLO_BENCH_FILTER` | Runs only benchmarks whose name contains the substring. |
-//! | `DIABLO_BENCH_JSON` | Directory (or `1` for `.`) receiving `BENCH_<suite>.json`. |
 
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod bench;
 pub mod gen;
 pub mod prop;
 
-pub use bench::{black_box, Bench};
 pub use gen::{BoxedGen, Gen};
 pub use prop::{check, Property, PropResult};

@@ -182,11 +182,6 @@ impl PreparedProgram {
         self.plain.is_empty()
     }
 
-    /// Number of basic blocks discovered.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Resolves an entry-point name to its dense id (binary search over
     /// sorted names — no hashing).
     pub fn entry_id(&self, name: &str) -> Option<EntryId> {
@@ -939,7 +934,7 @@ mod tests {
         let prepared = prepare(&program, VmFlavor::Geth).unwrap();
         // Blocks: [0..4) prologue, [4..6) header, [6..15) body+backedge,
         // [15..17) exit — 4 blocks.
-        assert_eq!(prepared.block_count(), 4);
+        assert_eq!(prepared.blocks.len(), 4);
         // Blocks partition the program and their folded static costs sum
         // to the whole program's static cost (operand rewriting does not
         // change any instruction's cost class).

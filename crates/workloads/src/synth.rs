@@ -3,61 +3,12 @@
 //! The paper's related work drives blockchains with synthetic curves
 //! (Caliper's rate controllers, Blockbench's micro-benchmarks,
 //! Chainhammer's continuous hammering); these generators let Diablo-rs
-//! users build the same families — ramps, spikes, square waves, diurnal
-//! curves and Poisson-jittered variants of any base curve — without
-//! leaving the workload type.
+//! users build diurnal curves and Poisson-jittered variants of any base
+//! curve without leaving the workload type.
 
 use diablo_sim::DetRng;
 
 use crate::workload::Workload;
-
-/// A linear ramp from `from` TPS to `to` TPS over `secs` seconds.
-pub fn ramp(from: f64, to: f64, secs: u64) -> Workload {
-    assert!(secs > 0, "ramp needs a duration");
-    let rates = (0..secs)
-        .map(|s| {
-            let t = if secs == 1 {
-                0.0
-            } else {
-                s as f64 / (secs - 1) as f64
-            };
-            from + (to - from) * t
-        })
-        .collect();
-    Workload::from_rates(format!("ramp-{from}-{to}"), rates)
-}
-
-/// A baseline with one rectangular spike: `base` TPS everywhere, `peak`
-/// TPS during `[spike_at, spike_at + spike_secs)`.
-pub fn spike(base: f64, peak: f64, spike_at: u64, spike_secs: u64, secs: u64) -> Workload {
-    assert!(spike_at + spike_secs <= secs, "spike must fit the duration");
-    let rates = (0..secs)
-        .map(|s| {
-            if s >= spike_at && s < spike_at + spike_secs {
-                peak
-            } else {
-                base
-            }
-        })
-        .collect();
-    Workload::from_rates(format!("spike-{peak}at{spike_at}"), rates)
-}
-
-/// A square wave alternating between `low` and `high` every
-/// `half_period` seconds (Chainhammer-style stress with recovery gaps).
-pub fn square_wave(low: f64, high: f64, half_period: u64, secs: u64) -> Workload {
-    assert!(half_period > 0, "square wave needs a period");
-    let rates = (0..secs)
-        .map(|s| {
-            if (s / half_period).is_multiple_of(2) {
-                low
-            } else {
-                high
-            }
-        })
-        .collect();
-    Workload::from_rates("square-wave", rates)
-}
 
 /// A diurnal (sinusoidal) curve: mean `mean`, amplitude `amplitude`,
 /// one full cycle per `period_secs`.
@@ -109,33 +60,6 @@ fn poisson(rng: &mut DetRng, mean: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ramp_endpoints() {
-        let w = ramp(100.0, 500.0, 5);
-        assert_eq!(w.rate_at(0), 100.0);
-        assert_eq!(w.rate_at(4), 500.0);
-        assert!((w.mean_tps() - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spike_shape() {
-        let w = spike(10.0, 1_000.0, 30, 2, 60);
-        assert_eq!(w.rate_at(29), 10.0);
-        assert_eq!(w.rate_at(30), 1_000.0);
-        assert_eq!(w.rate_at(31), 1_000.0);
-        assert_eq!(w.rate_at(32), 10.0);
-        assert_eq!(w.peak_tps(), 1_000.0);
-    }
-
-    #[test]
-    fn square_wave_alternates() {
-        let w = square_wave(0.0, 100.0, 10, 40);
-        assert_eq!(w.rate_at(5), 0.0);
-        assert_eq!(w.rate_at(15), 100.0);
-        assert_eq!(w.rate_at(25), 0.0);
-        assert_eq!(w.rate_at(35), 100.0);
-    }
 
     #[test]
     fn diurnal_oscillates_around_the_mean() {

@@ -169,6 +169,45 @@ case "$status:$slow_err" in
     ;;
 esac
 
+# Numbers past the simulation clock are refused where they are read. A
+# grace of 18,446,744,073,710 s wrapped the clock's u64 microseconds to
+# a 0.45 s drain (exit 0), and a load key as far out died allocating
+# the load curve (exit 134). The binary runs under `timeout 5`, so a
+# run that starts instead of refusing fails here too (exit 124).
+echo "==> clock smoke (--grace and a load key past the clock are refused, within 5 s)"
+big_key="$(mktemp "${TMPDIR:-/tmp}"/diablo-big-key.XXXXXX.yaml)"
+cat >"$big_key" <<'EOF'
+workloads:
+  - number: 1
+    client:
+      behavior:
+        - interaction: !transfer
+            from: { sample: !account { number: 10 } }
+          load:
+            0: 10
+            18446744073710: 0
+EOF
+for probe in grace load; do
+    if [ "$probe" = grace ]; then
+        set -- --grace=18446744073710 workloads/native-10.yaml
+        want="bad --grace"
+    else
+        set -- "$big_key"
+        want="past the end of the simulation clock"
+    fi
+    status=0
+    clock_err="$(timeout 5 ./target/release/diablo run --chain=ethereum "$@" 2>&1 >/dev/null)" \
+        || status=$?
+    case "$status:$clock_err" in
+    1:*"$want"*) ;;
+    *)
+        echo "clock smoke ($probe): exit status $status, message: $clock_err" >&2
+        exit 1
+        ;;
+    esac
+done
+rm -f "$big_key"
+
 # Both Primaries make the same checks before anything runs: a spec that
 # invokes two DApps is refused by `diablo primary` as by `diablo run`,
 # before the Primary waits for a Secondary. It used to accept the
@@ -447,17 +486,6 @@ RUSTFLAGS="--cfg diablo_telemetry_off" CARGO_TARGET_DIR=target/telemetry-off \
 
 echo "==> cargo doc --no-deps --offline --workspace (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
-
-# Bench smoke: every bench binary must run end to end. Two samples per
-# benchmark keeps this to seconds; it guards the harness wiring, not
-# the numbers (the five suites left time what no BENCHMARK.json row
-# does and assert nothing of their own).
-echo "==> cargo bench --offline (smoke, DIABLO_BENCH_SAMPLES=2)"
-# Absolute path: bench binaries run with their package directory as
-# cwd, so a relative DIABLO_BENCH_JSON would scatter per-crate.
-bench_json="${DIABLO_BENCH_JSON:-$(pwd)/target/bench-smoke}"
-DIABLO_BENCH_SAMPLES=2 DIABLO_BENCH_JSON="$bench_json" \
-    cargo bench -q --offline --workspace
 
 # Host-bench smoke: BENCHMARK.json's program on its node-count
 # workload, on its state-store workload (the one that runs the

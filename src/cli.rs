@@ -10,6 +10,7 @@
 //! `defaults ← spec ← CLI` (see `diablo_chains::RunConfig`).
 
 use diablo_chains::{Concurrency, ExecMode, LiveConfig, RunOverlay};
+use diablo_sim::SimTime;
 use diablo_telemetry::trace::TraceSample;
 
 /// What kind of value a flag takes.
@@ -420,7 +421,9 @@ impl Invocation {
         o.exec_mode = self.parse_exec_mode()?;
         o.concurrency = self.parse_concurrency()?;
         if let Some(g) = self.get("grace") {
-            o.grace_secs = Some(g.parse().map_err(|_| "bad --grace")?);
+            let max = SimTime::MAX_SECS;
+            let secs = g.parse().ok().filter(|&s: &u64| s <= max);
+            o.grace_secs = Some(secs.ok_or(format!("bad --grace={g} (0..={max} seconds)"))?);
         }
         o.faults = self.parse_chaos()?;
         o.storage = self.parse_storage()?;
@@ -697,5 +700,13 @@ mod tests {
         assert!(bad(&["run", "--exec-mode=fast"]).contains("profiled | exact"));
         assert!(bad(&["run", "--time-scale=-1"]).contains("time-scale"));
         assert!(bad(&["run", "--threads=0"]).contains("threads"));
+        // One second past the clock's end in microseconds: it used to
+        // wrap to a 0.45 s drain.
+        let e = bad(&["run", "--grace=18446744073710"]);
+        assert!(
+            e.contains("bad --grace") && e.contains("18446744073709 seconds"),
+            "{e}"
+        );
+        assert!(bad(&["run", "--grace=-1"]).contains("bad --grace"));
     }
 }
