@@ -105,7 +105,7 @@ impl Key {
             Variant::Standard => return e,
             Variant::Crash { beyond_f } => {
                 let nodes = config.byzantine_f() + usize::from(beyond_f);
-                return e.with_faults(faults.crash_many(nodes, at).build());
+                return e.with_faults(faults.crash(0..nodes, at, None).build());
             }
             Variant::Slowdown => return e.with_faults(faults.slowdown(at, 4.0).build()),
             Variant::BoundedPool => params.mempool = MempoolPolicy::bounded(7_000),

@@ -88,7 +88,7 @@ fn sweep(dir: &Path, out: &mut dyn Write) -> io::Result<i32> {
     for dapp in DApp::ALL {
         let w = Load::Trace(dapp).workload();
         let mut dat = String::from("# second submitted_tps\n");
-        for (sec, rate) in w.rates().iter().enumerate() {
+        for (sec, rate) in w.rates().enumerate() {
             let _ = writeln!(dat, "{sec} {rate:.1}");
         }
         fs::write(dir.join("traces").join(w.name()).with_extension("dat"), dat)?;

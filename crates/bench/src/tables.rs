@@ -135,12 +135,14 @@ fn table1_observed_peaks_match_the_paper(c: &Cache) -> Outcome {
 fn sparkline(w: &Workload, width: usize) -> String {
     const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let peak = w.peak_tps().max(1.0);
-    let chunk = w.rates().len().div_ceil(width).max(1);
-    let level = |c: &[f64]| {
-        let m = c.iter().copied().fold(0.0, f64::max);
+    let secs = w.duration_secs();
+    let chunk = secs.div_ceil(width).max(1);
+    let mut rates = w.rates();
+    let level = |_| {
+        let m = rates.by_ref().take(chunk).fold(0.0, f64::max);
         LEVELS[(((m / peak) * 7.0).round() as usize).min(7)]
     };
-    w.rates().chunks(chunk).map(level).collect()
+    (0..secs.div_ceil(chunk)).map(level).collect()
 }
 
 fn table2(_: &Cache, out: &mut String) {

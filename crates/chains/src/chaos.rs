@@ -17,7 +17,11 @@
 //! Times are seconds from benchmark start; `NODES` is either a count
 //! (`4` crashes nodes `0..4`) or an explicit list (`1,3,8`); node
 //! groups are comma-separated indices and `A-B` ranges; rates accept
-//! `0.1` or `10%`.
+//! `0.1` or `10%`. Node lists stay ranges: a count of a billion costs
+//! what a count of four does, and `run` refuses a node the deployment
+//! does not have before it plans anything.
+
+use std::ops::Range;
 
 use crate::faults::{FaultPlanBuilder, RetryPolicy};
 use diablo_sim::{SimDuration, SimTime};
@@ -32,29 +36,22 @@ pub fn apply_directive(
     let bad = |why: &str| format!("fault directive `{key}: {value}`: {why}");
     match key {
         "crash" => {
-            let (nodes, when) = split_once(value, '@').ok_or_else(|| bad("expected NODES@AT"))?;
+            let (nodes, when) = value.split_once('@').ok_or_else(|| bad("expected NODES@AT"))?;
             let nodes = parse_node_list(nodes).map_err(|e| bad(&e))?;
-            let (at, recover) = match split_once(when, '.') {
+            let (at, recover) = match when.split_once('.') {
                 Some((from, until)) => {
                     let until = until.strip_prefix('.').ok_or_else(|| bad("expected AT..RECOVER"))?;
                     (parse_secs(from).map_err(|e| bad(&e))?, Some(parse_secs(until).map_err(|e| bad(&e))?))
                 }
                 None => (parse_secs(when).map_err(|e| bad(&e))?, None),
             };
-            let mut b = builder;
-            for node in nodes {
-                b = b.crash(node, at);
-                if let Some(rec) = recover {
-                    b = b.recover(node, rec);
-                }
-            }
-            Ok(b)
+            Ok(nodes.into_iter().fold(builder, |b, nodes| b.crash(nodes, at, recover)))
         }
         "partition" => {
             let (groups, window) =
-                split_once(value, '@').ok_or_else(|| bad("expected GROUPS@FROM..UNTIL"))?;
+                value.split_once('@').ok_or_else(|| bad("expected GROUPS@FROM..UNTIL"))?;
             let (from, until) = parse_window(window).map_err(|e| bad(&e))?;
-            let groups: Vec<Vec<usize>> = groups
+            let groups: Vec<Vec<Range<usize>>> = groups
                 .split('/')
                 .map(parse_group)
                 .collect::<Result<_, _>>()
@@ -62,18 +59,17 @@ pub fn apply_directive(
             if groups.len() < 2 {
                 return Err(bad("need at least two `/`-separated groups"));
             }
-            let refs: Vec<&[usize]> = groups.iter().map(|g| g.as_slice()).collect();
-            Ok(builder.partition_groups(&refs, from, until))
+            Ok(builder.partition_groups(groups, from, until))
         }
         "loss" => {
             let mut link = None;
             let mut spec = value;
-            if let Some((head, opt)) = split_once(value, ',') {
+            if let Some((head, opt)) = value.split_once(',') {
                 let pair = opt
                     .trim()
                     .strip_prefix("link=")
                     .ok_or_else(|| bad("expected `,link=A-B`"))?;
-                let (a, b) = split_once(pair, '-').ok_or_else(|| bad("expected `link=A-B`"))?;
+                let (a, b) = pair.split_once('-').ok_or_else(|| bad("expected `link=A-B`"))?;
                 link = Some((
                     parse_index(a).map_err(|e| bad(&e))?,
                     parse_index(b).map_err(|e| bad(&e))?,
@@ -81,7 +77,7 @@ pub fn apply_directive(
                 spec = head;
             }
             let (rate, window) =
-                split_once(spec, '@').ok_or_else(|| bad("expected RATE@FROM..UNTIL"))?;
+                spec.split_once('@').ok_or_else(|| bad("expected RATE@FROM..UNTIL"))?;
             let rate = parse_rate(rate).map_err(|e| bad(&e))?;
             let (from, until) = parse_window(window).map_err(|e| bad(&e))?;
             Ok(match link {
@@ -91,13 +87,13 @@ pub fn apply_directive(
         }
         "corrupt" => {
             let (rate, window) =
-                split_once(value, '@').ok_or_else(|| bad("expected RATE@FROM..UNTIL"))?;
+                value.split_once('@').ok_or_else(|| bad("expected RATE@FROM..UNTIL"))?;
             let rate = parse_rate(rate).map_err(|e| bad(&e))?;
             let (from, until) = parse_window(window).map_err(|e| bad(&e))?;
             Ok(builder.corrupt(rate, from, until))
         }
         "slowdown" => {
-            let (factor, at) = split_once(value, '@').ok_or_else(|| bad("expected FACTOR@AT"))?;
+            let (factor, at) = value.split_once('@').ok_or_else(|| bad("expected FACTOR@AT"))?;
             let text = factor.trim();
             let factor: f64 = text.parse().map_err(|_| bad("factor must be a number"))?;
             if !factor.is_finite() || factor < 1.0 {
@@ -106,17 +102,18 @@ pub fn apply_directive(
             Ok(builder.slowdown(parse_secs(at).map_err(|e| bad(&e))?, factor))
         }
         "kill-secondary" => {
-            let (idx, at) = split_once(value, '@').ok_or_else(|| bad("expected INDEX@AT"))?;
+            let (idx, at) = value.split_once('@').ok_or_else(|| bad("expected INDEX@AT"))?;
             Ok(builder.kill_secondary(
                 parse_index(idx).map_err(|e| bad(&e))?,
                 parse_secs(at).map_err(|e| bad(&e))?,
             ))
         }
         "retry" => {
-            let (attempts, rest) =
-                split_once(value, 'x').ok_or_else(|| bad("expected ATTEMPTSxBACKOFF_MS/TIMEOUT_MS"))?;
+            let (attempts, rest) = value
+                .split_once('x')
+                .ok_or_else(|| bad("expected ATTEMPTSxBACKOFF_MS/TIMEOUT_MS"))?;
             let (backoff, timeout) =
-                split_once(rest, '/').ok_or_else(|| bad("expected BACKOFF_MS/TIMEOUT_MS"))?;
+                rest.split_once('/').ok_or_else(|| bad("expected BACKOFF_MS/TIMEOUT_MS"))?;
             let attempts: u32 = attempts
                 .trim()
                 .parse()
@@ -144,43 +141,40 @@ pub fn apply_directive(
     }
 }
 
-fn split_once(s: &str, sep: char) -> Option<(&str, &str)> {
-    s.split_once(sep)
-}
-
 fn parse_index(s: &str) -> Result<usize, String> {
     s.trim()
         .parse()
         .map_err(|_| format!("`{}` is not a node index", s.trim()))
 }
 
-/// `4` → `[0, 1, 2, 3]`; `1,3,8` / `0-4,7` → the listed indices.
-fn parse_node_list(s: &str) -> Result<Vec<usize>, String> {
+/// `4` → `[0..4]`; `1,3,8` / `0-4,7` → the listed indices, as ranges.
+fn parse_node_list(s: &str) -> Result<Vec<Range<usize>>, String> {
     let s = s.trim();
     if !s.contains(',') && !s.contains('-') {
-        let count = parse_index(s)?;
-        return Ok((0..count).collect());
+        let all = 0..parse_index(s)?;
+        return Ok(vec![all]);
     }
     parse_group(s)
 }
 
 /// A partition group: explicit indices and `A-B` ranges only (a bare
 /// `4` is node 4, never a count).
-fn parse_group(s: &str) -> Result<Vec<usize>, String> {
-    let mut nodes = Vec::new();
-    for part in s.split(',') {
-        match split_once(part, '-') {
-            Some((a, b)) => {
-                let (a, b) = (parse_index(a)?, parse_index(b)?);
-                if b < a {
-                    return Err(format!("range `{}` runs backwards", part.trim()));
-                }
-                nodes.extend(a..=b);
+fn parse_group(s: &str) -> Result<Vec<Range<usize>>, String> {
+    s.split(',')
+        .map(|part| {
+            let (a, b) = match part.split_once('-') {
+                Some((a, b)) => (parse_index(a)?, parse_index(b)?),
+                None => (parse_index(part)?, parse_index(part)?),
+            };
+            if b < a {
+                return Err(format!("range `{}` runs backwards", part.trim()));
             }
-            None => nodes.push(parse_index(part)?),
-        }
-    }
-    Ok(nodes)
+            let end = b
+                .checked_add(1)
+                .ok_or_else(|| format!("`{b}` is past the last node index"))?;
+            Ok(a..end)
+        })
+        .collect()
 }
 
 fn parse_secs(s: &str) -> Result<SimTime, String> {
@@ -241,20 +235,14 @@ mod tests {
 
     #[test]
     fn crash_count_and_recovery() {
-        assert_eq!(
-            parse("crash", "4@30"),
-            FaultPlan::builder().crash_many(4, t(30)).build()
-        );
-        assert_eq!(
-            parse("crash", "4@30..60"),
-            FaultPlan::builder()
-                .crash_many(4, t(30))
-                .recover_many(4, t(60))
-                .build()
-        );
+        let crash = |nodes, at, rec: Option<u64>| {
+            FaultPlan::builder().crash(nodes, t(at), rec.map(t))
+        };
+        assert_eq!(parse("crash", "4@30"), crash(0..4, 30, None).build());
+        assert_eq!(parse("crash", "4@30..60"), crash(0..4, 30, Some(60)).build());
         assert_eq!(
             parse("crash", "1,3@10"),
-            FaultPlan::builder().crash(1, t(10)).crash(3, t(10)).build()
+            crash(1..2, 10, None).crash(3..4, t(10), None).build()
         );
     }
 
@@ -263,15 +251,32 @@ mod tests {
         assert_eq!(
             parse("partition", "0-6/7-9@30..60"),
             FaultPlan::builder()
-                .partition(&[0, 1, 2, 3, 4, 5, 6], &[7, 8, 9], t(30), t(60))
+                .partition(0..7, 7..10, t(30), t(60))
                 .build()
         );
         assert_eq!(
             parse("partition", "0,2/1,3/4@5..6"),
             FaultPlan::builder()
-                .partition_groups(&[&[0, 2], &[1, 3], &[4]], t(5), t(6))
+                .partition_groups(
+                    vec![vec![0..1, 2..3], vec![1..2, 3..4], vec![4..5]],
+                    t(5),
+                    t(6)
+                )
                 .build()
         );
+    }
+
+    #[test]
+    fn node_lists_stay_ranges() {
+        let plan = parse("crash", "1000000000@1..2");
+        let whole = FaultPlan::builder().crash(0..1_000_000_000, t(1), Some(t(2)));
+        assert_eq!(plan, whole.build());
+        let plan = parse("partition", "0-1000000000/1@1..2");
+        let split = FaultPlan::builder().partition(0..1_000_000_001, 1..2, t(1), t(2));
+        assert_eq!(plan, split.build());
+        let huge = format!("0-{}/1@1..2", usize::MAX);
+        let err = apply_directive(FaultPlan::builder(), "partition", &huge).map(|_| ());
+        assert!(err.unwrap_err().contains("past the last node index"));
     }
 
     #[test]

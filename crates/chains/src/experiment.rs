@@ -7,9 +7,8 @@
 
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind};
-use diablo_sim::{SimDuration, SimTime};
 use diablo_store::StorageConfig;
-use diablo_workloads::Workload;
+use diablo_workloads::{spread, Workload};
 
 use crate::chain::Chain;
 use crate::config::RunConfig;
@@ -18,7 +17,6 @@ use crate::faults::FaultPlan;
 use crate::harness::{ChainHarness, PlannedTx};
 use crate::params::ChainParams;
 use crate::records::RunResult;
-use crate::sim::TICK_MS;
 use crate::tx::{CallSel, Payload};
 
 /// One benchmark run: chain, deployment, workload, knobs.
@@ -148,16 +146,9 @@ impl Experiment {
         // Plan the workload: spread each tick's transactions evenly,
         // round-robin senders over the chain's accounts.
         let accounts = harness.accounts() as u64;
-        let ticks = self.workload.ticks(TICK_MS);
         let mut plan = Vec::with_capacity(self.workload.total_txs() as usize);
-        let mut seq = 0u64;
-        for (k, &count) in ticks.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let start = SimTime::from_millis(k as u64 * TICK_MS);
-            let spacing = SimDuration::from_micros(TICK_MS * 1000 / count);
-            for i in 0..count {
+        for (tick, count) in self.workload.tick_counts() {
+            for (at, seq) in spread(tick, count, 0).zip(plan.len() as u64..) {
                 let payload = match self.dapp {
                     Some(dapp) => Payload::Invoke {
                         dapp,
@@ -167,11 +158,10 @@ impl Experiment {
                     None => Payload::Transfer,
                 };
                 plan.push(PlannedTx {
-                    at: start + spacing * i,
+                    at,
                     sender: (seq % accounts) as u32,
                     payload,
                 });
-                seq += 1;
             }
         }
         harness.run(plan, &workload_name, workload_secs)
@@ -215,7 +205,7 @@ mod tests {
     #[test]
     fn ethereum_is_slow_and_throttled() {
         let r = quick(Chain::Ethereum, 1000.0, 60);
-        // 8M gas / 21k per transfer / 5 s period ≈ 76 TPS ceiling.
+        // 8M gas / 21k per transfer / 15 s period ≈ 25.3 TPS ceiling.
         assert!(r.avg_throughput() < 200.0, "{}", r.summary());
     }
 

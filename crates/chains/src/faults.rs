@@ -24,6 +24,8 @@
 //! per run into a [`FaultTimeline`] whose per-tick queries are
 //! `O(log faults)` instead of the old per-tick linear scans.
 
+use std::ops::Range;
+
 use diablo_sim::{SimDuration, SimTime};
 
 /// Fraction of a node's downtime it spends catching up after recovery
@@ -57,10 +59,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// One node crash, with an optional recovery instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One crash of a range of nodes, with an optional recovery instant.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct CrashFault {
-    node: usize,
+    nodes: Range<usize>,
     at: SimTime,
     recover: Option<SimTime>,
 }
@@ -80,11 +82,11 @@ impl CrashFault {
     }
 }
 
-/// One network partition: the node set splits into disjoint groups for
-/// an interval.
+/// One network partition: the node set splits into disjoint groups,
+/// each a list of node ranges, for an interval.
 #[derive(Debug, Clone, PartialEq)]
 struct PartitionFault {
-    groups: Vec<Vec<usize>>,
+    groups: Vec<Vec<Range<usize>>>,
     from: SimTime,
     until: SimTime,
 }
@@ -217,6 +219,22 @@ impl FaultPlan {
         merged
     }
 
+    /// Refuses a plan that names a node at or past `nodes`, the
+    /// deployment's node count. ([`FaultPlan::compile`] ignores such
+    /// nodes.)
+    pub fn check_nodes(&self, nodes: usize) -> Result<(), String> {
+        let groups = self.partitions.iter().flat_map(|p| p.groups.iter().flatten());
+        let ranges = self.crashes.iter().map(|c| &c.nodes).chain(groups);
+        let named = ranges.filter(|r| !r.is_empty()).map(|r| r.end - 1);
+        let linked = self.losses.iter().filter_map(|l| l.link).map(|(_, b)| b);
+        match named.chain(linked).max() {
+            Some(node) if node >= nodes => Err(format!(
+                "the fault plan names node {node}, but the deployment has {nodes} nodes"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Compiles the plan for a deployment of `nodes` nodes into the
     /// timeline the simulation queries every tick.
     pub fn compile(&self, nodes: usize) -> FaultTimeline {
@@ -226,14 +244,18 @@ impl FaultPlan {
         // Global crashed-count step function: (instant, delta).
         let mut deltas: Vec<(SimTime, i64)> = Vec::new();
         for c in &self.crashes {
-            if c.node >= nodes {
+            let hit = c.nodes.start.min(nodes)..c.nodes.end.min(nodes);
+            if hit.is_empty() {
                 continue;
             }
             let (a, b) = c.down_window();
-            down[c.node].push((a, b));
-            deltas.push((a, 1));
+            let count = hit.len() as i64;
+            for node in hit {
+                down[node].push((a, b));
+            }
+            deltas.push((a, count));
             if b != SimTime::MAX {
-                deltas.push((b, -1));
+                deltas.push((b, -count));
             }
         }
         for windows in &mut down {
@@ -273,9 +295,8 @@ impl FaultPlan {
 /// use diablo_sim::{SimDuration, SimTime};
 ///
 /// let plan = FaultPlan::builder()
-///     .crash(0, SimTime::from_secs(10))
-///     .recover(0, SimTime::from_secs(30))
-///     .partition(&[0, 1, 2], &[3, 4], SimTime::from_secs(40), SimTime::from_secs(60))
+///     .crash(0..1, SimTime::from_secs(10), Some(SimTime::from_secs(30)))
+///     .partition(0..3, 3..5, SimTime::from_secs(40), SimTime::from_secs(60))
 ///     .loss(0.05, SimTime::from_secs(5), SimTime::from_secs(15))
 ///     .build();
 /// assert!(!plan.is_empty());
@@ -286,63 +307,41 @@ pub struct FaultPlanBuilder {
 }
 
 impl FaultPlanBuilder {
-    /// Crashes `node` at `at` (permanently, unless a later
-    /// [`FaultPlanBuilder::recover`] names the same node).
-    pub fn crash(mut self, node: usize, at: SimTime) -> Self {
-        self.plan.crashes.push(CrashFault {
-            node,
-            at,
-            recover: None,
-        });
-        self
-    }
-
-    /// Crashes nodes `0..count` at `at`.
-    pub fn crash_many(mut self, count: usize, at: SimTime) -> Self {
-        for node in 0..count {
-            self = self.crash(node, at);
-        }
-        self
-    }
-
-    /// Recovers `node` at `at`: attaches to that node's most recent
-    /// still-permanent crash (no-op when the node never crashed). The
-    /// node only counts as live again after a catch-up window
-    /// proportional to its downtime.
-    pub fn recover(mut self, node: usize, at: SimTime) -> Self {
-        if let Some(c) = self
-            .plan
-            .crashes
-            .iter_mut()
-            .rev()
-            .find(|c| c.node == node && c.recover.is_none())
-        {
-            c.recover = Some(at.max(c.at));
-        }
-        self
-    }
-
-    /// Recovers nodes `0..count` at `at` (pairs with
-    /// [`FaultPlanBuilder::crash_many`]).
-    pub fn recover_many(mut self, count: usize, at: SimTime) -> Self {
-        for node in 0..count {
-            self = self.recover(node, at);
+    /// Crashes the nodes of `nodes` at `at`. With `recover` they rejoin
+    /// then, and count as live again only after a catch-up window
+    /// proportional to their downtime; without, they stay down.
+    pub fn crash(mut self, nodes: Range<usize>, at: SimTime, recover: Option<SimTime>) -> Self {
+        if !nodes.is_empty() {
+            let recover = recover.map(|rec| rec.max(at));
+            self.plan.crashes.push(CrashFault { nodes, at, recover });
         }
         self
     }
 
     /// Splits the network into two components for `[from, until)`.
-    /// Nodes in neither slice side with group `a` (so a two-way split
-    /// only needs the minority listed in `b`).
-    pub fn partition(self, a: &[usize], b: &[usize], from: SimTime, until: SimTime) -> Self {
-        self.partition_groups(&[a, b], from, until)
+    /// Nodes in neither range side with group `a` (so a two-way split
+    /// only needs the minority given as `b`).
+    pub fn partition(
+        self,
+        a: Range<usize>,
+        b: Range<usize>,
+        from: SimTime,
+        until: SimTime,
+    ) -> Self {
+        self.partition_groups(vec![vec![a], vec![b]], from, until)
     }
 
-    /// Splits the network into arbitrarily many components for
-    /// `[from, until)`; unlisted nodes join the first group.
-    pub fn partition_groups(mut self, groups: &[&[usize]], from: SimTime, until: SimTime) -> Self {
+    /// Splits the network into arbitrarily many components, each given
+    /// as node ranges, for `[from, until)`; unlisted nodes join the
+    /// first group.
+    pub fn partition_groups(
+        mut self,
+        groups: Vec<Vec<Range<usize>>>,
+        from: SimTime,
+        until: SimTime,
+    ) -> Self {
         self.plan.partitions.push(PartitionFault {
-            groups: groups.iter().map(|g| g.to_vec()).collect(),
+            groups,
             from,
             until,
         });
@@ -446,9 +445,11 @@ impl CompiledPartition {
         let groups = p.groups.len().max(1);
         let mut component = vec![u32::MAX; nodes];
         for (gi, group) in p.groups.iter().enumerate() {
-            for &node in group {
-                if node < nodes && component[node] == u32::MAX {
-                    component[node] = gi as u32;
+            for range in group {
+                for c in &mut component[range.start.min(nodes)..range.end.min(nodes)] {
+                    if *c == u32::MAX {
+                        *c = gi as u32;
+                    }
                 }
             }
         }
@@ -587,7 +588,7 @@ mod tests {
 
     #[test]
     fn crashes_activate_at_their_instant() {
-        let plan = FaultPlan::builder().crash_many(3, t(10)).build();
+        let plan = FaultPlan::builder().crash(0..3, t(10), None).build();
         let tl = plan.compile(10);
         assert!(!tl.is_crashed(0, t(9)));
         assert!(tl.is_crashed(0, t(10)));
@@ -600,10 +601,7 @@ mod tests {
     #[test]
     fn recovery_ends_the_downtime_after_catchup() {
         // Down 10..26 (16 s), catch-up 2 s: live again at 28.
-        let plan = FaultPlan::builder()
-            .crash(4, t(10))
-            .recover(4, t(26))
-            .build();
+        let plan = FaultPlan::builder().crash(4..5, t(10), Some(t(26))).build();
         let tl = plan.compile(10);
         assert!(tl.is_crashed(4, t(10)));
         assert!(tl.is_crashed(4, t(27)), "catching up still counts as down");
@@ -613,19 +611,11 @@ mod tests {
     }
 
     #[test]
-    fn recover_without_crash_is_a_no_op() {
-        let plan = FaultPlan::builder().recover(2, t(5)).build();
-        assert!(plan.is_empty());
-    }
-
-    #[test]
     fn crash_count_steps_handle_staggered_windows() {
         let plan = FaultPlan::builder()
-            .crash(0, t(10))
-            .recover(0, t(18)) // down 10..19 (1 s catch-up)
-            .crash(1, t(12))
-            .crash(2, t(15))
-            .recover(2, t(15)) // zero downtime: instant recovery
+            .crash(0..1, t(10), Some(t(18))) // down 10..19 (1 s catch-up)
+            .crash(1..2, t(12), None)
+            .crash(2..3, t(15), Some(t(15))) // zero downtime: instant recovery
             .build();
         let tl = plan.compile(5);
         assert_eq!(tl.crashed_count(t(11)), 1);
@@ -635,9 +625,41 @@ mod tests {
     }
 
     #[test]
+    fn a_range_crash_compiles_as_its_nodes_one_by_one() {
+        let ranged = FaultPlan::builder()
+            .crash(1..4, t(10), Some(t(20)))
+            .crash(2..9, t(15), None)
+            .build();
+        let single = [(1..4, t(10), Some(t(20))), (2..9, t(15), None)]
+            .into_iter()
+            .flat_map(|(nodes, at, rec)| nodes.map(move |node| (node, at, rec)))
+            .fold(FaultPlan::builder(), |b, (node, at, rec)| b.crash(node..node + 1, at, rec))
+            .build();
+        let (a, b) = (ranged.compile(6), single.compile(6));
+        assert_eq!((a.down, a.crash_steps), (b.down, b.crash_steps));
+        assert_eq!(ranged.active_windows(t(100)), single.active_windows(t(100)));
+    }
+
+    #[test]
+    fn nodes_past_the_deployment_are_named() {
+        let plan = FaultPlan::builder().crash(0..1_000_000_000, t(1), None).build();
+        assert_eq!(
+            plan.check_nodes(10),
+            Err("the fault plan names node 999999999, but the deployment has 10 nodes".into())
+        );
+        assert_eq!(plan.compile(10).crashed_count(t(1)), 10, "compile clips");
+        let plan = FaultPlan::builder().partition(0..2, 9..10, t(1), t(2)).build();
+        assert_eq!(plan.check_nodes(10), Ok(()));
+        assert!(plan.check_nodes(9).unwrap_err().contains("node 9,"));
+        let plan = FaultPlan::builder().link_loss(12, 3, 0.1, t(1), t(2)).build();
+        assert!(plan.check_nodes(10).unwrap_err().contains("node 12,"));
+        assert_eq!(FaultPlan::builder().crash(0..0, t(1), None).build(), FaultPlan::none());
+    }
+
+    #[test]
     fn partitions_compile_components() {
         let plan = FaultPlan::builder()
-            .partition(&[0, 1, 2], &[3, 4], t(30), t(60))
+            .partition(0..3, 3..5, t(30), t(60))
             .build();
         let tl = plan.compile(7); // nodes 5, 6 unlisted: join group 0
         assert!(tl.partition_at(t(29)).is_none());
@@ -652,7 +674,7 @@ mod tests {
     #[test]
     fn partition_ties_go_to_the_lowest_component() {
         let plan = FaultPlan::builder()
-            .partition(&[0, 1], &[2, 3], t(0), t(10))
+            .partition(0..2, 2..4, t(0), t(10))
             .build();
         let p = plan.compile(4);
         assert_eq!(p.partition_at(t(5)).unwrap().committing, 0);
@@ -705,7 +727,7 @@ mod tests {
                 .is_empty(),
             "a retry policy alone is not a fault"
         );
-        assert!(!FaultPlan::builder().crash(0, SimTime::ZERO).build().is_empty());
+        assert!(!FaultPlan::builder().crash(0..1, SimTime::ZERO, None).build().is_empty());
         assert!(!FaultPlan::builder().slowdown(SimTime::ZERO, 2.0).build().is_empty());
         assert!(!FaultPlan::builder().kill_secondary(0, t(3)).build().is_empty());
         assert!(FaultTimeline::empty().is_empty());
@@ -724,7 +746,7 @@ mod tests {
 
     #[test]
     fn merged_unions_events() {
-        let a = FaultPlan::builder().crash(0, t(10)).build();
+        let a = FaultPlan::builder().crash(0..1, t(10), None).build();
         let b = FaultPlan::builder()
             .loss(0.1, t(0), t(5))
             .slowdown(t(7), 2.0)
@@ -739,15 +761,14 @@ mod tests {
     #[test]
     fn active_windows_merge_overlaps() {
         let plan = FaultPlan::builder()
-            .crash(0, t(10))
-            .recover(0, t(18)) // 10..19 with catch-up
-            .partition(&[0], &[1], t(15), t(30))
+            .crash(0..1, t(10), Some(t(18))) // 10..19 with catch-up
+            .partition(0..1, 1..2, t(15), t(30))
             .loss(0.1, t(50), t(55))
             .build();
         let windows = plan.active_windows(t(100));
         assert_eq!(windows, vec![(t(10), t(30)), (t(50), t(55))]);
         // Horizon clips; a permanent crash runs to the horizon.
-        let forever = FaultPlan::builder().crash(0, t(40)).build();
+        let forever = FaultPlan::builder().crash(0..1, t(40), None).build();
         assert_eq!(forever.active_windows(t(60)), vec![(t(40), t(60))]);
         assert!(FaultPlan::none().active_windows(t(60)).is_empty());
     }

@@ -30,6 +30,7 @@ use diablo_sim::{DetRng, SimDuration, SimTime};
 use diablo_store::{StateStore, StorageConfig, StorageReport};
 use diablo_telemetry::trace::{TraceSample, TraceSet, TraceStage, Tracer};
 use diablo_vm::ContractState;
+use diablo_workloads::TICK_MS;
 
 use crate::chain::Chain;
 use crate::exec::ExecutionEngine;
@@ -42,9 +43,6 @@ use crate::records::{BlockRecord, TxRecord};
 use crate::tx::Payload;
 
 use consensus::{Next, Round};
-
-/// Submission tick length.
-pub(crate) const TICK_MS: u64 = 100;
 
 /// A block whose transactions await confirmation depth.
 struct PendingFinality {

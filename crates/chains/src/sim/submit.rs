@@ -5,8 +5,9 @@
 
 use diablo_sim::{SimDuration, SimTime};
 use diablo_telemetry::trace::TraceStage;
+use diablo_workloads::TICK_MS;
 
-use super::{ChainSim, TICK_MS};
+use super::ChainSim;
 use crate::mempool::{AdmitError, Mempool};
 use crate::records::{TxRecord, TxStatus};
 use crate::tx::TxMeta;

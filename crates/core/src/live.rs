@@ -22,12 +22,11 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 
 use diablo_chains::Chain;
-use diablo_net::DeploymentKind;
+use diablo_net::{DeploymentConfig, DeploymentKind};
 
 use crate::livediff;
-use crate::primary::{check_secondaries, run_local, BenchmarkOptions};
+use crate::primary::{prepare, run_local, BenchmarkOptions};
 use crate::report::Report;
-use crate::spec::BenchmarkSpec;
 use crate::tracediff;
 use crate::wire::serve_primary;
 
@@ -65,9 +64,9 @@ pub fn run_live(
     if options.run.live.is_none() {
         return Err("run_live requires the live layer (--live) to be set".to_string());
     }
-    // Validate the spec and the Secondary count before spawning anything.
-    let spec = BenchmarkSpec::parse(spec_text).map_err(|e| e.to_string())?;
-    check_secondaries(options.secondaries, &spec).map_err(|e| e.to_string())?;
+    // Make every check the Primary makes before spawning anything.
+    let nodes = DeploymentConfig::standard(deployment).node_count();
+    prepare(chain, nodes, spec_text, options.secondaries, options)?;
 
     let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(|e| format!("bind: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;

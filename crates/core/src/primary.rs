@@ -126,12 +126,14 @@ pub(crate) struct Prepared {
     pub dapp: Option<DApp>,
 }
 
-/// Parses `spec_text` and prepares its run over `secondaries`, refusing
-/// a count [`check_secondaries`] refuses and a spec that declares
-/// several DApps. Resets the telemetry recorder, so the report's
-/// snapshot covers this benchmark.
+/// Parses `spec_text` and prepares its run over `secondaries` on a
+/// deployment of `nodes` nodes, refusing a count [`check_secondaries`]
+/// refuses, a fault plan that names a node past the deployment and a
+/// spec that declares several DApps. Resets the telemetry recorder, so
+/// the report's snapshot covers this benchmark.
 pub(crate) fn prepare(
     chain: Chain,
+    nodes: usize,
     spec_text: &str,
     secondaries: usize,
     options: &BenchmarkOptions,
@@ -140,6 +142,7 @@ pub(crate) fn prepare(
     check_secondaries(secondaries, &spec).map_err(|e| e.to_string())?;
     let ranges = partition_clients(spec.client_count(), secondaries);
     let run = options.resolve(&spec);
+    run.faults.check_nodes(nodes)?;
     diablo_telemetry::reset();
     let mut scratch = adapters::connector(chain);
     declare_resources(&spec, &mut scratch).map_err(|e| e.to_string())?;
@@ -258,7 +261,8 @@ pub fn run_with_setup(
     options: &BenchmarkOptions,
 ) -> Result<Report, String> {
     let chain = setup.chain;
-    let prepared = prepare(chain, spec_text, options.secondaries, options)?;
+    let nodes = setup.config.node_count();
+    let prepared = prepare(chain, nodes, spec_text, options.secondaries, options)?;
 
     // Dispatch planning to the Secondaries (worker threads).
     let plans: Vec<Result<Vec<PlannedTx>, String>> = std::thread::scope(|scope| {

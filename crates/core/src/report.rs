@@ -367,7 +367,7 @@ mod tests {
         // One fault window 0..10 s; the report's records submit at 1 s,
         // so every committed transaction lands in the faulty bucket.
         r.faults = FaultPlan::builder()
-            .partition(&[0, 1], &[2, 3], SimTime::from_secs(0), SimTime::from_secs(10))
+            .partition(0..2, 2..4, SimTime::from_secs(0), SimTime::from_secs(10))
             .build();
         let text = r.stats_text();
         assert!(text.contains("fault windows: 1 spanning 10.0 s"), "{text}");

@@ -6,14 +6,10 @@
 //! curves into individually timed interactions, encodes them through
 //! the chain adapter (presigning) and triggers them.
 
-use diablo_sim::{SimDuration, SimTime};
+use diablo_workloads::{spread, Workload};
 
 use crate::abstraction::{Connector, ConnectorError, Interaction, ResourceSpec};
 use crate::spec::{BenchmarkSpec, InteractionSpec, WorkloadGroup};
-
-/// Submission tick used when expanding load curves, matching the
-/// backend's tick.
-const TICK_MS: u64 = 100;
 
 /// Statistics of one planning pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,29 +77,18 @@ pub fn plan_range(
             .ok_or(ConnectorError::UnknownClient { client: global })?;
         let client = connector.create_client(&group.view)?;
         stats.clients += 1;
-        let ticks = group.behaviors.iter().map(|b| b.to_workload("client").ticks(TICK_MS));
-        let ticks: Vec<Vec<u64>> = ticks.collect();
-        connector.reserve(client, ticks.iter().flatten().sum::<u64>() as usize);
-        for (bi, (behavior, ticks)) in group.behaviors.iter().zip(&ticks).enumerate() {
+        let curves: Vec<Workload> =
+            group.behaviors.iter().map(|b| b.to_workload("client")).collect();
+        connector.reserve(client, curves.iter().map(Workload::total_txs).sum::<u64>() as usize);
+        for (bi, (behavior, curve)) in group.behaviors.iter().zip(&curves).enumerate() {
             // Counter seeded per (client, behavior) so account usage is
             // deterministic and spread.
             let mut counter = (global as u64)
                 .wrapping_mul(0x9E37_79B9)
                 .wrapping_add(bi as u64)
                 % 100_000;
-            for (k, &count) in ticks.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                let start = SimTime::from_millis(k as u64 * TICK_MS);
-                let spacing = SimDuration::from_micros(TICK_MS * 1000 / count);
-                // Offset clients within the tick so `number: 3` clients
-                // interleave instead of colliding.
-                let offset = SimDuration::from_micros(
-                    (global as u64 * TICK_MS * 1000 / count.max(1)) % spacing.as_micros().max(1),
-                );
-                for i in 0..count {
-                    let at = start + offset + spacing * i;
+            for (tick, count) in curve.tick_counts() {
+                for at in spread(tick, count, global) {
                     let interaction = build_interaction(&behavior.interaction, counter);
                     counter += 1;
                     let encoded = connector.encode(&interaction, at)?;
@@ -163,7 +148,7 @@ mod tests {
         assert_eq!(plan.len() as u64, 3 * per_client);
         // Time-sorted and inside the 120 s window.
         assert!(plan.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(plan.last().unwrap().at < SimTime::from_secs(120));
+        assert!(plan.last().unwrap().at < diablo_sim::SimTime::from_secs(120));
     }
 
     #[test]

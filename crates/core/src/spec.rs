@@ -189,15 +189,6 @@ impl BenchmarkSpec {
             .max()
             .unwrap_or(0)
     }
-
-    /// Expected total submitted transactions across all clients.
-    pub fn total_txs(&self) -> u64 {
-        self.workloads
-            .iter()
-            .flat_map(|w| w.behaviors.iter().map(move |b| (w.number, b)))
-            .map(|(n, b)| n as u64 * b.to_workload("").total_txs())
-            .sum()
-    }
 }
 
 impl Behavior {
@@ -207,15 +198,15 @@ impl Behavior {
     ///
     /// Panics if the load list is malformed (validated at parse time).
     pub fn to_workload(&self, name: &str) -> Workload {
-        let (end, _) = *self.load.last().expect("validated non-empty");
-        let points = self.load[..self.load.len() - 1].to_vec();
-        Workload::piecewise(name, &points, end)
+        let (&(end, _), points) = self.load.split_last().expect("validated non-empty");
+        Workload::piecewise(name, points, end)
     }
 
     /// What one client plans for this behaviour at most, from the
     /// breakpoints alone: the integral of the load curve, rounded up.
-    /// [`Workload::ticks`] carries each tick's fraction forward, so its
-    /// counts never sum past this.
+    /// [`Workload::tick_counts`] carries each tick's fraction forward,
+    /// so its counts never sum past this. It costs one step per
+    /// breakpoint, where the count itself costs one per tick.
     fn planned_bound(&self) -> f64 {
         let segments = self.load.windows(2);
         segments
@@ -643,7 +634,7 @@ mod tests {
         assert_eq!(w.rate_at(0), 4432.0);
         assert_eq!(w.rate_at(119), 4438.0);
         assert_eq!(w.total_txs(), 4432 * 50 + 4438 * 70);
-        assert_eq!(spec.total_txs(), 3 * (4432 * 50 + 4438 * 70));
+        assert_eq!(spec.workloads[0].number, 3);
     }
 
     #[test]
@@ -777,7 +768,7 @@ workloads:
                 load,
             };
             let bound = behavior.planned_bound();
-            let planned: u64 = behavior.to_workload("").ticks(100).iter().sum();
+            let planned = behavior.to_workload("").total_txs();
             prop_assert!(planned as f64 <= bound, "{planned} > {bound}");
             prop_assert!(planned as f64 >= bound - 2.0, "{planned} far below {bound}");
             Ok(())
@@ -813,9 +804,8 @@ fault:
         let spec = BenchmarkSpec::parse(text).unwrap();
         let t = SimTime::from_secs;
         let expected = FaultPlan::builder()
-            .crash_many(3, t(30))
-            .recover_many(3, t(50))
-            .partition(&[0, 1, 2, 3, 4, 5, 6], &[7, 8, 9], t(10), t(20))
+            .crash(0..3, t(30), Some(t(50)))
+            .partition(0..7, 7..10, t(10), t(20))
             .loss(0.05, t(10), t(40))
             .retry(diablo_chains::RetryPolicy::default())
             .build();

@@ -148,7 +148,8 @@ pub fn serve_primary(
 ) -> Result<Report, String> {
     // Everything `run_local` checks is checked before a Secondary is
     // accepted.
-    let prepared = prepare(chain, spec_text, n_secondaries, options)?;
+    let nodes = DeploymentConfig::standard(deployment).node_count();
+    let prepared = prepare(chain, nodes, spec_text, n_secondaries, options)?;
 
     // Every frame of the session is read into one buffer and encoded
     // in another.

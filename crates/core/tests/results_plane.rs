@@ -578,12 +578,7 @@ fn build(spec: &RunSpec) -> Report {
     }
     let faults = if flag(4) {
         FaultPlan::builder()
-            .partition(
-                &[0, 1],
-                &[2, 3],
-                SimTime::from_secs(5),
-                SimTime::from_secs(40),
-            )
+            .partition(0..2, 2..4, SimTime::from_secs(5), SimTime::from_secs(40))
             .build()
     } else {
         FaultPlan::none()

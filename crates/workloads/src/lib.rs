@@ -5,10 +5,10 @@
 //! final, the extrapolated Uber NYC demand and the extrapolated YouTube
 //! upload rate — plus the synthetic constant-rate workloads of §6.2/§6.3.
 //!
-//! A [`Workload`] is a per-second submission-rate curve; it can be
-//! inspected (peak, mean, duration: the numbers printed in Table 2),
-//! scaled, split across Diablo Secondaries and expanded into exact
-//! per-tick transaction counts with deterministic rounding.
+//! A [`Workload`] is a submission-rate curve held as its breakpoints; it
+//! can be inspected (peak, mean, duration: the numbers printed in Table
+//! 2) and expanded into exact per-tick transaction counts with
+//! deterministic rounding, whose transactions [`spread`] places in time.
 
 #![warn(missing_docs)]
 
@@ -16,4 +16,4 @@ pub mod synth;
 pub mod traces;
 pub mod workload;
 
-pub use workload::Workload;
+pub use workload::{spread, Workload, TICK_MS};

@@ -15,12 +15,10 @@ use crate::workload::Workload;
 pub fn diurnal(mean: f64, amplitude: f64, period_secs: u64, secs: u64) -> Workload {
     assert!(amplitude <= mean, "rates must stay non-negative");
     assert!(period_secs > 0, "diurnal needs a period");
-    let rates = (0..secs)
-        .map(|s| {
-            let phase = s as f64 / period_secs as f64 * std::f64::consts::TAU;
-            mean + amplitude * phase.sin()
-        })
-        .collect();
+    let rates = (0..secs).map(|s| {
+        let phase = s as f64 / period_secs as f64 * std::f64::consts::TAU;
+        mean + amplitude * phase.sin()
+    });
     Workload::from_rates("diurnal", rates)
 }
 
@@ -28,11 +26,7 @@ pub fn diurnal(mean: f64, amplitude: f64, period_secs: u64, secs: u64) -> Worklo
 /// Poisson draw with the base rate as its mean (clients are independent
 /// in the real world; exact per-second counts are a simplification).
 pub fn poissonize(base: &Workload, rng: &mut DetRng) -> Workload {
-    let rates = base
-        .rates()
-        .iter()
-        .map(|&rate| poisson(rng, rate) as f64)
-        .collect();
+    let rates = base.rates().map(|rate| poisson(rng, rate) as f64);
     Workload::from_rates(format!("{}-poisson", base.name()), rates)
 }
 
@@ -70,7 +64,7 @@ mod tests {
             w.mean_tps()
         );
         assert!(w.peak_tps() > 1_400.0);
-        let min = w.rates().iter().copied().fold(f64::INFINITY, f64::min);
+        let min = w.rates().fold(f64::INFINITY, f64::min);
         assert!(min >= 499.0, "min {min}");
     }
 

@@ -15,9 +15,7 @@ pub const NASDAQ_SECS: u64 = 180;
 /// market-open rush at 9 AM Eastern), then a low `baseline` for the rest
 /// of the trace — the shape §6.5 stresses availability with.
 pub fn nasdaq_burst(name: &str, peak: f64, baseline: f64) -> Workload {
-    let mut rates = vec![baseline; NASDAQ_SECS as usize];
-    rates[0] = peak;
-    Workload::from_rates(name, rates)
+    Workload::piecewise(name, &[(0, peak), (1, baseline)], NASDAQ_SECS)
 }
 
 /// Google (GOOGL): initial demand of about 800 TPS.
@@ -49,18 +47,13 @@ pub fn microsoft() -> Workload {
 /// 19,800 TPS before dropping to a 25–140 TPS tail; the resulting mean
 /// is the ~168 TPS shown atop the Exchange column of Figure 2.
 pub fn gafam() -> Workload {
-    let secs = NASDAQ_SECS as usize;
-    let mut rates = vec![0.0; secs];
     // First-second peak: the five stock bursts land together (800 +
     // 10,000 + 3,000 + 1,300 + 4,000 plus the residual flow ≈ 19,800).
-    rates[0] = 19_800.0;
     // Tail: the real trade data wobbles between 25 and 140 TPS; a
     // deterministic ripple reproduces that band and brings the trace
     // mean to the ~168 TPS of Figure 2.
-    for (i, rate) in rates.iter_mut().enumerate().skip(1) {
-        *rate = 30.0 + 32.0 * (1.0 + (i as f64 * 0.37).sin());
-    }
-    Workload::from_rates("nasdaq-gafam", rates)
+    let tail = (1..NASDAQ_SECS).map(|i| 30.0 + 32.0 * (1.0 + (i as f64 * 0.37).sin()));
+    Workload::from_rates("nasdaq-gafam", std::iter::once(19_800.0).chain(tail))
 }
 
 /// The Dota 2 gaming trace: "lasts for 276 seconds invoking at an almost
@@ -77,8 +70,7 @@ pub fn fifa() -> Workload {
     let secs = 176usize;
     let lo = 1416.0;
     let hi = 5305.0;
-    let mut rates = Vec::with_capacity(secs);
-    for i in 0..secs {
+    let rates = (0..secs).map(|i| {
         let t = i as f64 / (secs - 1) as f64;
         // Asymmetric tent: ramp to the peak at 40 % of the trace (the
         // final-whistle rush), then decay; exponent shapes the mean to
@@ -88,8 +80,8 @@ pub fn fifa() -> Workload {
         } else {
             (1.0 - (t - 0.4) / 0.6).powf(0.68)
         };
-        rates.push(lo + (hi - lo) * f);
-    }
+        lo + (hi - lo) * f
+    });
     Workload::from_rates("fifa", rates)
 }
 
@@ -97,9 +89,7 @@ pub fn fifa() -> Workload {
 /// §6.4 runs it as "810 TPS to 900 TPS" for 120 seconds (mean ≈ 852).
 pub fn uber() -> Workload {
     let secs = 120usize;
-    let rates = (0..secs)
-        .map(|i| 810.0 + 90.0 * (i as f64 / (secs - 1) as f64))
-        .collect();
+    let rates = (0..secs).map(|i| 810.0 + 90.0 * (i as f64 / (secs - 1) as f64));
     Workload::from_rates("uber", rates)
 }
 
@@ -181,7 +171,7 @@ mod tests {
         let w = fifa();
         assert_eq!(w.duration_secs(), 176);
         // Rate varies from 1,416 to 5,305 TPS.
-        let min = w.rates().iter().copied().fold(f64::INFINITY, f64::min);
+        let min = w.rates().fold(f64::INFINITY, f64::min);
         assert!((1_400.0..1_450.0).contains(&min), "min {min}");
         assert!(
             (5_250.0..5_350.0).contains(&w.peak_tps()),
@@ -200,7 +190,7 @@ mod tests {
     fn uber_shape_matches_paper() {
         let w = uber();
         assert_eq!(w.duration_secs(), 120);
-        let min = w.rates().iter().copied().fold(f64::INFINITY, f64::min);
+        let min = w.rates().fold(f64::INFINITY, f64::min);
         assert_eq!(min, 810.0);
         assert_eq!(w.peak_tps(), 900.0);
         // Average ≈ 852 TPS (Figure 2 column header).

@@ -33,20 +33,23 @@ fn main() {
         (
             "crash f at t=60s",
             FaultPlan::builder()
-                .crash_many(f, SimTime::from_secs(60))
+                .crash(0..f, SimTime::from_secs(60), None)
                 .build(),
         ),
         (
             "crash f+1 at t=60s",
             FaultPlan::builder()
-                .crash_many(f + 1, SimTime::from_secs(60))
+                .crash(0..f + 1, SimTime::from_secs(60), None)
                 .build(),
         ),
         (
             "crash f+1, heal 90s",
             FaultPlan::builder()
-                .crash_many(f + 1, SimTime::from_secs(60))
-                .recover_many(f + 1, SimTime::from_secs(90))
+                .crash(
+                    0..f + 1,
+                    SimTime::from_secs(60),
+                    Some(SimTime::from_secs(90)),
+                )
                 .build(),
         ),
     ] {

@@ -39,14 +39,8 @@ workloads:
 /// twice with a 400 ms backoff.
 fn chaos() -> FaultPlan {
     FaultPlan::builder()
-        .crash_many(2, SimTime::from_secs(15))
-        .recover_many(2, SimTime::from_secs(30))
-        .partition(
-            &[0, 1, 2],
-            &[3, 4, 5, 6, 7, 8, 9],
-            SimTime::from_secs(20),
-            SimTime::from_secs(35),
-        )
+        .crash(0..2, SimTime::from_secs(15), Some(SimTime::from_secs(30)))
+        .partition(0..3, 3..10, SimTime::from_secs(20), SimTime::from_secs(35))
         .loss(0.10, SimTime::from_secs(0), SimTime::from_secs(40))
         .corrupt(0.20, SimTime::from_secs(10), SimTime::from_secs(50))
         .retry(RetryPolicy {

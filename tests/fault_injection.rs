@@ -23,7 +23,7 @@ fn bft_chains_tolerate_f_crashes() {
         let faulted = run(
             chain,
             FaultPlan::builder()
-                .crash_many(f, SimTime::from_secs(30))
+                .crash(0..f, SimTime::from_secs(30), None)
                 .build(),
         );
         let baseline = run(chain, FaultPlan::none());
@@ -42,7 +42,7 @@ fn quorum_dependent_chains_halt_past_f_crashes() {
         let r = run(
             chain,
             FaultPlan::builder()
-                .crash_many(f + 1, SimTime::from_secs(30))
+                .crash(0..f + 1, SimTime::from_secs(30), None)
                 .build(),
         );
         // Submissions after the fault can never commit.
@@ -63,7 +63,7 @@ fn eventual_chains_keep_committing_past_f_crashes() {
         let r = run(
             chain,
             FaultPlan::builder()
-                .crash_many(f + 1, SimTime::from_secs(30))
+                .crash(0..f + 1, SimTime::from_secs(30), None)
                 .build(),
         );
         assert!(
@@ -100,8 +100,7 @@ fn bft_chains_stall_then_resume_after_recovery() {
         let r = run(
             chain,
             FaultPlan::builder()
-                .crash_many(f + 1, SimTime::from_secs(20))
-                .recover_many(f + 1, SimTime::from_secs(35))
+                .crash(0..f + 1, SimTime::from_secs(20), Some(SimTime::from_secs(35)))
                 .build(),
         );
         // Nothing decided inside the outage (submissions from the
@@ -132,15 +131,14 @@ fn partitions_stall_bft_quorums_for_their_duration() {
     // Split off f + 1 nodes: neither side keeps a 2f + 1 quorum ⇒ the
     // committing (majority) component still has at most n - (f + 1)
     // nodes, which for n = 3f + 1 is exactly 2f — below quorum.
-    let minority: Vec<usize> = (0..f + 1).collect();
-    let majority: Vec<usize> = (f + 1..n).collect();
+    let (minority, majority) = (0..f + 1, f + 1..n);
     for chain in [Chain::Quorum, Chain::Diem] {
         let r = run(
             chain,
             FaultPlan::builder()
                 .partition(
-                    &minority,
-                    &majority,
+                    minority.clone(),
+                    majority.clone(),
                     SimTime::from_secs(20),
                     SimTime::from_secs(40),
                 )

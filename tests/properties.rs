@@ -3,7 +3,7 @@
 use diablo::chains::{Chain, Experiment, FaultPlan, RetryPolicy};
 use diablo::core::yaml;
 use diablo::net::DeploymentKind;
-use diablo::workloads::Workload;
+use diablo::workloads::{Workload, TICK_MS};
 use diablo_testkit::gen::{ascii_strings, f64s, from_slice, u64s, usizes, vecs};
 use diablo_testkit::{prop_assert, prop_assert_eq, Property};
 
@@ -18,38 +18,61 @@ fn yaml_parser_is_total() {
         });
 }
 
-/// Tick expansion conserves the workload total at every tick size.
-#[test]
-fn workload_ticks_conserve_totals() {
-    Property::new("workload_ticks_conserve_totals").cases(64).check(
-        &(
-            vecs(f64s(0.0..2_000.0), 1..=59),
-            from_slice(&[100u64, 200, 500, 1000]),
-        ),
-        |(rates, tick)| {
-            let w = Workload::from_rates("prop", rates.clone());
-            let sum: u64 = w.ticks(*tick).iter().sum();
-            prop_assert_eq!(sum, w.total_txs());
-            Ok(())
-        },
-    );
+/// The expansion of a curve before it was held as breakpoints, kept as
+/// the reference: one rate per second, each second's rate shared out
+/// over its ten ticks through a carry.
+fn dense_ticks(rates: &[f64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(rates.len() * 10);
+    let mut acc = 0.0;
+    for &rate in rates {
+        let per_tick = rate / 10.0;
+        for _ in 0..10 {
+            acc += per_tick;
+            let whole = acc.floor();
+            out.push(whole as u64);
+            acc -= whole;
+        }
+    }
+    out
 }
 
-/// Splitting a workload across secondaries conserves per-second load.
+/// `tick_counts` yields exactly the non-empty ticks of the dense
+/// per-second expansion, whether the curve was given second by second
+/// or as breakpoints, and `ticks`, `total_txs` and the per-second rates
+/// agree with it. Segments are constant rates, zero rates, long zero
+/// rates (up to 10,000 s) or ramps that change every second.
 #[test]
-fn workload_split_conserves_rates() {
-    Property::new("workload_split_conserves_rates").cases(64).check(
-        &(vecs(f64s(0.0..5_000.0), 1..=29), usizes(1..=7)),
-        |(rates, parts)| {
-            let w = Workload::from_rates("prop", rates.clone());
-            let split = w.split(*parts);
-            for sec in 0..w.duration_secs() {
-                let sum: f64 = split.iter().map(|p| p.rate_at(sec)).sum();
-                prop_assert!(
-                    (sum - w.rate_at(sec)).abs() < 1e-6,
-                    "rates diverge at second {sec}: split {sum}, whole {}",
-                    w.rate_at(sec)
-                );
+fn tick_counts_equal_the_dense_per_second_expansion() {
+    // Kills case 1: a carry that restarts at every segment.
+    let segment = (u64s(1..=50), f64s(0.0..2_000.0), from_slice(&[0u8, 0, 1, 2, 3]));
+    Property::new("tick_counts_equal_the_dense_expansion").cases(64).check(
+        &vecs(segment, 1..=12),
+        |segments| {
+            let (mut rates, mut points) = (Vec::new(), Vec::new());
+            for &(len, rate, shape) in segments {
+                let (len, rate) = match shape {
+                    1 => (len, 0.0),
+                    2 => (len * 200, 0.0),
+                    _ => (len, rate),
+                };
+                for i in 0..len {
+                    let ramp = if shape == 3 { i as f64 * 0.37 } else { 0.0 };
+                    if i == 0 || shape == 3 {
+                        points.push((rates.len() as u64, rate + ramp));
+                    }
+                    rates.push(rate + ramp);
+                }
+            }
+            let dense = dense_ticks(&rates);
+            let expected: Vec<(u64, u64)> =
+                (0u64..).zip(dense.iter().copied()).filter(|t| t.1 > 0).collect();
+            let per_second = Workload::from_rates("trace", rates.clone());
+            let breakpoints = Workload::piecewise("curve", &points, rates.len() as u64);
+            for w in [&per_second, &breakpoints] {
+                prop_assert_eq!(w.tick_counts().collect::<Vec<_>>(), expected.clone());
+                prop_assert_eq!(w.ticks(TICK_MS), dense.clone());
+                prop_assert_eq!(w.total_txs(), dense.iter().sum::<u64>());
+                prop_assert!(w.rates().eq(rates.iter().copied()), "per-second rates differ");
             }
             Ok(())
         },
