@@ -4,6 +4,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
+use std::time::Instant;
 
 use diablo_chains::Chain;
 use diablo_contracts::DApp;
@@ -113,4 +114,15 @@ fn sweep(dir: &Path, out: &mut dyn Write) -> io::Result<i32> {
     fs::write(dir.join("matrix.csv"), csv)?;
     writeln!(out, "wrote traces/, matrix.csv and the per-run .dat files to {}", dir.display())?;
     Ok(0)
+}
+
+/// What a `repro` process begun at `start` has cost the host so far: its
+/// wall seconds and its peak resident set (`VmHWM`), as one line for
+/// stderr. `None` where `/proc/self/status` cannot be read.
+pub fn cost(start: Instant) -> Option<String> {
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kb: u64 = hwm.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    let secs = start.elapsed().as_secs_f64();
+    Some(format!("repro: {secs:.2} s wall, {kb} kB peak RSS"))
 }

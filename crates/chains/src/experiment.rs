@@ -2,8 +2,8 @@
 //!
 //! One [`Experiment`] = one chain × one deployment × one workload, the
 //! unit every figure of the paper is built from: it builds the
-//! [`ChainHarness`], plans the workload curve into transactions and runs
-//! them.
+//! [`ChainHarness`] and runs it on transactions drawn from the workload
+//! curve as the run consumes them.
 
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind};
@@ -14,7 +14,7 @@ use crate::chain::Chain;
 use crate::config::RunConfig;
 use crate::exec::{Concurrency, ExecMode};
 use crate::faults::FaultPlan;
-use crate::harness::{ChainHarness, PlannedTx};
+use crate::harness::{ChainHarness, Plan, PlannedTx};
 use crate::params::ChainParams;
 use crate::records::RunResult;
 use crate::tx::{CallSel, Payload};
@@ -143,28 +143,51 @@ impl Experiment {
                 return RunResult::unable(self.chain, workload_name, workload_secs, reason);
             }
         };
-        // Plan the workload: spread each tick's transactions evenly,
-        // round-robin senders over the chain's accounts.
-        let accounts = harness.accounts() as u64;
-        let mut plan = Vec::with_capacity(self.workload.total_txs() as usize);
-        for (tick, count) in self.workload.tick_counts() {
-            for (at, seq) in spread(tick, count, 0).zip(plan.len() as u64..) {
-                let payload = match self.dapp {
-                    Some(dapp) => Payload::Invoke {
-                        dapp,
-                        seq,
-                        call: self.call,
-                    },
-                    None => Payload::Transfer,
-                };
-                plan.push(PlannedTx {
-                    at,
-                    sender: (seq % accounts) as u32,
-                    payload,
-                });
-            }
-        }
+        let plan = self.plan(harness.accounts());
         harness.run(plan, &workload_name, workload_secs)
+    }
+
+    /// The submission plan over `accounts` signing accounts, drawn as the
+    /// run consumes it: each of the curve's ticks spreads its
+    /// transactions evenly, and senders go round-robin over the
+    /// accounts. Invocation `seq` numbers count from 0 over the plan.
+    pub fn plan(&self, accounts: u32) -> impl Plan + '_ {
+        let accounts = u64::from(accounts);
+        let (dapp, call) = (self.dapp, self.call);
+        let draws = self.workload.tick_counts();
+        let draws = draws.flat_map(|(tick, count)| spread(tick, count, 0));
+        let draws = draws.zip(0u64..).map(move |(at, seq)| PlannedTx {
+            at,
+            sender: (seq % accounts) as u32,
+            payload: match dapp {
+                Some(dapp) => Payload::Invoke { dapp, seq, call },
+                None => Payload::Transfer,
+            },
+        });
+        Drawn {
+            workload: &self.workload,
+            draws,
+        }
+    }
+}
+
+/// A plan drawn from a workload curve: its ticks are the curve's.
+struct Drawn<'w, I> {
+    workload: &'w Workload,
+    draws: I,
+}
+
+impl<I: Iterator<Item = PlannedTx>> Iterator for Drawn<'_, I> {
+    type Item = PlannedTx;
+
+    fn next(&mut self) -> Option<PlannedTx> {
+        self.draws.next()
+    }
+}
+
+impl<I: Iterator<Item = PlannedTx>> Plan for Drawn<'_, I> {
+    fn ticks(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.workload.tick_counts()
     }
 }
 

@@ -2,14 +2,15 @@
 //! chain.
 //!
 //! `diablo-core`'s Secondaries plan transactions (presigning, §4); the
-//! harness injects those planned transactions into the chain simulation
-//! and returns one [`crate::TxRecord`] per transaction, in input order. The
-//! higher-level [`crate::Experiment`] driver is a thin wrapper that
-//! plans transactions straight from a workload curve.
+//! harness draws those planned transactions, in time order, into the
+//! chain simulation and returns one [`crate::TxRecord`] per transaction
+//! it submitted. [`crate::Experiment`] is a thin wrapper on top that
+//! draws its transactions straight from a workload curve.
 
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, NetworkModel, QuorumModel};
 use diablo_sim::{SimDuration, SimTime};
+use diablo_workloads::TICK_MS;
 
 use crate::config::RunConfig;
 use crate::exec::ExecutionEngine;
@@ -28,6 +29,30 @@ pub struct PlannedTx {
     pub sender: u32,
     /// What the transaction does.
     pub payload: Payload,
+}
+
+/// A time-ordered submission plan, drawn one entry at a time.
+///
+/// Before it draws the first entry, the harness reads the plan's
+/// [`Plan::ticks`]: they size the run (its ids, its number of submission
+/// ticks) and give the offered load of every second, which a block
+/// proposal reads for its whole second, ahead of the submissions.
+pub trait Plan: Iterator<Item = PlannedTx> {
+    /// The plan's non-empty submission ticks as `(tick, count)`, in
+    /// drawing order: tick `k` covers `[k, k + 1) × TICK_MS`. Read
+    /// before the first entry is drawn.
+    fn ticks(&self) -> impl Iterator<Item = (u64, u64)> + '_;
+}
+
+/// A `Vec` plan is scanned where it lies: `as_slice` reads its entries
+/// without copying them.
+impl Plan for std::vec::IntoIter<PlannedTx> {
+    fn ticks(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let tick = |tx: &PlannedTx| tx.at.as_micros() / (TICK_MS * 1000);
+        self.as_slice()
+            .chunk_by(move |a, b| tick(a) == tick(b))
+            .map(move |run| (tick(&run[0]), run.len() as u64))
+    }
 }
 
 /// A chain ready to receive planned transactions.
@@ -99,12 +124,21 @@ impl ChainHarness {
     ///
     /// `txs` must be sorted by submission time; `workload_secs` is the
     /// length of the submission window used for throughput reporting.
-    /// Returns one record per planned transaction, in input order.
+    /// Returns one record per submitted transaction, in plan order: every
+    /// entry planned before the end of the last submission tick due by
+    /// the deadline (window plus grace). A plan that runs past that tick
+    /// loses its tail, which gets no record.
     ///
     /// # Panics
     ///
-    /// Panics if `txs` is not sorted by `at`.
-    pub fn run(self, txs: Vec<PlannedTx>, workload_name: &str, workload_secs: f64) -> RunResult {
+    /// Panics if an entry drawn from `txs` is earlier than the one drawn
+    /// before it.
+    pub fn run<P: Plan>(
+        self,
+        txs: impl IntoIterator<IntoIter = P>,
+        workload_name: &str,
+        workload_secs: f64,
+    ) -> RunResult {
         let chain = self.chain;
         let (records, blocks, storage, trace) = self.simulate(txs, workload_secs).into_records();
         RunResult {
@@ -122,16 +156,20 @@ impl ChainHarness {
     /// Runs the submission plan to completion and hands back the
     /// finished world — what [`ChainHarness::run`] condenses into a
     /// [`RunResult`] — so a test can hold the final contract state
-    /// against the state store's roots.
+    /// against the state store's roots. As in [`ChainHarness::run`],
+    /// the entries planned past the last submission tick due by the
+    /// deadline are never drawn and get no record.
     ///
     /// # Panics
     ///
-    /// Panics if `txs` is not sorted by `at`.
-    pub fn simulate(self, txs: Vec<PlannedTx>, workload_secs: f64) -> ChainSim {
-        assert!(
-            txs.windows(2).all(|w| w[0].at <= w[1].at),
-            "plan must be sorted by time"
-        );
+    /// Panics if an entry drawn from `txs` is earlier than the one drawn
+    /// before it.
+    pub fn simulate<P: Plan>(
+        self,
+        txs: impl IntoIterator<IntoIter = P>,
+        workload_secs: f64,
+    ) -> ChainSim {
+        let plan = txs.into_iter();
         let net = NetworkModel::default();
         let qmodel = QuorumModel::new(&self.config, &net);
 
@@ -143,7 +181,7 @@ impl ChainHarness {
             self.params,
             qmodel,
             self.engine,
-            txs,
+            &plan,
             self.options.seed,
             deadline,
         )
@@ -162,6 +200,7 @@ impl ChainHarness {
         // Live mode delivers the same events in the same order, but
         // when wall-clock time catches up with each event's instant.
         let start = std::time::Instant::now();
+        let mut plan = plan.peekable();
         let mut pace = |at: SimTime| {
             if let Some(cfg) = live {
                 wait_for_wall_clock(start, at, cfg.time_scale);
@@ -171,11 +210,11 @@ impl ChainHarness {
             let _run = diablo_telemetry::span("harness.run");
             {
                 let _sub = diablo_telemetry::span("harness.submission");
-                sim.run_until(workload_end, &mut pace);
+                sim.run_until(&mut plan, workload_end, &mut pace);
             }
             {
                 let _drain = diablo_telemetry::span("harness.drain");
-                sim.run_until(deadline, &mut pace);
+                sim.run_until(&mut plan, deadline, &mut pace);
             }
         }
         if live.is_some() {

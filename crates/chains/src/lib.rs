@@ -53,7 +53,7 @@ pub use optimistic::{OptimisticExecutor, OptimisticStats};
 pub use parallel::{plan_stats, ParallelExecutor, PlanStats};
 pub use faults::{FaultPlan, FaultPlanBuilder, FaultTimeline, RetryPolicy};
 pub use fees::FeeMarket;
-pub use harness::{ChainHarness, PlannedTx};
+pub use harness::{ChainHarness, Plan, PlannedTx};
 pub use live::LivePool;
 pub use mempool::{AdmitError, Mempool, MempoolPolicy};
 pub use diablo_store::{PruneMode, StorageConfig, StorageReport};

@@ -23,6 +23,7 @@ mod consensus;
 mod submit;
 
 use std::collections::VecDeque;
+use std::iter::Peekable;
 
 use diablo_contracts::calls;
 use diablo_net::QuorumModel;
@@ -36,7 +37,7 @@ use crate::chain::Chain;
 use crate::exec::ExecutionEngine;
 use crate::faults::{FaultPlan, FaultTimeline};
 use crate::fees::FeeMarket;
-use crate::harness::PlannedTx;
+use crate::harness::{Plan, PlannedTx};
 use crate::mempool::Mempool;
 use crate::params::{ChainParams, ConsensusKind};
 use crate::records::{BlockRecord, TxRecord};
@@ -64,15 +65,16 @@ pub struct ChainSim {
     fee: FeeMarket,
     engine: ExecutionEngine,
     /// Per-transaction records, indexed by `TxId` (what Secondaries
-    /// report from).
+    /// report from). Record `i` belongs to the `i`-th entry drawn from
+    /// the plan.
     records: Vec<TxRecord>,
-    /// The submission plan, time-sorted and cut to the entries whose
-    /// tick is due by the deadline. Record `i` belongs to `plan[i]`, so
-    /// `records.len()` is the submission cursor.
-    plan: Vec<PlannedTx>,
+    /// The plan's entries due by the last tick: the run's ids are
+    /// `0..due`.
+    due: u64,
     /// The next submission tick, due at `next_tick * TICK_MS`.
     next_tick: u32,
-    /// Number of submission ticks: through the last planned instant.
+    /// Number of submission ticks: through the last one with an entry
+    /// due.
     ticks: u32,
     /// Instant of the next proposal; `None` once it would fall past the
     /// deadline.
@@ -122,20 +124,21 @@ pub struct ChainSim {
     /// work (`crate::live`).
     live: Option<crate::live::LivePool>,
     /// The per-transaction tracer, when the run is traced: one owner on
-    /// the single-threaded loop, armed for the ids `0..plan.len()`.
+    /// the single-threaded loop, armed for the ids `0..due`.
     tracer: Option<Tracer>,
     /// A tick's gossip delays, recorded and drained in one piece at its end.
     gossip_us: Vec<u64>,
 }
 
 impl ChainSim {
-    /// Builds the run state over a time-sorted submission plan.
+    /// Builds the run state over a time-sorted submission plan, from
+    /// its ticks alone: [`ChainSim::run_until`] draws the entries.
     pub(crate) fn from_plan(
         chain: Chain,
         params: ChainParams,
         qmodel: QuorumModel,
         mut engine: ExecutionEngine,
-        mut plan: Vec<PlannedTx>,
+        plan: &impl Plan,
         seed: u64,
         deadline: SimTime,
     ) -> Self {
@@ -164,21 +167,26 @@ impl ChainSim {
             ConsensusKind::HotStuff { pacemaker_base, .. } => pacemaker_base,
             _ => SimDuration::ZERO,
         };
-        debug_assert!(plan.windows(2).all(|w| w[0].at <= w[1].at));
-        let last = plan.last().map_or(SimTime::ZERO, |tx| tx.at);
-        let mut arrival_per_sec = vec![0u64; last.second_bucket() as usize + 1];
-        for tx in &plan {
-            arrival_per_sec[tx.at.second_bucket() as usize] += 1;
-        }
         // The last tick due by the deadline submits what is planned
-        // before its end; later entries never get a record. Cutting them
-        // here fixes the run's ids, `0..plan.len()`, before the first
-        // event — what the tracer is armed with. The offered load above
-        // is counted first: it covers the whole plan.
-        let last_tick_end = (deadline.as_micros() / (TICK_MS * 1000) + 1) * TICK_MS;
-        plan.truncate(plan.partition_point(|tx| tx.at < SimTime::from_millis(last_tick_end)));
-        let last = plan.last().map_or(SimTime::ZERO, |tx| tx.at);
-        let ticks = (last.as_micros() / (TICK_MS * 1000) + 1) as u32;
+        // before its end; later entries are never drawn. The entries due
+        // fix the run's ids, `0..due`, before the first event — what the
+        // tracer is armed with — and the last tick with one of them the
+        // number of ticks. The offered load covers the whole plan.
+        let last_tick = deadline.as_micros() / (TICK_MS * 1000);
+        let (mut last, mut due, mut last_due) = (0, 0, 0);
+        for (tick, count) in plan.ticks() {
+            last = last.max(tick);
+            if tick <= last_tick {
+                due += count;
+                last_due = last_due.max(tick);
+            }
+        }
+        let ticks_per_sec = 1000 / TICK_MS;
+        let mut arrival_per_sec = vec![0u64; (last / ticks_per_sec) as usize + 1];
+        for (tick, count) in plan.ticks() {
+            arrival_per_sec[(tick / ticks_per_sec) as usize] += count;
+        }
+        let ticks = (last_due + 1) as u32;
         let accounts = params.accounts as usize;
         ChainSim {
             chain,
@@ -188,8 +196,8 @@ impl ChainSim {
             pool,
             fee,
             engine,
-            records: Vec::with_capacity(plan.len()),
-            plan,
+            records: Vec::with_capacity(due as usize),
+            due,
             next_tick: 0,
             ticks,
             next_proposal: Some(SimTime::ZERO),
@@ -240,7 +248,7 @@ impl ChainSim {
     /// submit; membership is keyed on `seed` so re-runs sample the same
     /// transactions.
     pub(crate) fn with_tracer(mut self, sample: Option<TraceSample>, seed: u64) -> Self {
-        self.tracer = sample.and_then(|s| Tracer::arm(s, seed, self.plan.len() as u64));
+        self.tracer = sample.and_then(|s| Tracer::arm(s, seed, self.due));
         self
     }
 
@@ -254,18 +262,25 @@ impl ChainSim {
 
     /// Runs every submission tick and proposal due at or before
     /// `until`, in time order; at equal instants the tick runs first, so
-    /// a block sees what was submitted at its own instant. `pace` sees
-    /// each instant before its event (live mode sleeps there). Calling
-    /// this twice with growing `until` is one run cut in two; each call
-    /// leaves the telemetry clock at `until`, so a span around it ends
-    /// on the phase boundary.
+    /// a block sees what was submitted at its own instant. Each tick
+    /// draws its entries from `plan`, the cursor over the plan this run
+    /// was built from. `pace` sees each instant before its event (live
+    /// mode sleeps there). Calling this twice with growing `until` and
+    /// the same cursor is one run cut in two; each call leaves the
+    /// telemetry clock at `until`, so a span around it ends on the phase
+    /// boundary.
     ///
     /// A proposal that would fall past the deadline is not scheduled:
     /// anything still awaiting confirmation depth remains `Pending`, as
     /// it would in a real run cut off at the deadline. Ticks past
-    /// `until` never fire; a plan longer than the run lost its tail in
-    /// [`ChainSim::from_plan`] and leaves it without records.
-    pub(crate) fn run_until(&mut self, until: SimTime, mut pace: impl FnMut(SimTime)) {
+    /// `until` never fire; a plan longer than the run keeps its tail
+    /// undrawn, without records.
+    pub(crate) fn run_until<P: Iterator<Item = PlannedTx>>(
+        &mut self,
+        plan: &mut Peekable<P>,
+        until: SimTime,
+        mut pace: impl FnMut(SimTime),
+    ) {
         loop {
             let tick = (self.next_tick < self.ticks)
                 .then(|| SimTime::from_millis(self.next_tick as u64 * TICK_MS));
@@ -284,7 +299,7 @@ impl ChainSim {
             // instant.
             diablo_telemetry::clock::set_sim_now(at);
             if is_tick {
-                self.submit_tick(self.next_tick);
+                self.submit_tick(self.next_tick, plan);
                 self.next_tick += 1;
             } else {
                 let next = at + self.produce_block(at);
@@ -372,20 +387,24 @@ mod tests {
     use crate::exec::ExecMode;
     use diablo_net::{DeploymentConfig, DeploymentKind, NetworkModel};
 
+    type Cursor = Peekable<std::vec::IntoIter<PlannedTx>>;
+
     /// Quorum (IBFT, one block per second-long round, no confirmation
-    /// depth) over `plan`, built from the layers alone.
-    fn quorum(plan: Vec<PlannedTx>, deadline: SimTime) -> ChainSim {
+    /// depth) over `plan`, built from the layers alone, with its cursor.
+    fn quorum(plan: Vec<PlannedTx>, deadline: SimTime) -> (ChainSim, Cursor) {
         let chain = Chain::Quorum;
         let config = DeploymentConfig::standard(DeploymentKind::Testnet);
-        ChainSim::from_plan(
+        let plan = plan.into_iter();
+        let sim = ChainSim::from_plan(
             chain,
             ChainParams::standard(chain, &config),
             QuorumModel::new(&config, &NetworkModel::default()),
             ExecutionEngine::native(chain.vm_flavor(), ExecMode::Profiled),
-            plan,
+            &plan,
             42,
             deadline,
-        )
+        );
+        (sim, plan.peekable())
     }
 
     /// `per_tick` transfers at the start of each of the first `ticks`
@@ -408,10 +427,10 @@ mod tests {
         // assembly and execution costs grow with the backlog, so the
         // first block commits later exactly when the tick's submissions
         // were already in the pool.
-        let mut empty = quorum(Vec::new(), SimTime::from_secs(1));
-        let mut loaded = quorum(plan(1, 50), SimTime::from_secs(1));
-        empty.run_until(SimTime::ZERO, |_| {});
-        loaded.run_until(SimTime::ZERO, |_| {});
+        let (mut empty, mut none) = quorum(Vec::new(), SimTime::from_secs(1));
+        let (mut loaded, mut fifty) = quorum(plan(1, 50), SimTime::from_secs(1));
+        empty.run_until(&mut none, SimTime::ZERO, |_| {});
+        loaded.run_until(&mut fifty, SimTime::ZERO, |_| {});
         assert_eq!(loaded.records.len(), 50);
         assert_eq!((empty.blocks.len(), loaded.blocks.len()), (1, 1));
         assert!(loaded.blocks[0].committed > empty.blocks[0].committed);
@@ -421,13 +440,17 @@ mod tests {
     fn events_at_until_are_delivered_and_later_ones_are_not() {
         // 21 ticks (0 ..= 2 s) against a 1 s deadline.
         let deadline = SimTime::from_secs(1);
-        let mut sim = quorum(plan(21, 3), deadline);
+        let (mut sim, mut cursor) = quorum(plan(21, 3), deadline);
         let mut paced = Vec::new();
-        sim.run_until(deadline, |at| paced.push(at));
+        sim.run_until(&mut cursor, deadline, |at| paced.push(at));
         // Ticks 0 ..= 10 fired, the one at exactly `until` included;
-        // the plan's tail has no records.
+        // the plan's tail has no records and was never drawn.
         assert_eq!(sim.next_tick, 11);
+        assert_eq!((sim.due, sim.ticks), (11 * 3, 11));
         assert_eq!(sim.records.len(), 11 * 3);
+        assert_eq!(cursor.len(), 10 * 3);
+        // The offered load counts the tail too.
+        assert_eq!(sim.arrival_per_sec, vec![30, 30, 3]);
         // The proposal at exactly the deadline ran; its successor would
         // fall past it and is not scheduled.
         assert_eq!(sim.rounds, 2);
@@ -441,11 +464,11 @@ mod tests {
     #[test]
     fn two_calls_equal_one() {
         let deadline = SimTime::from_secs(5);
-        let mut whole = quorum(plan(30, 4), deadline);
-        whole.run_until(deadline, |_| {});
-        let mut halves = quorum(plan(30, 4), deadline);
-        halves.run_until(SimTime::from_millis(1_250), |_| {});
-        halves.run_until(deadline, |_| {});
+        let (mut whole, mut all) = quorum(plan(30, 4), deadline);
+        whole.run_until(&mut all, deadline, |_| {});
+        let (mut halves, mut cursor) = quorum(plan(30, 4), deadline);
+        halves.run_until(&mut cursor, SimTime::from_millis(1_250), |_| {});
+        halves.run_until(&mut cursor, deadline, |_| {});
         assert_eq!(whole.blocks, halves.blocks);
         assert_eq!(whole.records.len(), halves.records.len());
         for (w, h) in whole.records.iter().zip(&halves.records) {

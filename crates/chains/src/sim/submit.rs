@@ -1,33 +1,44 @@
 //! The client side and the network up to the pool: each submission tick
-//! injects its slice of the plan — corruption retries, crash failover,
-//! gossip to the proposers, partition deferral — and ends at mempool
-//! admission.
+//! draws its slice of the plan and injects it — corruption retries,
+//! crash failover, gossip to the proposers, partition deferral — and ends
+//! at mempool admission.
+
+use std::iter::Peekable;
 
 use diablo_sim::{SimDuration, SimTime};
 use diablo_telemetry::trace::TraceStage;
 use diablo_workloads::TICK_MS;
 
 use super::ChainSim;
+use crate::harness::PlannedTx;
 use crate::mempool::{AdmitError, Mempool};
 use crate::records::{TxRecord, TxStatus};
 use crate::tx::TxMeta;
 
 impl ChainSim {
-    /// Submits the transactions of tick `k`: the plan from the cursor
-    /// up to the tick's end.
-    pub(super) fn submit_tick(&mut self, k: u32) {
-        let start = self.records.len();
+    /// Submits the transactions of tick `k`: the entries `plan` yields
+    /// before the tick's end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry is earlier than the one drawn before it.
+    pub(super) fn submit_tick<P: Iterator<Item = PlannedTx>>(
+        &mut self,
+        k: u32,
+        plan: &mut Peekable<P>,
+    ) {
         let tick_end = SimTime::from_millis((k as u64 + 1) * TICK_MS);
-        let due = self.plan[start..].partition_point(|tx| tx.at < tick_end);
         let nodes = self.qmodel.node_count().max(1);
         let (mut rerouted, mut corrupted, mut rejected, mut deferred) = (0u64, 0u64, 0u64, 0u64);
         let tallies = |p: &Mempool| [p.admitted_total(), p.dropped_full(), p.dropped_sender()];
         let pool_before = tallies(&self.pool);
-        self.gossip_us.reserve(due);
-        for i in start..start + due {
-            // `PlannedTx` is `Copy`: reading out of the plan keeps the
-            // borrow checker away from the mutations below.
-            let planned = self.plan[i];
+        while let Some(planned) = plan.next_if(|tx| tx.at < tick_end) {
+            if let Some(previous) = self.records.last() {
+                assert!(
+                    previous.submitted <= planned.at,
+                    "plan must be sorted by time"
+                );
+            }
             let id = self.records.len() as u32;
             self.records.push(TxRecord::submitted_at(planned.at));
             self.trace(

@@ -190,9 +190,12 @@ impl Workload {
     }
 }
 
-/// The submission instants of tick `tick`'s `count` transactions:
-/// evenly spaced, and offset by `client` so that the clients of one
-/// group interleave instead of colliding (client 0 starts on the tick).
+/// The submission instants of tick `tick`'s `count` transactions,
+/// evenly spaced from the tick's start. `client` shifts them by
+/// `(client × 100,000 / count) mod (100,000 / count)` µs: by nothing
+/// when `count` divides the 100,000 µs tick, and by less than `client`
+/// µs otherwise, so the clients of one group submit at the same or
+/// nearly the same instants rather than interleaving.
 pub fn spread(tick: u64, count: u64, client: u32) -> impl Iterator<Item = SimTime> {
     let tick_us = TICK_MS * 1000;
     let start = SimTime::from_millis(tick * TICK_MS);

@@ -29,9 +29,19 @@ cargo test -q --release --offline --workspace
 # shows up here as a diff to review: regenerate with
 # `cargo run --release -p diablo-bench --bin repro -- all results/`
 # (crates/bench/tests/ledger.rs keeps rows and files one to one).
-echo "==> repro all (regenerate results/*.txt, byte-compared)"
+#
+# `repro` states its own cost on stderr at exit (wall seconds, peak RSS
+# from VmHWM). The runs draw their plans instead of building them, so
+# the whole reproduction peaked at 774,412 kB on a 2-core x86-64 box;
+# the step fails above that plus 10%, where a plan or another
+# per-transaction copy has come back.
+echo "==> repro all (regenerate results/*.txt, byte-compared; peak RSS bounded)"
 repro_dir="$(mktemp -d "${TMPDIR:-/tmp}"/diablo-repro.XXXXXX)"
-cargo run -q --release --offline -p diablo-bench --bin repro -- all "$repro_dir" >/dev/null
+repro_cost="$(cargo run -q --release --offline -p diablo-bench --bin repro -- all "$repro_dir" 2>&1 >/dev/null)" || {
+    echo "$repro_cost" >&2
+    exit 1
+}
+echo "$repro_cost"
 for want in results/*.txt; do
     cmp "$want" "$repro_dir/$(basename "$want")" || {
         echo "repro: $want is not what \`repro $(basename "$want" .txt)\` prints" >&2
@@ -39,6 +49,12 @@ for want in results/*.txt; do
     }
 done
 rm -rf "$repro_dir"
+repro_kb="$(echo "$repro_cost" | sed -n 's/^repro: .* s wall, \([0-9]*\) kB peak RSS$/\1/p')"
+repro_bound_kb=$((774412 * 11 / 10))
+if [ -n "$repro_kb" ] && [ "$repro_kb" -gt "$repro_bound_kb" ]; then
+    echo "repro all peaked at $repro_kb kB, above $repro_bound_kb kB" >&2
+    exit 1
+fi
 echo "==> repro assert all (every shape predicate of the ledger)"
 cargo run -q --release --offline -p diablo-bench --bin repro -- assert all
 

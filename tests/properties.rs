@@ -1,9 +1,15 @@
 //! Cross-crate property tests, on the in-tree `diablo-testkit` harness.
 
-use diablo::chains::{Chain, Experiment, FaultPlan, RetryPolicy};
+use diablo::chains::chaos::apply_directive;
+use diablo::chains::tx::CallSel;
+use diablo::chains::{
+    Chain, ChainHarness, Experiment, FaultPlan, Payload, PlannedTx, RetryPolicy, RunResult,
+};
+use diablo::contracts::DApp;
 use diablo::core::yaml;
-use diablo::net::DeploymentKind;
-use diablo::workloads::{Workload, TICK_MS};
+use diablo::net::{DeploymentConfig, DeploymentKind};
+use diablo::telemetry::trace::TraceSample;
+use diablo::workloads::{spread, traces, Workload, TICK_MS};
 use diablo_testkit::gen::{ascii_strings, f64s, from_slice, u64s, usizes, vecs};
 use diablo_testkit::{prop_assert, prop_assert_eq, Property};
 
@@ -176,4 +182,132 @@ fn commits_never_precede_submission() {
             Ok(())
         },
     );
+}
+
+/// `Experiment::run`'s planner before it drew its plan, kept as the
+/// reference: the whole curve materialised into one vector.
+fn materialised_plan(experiment: &Experiment, accounts: u64) -> Vec<PlannedTx> {
+    let mut plan = Vec::with_capacity(experiment.workload.total_txs() as usize);
+    for (tick, count) in experiment.workload.tick_counts() {
+        for (at, seq) in spread(tick, count, 0).zip(plan.len() as u64..) {
+            let payload = match experiment.dapp {
+                Some(dapp) => Payload::Invoke {
+                    dapp,
+                    seq,
+                    call: experiment.call,
+                },
+                None => Payload::Transfer,
+            };
+            plan.push(PlannedTx {
+                at,
+                sender: (seq % accounts) as u32,
+                payload,
+            });
+        }
+    }
+    plan
+}
+
+/// The drawn plan is the materialised one, entry for entry — instant,
+/// sender and payload — over a constant, a trace and a burst curve, for
+/// transfers, the DApp's call rotation and an explicit call, at the
+/// standard and at Diem's scaled-down account counts.
+#[test]
+fn the_drawn_plan_is_the_materialised_plan() {
+    let curves = [
+        traces::constant(333.0, 7),
+        traces::gafam(),
+        traces::nasdaq_burst("burst", 12_345.0, 7.0),
+    ];
+    let call = CallSel {
+        entry: 1,
+        args: [7, 0],
+        argc: 1,
+    };
+    for curve in curves {
+        let transfers = Experiment::new(Chain::Quorum, DeploymentKind::Testnet, curve);
+        let rotation = transfers.clone().with_dapp(DApp::Exchange);
+        let explicit = rotation.clone().with_call(call);
+        for experiment in [transfers, rotation, explicit] {
+            for accounts in [2_000, 130] {
+                let oracle = materialised_plan(&experiment, u64::from(accounts));
+                let drawn: Vec<PlannedTx> = experiment.plan(accounts).collect();
+                assert_eq!(drawn.len(), oracle.len(), "{}", experiment.workload);
+                assert!(
+                    drawn == oracle,
+                    "{}: the drawn plan differs",
+                    experiment.workload
+                );
+            }
+        }
+    }
+}
+
+/// Two runs are the same run: records, blocks and traces.
+fn assert_same_run(a: &RunResult, b: &RunResult) {
+    assert_eq!(a.records.len(), b.records.len());
+    for (x, y) in a.records.iter().zip(&b.records) {
+        assert_eq!(
+            (x.submitted, x.decided, x.status),
+            (y.submitted, y.decided, y.status)
+        );
+    }
+    assert_eq!(a.blocks, b.blocks);
+    assert_eq!(a.trace, b.trace);
+}
+
+/// A traced chaos run without grace gives the same result whether the
+/// harness draws its plan or is handed the materialised one. With the
+/// workload's own window (`Experiment::run`) the plan ends inside it;
+/// with a shorter window the deadline cuts the plan, so the tracer's
+/// id count and the offered load of the cut seconds come from the
+/// curve's ticks on one side and from the vector on the other.
+#[test]
+fn a_drawn_plan_runs_as_the_materialised_one() {
+    let faults = [
+        ("partition", "0-2/3-9@5..10"),
+        ("corrupt", "5%@5..10"),
+        ("retry", "3x500/10000"),
+    ]
+    .into_iter()
+    .fold(FaultPlan::builder(), |builder, (key, value)| {
+        apply_directive(builder, key, value).expect("constant fault directive")
+    })
+    .build();
+    let experiment = Experiment::new(
+        Chain::Quorum,
+        DeploymentKind::Testnet,
+        traces::constant(300.0, 20),
+    )
+    .with_dapp(DApp::Exchange)
+    .with_faults(faults)
+    .with_trace(TraceSample::All)
+    .with_grace(0)
+    .with_seed(7);
+    let harness = || {
+        let config = DeploymentConfig::standard(experiment.deployment);
+        ChainHarness::with_config(
+            experiment.chain,
+            config,
+            experiment.dapp,
+            experiment.run.clone(),
+        )
+        .expect("Quorum runs the Exchange")
+    };
+    let accounts = harness().accounts();
+    let oracle = materialised_plan(&experiment, u64::from(accounts));
+    let name = experiment.workload.name().to_string();
+
+    let drawn = experiment.clone().run();
+    let handed = harness().run(oracle.clone(), &name, 20.0);
+    assert_eq!(drawn.records.len(), oracle.len());
+    // Compiled-out telemetry (`--cfg diablo_telemetry_off`) records no
+    // traces; records and blocks are compared either way.
+    assert_same_run(&drawn, &handed);
+
+    let drawn = harness().run(experiment.plan(accounts), &name, 12.0);
+    let handed = harness().run(oracle, &name, 12.0);
+    // Ticks 0 ..= 120 fired: everything planned before 12.1 s.
+    assert_eq!(drawn.records.len(), 300 * 12 + 30);
+    assert_same_run(&drawn, &handed);
 }
