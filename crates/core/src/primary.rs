@@ -159,6 +159,21 @@ pub(crate) fn prepare(
     })
 }
 
+/// Makes every check a Primary makes before it plans or accepts
+/// anything (the Secondary count, the fault plan's nodes, one DApp) for
+/// a run of `spec_text` over `secondaries` on `deployment`, so it can
+/// refuse before it binds a port and announces it.
+pub fn check(
+    chain: Chain,
+    deployment: DeploymentKind,
+    spec_text: &str,
+    secondaries: usize,
+    options: &BenchmarkOptions,
+) -> Result<(), String> {
+    let nodes = DeploymentConfig::standard(deployment).node_count();
+    prepare(chain, nodes, spec_text, secondaries, options).map(drop)
+}
+
 /// From the Secondaries' plans in hand to the [`Report`], for both Primaries.
 impl Prepared {
     /// The benchmark's plan. `runs` is what the Secondaries planned, in

@@ -18,9 +18,13 @@
 //!
 //! The counters are process-wide and every thread's allocations land in
 //! them, so a budget test is a binary with one `#[test]`: the harness
-//! would run two tests on two threads at once.
+//! would run two tests on two threads at once. Even then the harness's
+//! own thread may allocate while the test measures (seen under load),
+//! so a budget with no slack on single-threaded work reads
+//! [`Cost::calls_here`], the calls of the measuring thread alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 // Statistics that publish no other data, hence `Relaxed`.
@@ -32,8 +36,15 @@ static BYTES: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Allocator calls of this thread so far. A `const` cell without
+    /// drop glue: reading it allocates nothing.
+    static CALLS_HERE: Cell<usize> = const { Cell::new(0) };
+}
+
 fn grew(bytes: usize) {
     CALLS.fetch_add(1, Relaxed);
+    CALLS_HERE.set(CALLS_HERE.get() + 1);
     BYTES.fetch_add(bytes, Relaxed);
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
     PEAK.fetch_max(live, Relaxed);
@@ -79,6 +90,8 @@ unsafe impl GlobalAlloc for Counting {
 pub struct Cost {
     /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`).
     pub calls: usize,
+    /// Of those, the calls made on the thread that called [`measure`].
+    pub calls_here: usize,
     /// Bytes asked for (a `realloc` counts its new size).
     pub bytes: usize,
     /// Most bytes live at once above what was live when it began.
@@ -88,10 +101,12 @@ pub struct Cost {
 /// Runs `call` and returns its value with what it cost the allocator.
 pub fn measure<T>(call: impl FnOnce() -> T) -> (T, Cost) {
     let (calls, bytes, live) = (CALLS.load(Relaxed), BYTES.load(Relaxed), LIVE.load(Relaxed));
+    let here = CALLS_HERE.get();
     PEAK.store(live, Relaxed);
     let value = call();
     let cost = Cost {
         calls: CALLS.load(Relaxed) - calls,
+        calls_here: CALLS_HERE.get() - here,
         bytes: BYTES.load(Relaxed) - bytes,
         peak: PEAK.load(Relaxed) - live,
     };

@@ -33,7 +33,7 @@ use diablo::cli::{usage_text, Invocation};
 use diablo::core::analysis::{latency_cdf_dat, throughput_series_dat};
 use diablo::core::json::read_result_stats;
 use diablo::core::output::{results_csv, results_json_report};
-use diablo::core::primary::run_with_setup;
+use diablo::core::primary::{self, run_with_setup};
 use diablo::core::wire::{run_secondary_with_retry, serve_primary, SecondaryError};
 use diablo::core::{run_local, run_live, BenchmarkOptions, BenchmarkSpec, Report, Setup};
 use diablo::net::DeploymentKind;
@@ -187,6 +187,8 @@ fn cmd_primary(inv: &Invocation) -> Result<(), Failure> {
         .unwrap_or("5000")
         .parse()
         .map_err(|_| "bad --port")?;
+    // Refuse before announcing a port that no Secondary should dial.
+    primary::check(chain, deployment, &spec, options.secondaries, &options)?;
     let listener =
         TcpListener::bind(("0.0.0.0", port)).map_err(|e| format!("bind port {port}: {e}"))?;
     let port = listener.local_addr().map_err(|e| e.to_string())?.port(); // `--port=0`: a free one

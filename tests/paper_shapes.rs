@@ -3,10 +3,9 @@
 //! The shapes — who wins, what collapses, which DApps are impossible
 //! where — are the predicates of the claims ledger (`diablo_bench::ledger`),
 //! next to the tables they are about; this file gives each a test name
-//! and runs them over one cache, so a run two shapes read executes once.
-//! [`CI_ONLY`] names those left to `scripts/ci.sh` (`repro assert all`,
-//! release build): each reads runs no shape here reads, seconds apiece
-//! in the dev profile — 43 s for this file with them, 34 s without.
+//! and runs them over one cache, so a run two shapes read executes once:
+//! 4-6 s for all 27 in the dev profile on 2 cores, where the slowest
+//! shape alone, `fig2_overloaded_dapps_wait_tens_of_seconds`, takes 7 s.
 
 use std::sync::LazyLock;
 
@@ -33,26 +32,20 @@ macro_rules! shapes {
         fn every_shape_of_the_ledger_is_listed_once() {
             let tests = [$(stringify!($name)),*];
             for (name, _) in ledger::rows().iter().flat_map(|row| row.shapes()) {
-                let lists = [tests.contains(&name), CI_ONLY.contains(&name)];
-                assert!(lists[0] != lists[1], "{name}: a test here or in CI_ONLY, one of the two");
+                assert!(tests.contains(&name), "{name}: no test here");
             }
         }
     };
 }
 
-const CI_ONLY: [&str; 5] = [
-    "table1_observed_peaks_match_the_paper",
-    "fig2_quorum_tops_uber_and_fifa",
-    "fig2_overloaded_dapps_wait_tens_of_seconds",
-    "ablation_bounded_pool_inverts_both_quorum_results",
-    "faults_quorums_survive_f_crashes_and_halt_past_them",
-];
-
 shapes!(
+    table1_observed_peaks_match_the_paper,
     table4_matches_the_paper,
     fig2_exchange_avalanche_and_quorum_commit_most,
     fig2_youtube_overwhelms_everyone,
     fig2_dota_flattens_everything,
+    fig2_quorum_tops_uber_and_fifa,
+    fig2_overloaded_dapps_wait_tens_of_seconds,
     fig3_solana_clears_800_tps_on_every_configuration,
     fig3_quorum_community_sits_near_500_tps,
     fig3_diem_is_best_locally_and_collapses_geo,
@@ -71,4 +64,6 @@ shapes!(
     ablation_confirmations_are_solanas_latency,
     ablation_diems_cap_refuses_a_few_signers_load,
     ablation_avalanche_is_throttled_by_its_period,
+    ablation_bounded_pool_inverts_both_quorum_results,
+    faults_quorums_survive_f_crashes_and_halt_past_them,
 );

@@ -83,6 +83,13 @@ fn snapshots_are_identical_across_worker_counts_and_reruns() {
     assert_eq!(serial_json, par2_json, "JSON differs at 2 workers");
     assert_eq!(serial_json, par8_json, "JSON differs at 8 workers");
 
+    // The optimistic executor's own counters differ from the serial
+    // run's, but not with its worker count.
+    let (opt1_json, opt1) = run(Concurrency::Optimistic(1));
+    let (opt8_json, opt8) = run(Concurrency::Optimistic(8));
+    assert_eq!(opt1, opt8, "Optimistic(1) vs Optimistic(8) snapshots diverge");
+    assert_eq!(opt1_json, opt8_json, "optimistic JSON differs at 8 workers");
+
     // Repeat runs with the pinned seed are byte-identical.
     let (again_json, again) = run(Concurrency::Serial);
     assert_eq!(serial, again, "repeat run snapshot diverges");
@@ -109,6 +116,10 @@ fn snapshots_are_identical_across_worker_counts_and_reruns() {
         assert!(
             serial.histogram("mempool.queue_wait_us").is_some(),
             "mempool queue-wait histogram missing"
+        );
+        assert!(
+            opt1.counter("optimistic.blocks").unwrap_or(0) > 0,
+            "no optimistic.* counters recorded"
         );
         assert!(
             serial_json.contains("\"telemetry\":{"),
