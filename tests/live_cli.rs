@@ -1,7 +1,8 @@
 //! The `diablo` binary driven as real processes: what a run writes, one
 //! table row per check, live mode over actual sockets, and the
-//! Secondary's retry of a refused connection. Refusals are the rows of
-//! `tests/doors.rs`.
+//! Secondary's connect-failure contract: a refused connection is
+//! retried per `--retry` and exits 1, a bad address fails fast with
+//! exit 2. Other refusals are the rows of `tests/doors.rs`.
 
 mod runner;
 
@@ -167,6 +168,18 @@ fn every_row_exits_0_and_writes_what_its_check_reads() {
 }
 
 #[test]
+fn bad_address_fails_fast_with_the_non_transient_exit_code() {
+    // A generous retry budget that must NOT be spent: bad addresses are
+    // permanent and skip the retry loop, so the deadline is under it.
+    let args = [
+        "secondary",
+        "--primary=999.999.0.1:70000",
+        "--retry=10x500/10000",
+    ];
+    runner::refuses(&args, 2, &["bad address"], Duration::from_secs(2));
+}
+
+#[test]
 fn refused_connection_is_retried_then_fails_generically() {
     // Bind a port, then free it: nothing listens there, so every
     // connect attempt is refused — the canonical transient error.
@@ -234,4 +247,35 @@ fn live_run_over_real_secondaries_reports_a_fidelity_score() {
         fidelity.is_finite() && fidelity > 0.0 && fidelity <= 1.0,
         "fidelity out of range: {fidelity}"
     );
+}
+
+#[test]
+fn unknown_flags_are_a_usage_error() {
+    let args = ["run", "--no-such-flag", "workloads/exchange.yaml"];
+    runner::refuses(&args, 1, &["--no-such-flag"], DEADLINE);
+}
+
+#[test]
+fn zero_secondaries_are_refused_before_anyone_waits() {
+    // A live run spawns no Secondary for `--secondaries=0`, and its
+    // Primary used to wait to accept one all the same; `diablo primary`
+    // did too, and `diablo run` planned on one and divided by zero.
+    // Kills: `prepare` without `check_secondaries` (exit 101, or killed
+    // at the deadline while waiting).
+    for door in ["run", "run --live", "primary --port=0"] {
+        let args: Vec<&str> = door
+            .split_whitespace()
+            .chain([
+                "--secondaries=0",
+                "--chain=quorum",
+                "workloads/exchange.yaml",
+            ])
+            .collect();
+        runner::refuses(
+            &args,
+            1,
+            &["at least one secondary"],
+            Duration::from_secs(1),
+        );
+    }
 }

@@ -65,6 +65,29 @@ pub fn run(args: &[impl AsRef<str>], deadline: Duration) -> Ran {
     spawn(args, deadline).finish()
 }
 
+/// Runs `diablo args` and asserts that it refuses them: exit `code`
+/// before `deadline`, every fragment in its stderr, no port announced.
+pub fn refuses(
+    args: &[impl AsRef<str>],
+    code: i32,
+    fragments: &[impl AsRef<str>],
+    deadline: Duration,
+) {
+    let args: Vec<&str> = args.iter().map(AsRef::as_ref).collect();
+    let ran = run(&args, deadline);
+    let stderr = &ran.stderr;
+    assert_eq!(
+        ran.code,
+        Some(code),
+        "{args:?} after {:?}: {stderr}",
+        ran.elapsed
+    );
+    for fragment in fragments {
+        assert!(stderr.contains(fragment.as_ref()), "{args:?}: {stderr}");
+    }
+    assert!(!stderr.contains("listening on port"), "{args:?}: {stderr}");
+}
+
 impl Proc {
     /// The rest of the first stderr line that starts with `prefix`,
     /// waited for until the process ends or its deadline passes.
