@@ -18,9 +18,10 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use diablo_chains::{tx::CallSel, Payload, PlannedTx};
+use diablo_chains::{tx::CallSel, Payload, Plan, PlannedTx};
 use diablo_contracts::DApp;
 use diablo_sim::SimTime;
+use diablo_workloads::TICK_MS;
 
 /// An interaction as specified by the benchmark (`φⁱ` applied to
 /// concrete resources).
@@ -266,8 +267,6 @@ pub struct SimConnector {
     contracts: Vec<(String, DApp)>,
     /// Per-client planned submissions.
     plans: Vec<Vec<PlannedTx>>,
-    /// Global invocation sequence (argument variation).
-    next_seq: u64,
 }
 
 impl SimConnector {
@@ -278,7 +277,6 @@ impl SimConnector {
             accounts: 0,
             contracts: Vec::new(),
             plans: Vec::new(),
-            next_seq: 0,
         }
     }
 
@@ -309,46 +307,151 @@ impl SimConnector {
     }
 
     /// Drains all triggered interactions into one time-sorted plan: the
-    /// stable sort of the clients' triggers, client after client, in one
-    /// vector of the plan's size. A lone run — one client, its triggers
-    /// in time order — is that plan already and is handed back as it
-    /// is: the wire session's Secondary takes one client at a time.
+    /// clients' triggers merged by the one lazy merge (`Merge`) into one
+    /// vector of the plan's size, equal instants client after client. A
+    /// lone run — one client, its triggers in time order — is that plan
+    /// already and is handed back as it is.
     pub fn take_plan(&mut self) -> Vec<PlannedTx> {
         let clients: Vec<Vec<PlannedTx>> = self.plans.iter_mut().map(std::mem::take).collect();
-        // One behaviour triggers in time order; a client with several
-        // is their concatenation.
         let runs: Vec<&[PlannedTx]> = clients.iter().flat_map(|c| natural_runs(c)).collect();
         if runs.len() == 1 {
             return clients.into_iter().find(|c| !c.is_empty()).unwrap_or_default();
         }
         let mut plan = Vec::with_capacity(clients.iter().map(Vec::len).sum());
-        merge_runs(&runs, |r, i| plan.push(runs[r][i]));
+        plan.extend(Merge::new(runs.into_iter().map(Slice::new), |_, _| {}));
         plan
     }
 }
 
 /// The maximal stretches of `txs` whose instants do not decrease, in
-/// order: what [`merge_runs`] takes to give the stable sort of `txs`.
+/// order: the sources a [`Merge`] takes to give the stable sort of `txs`.
 pub(crate) fn natural_runs(txs: &[PlannedTx]) -> impl Iterator<Item = &[PlannedTx]> {
     txs.chunk_by(|a, b| a.at <= b.at)
 }
 
-/// The one routine that orders a plan: calls `emit(run, index)` for each
-/// entry of the stable sort of the concatenation of time-sorted `runs`
-/// (equal instants: the earlier run first). Callers pass each plan's
-/// [`natural_runs`], so the result is the stable sort of the plans.
-pub(crate) fn merge_runs(runs: &[&[PlannedTx]], mut emit: impl FnMut(usize, usize)) {
-    // (instant, run, index) of every run's next entry, least first.
-    let heads = runs.iter().enumerate();
-    let heads = heads.filter_map(|(r, run)| Some(Reverse((run.first()?.at, r, 0))));
-    let mut heads: BinaryHeap<_> = heads.collect();
-    while let Some(mut head) = heads.peek_mut() {
-        let Reverse((_, r, i)) = *head;
-        emit(r, i);
-        match runs[r].get(i + 1) {
-            Some(next) => *head = Reverse((next.at, r, i + 1)),
-            None => drop(PeekMut::pop(head)),
+/// A time-sorted stream of planned transactions that can say, before it
+/// is drawn, what it holds tick by tick.
+pub(crate) trait Source: Iterator<Item = PlannedTx> {
+    /// The non-empty submission ticks of everything the source holds,
+    /// drawn or not, as `(tick, count)` in tick order.
+    fn ticks(&self) -> impl Iterator<Item = (u64, u64)> + '_;
+
+    /// Drops every entry at or after `at`, before the first draw, and
+    /// returns how many that was.
+    fn cut(&mut self, at: SimTime) -> u64;
+}
+
+/// A time-sorted slice as a [`Source`]: a `take_plan` run, or a run of
+/// the entries a Secondary shipped.
+pub(crate) struct Slice<'a> {
+    all: &'a [PlannedTx],
+    next: usize,
+}
+
+impl<'a> Slice<'a> {
+    pub(crate) fn new(all: &'a [PlannedTx]) -> Self {
+        Slice { all, next: 0 }
+    }
+}
+
+impl Iterator for Slice<'_> {
+    type Item = PlannedTx;
+
+    fn next(&mut self) -> Option<PlannedTx> {
+        let tx = *self.all.get(self.next)?;
+        self.next += 1;
+        Some(tx)
+    }
+}
+
+impl Source for Slice<'_> {
+    fn ticks(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let tick = |tx: &PlannedTx| tx.at.as_micros() / (TICK_MS * 1000);
+        self.all
+            .chunk_by(move |a, b| tick(a) == tick(b))
+            .map(move |run| (tick(&run[0]), run.len() as u64))
+    }
+
+    fn cut(&mut self, at: SimTime) -> u64 {
+        let kept = self.all.partition_point(|tx| tx.at < at);
+        let dropped = self.all.len() - kept;
+        self.all = &self.all[..kept];
+        dropped as u64
+    }
+}
+
+/// The one routine that orders a plan: a lazy merge of time-sorted
+/// sources into the stable sort of their concatenation (equal instants:
+/// the earlier source first), drawn one entry at a time. Each draw calls
+/// `origin(source, index)`: the entry is entry `index` of that source.
+/// Its ticks are the per-tick sums of its sources' ticks, so it is a
+/// [`Plan`] a run can size itself by before the first draw.
+pub(crate) struct Merge<S, F> {
+    /// Each source with its drawn next entry and how many it has given.
+    sources: Vec<(S, Option<PlannedTx>, usize)>,
+    /// `(instant, source)` of every source's next entry, least first.
+    heads: BinaryHeap<Reverse<(SimTime, usize)>>,
+    origin: F,
+}
+
+impl<S: Source, F: FnMut(usize, usize)> Merge<S, F> {
+    pub(crate) fn new(sources: impl IntoIterator<Item = S>, origin: F) -> Self {
+        let mut heads = BinaryHeap::new();
+        let sources = (sources.into_iter().enumerate())
+            .map(|(s, mut source)| {
+                let head = source.next();
+                if let Some(tx) = head {
+                    heads.push(Reverse((tx.at, s)));
+                }
+                (source, head, 0)
+            })
+            .collect();
+        Merge {
+            sources,
+            heads,
+            origin,
         }
+    }
+}
+
+impl<S: Source, F: FnMut(usize, usize)> Iterator for Merge<S, F> {
+    type Item = PlannedTx;
+
+    fn next(&mut self) -> Option<PlannedTx> {
+        let mut top = self.heads.peek_mut()?;
+        let Reverse((_, s)) = *top;
+        let (source, head, drawn) = &mut self.sources[s];
+        (self.origin)(s, *drawn);
+        *drawn += 1;
+        let tx = std::mem::replace(head, source.next());
+        match *head {
+            Some(next) => *top = Reverse((next.at, s)),
+            None => drop(PeekMut::pop(top)),
+        }
+        tx
+    }
+}
+
+impl<S: Source, F: FnMut(usize, usize)> Plan for Merge<S, F> {
+    fn ticks(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut ticks: Vec<_> = self.sources.iter().map(|(s, ..)| s.ticks()).collect();
+        // `(tick, count, source)` of every source's next tick.
+        let mut heads: BinaryHeap<_> = (ticks.iter_mut().enumerate())
+            .filter_map(|(s, t)| t.next().map(|(tick, count)| Reverse((tick, count, s))))
+            .collect();
+        std::iter::from_fn(move || {
+            let tick = heads.peek()?.0 .0;
+            let mut sum = 0;
+            while let Some(mut top) = heads.peek_mut().filter(|top| top.0 .0 == tick) {
+                let Reverse((_, count, s)) = *top;
+                sum += count;
+                match ticks[s].next() {
+                    Some((next, count)) => *top = Reverse((next, count, s)),
+                    None => drop(PeekMut::pop(top)),
+                }
+            }
+            Some((tick, sum))
+        })
     }
 }
 
@@ -442,12 +545,12 @@ impl Connector for SimConnector {
                         argc: args.len() as u8,
                     })
                 };
-                let seq = self.next_seq;
-                self.next_seq += 1;
+                // The planner numbers a behaviour's invocations (its
+                // cursor's `seq`); one encoded alone is the first.
                 PlannedTx {
                     at,
                     sender: *from,
-                    payload: Payload::Invoke { dapp, seq, call },
+                    payload: Payload::Invoke { dapp, seq: 0, call },
                 }
             }
         };
@@ -471,8 +574,25 @@ impl Connector for SimConnector {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The eager merge [`Merge`] replaced, kept as its oracle: calls
+    /// `emit(run, index)` for each entry of the stable sort of the
+    /// concatenation of time-sorted `runs`.
+    pub(crate) fn merge_runs(runs: &[&[PlannedTx]], mut emit: impl FnMut(usize, usize)) {
+        let heads = runs.iter().enumerate();
+        let heads = heads.filter_map(|(r, run)| Some(Reverse((run.first()?.at, r, 0))));
+        let mut heads: BinaryHeap<_> = heads.collect();
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((_, r, i)) = *head;
+            emit(r, i);
+            match runs[r].get(i + 1) {
+                Some(next) => *head = Reverse((next.at, r, i + 1)),
+                None => drop(PeekMut::pop(head)),
+            }
+        }
+    }
 
     #[test]
     fn four_function_flow() {
@@ -627,6 +747,58 @@ mod tests {
                     got.push(runs[r][i]);
                 }
                 prop_assert_eq!(got, want);
+                Ok(())
+            });
+    }
+
+    #[test]
+    fn the_lazy_merge_is_merge_runs() {
+        use diablo_testkit::gen::{u64s, vecs};
+        use diablo_testkit::{prop_assert_eq, Property};
+
+        // Runs of instants, sorted, 37.5 ms apart over five ticks: few
+        // distinct values, so equal instants across runs and several
+        // runs in one tick are the common case.
+        let runs = vecs(vecs(u64s(0..=12), 0..=30), 0..=6);
+        // Kills case 1: the merge preferring the later source on equal
+        // instants, and a tick sum that takes only the first source
+        // with that tick.
+        Property::new("the_lazy_merge_is_merge_runs")
+            .cases(256)
+            .check(&runs, |runs| {
+                let mut k = 0;
+                let runs: Vec<Vec<PlannedTx>> = (runs.iter())
+                    .map(|run| {
+                        let mut run = run.clone();
+                        run.sort_unstable();
+                        let run = run.into_iter().map(|step| {
+                            k += 1;
+                            PlannedTx {
+                                at: SimTime::from_micros(step * 37_500),
+                                sender: k,
+                                payload: Payload::Transfer,
+                            }
+                        });
+                        run.collect()
+                    })
+                    .collect();
+                let slices: Vec<&[PlannedTx]> = runs.iter().map(Vec::as_slice).collect();
+                let (mut want, mut want_origins) = (Vec::new(), Vec::new());
+                merge_runs(&slices, |r, i| {
+                    want.push(slices[r][i]);
+                    want_origins.push((r, i));
+                });
+
+                let mut origins = Vec::new();
+                let merge = Merge::new(slices.iter().map(|s| Slice::new(s)), |r, i| {
+                    origins.push((r, i))
+                });
+                let ticks: Vec<(u64, u64)> = merge.ticks().collect();
+                let got: Vec<PlannedTx> = merge.collect();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(origins, want_origins);
+                let want_ticks: Vec<(u64, u64)> = want.into_iter().ticks().collect();
+                prop_assert_eq!(ticks, want_ticks);
                 Ok(())
             });
     }

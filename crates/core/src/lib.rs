@@ -17,10 +17,11 @@
 //! implement. The six built-in adapters ([`adapters`]) bind those
 //! functions to the simulated networks of `diablo-chains`.
 //!
-//! Two execution modes are provided: [`primary::run_local`] plans on
-//! in-process worker threads (the fast path used by the benchmark
-//! harness), and [`wire`] implements the distributed Primary/Secondary
-//! protocol over TCP, as deployed in the paper's experiments.
+//! Two execution modes are provided: [`primary::run_local`] draws every
+//! client's plan in-process as the run consumes it (the fast path used
+//! by the benchmark harness), and [`wire`] implements the distributed
+//! Primary/Secondary protocol over TCP, as deployed in the paper's
+//! experiments.
 
 #![warn(missing_docs)]
 

@@ -5,22 +5,23 @@
 //! workload shares to the Secondaries, launches the benchmark,
 //! aggregates per-transaction results and reports statistics.
 //!
-//! [`run_local`] executes the whole pipeline in-process, planning client
-//! shares on parallel worker threads (the common path for the benchmark
-//! harness); `crate::wire` adds the distributed Primary/Secondary mode
-//! over TCP. From the Secondaries' plans in hand to the [`Report`] both
-//! run the same code (`Prepared::{merge, run, report}`): one order, one
-//! cut of killed Secondaries, one run and one report.
+//! [`run_local`] executes the whole pipeline in-process: every client's
+//! cursor is merged straight into the run, so no plan is held (the
+//! common path for the benchmark harness); `crate::wire` adds the
+//! distributed Primary/Secondary mode over TCP. From the Secondaries'
+//! plans to the [`Report`] both run the same code (`Prepared::{merge,
+//! run, report}`): one order, one cut of killed Secondaries, one run and
+//! one report.
 
-use diablo_chains::{Chain, ChainHarness, PlannedTx, RunConfig, RunOverlay, RunResult};
+use diablo_chains::{Chain, ChainHarness, Plan, RunConfig, RunOverlay, RunResult};
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind};
 use diablo_telemetry::TelemetrySnapshot;
 
-use crate::abstraction::merge_runs;
+use crate::abstraction::{Merge, Source};
 use crate::adapters;
 use crate::report::Report;
-use crate::secondary::{declare_resources, plan_range};
+use crate::secondary::{declare_resources, Planner};
 use crate::spec::BenchmarkSpec;
 
 /// Options of a benchmark run.
@@ -124,13 +125,16 @@ pub(crate) struct Prepared {
     pub run: RunConfig,
     /// The DApp the simulated backend deploys.
     pub dapp: Option<DApp>,
+    /// The spec's behaviours, encoded once, to draw clients from.
+    pub planner: Planner,
 }
 
 /// Parses `spec_text` and prepares its run over `secondaries` on a
 /// deployment of `nodes` nodes, refusing a count [`check_secondaries`]
 /// refuses, a fault plan that names a node past the deployment and a
-/// spec that declares several DApps. Resets the telemetry recorder, so
-/// the report's snapshot covers this benchmark.
+/// spec that declares several DApps or an interaction the chain cannot
+/// encode. Resets the telemetry recorder, so the report's snapshot
+/// covers this benchmark.
 pub(crate) fn prepare(
     chain: Chain,
     nodes: usize,
@@ -150,19 +154,22 @@ pub(crate) fn prepare(
     if dapp.is_none() && scratch.contract_count() > 1 {
         return Err("the simulated backend deploys one DApp per benchmark".to_string());
     }
+    let planner = Planner::new(&spec, &mut scratch).map_err(|e| e.to_string())?;
     Ok(Prepared {
         chain,
         spec,
         ranges,
         run,
         dapp,
+        planner,
     })
 }
 
 /// Makes every check a Primary makes before it plans or accepts
-/// anything (the Secondary count, the fault plan's nodes, one DApp) for
-/// a run of `spec_text` over `secondaries` on `deployment`, so it can
-/// refuse before it binds a port and announces it.
+/// anything (the Secondary count, the fault plan's nodes, one DApp,
+/// interactions the chain can encode) for a run of `spec_text` over
+/// `secondaries` on `deployment`, so it can refuse before it binds a
+/// port and announces it.
 pub fn check(
     chain: Chain,
     deployment: DeploymentKind,
@@ -174,49 +181,52 @@ pub fn check(
     prepare(chain, nodes, spec_text, secondaries, options).map(drop)
 }
 
-/// From the Secondaries' plans in hand to the [`Report`], for both Primaries.
+/// From the Secondaries' plans to the [`Report`], for both Primaries.
 impl Prepared {
-    /// The benchmark's plan. `runs` is what the Secondaries planned, in
-    /// order: `(si, run)` for each time-sorted run of Secondary `si`, as
-    /// long as it can be (a `take_plan`, or `natural_runs`). A Secondary
-    /// the fault plan kills at T submits nothing from T on, so its runs
-    /// are cut there; the rest merges into the stable sort of the runs'
-    /// concatenation. `origin(k)` hears, in plan order, that the next
-    /// entry is entry `k` of that concatenation.
-    pub(crate) fn merge<'a>(
+    /// The benchmark's plan, drawn as the run consumes it. `sources` is
+    /// what the Secondaries planned, in order: `(si, source)` for each
+    /// time-sorted source of Secondary `si`. A Secondary the fault plan
+    /// kills at T submits nothing from T on, so its sources are cut
+    /// there; the rest merges into the stable sort of the sources'
+    /// concatenation. `origin(s, i)` hears, in plan order, that the next
+    /// entry is entry `i` of source `s`.
+    pub(crate) fn merge<S: Source, F: FnMut(usize, usize)>(
         &self,
-        runs: impl IntoIterator<Item = (usize, &'a [PlannedTx])>,
-        mut origin: impl FnMut(usize),
-    ) -> Vec<PlannedTx> {
-        // Each run, cut, and where it starts in the concatenation.
-        let (mut cut, mut starts, mut planned) = (Vec::new(), Vec::new(), 0);
-        for (si, run) in runs {
-            let kill = self.run.faults.kill_of_secondary(si);
-            let kept = kill.map_or(run.len(), |at| run.partition_point(|tx| tx.at < at));
-            cut.push(&run[..kept]);
-            starts.push(planned);
-            planned += run.len();
-        }
-        let kept = cut.iter().map(|run| run.len()).sum();
-        if kept < planned {
-            diablo_telemetry::counter!("secondary.killed_txs", (planned - kept) as u64);
-        }
-        let mut plan = Vec::with_capacity(kept);
-        merge_runs(&cut, |r, i| {
-            plan.push(cut[r][i]);
-            origin(starts[r] + i);
+        sources: impl IntoIterator<Item = (usize, S)>,
+        origin: F,
+    ) -> Merge<S, F> {
+        let mut killed = 0;
+        let sources = sources.into_iter().map(|(si, mut source)| {
+            if let Some(at) = self.run.faults.kill_of_secondary(si) {
+                killed += source.cut(at);
+            }
+            source
         });
+        let plan = Merge::new(sources, origin);
+        if killed > 0 {
+            diablo_telemetry::counter!("secondary.killed_txs", killed);
+        }
         plan
+    }
+
+    /// The in-process plan: every client's cursor, Secondary by
+    /// Secondary, each Secondary's invocations numbered from 0.
+    pub(crate) fn draw(&self) -> impl Plan + '_ {
+        let ranges = self.ranges.iter().enumerate();
+        let draws = ranges.flat_map(|(si, &(first, last))| {
+            let mut seq = 0;
+            let clients = (first..last).map(move |global| {
+                let client = self.planner.client(global, &mut seq);
+                client.expect("the ranges split the spec's clients").1
+            });
+            clients.flatten().map(move |draw| (si, draw))
+        });
+        self.merge(draws, |_, _| {})
     }
 
     /// Runs `plan` on `config`, or returns the result that says why the
     /// chain cannot run the DApp (the X marks of Figure 5).
-    pub(crate) fn run(
-        &self,
-        config: DeploymentConfig,
-        plan: Vec<PlannedTx>,
-        name: &str,
-    ) -> RunResult {
+    pub(crate) fn run(&self, config: DeploymentConfig, plan: impl Plan, name: &str) -> RunResult {
         let (chain, secs) = (self.chain, self.spec.duration_secs() as f64);
         match ChainHarness::with_config(chain, config, self.dapp, self.run.clone()) {
             Ok(harness) => harness.run(plan, name, secs),
@@ -278,40 +288,19 @@ pub fn run_with_setup(
     let chain = setup.chain;
     let nodes = setup.config.node_count();
     let prepared = prepare(chain, nodes, spec_text, options.secondaries, options)?;
-
-    // Dispatch planning to the Secondaries (worker threads).
-    let plans: Vec<Result<Vec<PlannedTx>, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = prepared
-            .ranges
-            .iter()
-            .map(|&range| {
-                let spec = &prepared.spec;
-                scope.spawn(move || {
-                    let mut conn = adapters::connector(chain);
-                    declare_resources(spec, &mut conn).map_err(|e| e.to_string())?;
-                    plan_range(spec, range, &mut conn).map_err(|e| e.to_string())?;
-                    Ok(conn.take_plan())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("planner thread panicked"))
-            .collect()
-    });
-    let plans: Vec<Vec<PlannedTx>> = plans.into_iter().collect::<Result<_, _>>()?;
-
-    // A `take_plan` is one sorted run.
-    let plan = prepared.merge(plans.iter().map(Vec::as_slice).enumerate(), |_| {});
-    // The run starts with the merged plan, not with the shares besides.
-    drop(plans);
-    let result = prepared.run(setup.config.clone(), plan, workload_name);
+    let result = prepared.run(setup.config.clone(), prepared.draw(), workload_name);
     Ok(prepared.report(result, diablo_telemetry::snapshot(), |_| false))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abstraction::tests::merge_runs;
+    use crate::abstraction::{natural_runs, Connector, ConnectorError, Interaction};
+    use crate::secondary::plan_range;
+    use crate::spec::InteractionSpec;
+    use diablo_chains::{FaultPlan, Payload, PlannedTx};
+    use diablo_sim::SimTime;
 
     const SMALL_TRANSFER_SPEC: &str = r#"
 let:
@@ -501,6 +490,217 @@ workloads:
         )
         .unwrap_err();
         assert!(err.contains("no function `teleport`"), "{err}");
+    }
+
+    /// Refusals the chain adapter makes when it encodes a behaviour's
+    /// interaction, with their messages: raised when the cursors are
+    /// built, before the run.
+    #[test]
+    fn encode_time_refusals_keep_their_messages() {
+        let spec = |call: &str| {
+            format!(
+                "
+workloads:
+  - number: 2
+    client:
+      behavior:
+        - interaction: !invoke
+            from: {{ sample: !account {{ number: 10 }} }}
+            contract: {{ sample: !contract {{ name: \"dota\" }} }}
+            function: \"{call}\"
+          load:
+            0: 5
+            5: 0
+"
+            )
+        };
+        let rows = [
+            ("update(1, 2, 3)", "function `update` called with 3 arguments (max 2)"),
+            ("update(1, 4294967296)", "argument 4294967296 out of range for `update`"),
+        ];
+        for (call, message) in rows {
+            let options = BenchmarkOptions::default();
+            let err = run_local(Chain::Quorum, DeploymentKind::Testnet, &spec(call), "bad", &options)
+                .unwrap_err();
+            assert!(err.contains(message), "{call}: {err}");
+        }
+        // `run_local` deploys every contract its spec names before it
+        // builds a cursor, so only a connector that was never told of
+        // the contract refuses it as not deployed.
+        let parsed = BenchmarkSpec::parse(&spec("update(1, 1)")).unwrap();
+        let err = crate::secondary::plan_range(&parsed, (0, 2), &mut adapters::connector(chain()))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "contract `dota` not deployed");
+    }
+
+    fn chain() -> Chain {
+        Chain::Quorum
+    }
+
+    /// The planner before cursors, kept as their oracle: per client, per
+    /// behaviour, per tick, an interaction built and encoded, pushed on
+    /// the client's vector; invocations numbered over the range; the
+    /// clients merged into one sorted vector (`take_plan`).
+    fn materialised_range(
+        spec: &BenchmarkSpec,
+        range: (u32, u32),
+    ) -> Result<Vec<PlannedTx>, ConnectorError> {
+        let mut conn = adapters::connector(chain());
+        declare_resources(spec, &mut conn)?;
+        let (mut clients, mut seq) = (Vec::new(), 0);
+        for global in range.0..range.1 {
+            let mut base = 0;
+            let group = (spec.workloads.iter())
+                .find(|group| {
+                    base += group.number;
+                    global < base
+                })
+                .ok_or(ConnectorError::UnknownClient { client: global })?;
+            let mut plan = Vec::new();
+            for (bi, behavior) in group.behaviors.iter().enumerate() {
+                let curve = behavior.to_workload("client");
+                let mut counter = (global as u64)
+                    .wrapping_mul(0x9E37_79B9)
+                    .wrapping_add(bi as u64)
+                    % 100_000;
+                for (tick, count) in curve.tick_counts() {
+                    for at in diablo_workloads::spread(tick, count, global) {
+                        let interaction = match &behavior.interaction {
+                            InteractionSpec::Transfer { accounts, amount } => {
+                                let pool = (*accounts).max(2) as u64;
+                                Interaction::Transfer {
+                                    from: (counter % pool) as u32,
+                                    to: ((counter + 1) % pool) as u32,
+                                    amount: *amount,
+                                }
+                            }
+                            InteractionSpec::Invoke {
+                                accounts,
+                                contract,
+                                function,
+                                args,
+                            } => Interaction::Invoke {
+                                from: (counter % (*accounts).max(1) as u64) as u32,
+                                contract: contract.clone(),
+                                function: function.clone(),
+                                args: args.clone(),
+                            },
+                        };
+                        counter += 1;
+                        let mut tx = conn.encode(&interaction, at)?.planned;
+                        if let Payload::Invoke { seq: s, .. } = &mut tx.payload {
+                            (*s, seq) = (seq, seq + 1);
+                        }
+                        plan.push(tx);
+                    }
+                }
+            }
+            clients.push(plan);
+        }
+        let runs: Vec<&[PlannedTx]> = clients.iter().flat_map(|c| natural_runs(c)).collect();
+        let mut plan = Vec::new();
+        merge_runs(&runs, |r, i| plan.push(runs[r][i]));
+        Ok(plan)
+    }
+
+    /// A random spec from a tape of draws: one to three groups of one to
+    /// three clients, each with one to three behaviours — transfers, or
+    /// invocations of the spec's one contract with and without an
+    /// explicit function and arguments — over a piecewise curve; one to
+    /// four Secondaries; up to two kills, before, inside or after the
+    /// workload.
+    fn random_run(tape: &[u64]) -> (String, usize, FaultPlan) {
+        let mut tape = tape.iter().cycle();
+        let mut next = |n: u64| tape.next().expect("a non-empty tape") % n;
+        let (contract, calls): (&str, &[&str]) = match next(3) {
+            0 => ("dota", &["update(1, 1)", "update", "update(-7)", ""]),
+            1 => ("nasdaq", &["buyApple", "checkStock(3)", ""]),
+            _ => ("fifa", &["add(1, 2)", "get(5)", ""]),
+        };
+        let rates = ["1", "3", "7.5", "10", "33.3", "120", "0"];
+        let (mut text, mut clients) = (String::from("workloads:\n"), 0);
+        for _ in 0..=next(3) {
+            let number = 1 + next(3);
+            clients += number;
+            text += &format!("  - number: {number}\n    client:\n      behavior:\n");
+            for _ in 0..=next(3) {
+                let from = format!("from: {{ sample: !account {{ number: {} }} }}", 1 + next(40));
+                text += &match next(2) {
+                    0 => format!("        - interaction: !transfer\n            {from}\n"),
+                    _ => format!(
+                        "        - interaction: !invoke\n            {from}\n            \
+                         contract: {{ sample: !contract {{ name: \"{contract}\" }} }}\n            \
+                         function: \"{}\"\n",
+                        calls[next(calls.len() as u64) as usize]
+                    ),
+                };
+                text += "          load:\n";
+                let mut at = 0;
+                for _ in 0..=next(3) {
+                    text += &format!("            {at}: {}\n", rates[next(7) as usize]);
+                    at += 1 + next(3);
+                }
+                text += &format!("            {at}: 0\n");
+            }
+        }
+        let secondaries = 1 + next(clients.min(4)) as usize;
+        let mut faults = FaultPlan::builder();
+        for _ in 0..next(3) {
+            let at = SimTime::from_micros(next(10_000_001));
+            faults = faults.kill_secondary(next(secondaries as u64) as usize, at);
+        }
+        (text, secondaries, faults.build())
+    }
+
+    #[test]
+    fn the_drawn_plan_is_the_materialised_plan() {
+        use diablo_testkit::gen::{u64s, vecs};
+        use diablo_testkit::{prop_assert_eq, Property};
+
+        let tapes = vecs(u64s(0..=u64::MAX), 1..=48);
+        // Kills case 1: every client's invocations numbered from 0 (the
+        // range's base not advanced); case 4: the tick a kill cuts
+        // counted whole.
+        Property::new("the_drawn_plan_is_the_materialised_plan")
+            .cases(96)
+            .check(&tapes, |tape| {
+                let (text, secondaries, faults) = random_run(tape);
+                let run = RunOverlay {
+                    faults: faults.clone(),
+                    ..RunOverlay::none()
+                };
+                let options = BenchmarkOptions { run, secondaries };
+                let prepared = prepare(chain(), 10, &text, secondaries, &options)
+                    .map_err(|e| format!("{e}\n{text}"))?;
+
+                // Each Secondary's range, materialised and then merged
+                // and cut as the Primary did before the cursors.
+                let mut ranges = Vec::new();
+                for &range in &prepared.ranges {
+                    let plan = materialised_range(&prepared.spec, range).map_err(|e| e.to_string())?;
+                    let mut conn = adapters::connector(chain());
+                    declare_resources(&prepared.spec, &mut conn).map_err(|e| e.to_string())?;
+                    plan_range(&prepared.spec, range, &mut conn).map_err(|e| e.to_string())?;
+                    prop_assert_eq!(conn.take_plan(), plan.clone());
+                    ranges.push(plan);
+                }
+                let cut: Vec<&[PlannedTx]> = (ranges.iter().enumerate())
+                    .map(|(si, plan)| match faults.kill_of_secondary(si) {
+                        Some(at) => &plan[..plan.partition_point(|tx| tx.at < at)],
+                        None => &plan[..],
+                    })
+                    .collect();
+                let mut want = Vec::new();
+                merge_runs(&cut, |r, i| want.push(cut[r][i]));
+
+                let drawn = prepared.draw();
+                let ticks: Vec<(u64, u64)> = drawn.ticks().collect();
+                let got: Vec<PlannedTx> = drawn.collect();
+                prop_assert_eq!(got.len(), want.len());
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(ticks, want.into_iter().ticks().collect::<Vec<_>>());
+                Ok(())
+            });
     }
 
     #[test]

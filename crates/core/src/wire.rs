@@ -18,9 +18,10 @@
 //! Secondary                          Primary
 //!   Hello                      ──▶
 //!                              ◀──   Assign
-//!   per client: plan it, then
+//!   per client, drawn as sent:
 //!   Plan × ⌈n / 16,384⌉        ──▶   decoded onto the end of the shares
-//!   PlanDone                   ──▶   (next Secondary; then merge, run)
+//!   PlanDone                   ──▶   (next Secondary; then the run
+//!                                     draws the shares' merge)
 //!                              ◀──   Outcomes × ⌈n / 16,384⌉, OutcomesDone
 //!   Stats, Telemetry           ──▶
 //!                              ◀──   Done
@@ -30,9 +31,10 @@
 //! ([`accept_secondary`], [`connect_primary`]), each arrow is one
 //! `write` of whole frames from the end's one encode buffer, and each
 //! end reads every frame into one buffer that grows as bytes arrive. A
-//! Secondary ships a client's plan as soon as that client is planned,
-//! so the Primary decodes while the Secondary plans the next; the
-//! Primary restores the order with the merge `run_local` uses (see
+//! Secondary draws each frame from its client's cursor as it encodes
+//! it, so the Primary decodes one frame while the Secondary draws the
+//! next, and no plan is held on the Secondary; the Primary restores the
+//! order with the merge `run_local` uses, drawn by the run (see
 //! [`serve_primary`]). A Secondary that falls silent, hangs up or
 //! breaks the protocol is lost — its share discarded, the worker listed
 //! in the report's `lost_secondaries` — and the others carry on.

@@ -10,13 +10,13 @@ use super::codec::{
     decode, decode_outcomes_frame, decode_plan_frame, encode, planned_to_wire, put_frame,
     put_message, put_outcomes, put_plan, status_from_wire, status_to_wire, Message, WireOutcome,
 };
-use crate::abstraction::natural_runs;
+use crate::abstraction::{natural_runs, ConnectorError, Merge, Slice};
 use crate::adapters;
 use crate::bytebuf::ByteBuf;
 use crate::output::status_name;
 use crate::primary::{prepare, BenchmarkOptions};
 use crate::report::Report;
-use crate::secondary::{declare_resources, plan_range};
+use crate::secondary::{declare_resources, Draw, Planner};
 use crate::spec::BenchmarkSpec;
 
 /// Maximum accepted frame size (64 MiB).
@@ -182,8 +182,12 @@ pub fn serve_primary(
     // Collect the plans, one Secondary after the other, each frame
     // decoded straight onto the end of `shipped`; `shares[si]` is where
     // Secondary `si`'s entries lie. A lost worker's partial share is
-    // discarded.
+    // discarded. The spec says how many entries the Secondaries ship,
+    // so `shipped` is that size from the start rather than up to twice
+    // it after its doublings (a size the allocator refuses is left to
+    // grow).
     let mut shipped: Vec<PlannedTx> = Vec::new();
+    let _ = shipped.try_reserve_exact(prepared.planner.planned() as usize);
     let mut shares = vec![0..0; workers.len()];
     each_live(&mut workers, |si, stream| {
         let start = shipped.len();
@@ -206,22 +210,28 @@ pub fn serve_primary(
     // Order the plan as `run_local` does: a share is a concatenation of
     // per-client runs, so the merge puts equal instants in (client,
     // planning order). Kills cut the runs; a killed worker stays
-    // connected and later gets Pending fillers. The shares lie one after
-    // the other in `shipped`, so `pos_of[k]` is the place in the plan
-    // of entry `k` of `shipped`, or `u32::MAX` if the kills cut it.
+    // connected and later gets Pending fillers. The merge reads the
+    // shares where they lie, in `shipped`, as the run draws it, and
+    // `pos_of[k]` becomes the place in the plan of entry `k` of
+    // `shipped` as it is drawn: `u32::MAX` if the kills cut it or the
+    // run never drew it.
     let mut pos_of = vec![u32::MAX; shipped.len()];
-    let mut pos = 0;
-    let runs = shares
-        .iter()
-        .enumerate()
-        .flat_map(|(si, share)| natural_runs(&shipped[share.clone()]).map(move |run| (si, run)));
-    let plan = prepared.merge(runs, |k| {
-        pos_of[k] = pos;
+    let (mut runs, mut starts, mut pos) = (Vec::new(), Vec::new(), 0);
+    for (si, share) in shares.iter().enumerate() {
+        let mut start = share.start;
+        for run in natural_runs(&shipped[share.clone()]) {
+            starts.push(start);
+            start += run.len();
+            runs.push((si, Slice::new(run)));
+        }
+    }
+    let plan = prepared.merge(runs, |r, i| {
+        pos_of[starts[r] + i] = pos;
         pos += 1;
     });
-    // The run holds the ordered plan and `pos_of`, not `shipped` too.
-    drop(shipped);
     let result = prepared.run(DeploymentConfig::standard(deployment), plan, workload_name);
+    // The outcomes are read through `pos_of`, not the shares.
+    drop(shipped);
 
     // Route outcomes back in each Secondary's planning order, each read
     // off its record as its frame is encoded. Entries the kill schedule
@@ -378,18 +388,16 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
     let chain = Chain::parse(&chain_name).ok_or_else(|| format!("unknown chain {chain_name}"))?;
     let spec = BenchmarkSpec::parse(&spec_text).map_err(|e| e.to_string())?;
 
-    // Presign (plan) the assigned share and ship it one client at a
-    // time: the Primary reads and decodes client `g` while this end
-    // plans client `g + 1`, and neither holds more than it must. A
-    // client's plan is its triggers: `take_plan` hands them over as
-    // they are when they are in time order (one behaviour) and merges
-    // them when not. The order of the whole share is made by the
-    // Primary's merge of the concatenation (see `serve_primary`), and
-    // is the one a whole-range `take_plan` would have sent. The
-    // connector is one for the whole range, so invocation sequence
-    // numbers run on from client to client as they did.
+    // Presign (plan) the assigned share and ship it client by client,
+    // a frame at a time: each frame is drawn from the client's cursor as
+    // it is encoded, so the Primary decodes one frame while this end
+    // draws the next, and no plan is held on this end. A client's
+    // cursor merges its behaviours in time order; the order of the whole
+    // share is made by the Primary's merge of the concatenation (see
+    // `serve_primary`). Invocation numbers run on from client to client
+    // over the whole range.
     //
-    // The planning calls are timed: §4's Secondaries "constantly check
+    // Drawing and encoding are timed: §4's Secondaries "constantly check
     // if the submission time is not too late compared to the time
     // demanded by the Primary and emit a warning otherwise". In virtual
     // time nothing can be late, but a Secondary that presigns slower
@@ -398,18 +406,24 @@ fn secondary_session(mut stream: TcpStream, tag: &str) -> Result<String, String>
     // not planning and is not counted.
     let mut conn = adapters::connector(chain);
     declare_resources(&spec, &mut conn).map_err(|e| e.to_string())?;
-    let mut planned = 0usize;
+    let planner = Planner::new(&spec, &mut conn).map_err(|e| e.to_string())?;
+    let (mut planned, mut seq) = (0usize, 0);
     let mut planning = std::time::Duration::ZERO;
     for client in first..last {
-        let started = std::time::Instant::now();
-        plan_range(&spec, (client, client + 1), &mut conn).map_err(|e| e.to_string())?;
-        let plan = conn.take_plan();
-        planning += started.elapsed();
-        planned += plan.len();
-        for chunk in plan.chunks(CHUNK) {
-            let wire = chunk.iter().map(planned_to_wire);
+        let (_, draws) = planner
+            .client(client, &mut seq)
+            .ok_or_else(|| ConnectorError::UnknownClient { client }.to_string())?;
+        let mut left = draws.iter().map(Draw::len).sum::<u64>() as usize;
+        planned += left;
+        let mut cursor = Merge::new(draws, |_, _| {});
+        while left > 0 {
+            let n = left.min(CHUNK);
+            left -= n;
             send(&mut stream, &mut out, |out| {
-                put_frame(out, |f| put_plan(f, chunk.len(), wire));
+                let started = std::time::Instant::now();
+                let wire = cursor.by_ref().take(n).map(|tx| planned_to_wire(&tx));
+                put_frame(out, |f| put_plan(f, n, wire));
+                planning += started.elapsed();
             })?;
         }
     }

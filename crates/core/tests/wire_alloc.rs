@@ -2,12 +2,13 @@
 //!
 //! A frame's length prefix is the peer's claim, not a fact: reading a
 //! frame must cost this end what arrived, not what was announced. And a
-//! session's memory is the plan it moves, once: the Secondary plans and
-//! ships a client at a time, the Primary decodes frames straight onto
-//! the end of the shares, merges them into the ordered plan and an index
-//! per transaction, and starts the run holding those two, not the
-//! shipped copy besides. This test has a process of its own because it
-//! installs a counting global allocator.
+//! session's memory is the plan it moves, once: the Secondary draws and
+//! ships a frame at a time, the Primary decodes frames straight onto the
+//! end of the shares, sized by the spec, and runs them through a lazy
+//! merge that fills an index per transaction as it draws, so the run
+//! holds the shares and that index, and no ordered copy besides. This
+//! test has a process of its own because it installs a counting global
+//! allocator.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -107,22 +108,24 @@ fn a_session_holds_its_plan_once() {
     );
 }
 
-/// The bound on [`a_session_holds_its_plan_once`]'s peak, where the
-/// Primary orders the plan: the shipped shares (a 48-byte `PlannedTx`
-/// an entry, in a vector grown by doubling), the ordered plan and 4
-/// bytes of index, next to two frame buffers of a few hundred kilobytes.
-/// Measured: 4,204,598 bytes, 140 per transaction; the session that
-/// planned the whole range, merged it, mapped origins and sorted through
-/// an index vector before it ran: 7,236,774 bytes, 241 per transaction.
-const PEAK_BYTES_PER_TX: usize = 160;
+/// The bound on [`a_session_holds_its_plan_once`]'s peak, in the run:
+/// the shipped shares (a 48-byte `PlannedTx` an entry, in a vector of
+/// the spec's size), 4 bytes of index and the run's 32-byte records,
+/// next to two frame buffers of a few hundred kilobytes. Measured:
+/// 3,982,106 bytes, 132 per transaction; the session that merged the
+/// shares into an ordered copy before it ran: 4,204,598 bytes, 140; the
+/// one that planned the whole range, merged it, mapped origins and
+/// sorted through an index vector before it ran: 7,236,774 bytes, 241.
+const PEAK_BYTES_PER_TX: usize = 152;
 
 /// The bound on every byte [`a_session_holds_its_plan_once`] asks the
 /// allocator for, freed or not: each vector the session fills once per
-/// transaction is in it. Measured: 13,248,913 bytes, 441 per
-/// transaction. A session that copies each client's run on the
-/// Secondary (48 bytes a transaction) or builds the outcomes in a vector
-/// before it sends them (24) is over it: the one before did both, 513.
-const BYTES_PER_TX: usize = 456;
+/// transaction is in it. Measured: 8,454,659 bytes, 281 per
+/// transaction. A session that holds each client's plan on the
+/// Secondary (48 bytes a transaction), merges the shares into an
+/// ordered copy (48) or grows the shares by doubling (64) is over it:
+/// the one before did all three, 441.
+const BYTES_PER_TX: usize = 296;
 
 /// Both ends of a session get their socket from these two functions,
 /// and both must come back with Nagle's algorithm off: the protocol
