@@ -1,12 +1,15 @@
 //! Allocation budget of per-transaction tracing.
 //!
 //! "Cheap enough to leave on" as a count instead of a timing: what a
-//! traced run allocates beyond its untraced twin is the arm-time pass
-//! (a heap of `cap` ranks, the member ids, the member trails) plus the
-//! growth of each member's event vector — 4, 8, 16 slots for the ten
-//! events a trail can hold. Nothing is allocated for a transaction that
-//! is not a member, so under a bound the excess does not depend on how
-//! long the run is. With the tracer compiled out the excess is zero.
+//! traced run allocates beyond its untraced twin is what `Tracer::arm`
+//! makes (the membership bitmap, its per-512-id prefix counts and the
+//! member trails; under a bound also the rank histogram of 4,096
+//! buckets and the edge bucket's `(rank, id)` pairs, both freed before
+//! it returns) plus the growth of each member's event vector — 4, 8, 16
+//! slots for the ten events a trail can hold. Nothing is allocated for
+//! a transaction that is not a member, so under a bound the excess does
+//! not depend on how long the run is. With the tracer compiled out the
+//! excess is zero.
 //! It has a process of its own because it installs a counting global
 //! allocator (`diablo_testkit::alloc`).
 
@@ -22,8 +25,8 @@ static GLOBAL: Counting = Counting;
 
 /// Allowed per member: its event vector's three growth steps.
 const PER_MEMBER: u64 = 3;
-/// Allowed per traced run, whatever its size: the arm-time heap, the id
-/// vector and the trail vector.
+/// Allowed per traced run, whatever its size: the five vectors
+/// `Tracer::arm` makes, with room to spare.
 const PER_RUN: u64 = 8;
 
 /// Allocator calls of one pinned-seed run, `(calls, members)`. The run

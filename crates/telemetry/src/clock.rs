@@ -51,7 +51,7 @@ pub fn use_sim_clock() {
 
 /// Reads the telemetry clock, in microseconds.
 #[inline]
-pub fn now_micros() -> u64 {
+pub(crate) fn now_micros() -> u64 {
     if WALL.load(Ordering::Relaxed) {
         EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
     } else {

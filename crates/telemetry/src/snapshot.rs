@@ -31,7 +31,7 @@ pub struct SpanStat {
 
 impl SpanStat {
     /// Adds another span's totals into this one (saturating).
-    pub fn merge(&mut self, other: &SpanStat) {
+    pub(crate) fn merge(&mut self, other: &SpanStat) {
         self.count = self.count.saturating_add(other.count);
         self.inclusive_us = self.inclusive_us.saturating_add(other.inclusive_us);
         self.exclusive_us = self.exclusive_us.saturating_add(other.exclusive_us);
@@ -66,15 +66,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Arithmetic mean, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The `q`-quantile by nearest rank over bucket floors
     /// ([`LogHistogram::quantile`]'s walk). Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
@@ -83,7 +74,7 @@ impl HistogramSnapshot {
     }
 
     /// Merges another snapshot into this one (bucket-wise addition).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         if other.count == 0 {
             return;
         }

@@ -28,12 +28,13 @@
 //!   bounded sampler here keeps the `N` transactions whose [`rank`] (a
 //!   seeded splitmix64 hash of the transaction id) is smallest, and a
 //!   run's ids are `0..n` with `n` known before it starts, so
-//!   [`Tracer::arm`] settles membership from `(seed, N, n)` alone: it
-//!   finds the `N`-th smallest rank over `0..n` and lays the member
-//!   trails out in id order. [`Tracer::emit`] then compares one rank
-//!   against that threshold; a non-member costs nothing else, a member
-//!   is never evicted, and the sampled set cannot depend on emission
-//!   interleaving.
+//!   [`Tracer::arm`] settles membership from `(seed, N, n)` alone, into
+//!   one bit per id, in two linear passes over `0..n` (a histogram of
+//!   the ranks' top 12 bits, then the ids below the edge bucket plus a
+//!   selection inside it), and lays the member trails out in id order.
+//!   [`Tracer::emit`] then tests one bit: a non-member costs a range
+//!   check and a bit test, a member is never evicted, and the sampled
+//!   set cannot depend on emission interleaving.
 //!
 //! The [`Tracer`] is a value the run owns, not process state: two runs
 //! in one process, on one thread or two, cannot see each other's
@@ -90,7 +91,7 @@ pub enum TraceStage {
 
 impl TraceStage {
     /// Stable lowercase name (used in the Chrome export).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TraceStage::Submitted => "submitted",
             TraceStage::Retried => "retried",
@@ -209,11 +210,6 @@ pub struct TraceSet {
 }
 
 impl TraceSet {
-    /// Whether no transactions were traced.
-    pub fn is_empty(&self) -> bool {
-        self.txs.is_empty()
-    }
-
     /// The trace of transaction `id`, if sampled.
     pub fn tx(&self, id: u64) -> Option<&TxTrace> {
         self.txs
@@ -363,66 +359,79 @@ fn write_tx_events(out: &mut String, tx: &TxTrace, first: &mut bool) {
     }
 }
 
+/// Bitmap words per prefix count: a count covers 512 ids.
+const BLOCK_WORDS: usize = 8;
+
+/// [`rank`] bits below the bucket index: [`Tracer::arm`]'s histogram
+/// buckets ranks by their top 12 bits.
+const BUCKET_SHIFT: u32 = 52;
+
 /// One run's trace recorder: an owned value, armed once with the
 /// sampler's inputs, fed by the single-threaded simulation loop and
 /// finished into a [`TraceSet`].
 ///
-/// Membership is decided by [`Tracer::arm`]; [`Tracer::emit`] only asks
-/// whether an id is a member. Ids outside `0..n` are never members.
+/// Membership is decided by [`Tracer::arm`] into one bit per id;
+/// [`Tracer::emit`] only tests an id's bit. Ids outside `0..n` are never
+/// members.
 #[derive(Debug)]
 pub struct Tracer {
     seed: u64,
     cap: u64,
     /// Number of ids the run was armed for (`0..n`).
     n: u64,
-    /// The largest member rank: an id is a member iff its rank is not
-    /// above it (`u64::MAX` when every id is a member).
-    threshold: u64,
-    /// Member trails, ascending by id; when every id is a member, the
-    /// trail of `id` sits at index `id`.
+    /// Bit `id % 64` of word `id / 64` is set iff `id` is a member; no
+    /// bit at or past `n` is set.
+    bits: Vec<u64>,
+    /// Members before each block of [`BLOCK_WORDS`] words: a member's
+    /// slot in `members` is its block's count plus the set bits before
+    /// it in the block.
+    before: Vec<u32>,
+    /// Member trails, ascending by id.
     members: Vec<TxTrace>,
 }
 
 impl Tracer {
     /// Arms a tracer for the run whose transaction ids are `0..n`: the
     /// members are the `sample.cap()` ids of smallest [`rank`] under
-    /// `seed` (all of them when there are no more than that): one pass
-    /// over the ids with a heap of `cap` ranks finds the largest member
-    /// rank, a second collects the members. `None` when the recorder is
-    /// compiled out.
+    /// `seed`, or all of them when there are no more than that. `None`
+    /// when the recorder is compiled out.
     pub fn arm(sample: TraceSample, seed: u64, n: u64) -> Option<Tracer> {
         if !crate::enabled() {
             return None;
         }
         let cap = sample.cap();
-        let trail = |id| TxTrace {
-            id,
-            events: Vec::new(),
-        };
-        let (threshold, members) = if n <= cap {
-            (u64::MAX, (0..n).map(trail).collect())
-        } else {
-            // `cap < n` bounds the heap by the run, not by the flag.
-            let mut lowest = std::collections::BinaryHeap::with_capacity(cap as usize);
-            for r in (0..n).map(|id| rank(seed, id)) {
-                if (lowest.len() as u64) < cap {
-                    lowest.push(r);
-                } else if let Some(mut max) = lowest.peek_mut().filter(|max| r < **max) {
-                    *max = r;
-                }
+        let words = usize::try_from(n.div_ceil(64)).expect("one bit per id fits in memory");
+        let mut bits = vec![0; words];
+        if n <= cap {
+            bits.fill(u64::MAX);
+            if let Some(last) = bits.last_mut().filter(|_| !n.is_multiple_of(64)) {
+                *last = (1 << (n % 64)) - 1;
             }
-            // `rank` is a bijection of the id, so exactly `cap` ids rank
-            // at or under the heap's maximum.
-            let threshold = lowest.peek().copied().unwrap_or(0);
-            let mut members = Vec::with_capacity(cap as usize);
-            members.extend((0..n).filter(|&id| rank(seed, id) <= threshold).map(trail));
-            (threshold, members)
-        };
+        } else {
+            mark_lowest(&mut bits, seed, cap, n);
+        }
+        let mut before = Vec::with_capacity(words.div_ceil(BLOCK_WORDS));
+        let mut members = Vec::with_capacity(n.min(cap) as usize);
+        for (word, &set) in bits.iter().enumerate() {
+            if word % BLOCK_WORDS == 0 {
+                before.push(u32::try_from(members.len()).expect("fewer than 2^32 members"));
+            }
+            let mut rest = set;
+            while rest != 0 {
+                let id = word as u64 * 64 + u64::from(rest.trailing_zeros());
+                members.push(TxTrace {
+                    id,
+                    events: Vec::new(),
+                });
+                rest &= rest - 1;
+            }
+        }
         Some(Tracer {
             seed,
             cap,
             n,
-            threshold,
+            bits,
+            before,
             members,
         })
     }
@@ -433,26 +442,46 @@ impl Tracer {
     }
 
     /// Records one lifecycle event for transaction `id` at sim-time
-    /// `at_us`: one rank and one compare for a non-member, an empty
+    /// `at_us`: a range check and a bit test for a non-member, an empty
     /// inline function when compiled out.
     #[inline]
     pub fn emit(&mut self, id: u64, stage: TraceStage, at_us: u64, arg0: u64, arg1: u64) {
-        if !crate::enabled() || rank(self.seed, id) > self.threshold {
+        if !crate::enabled() {
             return;
         }
-        let slot = if self.members.len() as u64 == self.n {
-            Some(id as usize)
-        } else {
-            self.members.binary_search_by_key(&id, |t| t.id).ok()
+        // Ids past `n` land past the bitmap or on a clear bit.
+        let word = usize::try_from(id / 64).unwrap_or(usize::MAX);
+        let Some(&set) = self.bits.get(word) else {
+            return;
         };
-        if let Some(tx) = slot.and_then(|slot| self.members.get_mut(slot)) {
-            tx.events.push(TraceEvent {
-                stage,
-                at_us,
-                arg0,
-                arg1,
-            });
+        let bit = 1 << (id % 64);
+        if set & bit == 0 {
+            return;
         }
+        let event = TraceEvent {
+            stage,
+            at_us,
+            arg0,
+            arg1,
+        };
+        self.record(word, set & (bit - 1), event);
+    }
+
+    /// Pushes `event` onto the trail of the member in bitmap word `word`
+    /// under whose bit the word's set bits are `below`. Cold and out of
+    /// line: under a bound nearly every id is a non-member, and the
+    /// emission sites' loops then inline only [`Tracer::emit`]'s bit test.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, word: usize, below: u64, event: TraceEvent) {
+        let block = word / BLOCK_WORDS;
+        let slot = self.before[block] as usize
+            + self.bits[block * BLOCK_WORDS..word]
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+            + below.count_ones() as usize;
+        self.members[slot].events.push(event);
     }
 
     /// Freezes the recorded trails.
@@ -463,6 +492,45 @@ impl Tracer {
             txs: self.members,
         }
     }
+}
+
+/// Sets the bits of the `cap` ids of `0..n` with the smallest [`rank`]
+/// under `seed`, for `cap < n`, in two passes over the ids. The first
+/// counts ranks per bucket of their top 12 bits; the running count
+/// finds the edge bucket, the one holding the `cap`-th smallest rank.
+/// The second sets every id below the edge bucket and keeps the edge
+/// bucket's `(rank, id)` pairs, of which the smallest make up the rest.
+/// `rank` is a bijection of the id, so no two ids tie.
+fn mark_lowest(bits: &mut [u64], seed: u64, cap: u64, n: u64) {
+    let mut histogram = vec![0u64; 1 << (64 - BUCKET_SHIFT)];
+    for id in 0..n {
+        histogram[(rank(seed, id) >> BUCKET_SHIFT) as usize] += 1;
+    }
+    let (mut edge, mut below) = (0, 0);
+    while below + histogram[edge] < cap {
+        below += histogram[edge];
+        edge += 1;
+    }
+    let mut mark = |id: u64| bits[(id / 64) as usize] |= 1 << (id % 64);
+    let mut edge_ranks = Vec::with_capacity(histogram[edge] as usize);
+    for id in 0..n {
+        let r = rank(seed, id);
+        let bucket = (r >> BUCKET_SHIFT) as usize;
+        if bucket < edge {
+            mark(id);
+        } else if bucket == edge {
+            edge_ranks.push((r, id));
+        }
+    }
+    // `cap - below` is at least 1 and at most the edge bucket's count
+    // (0 only for a cap of 0).
+    let rest = (cap - below) as usize;
+    let lowest = if rest < edge_ranks.len() {
+        edge_ranks.select_nth_unstable(rest).0
+    } else {
+        &mut edge_ranks[..]
+    };
+    lowest.iter().for_each(|&(_, id)| mark(id));
 }
 
 #[cfg(test)]
@@ -548,7 +616,7 @@ mod tests {
             assert!(set.txs.iter().all(|t| t.events.len() == 1));
         }
         let armed_for_nothing = Tracer::arm(TraceSample::Limit(3), 1, 0).unwrap();
-        assert!(armed_for_nothing.finish().is_empty());
+        assert!(armed_for_nothing.finish().txs.is_empty());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! [`Tracer`] decides membership once, from `(seed, cap, n)`; the
 //! recorder it replaced kept a streaming bottom-k and evicted as ids
-//! arrived. The old recorder is kept in [`oracle`], and the property
-//! here asks both for the same [`TraceSet`], field for field, and the
-//! same Chrome export, byte for byte. Replay a failure with
+//! arrived. The old recorder is kept in [`oracle`], and both tests here
+//! ask both for the same [`TraceSet`], field for field, and the same
+//! Chrome export, byte for byte: the property at small bounds, the
+//! fixed cases at the default one. Replay a property failure with
 //! `DIABLO_PROP_SEED`.
 
 use diablo_sim::DetRng;
@@ -165,7 +166,11 @@ fn tracer_matches_the_streaming_recorder() {
         u8s(0..=5),
         u8s(0..=2),
     );
-    // Kills case 1: `emit`'s threshold compare made strict.
+    // Kills case 61: `mark_lowest`'s second pass taking the edge bucket
+    // whole (`bucket <= edge`), the edge bucket one too far, and the
+    // `select_nth_unstable` index one short or one long. (The edge
+    // search made `<=` is an equivalent mutant: it only moves the edge
+    // past a bucket that completes the `cap` exactly.)
     Property::new("tracer_matches_the_streaming_recorder")
         .cases(300)
         .check(&cases, |&((seed, order), cap, n_class, sample_kind)| {
@@ -188,4 +193,37 @@ fn tracer_matches_the_streaming_recorder() {
             prop_assert_eq!(got.to_chrome_json(), want.to_chrome_json());
             Ok(())
         });
+}
+
+/// The default bound around its edges and at `trace_chaos`'s 120,000
+/// ids, where an edge bucket holds about 30 ranks. Every 1,000th event
+/// also goes, to the tracer alone, to an id at or past `n`, which must
+/// never become a member. Kills the property's four mutants.
+#[test]
+fn tracer_matches_the_streaming_recorder_at_the_default_bound() {
+    if Tracer::arm(TraceSample::All, 0, 0).is_none() {
+        return; // recorder compiled out
+    }
+    let sample = TraceSample::Limit(TraceSample::DEFAULT_LIMIT);
+    for (seed, n) in [(42, 4_095), (42, 4_096), (42, 4_097), (42, 120_000), (7, 120_000)] {
+        let mut rng = DetRng::new(seed ^ n);
+        let past = [n, n + 1, n.next_multiple_of(64), n.next_multiple_of(512) + 3, u64::MAX];
+        let mut tracer = Tracer::arm(sample, seed, n).expect("compiled in");
+        let mut recorder = oracle::Recorder::configure(sample, seed);
+        for (i, (id, stage, at_us, arg0, arg1)) in emissions(n, &mut rng).into_iter().enumerate() {
+            tracer.emit(id, stage, at_us, arg0, arg1);
+            recorder.emit(id, stage, at_us, arg0, arg1);
+            if i % 1_000 == 0 {
+                tracer.emit(past[i / 1_000 % past.len()], stage, at_us, arg0, arg1);
+            }
+        }
+        let (got, want) = (tracer.finish(), recorder.take());
+        assert_eq!(got.txs.len() as u64, n.min(sample.cap()), "seed {seed}, n {n}");
+        let ids = |set: &diablo_telemetry::trace::TraceSet| -> Vec<u64> {
+            set.txs.iter().map(|t| t.id).collect()
+        };
+        assert_eq!(ids(&got), ids(&want), "seed {seed}, n {n}: members");
+        assert!(got == want, "seed {seed}, n {n}: trails differ");
+        assert!(got.to_chrome_json() == want.to_chrome_json(), "seed {seed}, n {n}: exports differ");
+    }
 }

@@ -7,8 +7,13 @@
 #   OUT_DIR/<chain>/<workload>.trace.json     --trace-out
 #
 # for every workload spec in workloads/ (the setup-*.yaml files describe
-# deployments, not workloads) on all six chains, and one distributed
-# run over TCP, a Primary and two Secondaries on loopback:
+# deployments, not workloads) on all six chains; the tracer's two other
+# ends, every id a member and a single member, on one chaos run:
+#
+#   OUT_DIR/sample/exchange-partition.{all,1}.trace.json
+#
+# and one distributed run over TCP, a Primary and two Secondaries on
+# loopback:
 #
 #   OUT_DIR/tcp/dota.results.json, dota.stat.txt, secondaries.txt
 #
@@ -38,6 +43,14 @@ for chain in algorand avalanche diem ethereum quorum solana; do
             --trace-out="$out/$chain/$name.trace.json" \
             "$spec" > "$out/$chain/$name.stat.txt"
     done
+done
+
+# The sampler's ends: `all` arms every id, `1` a single member.
+mkdir -p "$out/sample"
+for sample in all 1; do
+    "$diablo" run --chain=quorum --trace-sample="$sample" \
+        --trace-out="$out/sample/exchange-partition.$sample.trace.json" \
+        workloads/exchange-partition.yaml
 done
 
 # The distributed run: the Primary binds a free port and names it on

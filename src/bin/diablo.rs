@@ -139,11 +139,22 @@ fn emit(report: &Report, inv: &Invocation) -> Result<(), String> {
                 std::fs::write(path, set.to_chrome_json()).map_err(|e| e.to_string())?;
                 eprintln!("wrote {path}");
             }
-            // Tracing was requested but the run armed no tracer: it was
+            // Tracing was requested but the result carries no trace: the
+            // chain could not run the benchmark, or the tracer was
             // compiled out (`--cfg diablo_telemetry_off`).
-            None => eprintln!(
-                "warning: --trace-out={path} skipped (tracer compiled out of this binary)"
-            ),
+            None => {
+                let r = &report.result;
+                let why = match &r.unable_reason {
+                    Some(reason) => {
+                        format!("benchmark {} on {} was unable to run: {reason}", r.workload, r.chain)
+                    }
+                    None if !diablo_telemetry::enabled() => {
+                        "tracer compiled out of this binary".to_string()
+                    }
+                    None => "the run recorded no trace".to_string(),
+                };
+                eprintln!("warning: --trace-out={path} skipped ({why})");
+            }
         }
     }
     if inv.has("stat") {

@@ -37,11 +37,11 @@ workloads:
 
 /// A row's steps run one after the other, the processes of a step all
 /// at once, each to exit 0 within [`DEADLINE`]; then its check reads
-/// the row's directory and the stdout of the last process. In an
+/// the row's directory and what the last process printed. In an
 /// argument, `{dir}` is that directory, which holds [`TIES`] as
 /// `ties.yaml`, and `{port}` the port the step's first process
 /// announced.
-type Row = (&'static [&'static [&'static str]], fn(&Path, &str));
+type Row = (&'static [&'static [&'static str]], fn(&Path, &runner::Ran));
 
 #[rustfmt::skip]
 const ROWS: &[Row] = &[
@@ -56,7 +56,7 @@ const ROWS: &[Row] = &[
             assert!(read(dir, "run.json") == want, "the results JSON is not {GOLDEN}");
         }),
     (&[&["compare results/golden_sim_exchange.json results/golden_sim_exchange.json"]],
-        |_, out| assert!(out.contains("committed"), "{out}")),
+        |_, ran| assert!(ran.stdout.contains("committed"), "{}", ran.stdout)),
     // Fault injection draws all its randomness from the seeded sim.
     (&[&["run --chain=quorum --seed=11 --crash=2@10..25 --loss=10%@0..40 \
           --output={dir}/a.json workloads/exchange-partition.yaml",
@@ -87,10 +87,18 @@ const ROWS: &[Row] = &[
          "run --chain=quorum --seed=11 --exec-mode=exact --threads=8 --trace-sample=64 \
            --trace-out={dir}/b.json workloads/exchange-apple.yaml"],
        &["trace-diff {dir}/a.json {dir}/b.json"]],
-        |dir, out| {
+        |dir, ran| {
             let a = read(dir, "a.json");
             assert!(a == read(dir, "b.json") && a.contains("\"ph\":\"X\""), "{a}");
-            assert!(out.contains("(0 only in A, 0 only in B)"), "{out}");
+            assert!(ran.stdout.contains("(0 only in A, 0 only in B)"), "{}", ran.stdout);
+        }),
+    // A run the chain cannot make writes no trace, and its warning
+    // names the unable run, not a compiled-out tracer.
+    (&[&["run --chain=algorand --trace-out={dir}/t.json workloads/uber.yaml"]],
+        |dir, ran| {
+            let warning = &ran.stderr;
+            assert!(warning.contains("unable") && !warning.contains("compiled out"), "{warning}");
+            assert!(!dir.join("t.json").exists(), "a trace was written");
         }),
     // A Primary and two Secondary processes write the results of
     // `diablo run` at the same Secondary count and seed, but for the
@@ -131,7 +139,7 @@ fn every_row_exits_0_and_writes_what_its_check_reads() {
         let dir = std::env::temp_dir().join(format!("diablo-row-{}-{row}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("row directory");
         std::fs::write(dir.join("ties.yaml"), TIES).expect("ties.yaml");
-        let mut stdout = String::new();
+        let mut last = None;
         for step in *steps {
             let mut procs: Vec<runner::Proc> = Vec::new();
             let mut port = None;
@@ -159,10 +167,10 @@ fn every_row_exits_0_and_writes_what_its_check_reads() {
                     ran.elapsed,
                     ran.stderr
                 );
-                stdout = ran.stdout;
+                last = Some(ran);
             }
         }
-        check(&dir, &stdout);
+        check(&dir, &last.expect("a row runs a process"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
